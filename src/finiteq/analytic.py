@@ -51,12 +51,24 @@ __all__ = [
 ]
 
 QUAD_LEVELS = (32, 64, 128)
+# Laurent terms of f are kept down to exp(-_LAURENT_CUT) of the largest one
+_LAURENT_CUT = 41.0
 
 
 def _theta_arg(params: SystemParams, m, z):
     """pi m / d - (z / lam) sqrt(pi / 2d), broadcast over m and z."""
     scale = math.sqrt(np.pi / (2 * params.d)) / params.lam
     return np.pi * np.asarray(m) / params.d - scale * np.asarray(z, dtype=complex)
+
+
+def _finite_or_raise(values: np.ndarray, z: np.ndarray, d: int, what: str) -> None:
+    """Raise where double precision lost the value rather than return NaN or inf."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise RuntimeError(
+            f"{what} is not finite at z = {complex(z[bad][0])} for d = {d}: "
+            "its theta terms overflow double precision there"
+        )
 
 
 @dataclass
@@ -82,6 +94,7 @@ class AnalyticState:
                 continue
             acc += fm * theta3(_theta_arg(self.params, m, zz), self.params.tau0)
         acc *= np.pi ** -0.25
+        _finite_or_raise(acc, zz, self.params.d, "f")
         return complex(acc[0]) if scalar else acc
 
     def derivative(self, z):
@@ -95,7 +108,52 @@ class AnalyticState:
                 continue
             acc += fm * theta3_derivative(_theta_arg(self.params, m, zz), self.params.tau0)
         acc *= -np.pi ** -0.25 * math.sqrt(np.pi / (2 * self.params.d)) / self.params.lam
+        _finite_or_raise(acc, zz, self.params.d, "f'")
         return complex(acc[0]) if scalar else acc
+
+    def laurent_terms(self, y0: float, y1: float):
+        """The terms of f that matter at heights y0 <= Im(z) <= y1.
+
+        Swapping the two sums of the theta form gives a Laurent series in w:
+
+            f(z) = pi**-1/4 sum_k exp(-pi k^2 / (d lam^2)) G_{k mod d} w^k,
+            w = exp(-2icz),  c = sqrt(pi/2d) / lam,  G = d ifft(f_m),
+
+        whose k-th term is largest at the height k / kappa, kappa = c d lam^2 / pi.
+        Only k within K = sqrt(41 d lam^2 / pi) of [kappa y0, kappa y1] are
+        kept: the Gaussian weight of every other term lies below e^-41 of the
+        largest weight at each height of the range.  Entries of G at the
+        rounding level of the FFT are set to zero: they stand for exact zeros
+        (of parity or momentum states).  End terms below e^-41 of the largest
+        term at both ends of the range are dropped too.  Either kind, left as
+        a leading term, would add spurious roots far outside the range and
+        spoil the accuracy of the roots inside it.  Returns (k, a, s), the
+        terms rescaled to the mid height ym in log space so that nothing
+        overflows at any d:
+
+            f(z) = exp(s) sum_k a_k v^k,   v = w exp(-2 c ym).
+        """
+        p = self.params
+        d, lam = p.d, p.lam
+        c = math.sqrt(np.pi / (2 * d)) / lam
+        kappa = c * d * lam**2 / np.pi
+        K = math.sqrt(_LAURENT_CUT * d * lam**2 / np.pi)
+        k = np.arange(math.floor(kappa * y0 - K), math.ceil(kappa * y1 + K) + 1)
+        exponent = -np.pi * k**2 / (d * lam**2) + c * k * (y0 + y1)
+        s = float(np.max(exponent))
+        G = d * np.fft.ifft(self.state.components)
+        G[np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G))] = 0.0
+        a = np.pi ** -0.25 * G[k % d] * np.exp(exponent - s)
+        tilt = c * (y1 - y0) * k  # log |v|^k at y1, and minus it at y0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_a = np.log(np.abs(a))
+            top, bottom = log_a + tilt, log_a - tilt
+            kept = np.flatnonzero((a != 0) & ((top >= np.max(top) - _LAURENT_CUT)
+                                              | (bottom >= np.max(bottom) - _LAURENT_CUT)))
+        if kept.size == 0:
+            return k[:0], a[:0], s
+        ends = slice(kept[0], kept[-1] + 1)
+        return k[ends], a[ends], s
 
     def inner_product_form(self, z: complex) -> complex:
         """The defining overlap expression N(z)^(1/2) sqrt(d) lam e^{-i Im(z) z / 2} <<z*|f>>.
@@ -177,11 +235,15 @@ def gauss_legendre_cell(params: SystemParams, n: int):
 
 
 def _refined_quadrature(evaluate, tol: float, label: str):
-    """Run `evaluate(n)` over QUAD_LEVELS until two levels agree within tol."""
+    """Run `evaluate(n)` over QUAD_LEVELS until two levels agree within tol.
+
+    The tolerance is absolute for values up to 1 and relative above, where
+    the integrand carries the exp(Im(z)^2 / 2) growth of f.
+    """
     prev = None
     for n in QUAD_LEVELS:
         cur = evaluate(n)
-        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
+        if prev is not None and np.max(np.abs(cur - prev)) <= tol * max(1.0, np.max(np.abs(cur))):
             return cur
         prev = cur
     raise RuntimeError(
@@ -236,6 +298,7 @@ def displaced_f(s: AnalyticState, alpha: int, beta: int, z):
         u = _theta_arg(p, m + beta, zz) - 1j * alpha * np.pi / (d * lam**2)
         acc += fm * theta3(u, p.tau0)
     out = pref * acc
+    _finite_or_raise(out, zz, d, "displaced f")
     return complex(out[0]) if scalar else out
 
 

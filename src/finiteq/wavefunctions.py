@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "hermite_function",
@@ -99,6 +98,9 @@ class SampledGrid:
     """
 
     def __init__(self, x, values, support_tol: float = 1e-12):
+        # imported here: scipy.interpolate is most of the import time of finiteq
+        from scipy.interpolate import CubicSpline
+
         self.x = np.asarray(x, dtype=float).reshape(-1)
         self.values = np.asarray(values, dtype=complex).reshape(-1)
         if self.x.size != self.values.size:

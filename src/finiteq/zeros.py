@@ -6,9 +6,13 @@ The representation of any state has exactly d zeros per fundamental cell
     sum_i z_i = sqrt(pi/2) d**1.5 (lam + i/lam) + sqrt(2 pi d) (M lam + i N / lam)
 
 for integers M, N.  Counting uses the argument principle with continuous
-phase tracking along rectangle boundaries; location uses quadtree subdivision
-by winding count plus Newton polishing; the sum constraint classifies sets of
-coherent-state labels and gates the reconstruction of a state from its zeros.
+phase tracking along rectangle boundaries.  Location takes the zeros as the
+eigenvalues of companion matrices: f is a Laurent series in w = exp(-2icz),
+the cell maps onto an annulus in w, and each horizontal band of the cell is
+covered by a polynomial of degree O(sqrt(d)).  The count d and the sum
+constraint certify every located set.  The sum constraint also classifies
+sets of coherent-state labels and gates the reconstruction of a state from
+its zeros.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ _MAX_BOUNDARY_POINTS = 400_000
 _JITTER_ATTEMPTS = 24
 _JITTER_FRAC = 1e-3
 _CLUSTER_DIAM = 1e-8
-_NEWTON_RESID = 1e-10
+# largest lattice residual of a zero set find_zeros returns
+_RESIDUAL_MAX = 1e-6
 _RNG_SEED = 0x5EED
 
 
@@ -163,14 +168,6 @@ def winding_number(f, lower_left: complex, upper_right: complex, zero_tol: float
     )
 
 
-def _cell_scale(state: AnalyticState, n: int = 48) -> float:
-    p = state.params
-    xs = p.a + (np.arange(n) + 0.5) / n * p.cell_width
-    ys = p.b + (np.arange(n) + 0.5) / n * p.cell_height
-    grid = (xs[:, None] + 1j * ys[None, :]).ravel()
-    return float(np.max(np.abs(state(grid))))
-
-
 def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex) -> int:
     """Number of zeros (with multiplicity) inside a rectangle, via the winding."""
     p = state.params
@@ -188,55 +185,66 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
     raise RuntimeError("zeros persist on the rectangle boundary after jitter attempts")
 
 
-def _newton_polish(state: AnalyticState, z0: complex, scale: float, box_diam: float):
-    """Newton iteration from z0; returns the root or None."""
-    z = complex(z0)
-    step_tol = 1e-15 * max(state.params.cell_width, state.params.cell_height)
-    for _ in range(60):
-        fv = state(z)
-        dv = state.derivative(z)
-        if dv == 0 or not np.isfinite(fv) or not np.isfinite(dv):
-            return None
-        step = fv / dv
-        z -= step
-        if abs(z - z0) > 3.0 * box_diam:
-            return None  # escaped; distrust
-        if abs(step) < step_tol:
-            break
-    if abs(state(z)) <= _NEWTON_RESID * scale:
-        return z
-    return None
+def _band_roots(state: AnalyticState, y0: float, y1: float) -> np.ndarray:
+    """Zeros of f with y0 <= Im(z) <= y1: companion eigenvalues of its Laurent terms."""
+    c = math.sqrt(np.pi / (2 * state.params.d)) / state.params.lam
+    _, a, _ = state.laurent_terms(y0, y1)
+    if a.size < 2:
+        return np.empty(0, dtype=complex)
+    # rescale v so that the roots' geometric mean modulus is 1, which balances
+    # the end coefficients of a sparse series
+    j = np.arange(a.size)
+    log_rho = math.log(abs(a[0] / a[-1])) / (a.size - 1)
+    v = np.roots((a * np.exp(log_rho * (j - j[-1] / 2)))[::-1])
+    z = (-np.angle(v) + 1j * (np.log(np.abs(v)) + log_rho)) / (2 * c) + 0.5j * (y0 + y1)
+    return z[(z.imag >= y0) & (z.imag <= y1)]
 
 
-def _polish_double(state: AnalyticState, z0: complex, box_diam: float):
-    """Center of a double zero (or tight pair): the nearby simple zero of f'."""
-    cell = max(state.params.cell_width, state.params.cell_height)
-    h = 1e-6 * cell
-    step_tol = 1e-14 * cell
-    z = complex(z0)
-    for _ in range(60):
-        d1 = state.derivative(z)
-        d2 = (state.derivative(z + h) - state.derivative(z - h)) / (2.0 * h)
-        if d2 == 0 or not np.isfinite(d1) or not np.isfinite(d2):
-            return None
-        step = d1 / d2
-        z -= step
-        if abs(z - z0) > 5.0 * max(box_diam, h):
-            return None
-        if abs(step) < step_tol:
-            return z
-    return None
+def _cut(heights: np.ndarray, lo: float, hi: float) -> float:
+    """Middle of the widest gap that `heights` leave in [lo, hi]."""
+    inside = heights[(heights > lo) & (heights < hi)]
+    pts = np.sort(np.concatenate(([lo, hi], inside)))
+    i = int(np.argmax(np.diff(pts)))
+    return float(0.5 * (pts[i] + pts[i + 1]))
+
+
+def _wrap(dz, width: float, height: float):
+    """Lattice translate of dz nearest to 0."""
+    dz = np.asarray(dz, dtype=complex)
+    return ((dz.real + 0.5 * width) % width - 0.5 * width
+            + 1j * ((dz.imag + 0.5 * height) % height - 0.5 * height))
+
+
+def _into_cell(z: complex, p: SystemParams) -> complex:
+    """Lattice translate of z into the half-open cell, snapping float noise at its far edges."""
+    width, height = p.cell_width, p.cell_height
+    xr = (z.real - p.a) % width
+    yr = (z.imag - p.b) % height
+    if width - xr < 1e-9 * width:
+        xr = 0.0
+    if height - yr < 1e-9 * height:
+        yr = 0.0
+    return complex(p.a + xr, p.b + yr)
 
 
 def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> ZeroSet:
     """Locate all d zeros inside the half-open fundamental cell.
 
-    Quadtree subdivision by winding count; a box of winding 1 is polished by
-    Newton with the termwise theta derivative, and a box of winding m that
-    stops splitting below diameter `cluster_diam` is declared a zero of
-    multiplicity m at its center.  Subdivision lines landing on zeros are
-    jittered.  Found positions are reduced into the canonical half-open cell
-    by lattice translation and sorted by (Im, Re).
+    With w = exp(-2icz), c = sqrt(pi/2d)/lam, the cell maps one to one onto
+    an annulus in w and f is a Laurent series in w there
+    (:meth:`AnalyticState.laurent_terms`), so its zeros are polynomial roots.
+    The cell height is split into ceil(sqrt(d)/(2 lam)) bands, each padded by
+    2% of the height.  A band keeps only the terms that matter across it,
+    which holds the degree to O(lam sqrt(d)), and its roots are the
+    eigenvalues of the companion matrix.  Each band keeps the roots between two cut heights, set
+    in the widest gap between roots near its edges; the bottom and top cuts
+    lie one period apart, so a zero on a cell edge is counted once.  Roots
+    closer than `cluster_diam` form one zero at their mean, with their summed
+    multiplicity.  Positions are reduced into the canonical half-open cell by
+    lattice translation and sorted by (Im, Re).
+
+    The result is certified: RuntimeError is raised when the multiplicities do
+    not sum to d or the zero sum misses the lattice rule by more than 1e-6.
 
     A state whose exact representation has a multiple zero acquires, through
     float rounding of its amplitudes, a cluster of simple zeros separated by
@@ -245,121 +253,36 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     multiple zero.
     """
     p = state.params
-    d = p.d
-    width, height = p.cell_width, p.cell_height
-    scale = _cell_scale(state)
-    spacing = min(width, height) / (6.0 * d)
-    rng = np.random.default_rng(_RNG_SEED)
+    d, width, height = p.d, p.cell_width, p.cell_height
+    # at this count the scaled terms of every band span the same range,
+    # about e^-67, whatever lam is
+    n_bands = math.ceil(math.sqrt(d) / (2 * p.lam))
+    margin = 0.02 * height
+    edges = p.b + height * np.arange(n_bands + 1) / n_bands
+    bands = [_band_roots(state, lo - margin, hi + margin) for lo, hi in zip(edges[:-1], edges[1:])]
+    ys = [z.imag for z in bands]
+    cuts = [_cut(np.concatenate((ys[0], ys[-1] - height)), p.b - margin, p.b + margin)]
+    cuts += [_cut(np.concatenate(ys[j - 1:j + 1]), e - margin, e + margin)
+             for j, e in enumerate(edges[1:-1], start=1)]
+    cuts.append(cuts[0] + height)
+    roots = np.concatenate([z[(z.imag >= lo) & (z.imag < hi)]
+                            for z, lo, hi in zip(bands, cuts[:-1], cuts[1:])])
 
-    # window of one full period, shifted until no zero sits on (or within
-    # float noise of) its boundary; any such window must wind exactly d times
-    ll = ur = None
-    for attempt in range(_JITTER_ATTEMPTS):
-        dx = 0.0 if attempt == 0 else rng.uniform(-1, 1) * _JITTER_FRAC * width
-        dy = 0.0 if attempt == 0 else rng.uniform(-1, 1) * _JITTER_FRAC * height
-        cand_ll = complex(p.a - dx, p.b - dy)
-        cand_ur = cand_ll + complex(width, height)
-        try:
-            total = winding_number(state, cand_ll, cand_ur, spacing=spacing)
-        except (_BoundaryZero, RuntimeError):
-            continue
-        if total != d:
-            continue  # a zero hugs the boundary from outside; shift again
-        ll, ur = cand_ll, cand_ur
-        break
-    if ll is None:
-        raise RuntimeError(
-            f"could not place a period window winding exactly {d} times; "
-            "a zero sits too close to every candidate boundary"
-        )
-
-    found: list[tuple[complex, int]] = []
-    stack = [(ll, ur, d)]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError(
-                f"subdivision budget exhausted; located so far: {found}"
-            )
-        bll, bur, wind = stack.pop()
-        if wind == 0:
-            continue
-        bw, bh = bur.real - bll.real, bur.imag - bll.imag
-        diam = math.hypot(bw, bh)
-        if wind == 1 and diam <= 0.05 * min(width, height):
-            z = _newton_polish(state, 0.5 * (bll + bur), scale, diam)
-            if z is not None:
-                found.append((z, 1))
+    # group clusters by their first member, across the cell's periods
+    anchors: list[complex] = []
+    offsets: list[list[complex]] = []
+    for z in roots:
+        if anchors:
+            off = _wrap(z - np.asarray(anchors), width, height)
+            i = int(np.argmin(np.abs(off)))
+            if abs(off[i]) < cluster_diam:
+                offsets[i].append(complex(off[i]))
                 continue
-        if diam < cluster_diam:
-            center = 0.5 * (bll + bur)
-            if wind == 2:
-                polished = _polish_double(state, center, diam)
-                if polished is not None:
-                    center = polished
-            found.append((center, wind))
-            continue
-        for attempt in range(_JITTER_ATTEMPTS):
-            if attempt == 0:
-                cx, cy = bll.real + 0.5 * bw, bll.imag + 0.5 * bh
-            else:
-                cx = bll.real + (0.5 + rng.uniform(-1, 1) * _JITTER_FRAC) * bw
-                cy = bll.imag + (0.5 + rng.uniform(-1, 1) * _JITTER_FRAC) * bh
-            boxes = [
-                (bll, complex(cx, cy)),
-                (complex(cx, bll.imag), complex(bur.real, cy)),
-                (complex(bll.real, cy), complex(cx, bur.imag)),
-                (complex(cx, cy), bur),
-            ]
-            try:
-                winds = [winding_number(state, b0, b1, spacing=spacing)
-                         for b0, b1 in boxes]
-            except (_BoundaryZero, RuntimeError):
-                continue
-            if sum(winds) != wind:
-                continue  # inconsistent sampling; re-jitter the split
-            for (b0, b1), w in zip(boxes, winds):
-                stack.append((b0, b1, w))
-            break
-        else:
-            # every split attempt hit a sampling trap: a zero hugs this box's
-            # own (unjitterable) boundary.  For a lone zero Newton still
-            # converges from the center; a multiple/near-degenerate cluster is
-            # declared at the box scale, the honest resolution limit of a
-            # zero whose function value grows only quadratically.
-            center = 0.5 * (bll + bur)
-            if wind == 1:
-                z = _newton_polish(state, center, scale, 10.0 * diam)
-                if z is not None:
-                    found.append((z, 1))
-                    continue
-            elif wind == 2:
-                polished = _polish_double(state, center, diam)
-                if polished is not None:
-                    center = polished
-            found.append((center, wind))
+        anchors.append(complex(z))
+        offsets.append([0j])
+    positions = [_into_cell(z0 + np.mean(off), p) for z0, off in zip(anchors, offsets)]
+    mults = [len(off) for off in offsets]
 
-    # merge duplicates, reduce into the canonical half-open cell, sort
-    merged: list[tuple[complex, int]] = []
-    merge_tol = 1e-9 * max(width, height)
-    for z, mult in found:
-        for i, (zi, mi) in enumerate(merged):
-            if abs(z - zi) < merge_tol:
-                merged[i] = (zi, mi + mult)
-                break
-        else:
-            merged.append((z, mult))
-    positions, mults = [], []
-    for z, mult in merged:
-        xr = (z.real - p.a) % width
-        yr = (z.imag - p.b) % height
-        if width - xr < 1e-9 * width:
-            xr = 0.0
-        if height - yr < 1e-9 * height:
-            yr = 0.0
-        positions.append(complex(p.a + xr, p.b + yr))
-        mults.append(mult)
     # quantize sort keys so zeros sharing a row/column order stably
     quantum = 1e-8 * max(width, height)
     key_re = np.round(np.real(positions) / quantum)
@@ -368,11 +291,12 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     positions = np.asarray(positions, dtype=complex)[order]
     mults = np.asarray(mults, dtype=int)[order]
     if int(np.sum(mults)) != d:
-        raise RuntimeError(
-            f"zero multiplicities sum to {int(np.sum(mults))}, expected {d}; "
-            f"positions: {positions}"
-        )
+        raise RuntimeError(f"found {int(np.sum(mults))} zeros in the cell, expected {d}")
     residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), p)
+    if residual > _RESIDUAL_MAX:
+        raise RuntimeError(
+            f"zero sum misses the lattice rule by {residual:.3e} > {_RESIDUAL_MAX:.0e}"
+        )
     return ZeroSet(positions, mults, p, M, N, residual)
 
 
@@ -380,15 +304,15 @@ def sum_constraint_fit(total: complex, params: SystemParams):
     """Best lattice fit of a zero sum; returns (residual, M, N).
 
     Minimizes |total - sqrt(pi/2) d**1.5 (lam + i/lam) - sqrt(2 pi d)(M lam + i N/lam)|
-    over integers with |M|, |N| <= d + 2.
+    over all integers M, N, so that zeros reduced into a cell anchored far
+    from the origin fit as well as those of the cell at the origin.
     """
     d, lam = params.d, params.lam
     base = math.sqrt(np.pi / 2) * d**1.5 * complex(lam, 1.0 / lam)
     lattice = math.sqrt(2 * np.pi * d)
     rem = total - base
-    bound = d + 2
-    M = int(np.clip(round(rem.real / (lattice * lam)), -bound, bound))
-    N = int(np.clip(round(rem.imag * lam / lattice), -bound, bound))
+    M = round(rem.real / (lattice * lam))
+    N = round(rem.imag * lam / lattice)
     residual = abs(rem - lattice * complex(M * lam, N / lam))
     return float(residual), M, N
 

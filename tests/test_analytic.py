@@ -340,3 +340,49 @@ def test_coherent_identity_matrix_anchor_independent():
 def test_analytic_state_dimension_mismatch():
     with pytest.raises(ValueError):
         AnalyticState(position_state(0, 3), SystemParams(4))
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("height_frac", [0.9, 0.99])
+def test_kernel_apply_converges_in_upper_cell(d, height_frac):
+    # |(Omega f)(z)| grows like exp(Im(z)^2 / 2), so convergence is judged
+    # relative to the value there
+    params = SystemParams(d)
+    rng = np.random.default_rng([17, d])
+    v = random_state(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    moved = AnalyticState(FiniteState(op @ v.components, normalize=False), params)
+    z = complex(0.37 * params.cell_width, height_frac * params.cell_height)
+    ref = moved(z)
+    got = kernel_apply(OperatorKernel(op, params), AnalyticState(v, params), z)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_non_finite_values_raise():
+    # the theta terms overflow near the top of the cell from d of about 226;
+    # f' and displaced f overflow a little lower
+    d = 226
+    params = SystemParams(d)
+    s = AnalyticState(random_state(np.random.default_rng(18), d), params)
+    x = 0.37 * params.cell_width
+    with pytest.raises(RuntimeError, match="f is not finite .* d = 226"):
+        s(complex(x, 0.999 * params.cell_height))
+    z = complex(x, 0.995 * params.cell_height)
+    with pytest.raises(RuntimeError, match="f' is not finite .* d = 226"):
+        s.derivative(z)
+    with pytest.raises(RuntimeError, match="displaced f is not finite .* d = 226"):
+        displaced_f(s, 1, 2, z)
+
+
+@pytest.mark.parametrize("d,lam", [(1, 1.0), (2, 0.7), (5, 1.3), (16, 1.0), (64, 1.0), (192, 1.0)])
+def test_laurent_terms_sum_to_f(d, lam):
+    params = SystemParams(d, lam, a=-0.4, b=0.3)
+    s = AnalyticState(random_state(np.random.default_rng([19, d]), d), params)
+    c = np.sqrt(np.pi / (2 * d)) / lam
+    x = params.a + np.arange(12) / 12 * params.cell_width
+    y = params.b + np.linspace(0.0, 1.0, 5) * params.cell_height
+    ref = s(x[None, :] + 1j * y[:, None])
+    for yi, row in zip(y, ref):
+        k, a, scale = s.laurent_terms(yi, yi)
+        series = np.exp(scale) * np.exp(-2j * c * np.outer(x, k)) @ a
+        assert np.max(np.abs(series - row)) <= 1e-12 * np.max(np.abs(row))

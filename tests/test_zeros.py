@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import finiteq.zeros as zeros_module
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -12,6 +15,8 @@ from finiteq import (
     coherent_state_closed,
     count_zeros,
     find_zeros,
+    momentum_state,
+    number_state,
     position_state,
     reconstruct_from_zeros,
     sum_constraint_fit,
@@ -295,3 +300,84 @@ def test_zeroset_invariants_random_ensemble():
             for z in zs.positions:
                 assert params.a <= z.real < params.a + width
                 assert params.b <= z.imag < params.b + height
+
+
+def roundtrip_cases():
+    for d in range(3, 9):
+        for n in range(4):
+            try:
+                state = number_state(n, SystemParams(d))
+            except ValueError:
+                continue  # the transform of this Hermite function vanishes at d
+            yield pytest.param(d, state, id=f"number-d{d}-N{n}")
+    yield pytest.param(16, random_state(np.random.default_rng([4, 16]), 16), id="random-d16")
+
+
+@pytest.mark.parametrize("d,state", list(roundtrip_cases()))
+def test_find_zeros_roundtrip(d, state):
+    # number states put zeros on the cell edges and in multiple clusters
+    zs = find_zeros(AnalyticState(state, SystemParams(d)))
+    assert zs.residual <= 1e-6
+    assert 1.0 - reconstruct_from_zeros(zs).fidelity(state) <= 1e-10
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+def test_find_zeros_property(d, seed):
+    params = SystemParams(d)
+    s = AnalyticState(random_state(np.random.default_rng(seed), d), params)
+    zs = find_zeros(s)
+    assert zs.total == d
+    assert zs.residual <= 1e-9
+    for z, mult in zip(zs.positions, zs.multiplicities):
+        assert params.a <= z.real < params.a + params.cell_width
+        assert params.b <= z.imag < params.b + params.cell_height
+        half = 0.5e-3 * params.cell_height * (1 + 1j)
+        assert count_zeros(s, z - half, z + half) == mult
+
+
+@pytest.mark.parametrize("d", [256, 1000])
+def test_find_zeros_large_d(d):
+    params = SystemParams(d)
+    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(d), d), params))
+    assert zs.total == d
+    assert zs.residual <= 1e-6
+
+
+@pytest.mark.parametrize("d,m", [(16, 3), (48, 0), (64, 3)])
+def test_find_zeros_momentum_state_row(d, m):
+    # a momentum state has one nonzero Fourier coefficient, so its zeros fill
+    # one horizontal row; at d = 48, m = 0 the row lies on a band edge
+    params = SystemParams(d)
+    zs = find_zeros(AnalyticState(momentum_state(m, d), params))
+    assert zs.total == d
+    assert zs.residual <= 1e-9
+    assert np.ptp(zs.positions.imag) <= 1e-9 * params.cell_height
+
+
+def test_find_zeros_certificate_raises(monkeypatch):
+    # a lost root breaks the count, a moved one the lattice rule
+    params = SystemParams(6)
+    s = AnalyticState(random_state(np.random.default_rng(9), 6), params)
+    band_roots = zeros_module._band_roots
+    monkeypatch.setattr(zeros_module, "_band_roots", lambda *args: band_roots(*args)[1:])
+    with pytest.raises(RuntimeError, match="expected 6"):
+        find_zeros(s)
+    monkeypatch.setattr(zeros_module, "_band_roots", lambda *args: band_roots(*args) + 1e-4)
+    with pytest.raises(RuntimeError, match="lattice rule"):
+        find_zeros(s)
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.5])
+@pytest.mark.parametrize("anchor", [(0.0, 0.0), (-3.7, 12.1), (5.0, -40.0)])
+def test_find_zeros_scaled_and_anchored_cells(lam, anchor):
+    # far anchors put the zero sum many lattice steps from the origin's;
+    # a small lam makes the Laurent terms fall steeply from one index to the next
+    for d in (1, 3, 10):
+        params = SystemParams(d, lam, *anchor)
+        v = random_state(np.random.default_rng([d, 11]), d)
+        zs = find_zeros(AnalyticState(v, params))
+        assert zs.total == d
+        assert zs.residual <= 1e-8
+        assert np.all((zs.positions.real >= params.a) & (zs.positions.real < params.a + params.cell_width))
+        assert np.all((zs.positions.imag >= params.b) & (zs.positions.imag < params.b + params.cell_height))
