@@ -9,6 +9,16 @@ and quasi-periodic with period sqrt(2 pi d)/lam along the imaginary axis:
 
     f(z + i sqrt(2 pi d)/lam) = f(z) exp[pi d / lam^2 - i sqrt(2 pi d) z / lam].
 
+|f| grows like exp(Im(z)^2 / 2) up the cell.  Swapping the two sums, with
+z = x + iy, c = sqrt(pi/2d)/lam and kappa = c d lam^2 / pi, gives the
+weighted series
+
+    exp(-y^2/2) f(z) = pi**-1/4 sum_m f_m sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) e^{2 pi i n m/d}
+
+with terms of modulus at most |f_m|.  f, f', displaced f and the operator
+kernels are all evaluated from it (:func:`finiteq.zak.weighted_thetas`), so
+f raises only where |f| itself exceeds the double range.
+
 The bilinear pairing sum_m f_m g_m is recovered from the cell integral
 
     (2 pi)**-1/2 d**-3/2 lam**-1 Int_S d2z exp(-Im(z)^2) f(z) g(z*)
@@ -25,13 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FiniteState, half_power
-from .theta import theta2, theta3, theta3_derivative
+from .hilbert import FiniteState, displaced_state, position_state
+from .theta import theta2, theta3
 from .zak import (
+    _THETA_CUT,
     SystemParams,
+    _parity_form,
+    _theta_scales,
     coherent_normalization,
     coherent_state_closed,
     coherent_unnormalized,
+    weighted_thetas,
 )
 
 __all__ = [
@@ -51,24 +65,6 @@ __all__ = [
 ]
 
 QUAD_LEVELS = (32, 64, 128)
-# Laurent terms of f are kept down to exp(-_LAURENT_CUT) of the largest one
-_LAURENT_CUT = 41.0
-
-
-def _theta_arg(params: SystemParams, m, z):
-    """pi m / d - (z / lam) sqrt(pi / 2d), broadcast over m and z."""
-    scale = math.sqrt(np.pi / (2 * params.d)) / params.lam
-    return np.pi * np.asarray(m) / params.d - scale * np.asarray(z, dtype=complex)
-
-
-def _finite_or_raise(values: np.ndarray, z: np.ndarray, d: int, what: str) -> None:
-    """Raise where double precision lost the value rather than return NaN or inf."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise RuntimeError(
-            f"{what} is not finite at z = {complex(z[bad][0])} for d = {d}: "
-            "its theta terms overflow double precision there"
-        )
 
 
 @dataclass
@@ -84,32 +80,29 @@ class AnalyticState:
                 f"state dimension {self.state.d} does not match params.d = {self.params.d}"
             )
 
-    def __call__(self, z):
+    def _weighted(self, z, derivative: bool = False) -> np.ndarray:
+        """exp(-Im(z)^2 / 2) f(z), or the same weight times f'(z); O(1) for every d."""
+        return np.pi ** -0.25 * (weighted_thetas(z, self.params, derivative) @ self.state.components)
+
+    def _evaluate(self, z, derivative: bool, what: str):
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
         zz = np.atleast_1d(z)
-        acc = np.zeros(zz.shape, dtype=complex)
-        for m, fm in enumerate(self.state.components):
-            if fm == 0:
-                continue
-            acc += fm * theta3(_theta_arg(self.params, m, zz), self.params.tau0)
-        acc *= np.pi ** -0.25
-        _finite_or_raise(acc, zz, self.params.d, "f")
-        return complex(acc[0]) if scalar else acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            # exp(y^2/2) in two halves, so f is finite wherever |f| is
+            half = np.exp(0.25 * zz.imag**2)
+            values = self._weighted(zz, derivative) * half * half
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise RuntimeError(f"{what} is not finite at z = {complex(zz[bad][0])} for d = "
+                               f"{self.params.d}: |f| exceeds the double range there")
+        return complex(values[0]) if z.ndim == 0 else values
+
+    def __call__(self, z):
+        return self._evaluate(z, False, "f")
 
     def derivative(self, z):
-        """df/dz, from the termwise theta derivative."""
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        acc = np.zeros(zz.shape, dtype=complex)
-        for m, fm in enumerate(self.state.components):
-            if fm == 0:
-                continue
-            acc += fm * theta3_derivative(_theta_arg(self.params, m, zz), self.params.tau0)
-        acc *= -np.pi ** -0.25 * math.sqrt(np.pi / (2 * self.params.d)) / self.params.lam
-        _finite_or_raise(acc, zz, self.params.d, "f'")
-        return complex(acc[0]) if scalar else acc
+        """df/dz, from the termwise derivative of the weighted series."""
+        return self._evaluate(z, True, "f'")
 
     def laurent_terms(self, y0: float, y1: float):
         """The terms of f that matter at heights y0 <= Im(z) <= y1.
@@ -133,11 +126,8 @@ class AnalyticState:
 
             f(z) = exp(s) sum_k a_k v^k,   v = w exp(-2 c ym).
         """
-        p = self.params
-        d, lam = p.d, p.lam
-        c = math.sqrt(np.pi / (2 * d)) / lam
-        kappa = c * d * lam**2 / np.pi
-        K = math.sqrt(_LAURENT_CUT * d * lam**2 / np.pi)
+        d, lam = self.params.d, self.params.lam
+        c, kappa, K = _theta_scales(self.params)
         k = np.arange(math.floor(kappa * y0 - K), math.ceil(kappa * y1 + K) + 1)
         exponent = -np.pi * k**2 / (d * lam**2) + c * k * (y0 + y1)
         s = float(np.max(exponent))
@@ -148,8 +138,8 @@ class AnalyticState:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_a = np.log(np.abs(a))
             top, bottom = log_a + tilt, log_a - tilt
-            kept = np.flatnonzero((a != 0) & ((top >= np.max(top) - _LAURENT_CUT)
-                                              | (bottom >= np.max(bottom) - _LAURENT_CUT)))
+            kept = np.flatnonzero((a != 0) & ((top >= np.max(top) - _THETA_CUT)
+                                              | (bottom >= np.max(bottom) - _THETA_CUT)))
         if kept.size == 0:
             return k[:0], a[:0], s
         ends = slice(kept[0], kept[-1] + 1)
@@ -158,7 +148,7 @@ class AnalyticState:
     def inner_product_form(self, z: complex) -> complex:
         """The defining overlap expression N(z)^(1/2) sqrt(d) lam e^{-i Im(z) z / 2} <<z*|f>>.
 
-        Slower than direct evaluation; kept as an independent consistency path.
+        Slower than direct evaluation; kept as a consistency path.
         """
         z = complex(z)
         d, lam = self.params.d, self.params.lam
@@ -169,8 +159,8 @@ class AnalyticState:
 
 
 def position_form(m: int, params: SystemParams, z):
-    """Closed form of the representation of the m-th position state."""
-    return np.pi ** -0.25 * theta3(_theta_arg(params, int(m) % params.d, z), params.tau0)
+    """Representation of the m-th position state: pi**-1/4 theta3[pi m/d - c z; i/(d lam^2)]."""
+    return AnalyticState(position_state(m, params.d), params)(z)
 
 
 def momentum_form(m: int, params: SystemParams, z):
@@ -197,19 +187,15 @@ def coherent_form(label, params: SystemParams, z, form: str = "auto"):
     nc = coherent_normalization(a, params)
     pref = np.pi ** -0.5 / lam * math.sqrt(d / nc) * np.exp(0.5j * a.imag * a)
     minus = theta3((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-    if form == "auto":
-        form = "even" if d % 2 == 0 else "general"
-    if form == "even":
+    if _parity_form(form, d) == "even":
         plus = theta3((z + a) / lam * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2)
         return pref * plus * minus
-    if form == "general":
-        u1 = (z + a) / lam * math.sqrt(np.pi * d / 2)
-        tau1 = 2j * d / lam**2
-        return pref * (
-            theta3(u1, tau1) * minus
-            + theta2(u1, tau1) * theta2((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-        )
-    raise ValueError(f"form must be 'auto', 'general' or 'even', got {form!r}")
+    u1 = (z + a) / lam * math.sqrt(np.pi * d / 2)
+    tau1 = 2j * d / lam**2
+    return pref * (
+        theta3(u1, tau1) * minus
+        + theta2(u1, tau1) * theta2((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +250,7 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
 
     def evaluate(n):
         z, w = gauss_legendre_cell(p, n)
-        vals = f(z) * g(np.conj(z)) * np.exp(-np.imag(z) ** 2)
-        return pref * np.sum(w * vals)
+        return pref * np.sum(w * f._weighted(z) * g._weighted(np.conj(z)))
 
     return complex(_refined_quadrature(evaluate, tol, "scalar_product"))
 
@@ -275,31 +260,13 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
 
 
 def displaced_f(s: AnalyticState, alpha: int, beta: int, z):
-    """Evaluate [D(alpha, beta) f](z) through the closed theta form.
+    """Evaluate [D(alpha, beta) f](z), the representation of the displaced state.
 
-    Agrees exactly with evaluating the matrix-displaced state; labels are
-    arbitrary integers (the matrix path stays authoritative in tests).
+    Labels are arbitrary integers, with the phase convention of
+    :func:`finiteq.hilbert.displacement`.
     """
-    p = s.params
-    d, lam = p.d, p.lam
-    alpha, beta = int(alpha), int(beta)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
-    pref = (
-        np.pi ** -0.25
-        * half_power(d, -alpha * beta)
-        * np.exp(1j * alpha * zz / lam * math.sqrt(2 * np.pi / d) - alpha**2 * np.pi / (d * lam**2))
-    )
-    acc = np.zeros(zz.shape, dtype=complex)
-    for m, fm in enumerate(s.state.components):
-        if fm == 0:
-            continue
-        u = _theta_arg(p, m + beta, zz) - 1j * alpha * np.pi / (d * lam**2)
-        acc += fm * theta3(u, p.tau0)
-    out = pref * acc
-    _finite_or_raise(out, zz, d, "displaced f")
-    return complex(out[0]) if scalar else out
+    moved = AnalyticState(displaced_state(s.state, (alpha, beta)), s.params)
+    return moved._evaluate(z, False, "displaced f")
 
 
 # ---------------------------------------------------------------------------
@@ -319,42 +286,32 @@ class OperatorKernel:
         if self.matrix.shape != (d, d):
             raise ValueError(f"operator must be {d}x{d}, got {self.matrix.shape}")
 
-    def _theta_vec(self, z):
-        """Stack of theta3 factors over the row index; shape (d,) + shape(z)."""
-        p = self.params
-        m = np.arange(p.d)
-        u = np.pi * m.reshape((p.d,) + (1,) * np.ndim(z)) / p.d - np.asarray(
-            z, dtype=complex
-        ) * math.sqrt(np.pi / (2 * p.d)) / p.lam
-        return theta3(u, p.tau0)
-
 
 def kernel_eval(kernel: OperatorKernel, z, zeta_star):
     """Kernel value pi**-1/2 d**-1 sum_mn Omega_mn theta3[..z..] theta3[..zeta*..]."""
-    tz = kernel._theta_vec(np.asarray(z, dtype=complex))
-    tzs = kernel._theta_vec(np.asarray(zeta_star, dtype=complex))
-    val = np.einsum("m...,mn,n...->...", tz, kernel.matrix, tzs)
-    return np.pi ** -0.5 / kernel.params.d * val
+    p = kernel.params
+    val = np.einsum("...m,mn,...n->...", weighted_thetas(z, p), kernel.matrix, weighted_thetas(zeta_star, p))
+    return np.pi ** -0.5 / p.d * val * np.exp(0.5 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2))
 
 
 def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6) -> complex:
     """(Omega f)(z) = (2 pi d)**-1/2 lam**-1 Int_S d2zeta e^{-Im(zeta)^2} K(z, zeta*) f(zeta).
 
     The Gaussian weight matches the scalar-product weight, which is what makes
-    the identity operator act as the identity; cell-size periods apply.
+    the identity operator act as the identity; cell-size periods apply.  It is
+    split between the weighted theta(zeta*) and f(zeta), which are O(1).
     """
     if f.params != kernel.params:
         raise ValueError("state and kernel must share the same system parameters")
     p = kernel.params
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
-    tz = kernel._theta_vec(np.asarray(z, dtype=complex))
-    row = np.pi ** -0.5 / p.d * (tz @ kernel.matrix)
+    row = np.pi ** -0.5 / p.d * math.exp(0.5 * z.imag**2) * (weighted_thetas(z, p) @ kernel.matrix)
 
     def evaluate(n):
         zeta, w = gauss_legendre_cell(p, n)
-        kvals = row @ kernel._theta_vec(np.conj(zeta))
-        return pref * np.sum(w * np.exp(-np.imag(zeta) ** 2) * kvals * f(zeta))
+        kvals = weighted_thetas(np.conj(zeta), p) @ row
+        return pref * np.sum(w * kvals * f._weighted(zeta))
 
     return complex(_refined_quadrature(evaluate, tol, "kernel_apply"))
 

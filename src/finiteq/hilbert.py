@@ -159,9 +159,9 @@ def clock_matrix(d: int, alpha: int = 1) -> np.ndarray:
 def shift_matrix(d: int, beta: int = 1) -> np.ndarray:
     """X**beta: cyclic shift |m> -> |m + beta> of the position basis."""
     d = _check_dim(d)
+    m = np.arange(d)
     mat = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        mat[(m + int(beta)) % d, m] = 1.0
+    mat[(m + int(beta) % d) % d, m] = 1.0
     return mat
 
 
@@ -171,10 +171,11 @@ def displacement(d: int, alpha: int, beta: int) -> np.ndarray:
     D(alpha, beta) |m> = half_power(d, alpha*beta + 2*alpha*m) |m + beta>.
     """
     d = _check_dim(d)
-    alpha, beta = int(alpha), int(beta)
+    # D depends on the labels mod 2d only; reducing them keeps the exponents small
+    alpha, beta = int(alpha) % (2 * d), int(beta) % (2 * d)
+    m = np.arange(d)
     mat = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        mat[(m + beta) % d, m] = half_power(d, alpha * beta + 2 * alpha * m)
+    mat[(m + beta) % d, m] = np.exp(1j * (np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d))
     return mat
 
 

@@ -223,6 +223,48 @@ def number_normalization(n: int, params: SystemParams) -> float:
 # displaced-Gaussian states and their theta closed forms
 
 
+# Gaussian weights below exp(-_THETA_CUT) of the largest one are dropped, by
+# weighted_thetas and by the Laurent terms of f alike
+_THETA_CUT = 41.0
+
+
+def _theta_scales(params: SystemParams):
+    """(c, kappa, K): c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi)."""
+    d, lam = params.d, params.lam
+    c = math.sqrt(np.pi / (2 * d)) / lam
+    return c, c * d * lam**2 / np.pi, math.sqrt(_THETA_CUT * d * lam**2 / np.pi)
+
+
+def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.ndarray:
+    """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
+
+    Swapping the two sums, with z = x + iy, gives
+
+        exp(-y^2/2) theta_m(z) = sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) e^{2 pi i n m / d},
+
+    a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
+    overflows at any d.  The n within K of kappa y (beyond it the weight is
+    below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
+    the d values on the last axis.  ``derivative`` gives the weighted d/dz theta_m.
+    """
+    d = params.d
+    c, kappa, K = _theta_scales(params)
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    y = z.imag[..., None]
+    start = np.floor(kappa * y - K).astype(np.int64)
+    width = d * math.ceil((2 * K + 2) / d)  # every n within K of kappa y, padded to whole periods
+    n = start + np.arange(width)
+    terms = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y) ** 2 - 2j * c * n * z.real[..., None])
+    if derivative:
+        terms *= -2j * c * n
+    # column j of the fold holds the n = start + j (mod d); rotate it to n mod d
+    folded = terms.reshape(z.shape + (width // d, d)).sum(axis=-2)
+    folded = np.take_along_axis(folded, (np.arange(d) - start) % d, axis=-1)
+    return d * np.fft.ifft(folded, axis=-1)
+
+
 def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
     """Unnormalized amplitudes of the displaced-Gaussian state with label A.
 
@@ -233,13 +275,9 @@ def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
 
     The label may be an array; the last axis of the result runs over m.
     """
-    d, lam = params.d, params.lam
     a = np.asarray(label, dtype=complex)
-    m = np.arange(d)
-    u = np.pi * m / d - np.multiply.outer(a / lam, np.ones(d)) * math.sqrt(np.pi / (2 * d))
-    pref = np.pi ** -0.25 / (math.sqrt(d) * lam) * np.exp(0.5j * a.imag * a)
-    vals = theta3(u, params.tau0)
-    return np.multiply.outer(pref, np.ones(d)) * vals if a.ndim else pref * vals
+    pref = np.pi ** -0.25 / (math.sqrt(params.d) * params.lam) * np.exp(0.5j * a.real * a.imag)
+    return pref[..., None] * weighted_thetas(a, params)
 
 
 def coherent_normalization(label, params: SystemParams) -> float:
@@ -251,6 +289,15 @@ def coherent_normalization(label, params: SystemParams) -> float:
     """
     t = coherent_unnormalized(complex(label), params)
     return float(np.sum(np.abs(t) ** 2))
+
+
+def _parity_form(form: str, d: int) -> str:
+    """Resolve ``form='auto'`` by the parity of d: 'even' or 'general'."""
+    if form == "auto":
+        return "even" if d % 2 == 0 else "general"
+    if form not in ("even", "general"):
+        raise ValueError(f"form must be 'auto', 'general' or 'even', got {form!r}")
+    return form
 
 
 def coherent_normalization_closed(label, params: SystemParams, form: str = "auto") -> float:
@@ -272,17 +319,13 @@ def coherent_normalization_closed(label, params: SystemParams, form: str = "auto
     a = complex(label)
     u2 = 1j * (a.imag / lam) * math.sqrt(2 * np.pi / d)
     tau2 = 2j / (d * lam**2)
-    if form == "auto":
-        form = "even" if d % 2 == 0 else "general"
-    if form == "even":
+    if _parity_form(form, d) == "even":
         u1 = (a.real / lam) * math.sqrt(np.pi * d / 2)
         brace = theta3(u1, 0.5j * d / lam**2) * theta3(u2, tau2)
-    elif form == "general":
+    else:
         u1 = (a.real / lam) * math.sqrt(2 * np.pi * d)
         tau1 = 2j * d / lam**2
         brace = theta3(u1, tau1) * theta3(u2, tau2) + theta2(u1, tau1) * theta2(u2, tau2)
-    else:
-        raise ValueError(f"form must be 'auto', 'general' or 'even', got {form!r}")
     val = np.pi ** -0.5 / lam**2 * math.exp(-a.imag**2) * brace
     return float(val.real)
 
@@ -315,18 +358,14 @@ def coherent_overlap(label1, label2, params: SystemParams, form: str = "auto") -
     sminus = (np.conj(a1) - a2) / lam
     phase = np.exp(-0.5j * a1.imag * np.conj(a1) + 0.5j * a2.imag * a2)
     t_minus = theta3(sminus * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-    if form == "auto":
-        form = "even" if d % 2 == 0 else "general"
-    if form == "even":
+    if _parity_form(form, d) == "even":
         sum_part = theta3(splus * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2) * t_minus
-    elif form == "general":
+    else:
         u1 = splus * math.sqrt(np.pi * d / 2)
         tau1 = 2j * d / lam**2
         sum_part = theta3(u1, tau1) * t_minus + theta2(u1, tau1) * theta2(
             sminus * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2)
         )
-    else:
-        raise ValueError(f"form must be 'auto', 'general' or 'even', got {form!r}")
     return complex(np.pi ** -0.5 / lam**2 / math.sqrt(n1 * n2) * phase * sum_part)
 
 

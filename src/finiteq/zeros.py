@@ -24,7 +24,7 @@ import numpy as np
 
 from .hilbert import FiniteState
 from .theta import theta3
-from .zak import SystemParams, coherent_unnormalized
+from .zak import SystemParams, _theta_scales, coherent_unnormalized, weighted_thetas
 from .analytic import AnalyticState
 
 __all__ = [
@@ -187,7 +187,7 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
 
 def _band_roots(state: AnalyticState, y0: float, y1: float) -> np.ndarray:
     """Zeros of f with y0 <= Im(z) <= y1: companion eigenvalues of its Laurent terms."""
-    c = math.sqrt(np.pi / (2 * state.params.d)) / state.params.lam
+    c = _theta_scales(state.params)[0]
     _, a, _ = state.laurent_terms(y0, y1)
     if a.size < 2:
         return np.empty(0, dtype=complex)
@@ -332,11 +332,8 @@ def coherent_gram_rank(points, params: SystemParams, tol: float = 1e-8) -> int:
     Computed from the singular values of the amplitude matrix (columns are
     the normalized states); values above tol * largest count toward the rank.
     """
-    cols = []
-    for z in np.asarray(points, dtype=complex).ravel():
-        t = coherent_unnormalized(z, params)
-        cols.append(t / np.linalg.norm(t))
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    t = coherent_unnormalized(np.asarray(points, dtype=complex).ravel(), params)
+    sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
     return int(np.sum(sv > tol * sv[0]))
 
 
@@ -455,12 +452,12 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
 
     spacing = params.cell_width / d
     m = np.arange(d)
-    scale = math.sqrt(np.pi / (2 * d)) / lam
     for shift_frac, h_frac in ((0.0, 0.37), (0.31, 0.61), (0.57, 0.23), (0.83, 0.79)):
         zc = (params.a + (m + 0.5) * spacing + shift_frac * spacing
               + 1j * (params.b + h_frac * params.cell_height / d))
-        u = np.pi * m[None, :] / d - scale * zc[:, None]
-        V = np.pi ** -0.25 * theta3(u, params.tau0)
+        # the theta basis of f on the line, up to a factor common to the whole
+        # line, which the normalization of the result removes
+        V = weighted_thetas(zc, params)
         if np.linalg.cond(V) > cond_max:
             continue
         y = candidate(zc)

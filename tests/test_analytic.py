@@ -1,5 +1,6 @@
 """Evaluation of f(z), closed forms, the cell scalar product, and operators."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from finiteq import (
     coherent_form,
     coherent_identity_matrix,
     coherent_state_closed,
+    coherent_unnormalized,
     displaced_f,
     displacement,
     fourier_matrix,
@@ -358,19 +360,100 @@ def test_kernel_apply_converges_in_upper_cell(d, height_frac):
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
-def test_non_finite_values_raise():
-    # the theta terms overflow near the top of the cell from d of about 226;
-    # f' and displaced f overflow a little lower
+def mp_thetas(d, lam, ms, z, derivative=False):
+    """exp(-Im(z)^2/2) theta3[pi m/d - c z; i/(d lam^2)] (or its z-derivative) by mpmath jtheta.
+
+    jtheta sums the Jacobi-transformed series
+
+        theta3(u; i/(d lam^2)) = lam sqrt(d) exp(-d lam^2 u^2 / pi) theta3(-i d lam^2 u; i d lam^2),
+
+    with Re(u) first reduced into [-pi/2, pi/2]; it converges in a few terms
+    at every height, and is not the sum over n that the kernel takes.
+    """
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        c = mpmath.sqrt(mpmath.pi / (2 * d)) / lam
+        g = d * lam * lam
+        q = mpmath.exp(-mpmath.pi * g)
+        zz = mpmath.mpc(z.real, z.imag)
+        out = []
+        for m in ms:
+            u = mpmath.pi * m / d - c * zz
+            u -= mpmath.pi * mpmath.nint(u.real / mpmath.pi)
+            w = -1j * g * u
+            pref = lam * mpmath.sqrt(d) * mpmath.exp(-g * u * u / mpmath.pi - zz.imag**2 / 2)
+            t = mpmath.jtheta(3, w, q)
+            if derivative:  # d/dz = -c d/du
+                t = -c * (-2 * g * u / mpmath.pi * t - 1j * g * mpmath.jtheta(3, w, q, 1))
+            out.append(complex(pref * t))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1000])
+def test_weighted_kernel_matches_mpmath(d):
+    # the weighted values are sums of Gaussian-weighted terms of modulus at most
+    # 1 (times 2c|n| for f'); errors are judged against the sum of those moduli
+    ms = sorted({0, 1 % d, d // 3, d - 1})
+    rng = np.random.default_rng([23, d])
+    for lam in (0.3, 1.0, 2.5):
+        params = SystemParams(d, lam)
+        c = np.sqrt(np.pi / (2 * d)) / lam
+        kappa = c * d * lam**2 / np.pi
+        amps = np.zeros(d, dtype=complex)
+        amps[ms] = rng.normal(size=len(ms)) + 1j * rng.normal(size=len(ms))
+        s = AnalyticState(FiniteState(amps), params)
+        a = s.state.components[ms]
+        for h in (0.0, 0.5, 0.9, 0.999):
+            z = complex(0.37 * params.cell_width, h * params.cell_height)
+            n = np.arange(np.floor(kappa * z.imag) - 400, np.ceil(kappa * z.imag) + 401)
+            weights = np.exp(-np.pi * (n - kappa * z.imag) ** 2 / (d * lam**2))
+            theta, dtheta = mp_thetas(d, lam, ms, z), mp_thetas(d, lam, ms, z, derivative=True)
+
+            pref = np.pi**-0.25 / (np.sqrt(d) * lam)
+            got = coherent_unnormalized(z, params)[ms]
+            ref = pref * np.exp(0.5j * z.real * z.imag) * theta
+            assert np.max(np.abs(got - ref)) <= 1e-12 * pref * np.sum(weights)
+
+            scale = np.pi**-0.25 * np.sum(np.abs(a))
+            assert abs(s._weighted(z) - np.pi**-0.25 * a @ theta) <= 1e-12 * scale * np.sum(weights)
+            assert abs(s._weighted(z, derivative=True) - np.pi**-0.25 * a @ dtheta) \
+                <= 1e-12 * scale * np.sum(2 * c * np.abs(n) * weights)
+
+
+def test_values_near_double_range():
+    # at d = 226 near the top of the cell |f| is about 1.4e308: finite, and
+    # evaluated without overflow because every term is weighted first
     d = 226
     params = SystemParams(d)
     s = AnalyticState(random_state(np.random.default_rng(18), d), params)
+    amps, ms = s.state.components, np.arange(d)
     x = 0.37 * params.cell_width
-    with pytest.raises(RuntimeError, match="f is not finite .* d = 226"):
-        s(complex(x, 0.999 * params.cell_height))
+    z = complex(x, 0.999 * params.cell_height)
+    lift = np.exp(0.25 * z.imag**2)
+    ref = np.pi**-0.25 * (amps @ mp_thetas(d, 1.0, ms, z)) * lift * lift
+    assert abs(s(z) - ref) <= 1e-12 * abs(ref)
     z = complex(x, 0.995 * params.cell_height)
-    with pytest.raises(RuntimeError, match="f' is not finite .* d = 226"):
+    lift = np.exp(0.5 * z.imag**2)
+    ref = np.pi**-0.25 * (amps @ mp_thetas(d, 1.0, ms, z, derivative=True)) * lift
+    assert abs(s.derivative(z) - ref) <= 1e-12 * abs(ref)
+    moved = displacement(d, 1, 2) @ amps
+    ref = np.pi**-0.25 * (moved @ mp_thetas(d, 1.0, ms, z)) * lift
+    assert abs(displaced_f(s, 1, 2, z) - ref) <= 1e-12 * abs(ref)
+
+
+def test_non_finite_values_raise():
+    # at d = 256, 0.98 of the way up the cell, log|f| is about 772, beyond
+    # the double range (709.78)
+    d = 256
+    params = SystemParams(d)
+    s = AnalyticState(random_state(np.random.default_rng(18), d), params)
+    z = complex(0.37 * params.cell_width, 0.98 * params.cell_height)
+    assert np.log(abs(s._weighted(z))) + 0.5 * z.imag**2 > 709.79
+    with pytest.raises(RuntimeError, match="f is not finite .* d = 256"):
+        s(z)
+    with pytest.raises(RuntimeError, match="f' is not finite .* d = 256"):
         s.derivative(z)
-    with pytest.raises(RuntimeError, match="displaced f is not finite .* d = 226"):
+    with pytest.raises(RuntimeError, match="displaced f is not finite .* d = 256"):
         displaced_f(s, 1, 2, z)
 
 

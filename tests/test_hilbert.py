@@ -19,6 +19,7 @@ from finiteq import (
     shift_matrix,
     weyl_function,
 )
+from finiteq.hilbert import half_power
 
 
 def random_state(rng, d):
@@ -140,6 +141,23 @@ def test_displacement_actions_exhaustive():
                     expectp = (np.exp(1j * np.pi * ((-alpha * beta - 2 * beta * m) % (2 * d)) / d)
                                * momentum_state(m + alpha, d).components)
                     assert np.max(np.abs(outp - expectp)) < 1e-13
+
+
+def test_displacement_and_shift_match_loop_reference():
+    # the per-column loop the vectorized matrices replaced, kept as the
+    # reference; the arithmetic is the same, so the entries are bit for bit equal
+    def displacement_loop(d, alpha, beta):
+        mat = np.zeros((d, d), dtype=complex)
+        for m in range(d):
+            mat[(m + beta) % d, m] = half_power(d, alpha * beta + 2 * alpha * m)
+        return mat
+
+    for d in (1, 2, 5, 8, 33):
+        labels = [-2 * d - 1, -d, -1, 0, 1, d - 1, d + 2, 3 * d + 1, 2**70 + 3, -(10**20)]
+        for alpha in labels:
+            for beta in labels:
+                assert np.array_equal(displacement(d, alpha, beta), displacement_loop(d, alpha, beta))
+            assert np.array_equal(shift_matrix(d, alpha), displacement_loop(d, 0, alpha))
 
 
 def test_displaced_state_identity():
