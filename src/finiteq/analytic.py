@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FiniteState, displaced_state, position_state
+from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
 from .theta import theta2, theta3
 from .zak import (
     _THETA_CUT,
@@ -319,20 +319,17 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
 def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
     """Apply an operator given by its phase-space table, as a displaced-f sum.
 
-    Omega = d**-1 sum_ab table[a, b] D(a, b)^dagger with integer labels
-    (-a, -b) fed straight to :func:`displaced_f`.
+    Omega = d**-1 sum_ab table[a, b] D(a, b)^dagger, and D(a, b)^dagger =
+    D(-a, -b) on integer labels, so the sum of table[a, b] [D(-a, -b) f](z) / d
+    is the representation of (Omega state) at z: Omega is built by
+    :func:`finiteq.hilbert.operator_from_weyl` and f evaluated once.
     """
     d = f.params.d
     table = np.asarray(table, dtype=complex)
     if table.shape != (d, d):
         raise ValueError(f"table must be {d}x{d}, got {table.shape}")
-    acc = 0j
-    for alpha in range(d):
-        for beta in range(d):
-            if table[alpha, beta] == 0:
-                continue
-            acc += table[alpha, beta] * displaced_f(f, -alpha, -beta, z)
-    return complex(acc / d)
+    moved = FiniteState(operator_from_weyl(table) @ f.state.components, normalize=False)
+    return complex(AnalyticState(moved, f.params)(z))
 
 
 # ---------------------------------------------------------------------------

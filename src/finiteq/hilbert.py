@@ -140,13 +140,9 @@ def position_operator(d: int) -> np.ndarray:
 
 
 def momentum_operator(d: int) -> np.ndarray:
-    """sum_n n |P;n><P;n| in the position basis."""
-    d = _check_dim(d)
-    op = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        v = momentum_state(n, d).components
-        op += n * np.outer(v, v.conj())
-    return op
+    """sum_n n |P;n><P;n| = F diag(0, 1, ..., d-1) F^dagger in the position basis."""
+    F = fourier_matrix(d)
+    return (F * np.arange(F.shape[0])) @ F.conj().T
 
 
 def clock_matrix(d: int, alpha: int = 1) -> np.ndarray:
@@ -165,38 +161,61 @@ def shift_matrix(d: int, beta: int = 1) -> np.ndarray:
     return mat
 
 
+def _column_phases(d: int, alpha: int, beta: int):
+    """Rows (m + beta) mod d and phases half_power(d, alpha*beta + 2*alpha*m) of D's columns m."""
+    # D depends on the labels mod 2d only; reducing them keeps the exponents small
+    alpha, beta = int(alpha) % (2 * d), int(beta) % (2 * d)
+    m = np.arange(d)
+    return (m + beta) % d, np.exp(1j * (np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d))
+
+
 def displacement(d: int, alpha: int, beta: int) -> np.ndarray:
     """Matrix of D(alpha, beta) for arbitrary integer labels.
 
     D(alpha, beta) |m> = half_power(d, alpha*beta + 2*alpha*m) |m + beta>.
     """
     d = _check_dim(d)
-    # D depends on the labels mod 2d only; reducing them keeps the exponents small
-    alpha, beta = int(alpha) % (2 * d), int(beta) % (2 * d)
-    m = np.arange(d)
+    rows, phases = _column_phases(d, alpha, beta)
     mat = np.zeros((d, d), dtype=complex)
-    mat[(m + beta) % d, m] = np.exp(1j * (np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d))
+    mat[rows, np.arange(d)] = phases
     return mat
 
 
 def displaced_state(state: FiniteState, point) -> FiniteState:
-    """Apply D(alpha, beta) to a state; `point` is a PhasePoint or (alpha, beta)."""
+    """Apply D(alpha, beta) to a state; `point` is a PhasePoint or (alpha, beta).  O(d)."""
     alpha, beta = point
-    out = displacement(state.d, alpha, beta) @ state.components
+    rows, phases = _column_phases(state.d, alpha, beta)
+    out = np.empty(state.d, dtype=complex)
+    out[rows] = phases * state.components
     return FiniteState(out, normalize=False)
 
 
+def _diagonals(d: int):
+    """Index arrays (rows, cols) with op[rows, cols][beta, m] = op[m, (m + beta) mod d]."""
+    m = np.arange(d)
+    return m[None, :], (m[None, :] + m[:, None]) % d
+
+
+def _half_angle_table(d: int) -> np.ndarray:
+    """exp(1j pi alpha beta / d) on [0, d)^2, alpha beta reduced mod 2d as an integer."""
+    m = np.arange(d)
+    return np.exp(1j * (np.pi * (np.outer(m, m) % (2 * d)) / d))
+
+
 def weyl_function(op: np.ndarray) -> np.ndarray:
-    """Table W(alpha, beta) = Tr[op D(alpha, beta)] over canonical labels [0, d)^2."""
+    """Table W(alpha, beta) = Tr[op D(alpha, beta)] over canonical labels [0, d)^2.
+
+    Since (op D(alpha, beta))[m, m] = op[m, m + beta] exp(1j pi (alpha beta + 2 alpha m) / d),
+
+        W(alpha, beta) = exp(1j pi alpha beta / d) sum_m op[m, (m + beta) mod d] exp(2j pi alpha m / d),
+
+    one inverse FFT over m of the d wrapped diagonals of op, O(d^2 log d).
+    """
     op = np.asarray(op, dtype=complex)
     d = op.shape[0]
     if op.shape != (d, d):
         raise ValueError(f"operator must be square, got shape {op.shape}")
-    table = np.empty((d, d), dtype=complex)
-    for alpha in range(d):
-        for beta in range(d):
-            table[alpha, beta] = np.trace(op @ displacement(d, alpha, beta))
-    return table
+    return d * np.fft.ifft(op[_diagonals(d)], axis=1).T * _half_angle_table(d)
 
 
 def operator_from_weyl(table: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -205,7 +224,11 @@ def operator_from_weyl(table: np.ndarray, d: int | None = None) -> np.ndarray:
     Uses the adjoint pairing op = d**-1 sum_{a,b} W(a, b) D(a, b)^dagger,
     which reproduces the displaced-operator expansion exactly for every d;
     the label-sign ambiguity of negated even-d labels cancels in the pair
-    (trace coefficient, adjoint operator).
+    (trace coefficient, adjoint operator).  On the wrapped diagonals,
+
+        op[m, (m + beta) mod d] = d**-1 sum_alpha W(alpha, beta) exp(-1j pi alpha beta / d) exp(-2j pi alpha m / d),
+
+    one FFT over alpha, O(d^2 log d).
     """
     table = np.asarray(table, dtype=complex)
     if d is None:
@@ -213,11 +236,9 @@ def operator_from_weyl(table: np.ndarray, d: int | None = None) -> np.ndarray:
     d = _check_dim(d)
     if table.shape != (d, d):
         raise ValueError(f"Weyl table must be {d}x{d}, got {table.shape}")
-    op = np.zeros((d, d), dtype=complex)
-    for alpha in range(d):
-        for beta in range(d):
-            op += table[alpha, beta] * displacement(d, alpha, beta).conj().T
-    return op / d
+    op = np.empty((d, d), dtype=complex)
+    op[_diagonals(d)] = np.fft.fft(table * _half_angle_table(d).conj(), axis=0).T / d
+    return op
 
 
 def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:

@@ -67,6 +67,10 @@ def _suite_hilbert(d, rng):
     out.append(_result("displaced fiducial resolves identity", float(np.max(np.abs(acc / d - np.eye(d)))), 1e-12))
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     table = hilbert.weyl_function(op)
+    # entries against the definition, so a wrong transform pair that inverts itself still fails
+    labels = rng.integers(d, size=(4, 2))
+    err = max(abs(table[a, b] - np.trace(op @ hilbert.displacement(d, a, b))) for a, b in labels)
+    out.append(_result("phase-space table entries vs Tr[op D]", float(err / (d * np.max(np.abs(op)))), 1e-12))
     out.append(_result("phase-space table roundtrip",
                        float(np.max(np.abs(hilbert.operator_from_weyl(table) - op))), 1e-12))
     return out

@@ -326,6 +326,21 @@ def test_weyl_expansion_random_operator():
         assert abs(apply_weyl_expansion(weyl_function(op), f, z) - ref) < 1e-8 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_weyl_expansion_matches_displaced_f_loop(d):
+    # the sum of d^2 displaced f values that the operator product replaced, kept as the reference
+    rng = np.random.default_rng(40 + d)
+    params = SystemParams(d, 1.2)
+    f = AnalyticState(random_state(rng, d), params)
+    z = random_cell_point(rng, params)
+    sparse = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    sparse[rng.random((d, d)) < 0.5] = 0.0
+    sparse[0, -1] = 0.0
+    for table in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), sparse, np.zeros((d, d))):
+        terms = [table[a, b] * displaced_f(f, -a, -b, z) for a in range(d) for b in range(d)]
+        assert abs(apply_weyl_expansion(table, f, z) - sum(terms) / d) <= 1e-12 * sum(map(abs, terms)) / d
+
+
 def test_coherent_identity_matrix_small_d():
     for d in (2, 3):
         dev = np.max(np.abs(coherent_identity_matrix(SystemParams(d)) - np.eye(d)))

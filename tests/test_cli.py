@@ -129,6 +129,18 @@ def test_verify_passes(capsys):
     assert "FAIL" not in report
 
 
+def test_verify_hilbert_rejects_self_consistent_wrong_weyl_pair(monkeypatch):
+    # a transposed table with a matching inverse passes the round trip, not the entry check
+    from finiteq import hilbert, verify
+
+    weyl, inverse = hilbert.weyl_function, hilbert.operator_from_weyl
+    monkeypatch.setattr(hilbert, "weyl_function", lambda op: weyl(op).T)
+    monkeypatch.setattr(hilbert, "operator_from_weyl", lambda table: inverse(table.T))
+    results = {r.name: r.passed for r in verify.run_suite("hilbert", 4, 7)}
+    assert results["phase-space table roundtrip"]
+    assert not results["phase-space table entries vs Tr[op D]"]
+
+
 def test_verify_deterministic(capsys):
     main(["verify", "--d", "3", "--seed", "11", "--suite", "zak"])
     first = capsys.readouterr().out

@@ -160,6 +160,17 @@ def test_displacement_and_shift_match_loop_reference():
             assert np.array_equal(shift_matrix(d, alpha), displacement_loop(d, 0, alpha))
 
 
+def test_displaced_state_matches_matrix_product():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 5, 8, 33):
+        s = random_state(rng, d)
+        labels = [-2 * d - 1, -d, -1, 0, 1, d - 1, d + 2, 3 * d + 1, 2**70 + 3, -(10**20)]
+        for alpha in labels:
+            for beta in labels:
+                out = displaced_state(s, (alpha, beta)).components
+                assert np.max(np.abs(out - displacement(d, alpha, beta) @ s.components)) < 1e-15
+
+
 def test_displaced_state_identity():
     rng = np.random.default_rng(1)
     s = random_state(rng, 4)
@@ -197,6 +208,30 @@ def test_displaced_state_amplitude_formula_d5():
         assert np.max(np.abs(out - explicit)) < 1e-13
 
 
+def test_momentum_operator_matches_outer_product_loop():
+    # the sum of d outer products that F diag(n) F^dagger replaced, kept as the reference
+    for d in (1, 2, 5, 16, 64):
+        ref = np.zeros((d, d), dtype=complex)
+        for n in range(d):
+            v = momentum_state(n, d).components
+            ref += n * np.outer(v, v.conj())
+        assert np.max(np.abs(momentum_operator(d) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16])
+def test_weyl_pair_matches_loop_reference(d):
+    # the per-label trace and the displacement sum that the FFTs replaced, kept as references
+    rng = np.random.default_rng(d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    op[rng.random((d, d)) < 0.3] = 0.0
+    table = weyl_function(op)
+    ref = np.array([[np.trace(op @ displacement(d, a, b)) for b in range(d)] for a in range(d)])
+    assert np.max(np.abs(table - ref)) <= 1e-12 * d * np.max(np.abs(op))
+    coeffs = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    back = sum(coeffs[a, b] * displacement(d, a, b).conj().T for a in range(d) for b in range(d)) / d
+    assert np.max(np.abs(operator_from_weyl(coeffs) - back)) <= 1e-12 * np.max(np.abs(coeffs))
+
+
 def test_weyl_function_of_identity():
     d = 3
     table = weyl_function(np.eye(d))
@@ -226,7 +261,7 @@ def test_operator_from_weyl_zero_table():
 
 def test_weyl_roundtrip_random():
     rng = np.random.default_rng(5)
-    for d in (2, 3, 4, 5, 6):
+    for d in (2, 3, 4, 5, 6, 1000):
         op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         back = operator_from_weyl(weyl_function(op))
         assert np.max(np.abs(back - op)) < 1e-12
