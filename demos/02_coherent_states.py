@@ -50,7 +50,7 @@ for alpha in range(d):
         acc += np.outer(v, v.conj())
 print(f"  max |sum/d - 1| = {np.max(np.abs(acc / d - np.eye(d))):.2e}")
 
-print("\nCell integral of N(A) |A><A| (Gauss-Legendre, refined):")
+print("\nCell integral of N(A) |A><A| (periodic trapezoid rule):")
 for d in (2, 3):
     dev = np.max(np.abs(coherent_identity_matrix(SystemParams(d)) - np.eye(d)))
     print(f"  d={d}: max deviation from identity = {dev:.2e}")

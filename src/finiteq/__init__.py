@@ -66,7 +66,6 @@ from .analytic import (
     kernel_apply,
     apply_weyl_expansion,
     coherent_identity_matrix,
-    gauss_legendre_cell,
 )
 from .zeros import (
     ZeroSet,

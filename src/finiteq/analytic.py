@@ -40,6 +40,7 @@ from .theta import theta2, theta3
 from .zak import (
     _THETA_CUT,
     SystemParams,
+    _fold_width,
     _parity_form,
     _theta_scales,
     coherent_normalization,
@@ -60,11 +61,7 @@ __all__ = [
     "kernel_apply",
     "apply_weyl_expansion",
     "coherent_identity_matrix",
-    "gauss_legendre_cell",
-    "QUAD_LEVELS",
 ]
-
-QUAD_LEVELS = (32, 64, 128)
 
 
 @dataclass
@@ -202,57 +199,70 @@ def coherent_form(label, params: SystemParams, z, form: str = "auto"):
 # cell quadrature
 
 
-def gauss_legendre_cell(params: SystemParams, n: int):
-    """Tensor Gauss-Legendre nodes and weights on the fundamental cell.
+# Terms one weighted_thetas call may hold in the cell quadratures (nodes times
+# the folded series width, 16 bytes each); larger grids go in blocks of rows
+_QUAD_TERMS = 1 << 20
 
-    Returns (z, w) with z complex nodes of shape (n*n,) and w the matching
-    product weights.
+
+def _cell_trapezoid(params: SystemParams, evaluate, pref: float, tol: float, label: str,
+                    reduce=lambda v: v.sum(axis=(0, 1))):
+    """pref * Int_S d2z integrand(z), by the periodic trapezoid rule on the cell.
+
+    The integrands of the three cell quadratures are periodic in x and in y
+    (the quasi-periodic factors of the theta forms cancel against the
+    Gaussian weight), so equispaced nodes converge geometrically: with
+    n_x = m lam sqrt(d) and n_y = m sqrt(d) / lam nodes per axis the error
+    falls like exp(-pi m^2 / 2).  The coarse level takes
+    m = sqrt(2 ln(100 / tol) / pi), whose error sits near tol / 100; the
+    fine level doubles both axes, so the coarse nodes are every other fine
+    node and one evaluation gives both sums.  The fine sum is returned when
+    the two agree within tol, absolute for values up to 1 and relative
+    above, where the integrand carries the exp(Im(z)^2 / 2) growth of f.
+
+    ``evaluate(z)`` gives the integrand on a 2-d block of nodes, with the
+    node axes first, and ``reduce`` sums such values over the node axes.
     """
-    x, wx = np.polynomial.legendre.leggauss(n)
-    a, b = params.a, params.b
-    width, height = params.cell_width, params.cell_height
-    xr = a + 0.5 * width * (x + 1.0)
-    yr = b + 0.5 * height * (x + 1.0)
-    wr = 0.5 * width * wx
-    wi = 0.5 * height * wx
-    z = (xr[:, None] + 1j * yr[None, :]).ravel()
-    w = (wr[:, None] * wi[None, :]).ravel()
-    return z, w
-
-
-def _refined_quadrature(evaluate, tol: float, label: str):
-    """Run `evaluate(n)` over QUAD_LEVELS until two levels agree within tol.
-
-    The tolerance is absolute for values up to 1 and relative above, where
-    the integrand carries the exp(Im(z)^2 / 2) growth of f.
-    """
-    prev = None
-    for n in QUAD_LEVELS:
-        cur = evaluate(n)
-        if prev is not None and np.max(np.abs(cur - prev)) <= tol * max(1.0, np.max(np.abs(cur))):
-            return cur
-        prev = cur
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{label}: tol must lie in (0, 1), got {tol}")
+    m = math.sqrt(2.0 * math.log(100.0 / tol) / math.pi)
+    nx = math.ceil(m * params.lam * math.sqrt(params.d))
+    ny = math.ceil(m * math.sqrt(params.d) / params.lam)
+    x = params.a + params.cell_width * np.arange(2 * nx) / (2 * nx)
+    y = params.b + params.cell_height * np.arange(2 * ny) / (2 * ny)
+    rows = 2 * max(1, _QUAD_TERMS // (4 * nx * _fold_width(params)))  # even, so blocks start on coarse rows
+    fine = coarse = 0.0
+    for j in range(0, 2 * ny, rows):
+        vals = evaluate(x[None, :] + 1j * y[j:j + rows, None])
+        fine = fine + reduce(vals)
+        coarse = coarse + reduce(vals[::2, ::2])
+    weight = pref * params.cell_width * params.cell_height / (nx * ny)
+    fine, coarse = fine * (weight / 4), coarse * weight
+    if np.max(np.abs(fine - coarse)) <= tol * max(1.0, np.max(np.abs(fine))):
+        return fine
     raise RuntimeError(
-        f"{label}: quadrature did not converge to {tol} at {QUAD_LEVELS[-1]} points per axis"
+        f"{label}: quadrature did not converge to {tol}: the trapezoid sums on {nx} x {ny} "
+        f"and {2 * nx} x {2 * ny} nodes differ by {np.max(np.abs(fine - coarse)):.2e}"
     )
 
 
 def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> complex:
     """Bilinear pairing sum_m f_m g_m evaluated as a cell integral.
 
-    (2 pi)**-1/2 d**-3/2 lam**-1 Int_S d2z e^{-Im(z)^2} f(z) g(z*), with
-    tensor Gauss-Legendre refinement 32 -> 64 -> 128 points per axis.
+    (2 pi)**-1/2 d**-3/2 lam**-1 Int_S d2z e^{-Im(z)^2} f(z) g(z*).  The
+    integrand is doubly periodic on the cell: along x f and g are periodic,
+    and by the quasi-periodicity of f and g a shift z -> z + ih by the cell
+    height h multiplies f(z) g(z*) by exp(h^2 + 2 h Im(z)), which cancels
+    the change of e^{-Im(z)^2}.  The periodic trapezoid rule on
+    n_x = m lam sqrt(d) by n_y = m sqrt(d) / lam nodes then has error
+    exp(-pi m^2 / 2), checked against the same rule on every other node
+    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.
     """
     if f.params != g.params:
         raise ValueError("states must share the same system parameters")
     p = f.params
     pref = (2 * np.pi) ** -0.5 * p.d ** -1.5 / p.lam
-
-    def evaluate(n):
-        z, w = gauss_legendre_cell(p, n)
-        return pref * np.sum(w * f._weighted(z) * g._weighted(np.conj(z)))
-
-    return complex(_refined_quadrature(evaluate, tol, "scalar_product"))
+    return complex(_cell_trapezoid(p, lambda z: f._weighted(z) * g._weighted(np.conj(z)),
+                                   pref, tol, "scalar_product"))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +309,10 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
 
     The Gaussian weight matches the scalar-product weight, which is what makes
     the identity operator act as the identity; cell-size periods apply.  It is
-    split between the weighted theta(zeta*) and f(zeta), which are O(1).
+    split between the weighted theta(zeta*) and f(zeta), which are O(1).  As
+    a function of zeta the integrand is doubly periodic on the cell, like
+    that of :func:`scalar_product`, and the same periodic trapezoid rule with
+    error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.
     """
     if f.params != kernel.params:
         raise ValueError("state and kernel must share the same system parameters")
@@ -307,13 +320,8 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
     row = np.pi ** -0.5 / p.d * math.exp(0.5 * z.imag**2) * (weighted_thetas(z, p) @ kernel.matrix)
-
-    def evaluate(n):
-        zeta, w = gauss_legendre_cell(p, n)
-        kvals = weighted_thetas(np.conj(zeta), p) @ row
-        return pref * np.sum(w * kvals * f._weighted(zeta))
-
-    return complex(_refined_quadrature(evaluate, tol, "kernel_apply"))
+    return complex(_cell_trapezoid(p, lambda zeta: (weighted_thetas(np.conj(zeta), p) @ row)
+                                   * f._weighted(zeta), pref, tol, "kernel_apply"))
 
 
 def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
@@ -339,16 +347,13 @@ def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
 def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndarray:
     """lam (2 pi d)**-1/2 Int_S N(A) |A>><<A| d2A, as a d x d matrix.
 
-    Converges to the identity; evaluated with the same refined tensor
-    Gauss-Legendre scheme as the scalar product.  The normalization factor
-    cancels against the projector so the integrand is the outer product of
-    the unnormalized theta-form amplitudes.
+    Converges to the identity.  The normalization factor cancels against the
+    projector so the integrand is the outer product of the unnormalized
+    theta-form amplitudes, which is doubly periodic in A on the cell like
+    the scalar-product integrand; it is evaluated with the same periodic
+    trapezoid rule, error exp(-pi m^2 / 2), and tol in (0, 1) sizes the grid.
     """
     pref = params.lam * (2 * np.pi * params.d) ** -0.5
-
-    def evaluate(n):
-        z, w = gauss_legendre_cell(params, n)
-        t = coherent_unnormalized(z, params)  # shape (n*n, d)
-        return pref * np.einsum("k,km,kn->mn", w, t, np.conj(t))
-
-    return _refined_quadrature(evaluate, tol, "coherent_identity_matrix")
+    return _cell_trapezoid(params, lambda z: coherent_unnormalized(z, params), pref, tol,
+                           "coherent_identity_matrix",
+                           reduce=lambda t: np.tensordot(t, t.conj(), axes=([0, 1], [0, 1])))

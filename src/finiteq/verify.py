@@ -131,6 +131,8 @@ def _suite_analytic(d, rng):
     bilinear = complex(np.sum(s.state.components * g.state.components))
     out.append(_result("cell integral reproduces bilinear pairing",
                        abs(analytic.scalar_product(s, g) - bilinear), 1e-5))
+    out.append(_result("coherent states resolve the identity",
+                       float(np.max(np.abs(analytic.coherent_identity_matrix(params) - np.eye(d)))), 1e-10))
     return out
 
 

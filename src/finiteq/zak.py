@@ -114,30 +114,37 @@ def _as_sector(sector) -> ZakSector:
     return ZakSector(s1, s2)
 
 
-def _lattice_sums(fn, d, step, sector: ZakSector, m):
-    """sum_w e^{-2 pi i sigma1 w} fn(step (m + sigma2 + d w)), adaptively truncated.
+def _lattice_sums(fn, d, step, sigma1, sigma2, m):
+    """sum_w e^{-2 pi i sigma1 w} fn(step (m + sigma2 + d w)) for each sigma1, adaptively truncated.
 
-    Returns (total, peak) where peak is the largest sampled |fn| value; the
-    ratio ||total|| / peak separates genuine components from sums that cancel
-    identically.
+    `sigma1` is an array of twists sharing one set of fn samples; row r of
+    the result, of the shape of m, belongs to sigma1[r].  A row stops taking shells once
+    _STOP_RUN shells in a row add less than _TAIL_TOL of its size, and the
+    loop ends when every row has stopped.  Returns (total, peak) where peak
+    is the largest sampled |fn| value; the ratio ||total|| / peak separates
+    genuine components from sums that cancel identically.
     """
-    m = np.arange(d) if m is None else np.asarray(m)
-    base = (m + sector.sigma2) * step
+    shape = (d,) if m is None else np.shape(m)
+    m = np.arange(d) if m is None else np.ravel(m)
+    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
+    base = (m + sigma2) * step
     period = d * step
-    total = np.asarray(fn(base), dtype=complex).copy()
-    peak = float(np.max(np.abs(total), initial=0.0))
-    run = 0
+    first = np.asarray(fn(base), dtype=complex)
+    total = np.repeat(first[None, :], sigma1.size, axis=0)
+    peak = float(np.max(np.abs(first), initial=0.0))
+    run = np.zeros(sigma1.size, dtype=int)
     for w in range(1, W_CAP + 1):
-        phase = np.exp(-2j * np.pi * sector.sigma1 * w)
         up = np.asarray(fn(base + w * period), dtype=complex)
         down = np.asarray(fn(base - w * period), dtype=complex)
         peak = max(peak, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
+        live = run < _STOP_RUN
+        phase = np.exp(-2j * np.pi * sigma1[live] * w)[:, None]
         shell = phase * up + np.conj(phase) * down
-        total += shell
-        rel = np.max(np.abs(shell)) / (1.0 + np.max(np.abs(total)))
-        run = run + 1 if rel < _TAIL_TOL else 0
-        if run >= _STOP_RUN:
-            return total, peak
+        total[live] += shell
+        rel = np.max(np.abs(shell), axis=1) / (1.0 + np.max(np.abs(total[live]), axis=1))
+        run[live] = np.where(rel < _TAIL_TOL, run[live] + 1, 0)
+        if np.all(run >= _STOP_RUN):
+            return total.reshape((sigma1.size,) + shape), peak
     raise RuntimeError(
         f"lattice sum tail not converged within |w| <= {W_CAP}; "
         "the wavefunction decays too slowly for this transform"
@@ -153,8 +160,9 @@ _DEGENERATE_RATIO = 1e-12
 def zak_sums(psi, params: SystemParams, sector=None, m=None) -> np.ndarray:
     """Unnormalized component sums t_m; `m` may hold any integers (default 0..d-1)."""
     step = math.sqrt(2.0 * math.pi / params.d) * params.lam
-    total, _ = _lattice_sums(psi, params.d, step, _as_sector(sector), m)
-    return total
+    sector = _as_sector(sector)
+    total, _ = _lattice_sums(psi, params.d, step, sector.sigma1, sector.sigma2, m)
+    return total[0]
 
 
 def zak_normalization(psi, params: SystemParams, sector=None) -> float:
@@ -176,15 +184,16 @@ def _normalized_or_raise(total, peak) -> FiniteState:
 def zak_map(psi, params: SystemParams, sector=None) -> FiniteState:
     """Map a real-line wavefunction to a normalized d-component state."""
     step = math.sqrt(2.0 * math.pi / params.d) * params.lam
-    total, peak = _lattice_sums(psi, params.d, step, _as_sector(sector), None)
-    return _normalized_or_raise(total, peak)
+    sector = _as_sector(sector)
+    total, peak = _lattice_sums(psi, params.d, step, sector.sigma1, sector.sigma2, None)
+    return _normalized_or_raise(total[0], peak)
 
 
 def momentum_zak_sums(psi, params: SystemParams, m=None) -> np.ndarray:
     """Unnormalized momentum-side sums: the transform of psi-hat at spacing 1/lam."""
     step = math.sqrt(2.0 * math.pi / params.d) / params.lam
-    total, _ = _lattice_sums(psi.fourier_at, params.d, step, ZakSector(), m)
-    return total
+    total, _ = _lattice_sums(psi.fourier_at, params.d, step, 0.0, 0.0, m)
+    return total[0]
 
 
 def momentum_zak_normalization(psi, params: SystemParams) -> float:
@@ -195,8 +204,8 @@ def momentum_zak_normalization(psi, params: SystemParams) -> float:
 def momentum_zak_map(psi, params: SystemParams) -> FiniteState:
     """Momentum-side state; equals fourier_matrix(d) @ zak_map(psi) componentwise."""
     step = math.sqrt(2.0 * math.pi / params.d) / params.lam
-    total, peak = _lattice_sums(psi.fourier_at, params.d, step, ZakSector(), None)
-    return _normalized_or_raise(total, peak)
+    total, peak = _lattice_sums(psi.fourier_at, params.d, step, 0.0, 0.0, None)
+    return _normalized_or_raise(total[0], peak)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +244,12 @@ def _theta_scales(params: SystemParams):
     return c, c * d * lam**2 / np.pi, math.sqrt(_THETA_CUT * d * lam**2 / np.pi)
 
 
+def _fold_width(params: SystemParams) -> int:
+    """Terms weighted_thetas sums per point: every n within K of kappa y, padded to whole periods of d."""
+    _, _, K = _theta_scales(params)
+    return params.d * math.ceil((2 * K + 2) / params.d)
+
+
 def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.ndarray:
     """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
 
@@ -254,7 +269,7 @@ def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.nda
         raise ValueError("z must be finite")
     y = z.imag[..., None]
     start = np.floor(kappa * y - K).astype(np.int64)
-    width = d * math.ceil((2 * K + 2) / d)  # every n within K of kappa y, padded to whole periods
+    width = _fold_width(params)
     n = start + np.arange(width)
     terms = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y) ** 2 - 2j * c * n * z.real[..., None])
     if derivative:
@@ -432,13 +447,12 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
     if n_sigma1 < 4 or n_sigma1 % 2:
         raise ValueError(f"n_sigma1 must be an even integer >= 4, got {n_sigma1}")
     grid = np.arange(n_sigma1) / n_sigma1
-    states, norms = [], []
-    for s1 in grid:
-        t = zak_sums(psi, params, ZakSector(s1, sigma2))
-        nrm = np.linalg.norm(t)
-        states.append(FiniteState(t / nrm, normalize=False))
-        norms.append(nrm**2)
-    return SectorFamily(params, grid, float(sigma2) % 1.0, states, np.array(norms))
+    sigma2 = float(sigma2) % 1.0
+    step = math.sqrt(2.0 * math.pi / params.d) * params.lam
+    t, _ = _lattice_sums(psi, params.d, step, grid, sigma2, None)
+    nrm = np.linalg.norm(t, axis=1)
+    states = [FiniteState(row / n, normalize=False) for row, n in zip(t, nrm)]
+    return SectorFamily(params, grid, sigma2, states, nrm**2)
 
 
 def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> complex:

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from finiteq import analytic
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -352,6 +353,90 @@ def test_coherent_identity_matrix_anchor_independent():
     shifted = coherent_identity_matrix(SystemParams(2, 1.0, a=-1.7, b=2.4))
     assert np.max(np.abs(base - np.eye(2))) < 1e-5
     assert np.max(np.abs(shifted - np.eye(2))) < 1e-5
+
+
+QUAD_CASES = [(d, lam) for d in (1, 2, 5, 16, 64) for lam in (0.3, 1.0, 2.5)]
+
+
+def anchored_params(d, lam):
+    rng = np.random.default_rng([31, d, int(10 * lam)])
+    return SystemParams(d, lam, *rng.uniform(-5.0, 5.0, size=2)), rng
+
+
+@pytest.mark.parametrize("d, lam", QUAD_CASES)
+def test_scalar_product_exact_on_every_cell(d, lam):
+    params, rng = anchored_params(d, lam)
+    f = AnalyticState(random_state(rng, d), params)
+    g = AnalyticState(random_state(rng, d), params)
+    bilinear = np.sum(f.state.components * g.state.components)
+    assert abs(scalar_product(f, g) - bilinear) <= 1e-12
+
+
+@pytest.mark.parametrize("d, lam", QUAD_CASES)
+def test_coherent_identity_matrix_exact_on_every_cell(d, lam):
+    params, _ = anchored_params(d, lam)
+    assert np.max(np.abs(coherent_identity_matrix(params) - np.eye(d))) <= 1e-12
+
+
+@pytest.mark.parametrize("d, lam", QUAD_CASES)
+def test_kernel_apply_exact_on_every_cell(d, lam):
+    params, rng = anchored_params(d, lam)
+    v = random_state(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z = random_cell_point(rng, params)
+    ref = AnalyticState(FiniteState(op @ v.components, normalize=False), params)(z)
+    got = kernel_apply(OperatorKernel(op, params), AnalyticState(v, params), z)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_scalar_product_at_large_d():
+    # 110 x 110 nodes at d = 256, evaluated in several blocks of rows
+    params = SystemParams(256)
+    rng = np.random.default_rng(256)
+    f = AnalyticState(random_state(rng, 256), params)
+    g = AnalyticState(random_state(rng, 256), params)
+    bilinear = np.sum(f.state.components * g.state.components)
+    assert abs(scalar_product(f, g) - bilinear) <= 1e-12
+
+
+def test_quadrature_blocks_of_rows_match_one_block(monkeypatch):
+    params = SystemParams(5, 1.3, a=0.4, b=-2.0)
+    whole = coherent_identity_matrix(params)
+    monkeypatch.setattr(analytic, "_QUAD_TERMS", 1)  # two rows of nodes per block
+    blocked = coherent_identity_matrix(params)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan"), float("inf")])
+def test_quadrature_tol_outside_unit_interval_raises(tol):
+    params = SystemParams(3)
+    f = AnalyticState(position_state(0, 3), params)
+    with pytest.raises(ValueError, match="tol"):
+        scalar_product(f, f, tol)
+    with pytest.raises(ValueError, match="tol"):
+        coherent_identity_matrix(params, tol)
+    with pytest.raises(ValueError, match="tol"):
+        kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5j, tol)
+
+
+def test_quadrature_unreachable_tol_raises():
+    # both trapezoid levels are exact to rounding, so they agree to 1e-300
+    # only where their sums round to the same doubles (about one pair in
+    # three at d = 3); then the value returned is exact, otherwise it raises
+    params = SystemParams(3)
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(10):
+        f = AnalyticState(random_state(rng, 3), params)
+        g = AnalyticState(random_state(rng, 3), params)
+        try:
+            got = scalar_product(f, g, 1e-300)
+        except RuntimeError as err:
+            assert str(err).startswith("scalar_product: quadrature did not converge to 1e-300")
+            raised += 1
+        else:
+            assert abs(got - np.sum(f.state.components * g.state.components)) <= 1e-14
+    assert raised > 0
 
 
 def test_analytic_state_dimension_mismatch():

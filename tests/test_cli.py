@@ -141,6 +141,19 @@ def test_verify_hilbert_rejects_self_consistent_wrong_weyl_pair(monkeypatch):
     assert not results["phase-space table entries vs Tr[op D]"]
 
 
+def test_verify_analytic_rejects_wrong_quadrature_prefactor(monkeypatch):
+    # a prefactor off by 1e-8 slips under the scalar product's 1e-5, not under the identity's 1e-10
+    from finiteq import analytic, verify
+
+    trapezoid = analytic._cell_trapezoid
+    monkeypatch.setattr(analytic, "_cell_trapezoid",
+                        lambda params, evaluate, pref, *args, **kwargs:
+                        trapezoid(params, evaluate, pref * (1 + 1e-8), *args, **kwargs))
+    results = {r.name: r.passed for r in verify.run_suite("analytic", 4, 7)}
+    assert results["cell integral reproduces bilinear pairing"]
+    assert not results["coherent states resolve the identity"]
+
+
 def test_verify_deterministic(capsys):
     main(["verify", "--d", "3", "--seed", "11", "--suite", "zak"])
     first = capsys.readouterr().out

@@ -344,6 +344,22 @@ def test_inverse_rejects_coarse_grid():
         inverse_zak(family, 0, 1, tol=1e-10)
 
 
+@pytest.mark.parametrize("psi", [HermiteNumber(3), GaussianCoherent(0.4 - 0.3j)], ids=repr)
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+@pytest.mark.parametrize("n_sigma1", [4, 64])
+def test_sector_family_matches_per_sector_sums(psi, sigma2, n_sigma1):
+    # the family sums every sigma1 over one set of samples; the reference is
+    # one zak_sums call per sigma1, the same arithmetic up to the division by
+    # the norm and the multiplication back
+    params = SystemParams(6)
+    family = sector_family(psi, params, sigma2=sigma2, n_sigma1=n_sigma1)
+    assert family.sigma2 == sigma2
+    for s1, state, norm in zip(family.sigma1, family.states, family.norms):
+        ref = zak_sums(psi, params, ZakSector(s1, sigma2))
+        assert abs(norm - np.sum(np.abs(ref) ** 2)) <= 1e-14 * norm
+        assert np.max(np.abs(np.sqrt(norm) * state.components - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_sector_family_rejects_odd_grid():
     with pytest.raises(ValueError):
         sector_family(GaussianCoherent(0), SystemParams(2), n_sigma1=9)
