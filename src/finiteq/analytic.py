@@ -79,7 +79,7 @@ class AnalyticState:
 
     def _weighted(self, z, derivative: bool = False) -> np.ndarray:
         """exp(-Im(z)^2 / 2) f(z), or the same weight times f'(z); O(1) for every d."""
-        return np.pi ** -0.25 * (weighted_thetas(z, self.params, derivative) @ self.state.components)
+        return np.pi ** -0.25 * (weighted_thetas(z, self.params, int(derivative)) @ self.state.components)
 
     def _evaluate(self, z, derivative: bool, what: str):
         z = np.asarray(z, dtype=complex)

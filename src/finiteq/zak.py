@@ -250,7 +250,7 @@ def _fold_width(params: SystemParams) -> int:
     return params.d * math.ceil((2 * K + 2) / params.d)
 
 
-def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.ndarray:
+def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
 
     Swapping the two sums, with z = x + iy, gives
@@ -260,7 +260,8 @@ def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.nda
     a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
     overflows at any d.  The n within K of kappa y (beyond it the weight is
     below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
-    the d values on the last axis.  ``derivative`` gives the weighted d/dz theta_m.
+    the d values on the last axis.  ``order`` k gives the weighted k-th
+    derivative d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
     """
     d = params.d
     c, kappa, K = _theta_scales(params)
@@ -272,8 +273,10 @@ def weighted_thetas(z, params: SystemParams, derivative: bool = False) -> np.nda
     width = _fold_width(params)
     n = start + np.arange(width)
     terms = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y) ** 2 - 2j * c * n * z.real[..., None])
-    if derivative:
-        terms *= -2j * c * n
+    if order == 1:
+        terms *= -2j * c * n  # a plain multiply: x ** 1 costs several times more
+    elif order:
+        terms *= (-2j * c * n) ** order
     # column j of the fold holds the n = start + j (mod d); rotate it to n mod d
     folded = terms.reshape(z.shape + (width // d, d)).sum(axis=-2)
     folded = np.take_along_axis(folded, (np.arange(d) - start) % d, axis=-1)

@@ -12,7 +12,9 @@ the cell maps onto an annulus in w, and each horizontal band of the cell is
 covered by a polynomial of degree O(sqrt(d)).  The count d and the sum
 constraint certify every located set.  The sum constraint also classifies
 sets of coherent-state labels and gates the reconstruction of a state from
-its zeros.
+its zeros.  The reconstruction rests on orthogonality: f(z_j) = 0 says the
+state is orthogonal to the coherent state at conj(z_j), and d zeros obeying
+the sum constraint leave exactly one direction free, which is the state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import theta3
 from .zak import SystemParams, _theta_scales, coherent_unnormalized, weighted_thetas
 from .analytic import AnalyticState
 
@@ -215,16 +216,38 @@ def _wrap(dz, width: float, height: float):
             + 1j * ((dz.imag + 0.5 * height) % height - 0.5 * height))
 
 
-def _into_cell(z: complex, p: SystemParams) -> complex:
-    """Lattice translate of z into the half-open cell, snapping float noise at its far edges."""
+def _into_cell(z, p: SystemParams) -> np.ndarray:
+    """Lattice translates of z into the half-open cell, snapping float noise at its far edges."""
+    z = np.asarray(z, dtype=complex)
     width, height = p.cell_width, p.cell_height
     xr = (z.real - p.a) % width
     yr = (z.imag - p.b) % height
-    if width - xr < 1e-9 * width:
-        xr = 0.0
-    if height - yr < 1e-9 * height:
-        yr = 0.0
-    return complex(p.a + xr, p.b + yr)
+    xr = np.where(width - xr < 1e-9 * width, 0.0, xr)
+    yr = np.where(height - yr < 1e-9 * height, 0.0, yr)
+    return p.a + xr + 1j * (p.b + yr)
+
+
+def _merge(points, diam: float, p: SystemParams):
+    """Points closer than `diam` across the cell's periods, merged into one each.
+
+    A group is keyed by its first member and placed at the mean of its
+    members' translates nearest to that member, reduced into the cell.
+    Returns (positions, multiplicities).
+    """
+    anchors: list[complex] = []
+    offsets: list[list[complex]] = []
+    for z in points:
+        if anchors:
+            off = _wrap(z - np.asarray(anchors), p.cell_width, p.cell_height)
+            i = int(np.argmin(np.abs(off)))
+            if abs(off[i]) < diam:
+                offsets[i].append(complex(off[i]))
+                continue
+        anchors.append(complex(z))
+        offsets.append([0j])
+    positions = _into_cell(np.array([z0 + np.mean(off) for z0, off in zip(anchors, offsets)],
+                                    dtype=complex), p)
+    return positions, np.array([len(off) for off in offsets], dtype=int)
 
 
 def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> ZeroSet:
@@ -268,28 +291,15 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     roots = np.concatenate([z[(z.imag >= lo) & (z.imag < hi)]
                             for z, lo, hi in zip(bands, cuts[:-1], cuts[1:])])
 
-    # group clusters by their first member, across the cell's periods
-    anchors: list[complex] = []
-    offsets: list[list[complex]] = []
-    for z in roots:
-        if anchors:
-            off = _wrap(z - np.asarray(anchors), width, height)
-            i = int(np.argmin(np.abs(off)))
-            if abs(off[i]) < cluster_diam:
-                offsets[i].append(complex(off[i]))
-                continue
-        anchors.append(complex(z))
-        offsets.append([0j])
-    positions = [_into_cell(z0 + np.mean(off), p) for z0, off in zip(anchors, offsets)]
-    mults = [len(off) for off in offsets]
+    positions, mults = _merge(roots, cluster_diam, p)
 
     # quantize sort keys so zeros sharing a row/column order stably
     quantum = 1e-8 * max(width, height)
     key_re = np.round(np.real(positions) / quantum)
     key_im = np.round(np.imag(positions) / quantum)
     order = np.lexsort((key_re, key_im))
-    positions = np.asarray(positions, dtype=complex)[order]
-    mults = np.asarray(mults, dtype=int)[order]
+    positions = positions[order]
+    mults = mults[order]
     if int(np.sum(mults)) != d:
         raise RuntimeError(f"found {int(np.sum(mults))} zeros in the cell, expected {d}")
     residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), p)
@@ -344,43 +354,28 @@ def classify_completeness(points, params: SystemParams, residual_tol: float = 1e
     More than d labels (counted with multiplicity after merging duplicates)
     are at least complete; fewer are undercomplete; exactly d labels are
     undercomplete precisely when their sum satisfies the lattice constraint.
-    Labels outside the cell are translated back in (the physical ray is
-    unchanged by quasi-periodicity) and flagged.
+    Labels closer than `merge_tol`, also across the cell's edges, count as
+    one label of higher multiplicity.  Labels outside the cell are
+    translated back in (the physical ray is unchanged by quasi-periodicity)
+    and flagged.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise ValueError("need at least one point")
-    reduced = False
-    width, height = params.cell_width, params.cell_height
-    canon = []
-    for z in pts:
-        xr = (z.real - params.a) % width
-        yr = (z.imag - params.b) % height
-        zc = complex(params.a + xr, params.b + yr)
-        if abs(zc - z) > 1e-12 * max(width, height):
-            reduced = True
-        canon.append(zc)
-    merged: list[tuple[complex, int]] = []
-    for z in canon:
-        for i, (zi, mi) in enumerate(merged):
-            if abs(z - zi) < merge_tol:
-                merged[i] = (zi, mi + 1)
-                break
-        else:
-            merged.append((z, 1))
-    count = sum(m for _, m in merged)
+    x, y = pts.real - params.a, pts.imag - params.b
+    reduced = bool(np.any((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)))
+    positions, mults = _merge(pts, merge_tol, params)
+    count = int(np.sum(mults))
     d = params.d
     if count > d:
         return CompletenessResult("overcomplete-at-least-complete", count, None, None, None, reduced)
     if count < d:
         return CompletenessResult("undercomplete", count, None, None, None, reduced)
-    total = complex(sum(z * m for z, m in merged))
-    residual, M, N = sum_constraint_fit(total, params)
+    residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), params)
     verdict = "undercomplete" if residual <= residual_tol else "complete"
     rank = None
     if cross_validate:
-        expanded = [z for z, m in merged for _ in range(m)]
-        rank = coherent_gram_rank(expanded, params)
+        rank = coherent_gram_rank(np.repeat(positions, mults), params)
     return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
 
 
@@ -388,37 +383,27 @@ def classify_completeness(points, params: SystemParams, residual_tol: float = 1e
 # reconstruction of a state from its zeros
 
 
-def _zero_product(z, zero_list, params: SystemParams):
-    """Q(z): one theta factor per zero, each with a single zero per cell.
-
-    Q(z) = prod_j theta3[(z - z_j + w0) sqrt(pi/2d) / lam; i / lam^2] with
-    w0 = sqrt(pi d / 2)(lam + i / lam) placing the factor's zero at z_j.
-    """
-    d, lam = params.d, params.lam
-    w0 = math.sqrt(np.pi * d / 2) * complex(lam, 1.0 / lam)
-    scale = math.sqrt(np.pi / (2 * d)) / lam
-    z = np.asarray(z, dtype=complex)
-    out = np.ones(z.shape, dtype=complex)
-    for zj in zero_list:
-        out = out * theta3((z - zj + w0) * scale, 1j / lam**2)
-    return out
-
-
 def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
-                           multiplicities=None, residual_tol: float = 1e-6,
-                           cond_max: float = 1e10) -> FiniteState:
+                           multiplicities=None, residual_tol: float = 1e-6) -> FiniteState:
     """Rebuild the state whose representation vanishes at the given zeros.
 
     Accepts a ZeroSet, or an array of positions plus `params` (and optional
-    multiplicities).  The multiplicity-weighted sum must satisfy the lattice
-    constraint to within `residual_tol`, otherwise no state exists and a
-    ValueError is raised.  The candidate
+    multiplicities, each at least 1; a position listed more than once is one
+    zero with the summed multiplicity).  The multiplicity-weighted sum must
+    satisfy the lattice constraint to within `residual_tol`, otherwise no
+    state exists and a ValueError is raised.
 
-        f(z) = exp[-i sqrt(2 pi / d) N z / lam] Q(z)
-
-    is collocated at d points along a horizontal line through the cell and
-    the position amplitudes solved from the theta basis; the result is
-    normalized (the global phase is not fixed by the zeros).
+    Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
+    z_j is one linear condition on the amplitudes: the state is orthogonal
+    to the coherent state at conj(z_j).  A zero of multiplicity m gives the
+    rows of derivative orders 0 .. m-1.  By the completeness theorem, d rows
+    of zeros obeying the lattice constraint have rank d - 1, and the
+    amplitudes are their null vector: the last right singular vector of the
+    row-normalised matrix.  Its error is about eps / gap, where gap is the
+    second-smallest singular value over the largest.  When gap is at most
+    d eps (the rank rule of numpy's matrix_rank) the zeros do not fix one
+    state in double precision and RuntimeError is raised.  The result is
+    normalized; the global phase is not fixed by the zeros.
     """
     if isinstance(zeros, ZeroSet):
         params = zeros.params
@@ -431,36 +416,30 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
         if multiplicities is None:
             multiplicities = np.ones(positions.size, dtype=int)
     multiplicities = np.asarray(multiplicities, dtype=int)
-    d, lam = params.d, params.lam
+    d = params.d
+    if np.any(multiplicities < 1):
+        raise ValueError(f"multiplicities must be at least 1, got {multiplicities.min()}")
     if int(np.sum(multiplicities)) != d:
         raise ValueError(
             f"multiplicities sum to {int(np.sum(multiplicities))}, expected d = {d}"
         )
-    total = complex(np.sum(positions * multiplicities))
-    residual, M, N = sum_constraint_fit(total, params)
+    residual, _, _ = sum_constraint_fit(complex(np.sum(positions * multiplicities)), params)
     if residual > residual_tol:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
             f"(residual {residual:.3e} > {residual_tol:.1e})"
         )
-    zero_list = [z for z, m in zip(positions, multiplicities) for _ in range(m)]
-    freq = math.sqrt(2 * np.pi / d) * N / lam
-
-    def candidate(z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(-1j * freq * z) * _zero_product(z, zero_list, params)
-
-    spacing = params.cell_width / d
-    m = np.arange(d)
-    for shift_frac, h_frac in ((0.0, 0.37), (0.31, 0.61), (0.57, 0.23), (0.83, 0.79)):
-        zc = (params.a + (m + 0.5) * spacing + shift_frac * spacing
-              + 1j * (params.b + h_frac * params.cell_height / d))
-        # the theta basis of f on the line, up to a factor common to the whole
-        # line, which the normalization of the result removes
-        V = weighted_thetas(zc, params)
-        if np.linalg.cond(V) > cond_max:
-            continue
-        y = candidate(zc)
-        amps = np.linalg.solve(V, y)
-        return FiniteState(amps, normalize=True)
-    raise RuntimeError("collocation system remained ill-conditioned after retries")
+    if d == 1:
+        return FiniteState(np.ones(1))  # one ray, and its single row vanishes
+    positions, which = np.unique(positions, return_inverse=True)
+    mults = np.bincount(which, weights=multiplicities).astype(int)
+    rows = np.concatenate([weighted_thetas(positions[mults > k], params, k)
+                           for k in range(mults.max())])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    _, sv, vh = np.linalg.svd(rows)
+    if sv[-2] <= d * np.finfo(float).eps * sv[0]:
+        raise RuntimeError(
+            "the zeros do not fix one state in double precision: second-smallest "
+            f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps"
+        )
+    return FiniteState(np.conj(vh[-1]), normalize=True)

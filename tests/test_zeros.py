@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
+from finiteq.zak import weighted_thetas
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -203,6 +204,24 @@ def test_classify_merges_duplicates():
     assert res.verdict != "overcomplete-at-least-complete"
 
 
+def test_classify_merges_across_cell_edges():
+    # labels 2e-13 apart on either side of a cell edge are one label of
+    # multiplicity 2, classified like the same pair inside the cell
+    params = SystemParams(3)
+    a, b = params.a, params.b
+    far = 1.1 + 2.2j
+    for edge, step in ((a + 1.3j, 1e-13), (0.9 + 1j * b, 1e-13j)):
+        outside = classify_completeness([edge - step, edge, far], params, cross_validate=True)
+        inside = classify_completeness([edge + step, edge, far], params, cross_validate=True)
+        assert outside.reduced and not inside.reduced
+        assert (outside.count, outside.verdict, outside.M, outside.N, outside.gram_rank) == \
+            (inside.count, inside.verdict, inside.M, inside.N, inside.gram_rank)
+        assert abs(outside.residual - inside.residual) < 1e-12
+    # a label inside the cell, within float noise of its far edge, is not reduced
+    near_edge = complex(a + params.cell_width * (1 - 1e-12), 1.3)
+    assert not classify_completeness([near_edge, 0.5 + 0.5j, far], params).reduced
+
+
 def test_gram_rank_full_for_generic_points():
     params = SystemParams(3)
     rng = np.random.default_rng(5)
@@ -221,10 +240,16 @@ def test_reconstruct_roundtrip_random_state():
 
 
 def test_reconstruct_position_state_from_closed_form_zeros():
-    params = SystemParams(4)
-    zeros = position_zero_lattice(2, params)
-    rec = reconstruct_from_zeros(np.array(zeros), params)
-    assert rec.fidelity(position_state(2, 4)) >= 1 - 1e-10
+    for d in (4, 32):
+        params = SystemParams(d)
+        zeros = position_zero_lattice(2, params)
+        rec = reconstruct_from_zeros(np.array(zeros), params)
+        assert rec.fidelity(position_state(2, d)) >= 1 - 1e-10
+    # at d = 64 the second-smallest singular value of the rows is below d eps
+    # of the largest, so the zeros do not fix one state in double precision
+    params = SystemParams(64)
+    with pytest.raises(RuntimeError, match="do not fix one state"):
+        reconstruct_from_zeros(np.array(position_zero_lattice(2, params)), params)
 
 
 def test_reconstruct_rejects_constraint_violation():
@@ -239,6 +264,33 @@ def test_reconstruct_rejects_wrong_count():
     params = SystemParams(4)
     with pytest.raises(ValueError, match="multiplicities"):
         reconstruct_from_zeros(np.array([1 + 1j, 2 + 2j]), params)
+
+
+def test_reconstruct_rejects_multiplicity_below_one():
+    params = SystemParams(2)
+    z0 = 1.3 + 0.7j
+    target = np.sqrt(np.pi / 2) * 2**1.5 * (1 + 1j)
+    zeros, mults = np.array([z0, 3 * z0 - target]), np.array([3, -1])
+    assert sum_constraint_fit(np.sum(zeros * mults), params)[0] < 1e-12
+    with pytest.raises(ValueError, match="at least 1"):
+        reconstruct_from_zeros(zeros, params, mults)
+
+
+def test_reconstruct_triple_zero():
+    # a triple zero given once with multiplicity 3 or listed three times
+    params = SystemParams(5)
+    width, height = params.cell_width, params.cell_height
+    z0, z1 = complex(0.317 * width, 0.473 * height), complex(0.812 * width, 0.131 * height)
+    z2 = np.sqrt(np.pi / 2) * 5**1.5 * (1 + 1j) - 3 * z0 - z1
+    once = reconstruct_from_zeros(np.array([z0, z1, z2]), params, [3, 1, 1])
+    listed = reconstruct_from_zeros(np.array([z0, z1, z0, z2, z0]), params)
+    assert once.fidelity(listed) >= 1 - 1e-12
+    # f, f' and f'' vanish at z0, and a small box around it holds three zeros
+    for k in range(3):
+        row = weighted_thetas(z0, params, k)
+        assert abs(row @ once.components) <= 1e-10 * np.linalg.norm(row)
+    half = 1e-3 * height * (1 + 1j)
+    assert count_zeros(AnalyticState(once, params), z0 - half, z0 + half) == 3
 
 
 def test_double_zero_roundtrip():
@@ -310,7 +362,8 @@ def roundtrip_cases():
             except ValueError:
                 continue  # the transform of this Hermite function vanishes at d
             yield pytest.param(d, state, id=f"number-d{d}-N{n}")
-    yield pytest.param(16, random_state(np.random.default_rng([4, 16]), 16), id="random-d16")
+    for d in (16, 32, 64):
+        yield pytest.param(d, random_state(np.random.default_rng([4, d]), d), id=f"random-d{d}")
 
 
 @pytest.mark.parametrize("d,state", list(roundtrip_cases()))
@@ -339,9 +392,11 @@ def test_find_zeros_property(d, seed):
 @pytest.mark.parametrize("d", [256, 1000])
 def test_find_zeros_large_d(d):
     params = SystemParams(d)
-    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(d), d), params))
+    v = random_state(np.random.default_rng(d), d)
+    zs = find_zeros(AnalyticState(v, params))
     assert zs.total == d
     assert zs.residual <= 1e-6
+    assert 1.0 - reconstruct_from_zeros(zs).fidelity(v) <= 1e-10
 
 
 @pytest.mark.parametrize("d,m", [(16, 3), (48, 0), (64, 3)])
@@ -381,3 +436,4 @@ def test_find_zeros_scaled_and_anchored_cells(lam, anchor):
         assert zs.residual <= 1e-8
         assert np.all((zs.positions.real >= params.a) & (zs.positions.real < params.a + params.cell_width))
         assert np.all((zs.positions.imag >= params.b) & (zs.positions.imag < params.b + params.cell_height))
+        assert 1.0 - reconstruct_from_zeros(zs).fidelity(v) <= 1e-10
