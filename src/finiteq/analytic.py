@@ -15,9 +15,19 @@ weighted series
 
     exp(-y^2/2) f(z) = pi**-1/4 sum_m f_m sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) e^{2 pi i n m/d}
 
-with terms of modulus at most |f_m|.  f, f', displaced f and the operator
-kernels are all evaluated from it (:func:`finiteq.zak.weighted_thetas`), so
-f raises only where |f| itself exceeds the double range.
+with terms of modulus at most |f_m|.  Summing over m first leaves one
+Gaussian-weighted series in the spectrum G = d ifft(f_m) of the state,
+
+    exp(-y^2/2) f(z) = pi**-1/4 sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) G_{n mod d},
+
+whose live terms, the n within sqrt(41 d lam^2 / pi) of kappa y, give f,
+f', displaced f and the cell quadratures at O(lam sqrt(d)) terms per point
+and no FFT per point.  On the tensor grids of the quadratures the terms
+factor into row factors (the Gaussian times the gathered G), column
+factors exp(-2icjx) and one phase per node, so a grid is one matrix
+product.  f raises only where |f| itself exceeds the double range.  The
+operator kernels and the coherent amplitudes, which need all d values
+theta_m(z) at a point, use :func:`finiteq.zak.weighted_thetas`.
 
 The bilinear pairing sum_m f_m g_m is recovered from the cell integral
 
@@ -40,12 +50,14 @@ from .theta import theta2, theta3
 from .zak import (
     _THETA_CUT,
     SystemParams,
-    _fold_width,
+    _fold,
     _parity_form,
+    _spectral_grid,
+    _spectral_sum,
     _theta_scales,
+    _theta_window,
     coherent_normalization,
     coherent_state_closed,
-    coherent_unnormalized,
     weighted_thetas,
 )
 
@@ -77,9 +89,17 @@ class AnalyticState:
                 f"state dimension {self.state.d} does not match params.d = {self.params.d}"
             )
 
+    def _spectrum(self) -> np.ndarray:
+        """G = d ifft(f_m), the coefficients of the swapped series."""
+        return self.params.d * np.fft.ifft(self.state.components)
+
     def _weighted(self, z, derivative: bool = False) -> np.ndarray:
         """exp(-Im(z)^2 / 2) f(z), or the same weight times f'(z); O(1) for every d."""
-        return np.pi ** -0.25 * (weighted_thetas(z, self.params, int(derivative)) @ self.state.components)
+        return np.pi ** -0.25 * _spectral_sum(z, self.params, self._spectrum(), int(derivative))
+
+    def _weighted_grid(self, x, y) -> np.ndarray:
+        """_weighted on the tensor grid x[None, :] + 1j y[:, None] of 1-d x and y."""
+        return np.pi ** -0.25 * _spectral_grid(x, y, self.params, self._spectrum())
 
     def _evaluate(self, z, derivative: bool, what: str):
         z = np.asarray(z, dtype=complex)
@@ -88,10 +108,7 @@ class AnalyticState:
             # exp(y^2/2) in two halves, so f is finite wherever |f| is
             half = np.exp(0.25 * zz.imag**2)
             values = self._weighted(zz, derivative) * half * half
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            raise RuntimeError(f"{what} is not finite at z = {complex(zz[bad][0])} for d = "
-                               f"{self.params.d}: |f| exceeds the double range there")
+        _require_finite(values, zz, self.params.d, what)
         return complex(values[0]) if z.ndim == 0 else values
 
     def __call__(self, z):
@@ -118,19 +135,19 @@ class AnalyticState:
         term at both ends of the range are dropped too.  Either kind, left as
         a leading term, would add spurious roots far outside the range and
         spoil the accuracy of the roots inside it.  Returns (k, a, s), the
-        terms rescaled to the mid height ym in log space so that nothing
-        overflows at any d:
+        terms rescaled to the mid height ym, which is the weighted series
+        of :meth:`_weighted` at ym, so that nothing overflows at any d:
 
-            f(z) = exp(s) sum_k a_k v^k,   v = w exp(-2 c ym).
+            f(z) = exp(s) sum_k a_k v^k,   v = w exp(-2 c ym),   s = ym^2 / 2.
         """
-        d, lam = self.params.d, self.params.lam
-        c, kappa, K = _theta_scales(self.params)
-        k = np.arange(math.floor(kappa * y0 - K), math.ceil(kappa * y1 + K) + 1)
-        exponent = -np.pi * k**2 / (d * lam**2) + c * k * (y0 + y1)
-        s = float(np.max(exponent))
-        G = d * np.fft.ifft(self.state.components)
+        d = self.params.d
+        c = _theta_scales(self.params)[0]
+        ym = 0.5 * (y0 + y1)
+        s = 0.5 * ym**2
+        k, exponent = _theta_window(self.params, ym, 0.5 * (y1 - y0))
+        G = self._spectrum()
         G[np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G))] = 0.0
-        a = np.pi ** -0.25 * G[k % d] * np.exp(exponent - s)
+        a = np.pi ** -0.25 * G[k % d] * np.exp(exponent)
         tilt = c * (y1 - y0) * k  # log |v|^k at y1, and minus it at y0
         with np.errstate(divide="ignore", invalid="ignore"):
             log_a = np.log(np.abs(a))
@@ -155,6 +172,15 @@ class AnalyticState:
         return complex(math.sqrt(norm * d) * lam * np.exp(-0.5j * z.imag * z) * ov)
 
 
+def _require_finite(values, z, d: int, what: str):
+    """Raise RuntimeError, naming d and the first such z, where values are not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        where = complex(np.broadcast_to(z, bad.shape)[bad][0])
+        raise RuntimeError(f"{what} is not finite at z = {where} for d = {d}: "
+                           f"its value exceeds the double range there")
+
+
 def position_form(m: int, params: SystemParams, z):
     """Representation of the m-th position state: pi**-1/4 theta3[pi m/d - c z; i/(d lam^2)]."""
     return AnalyticState(position_state(m, params.d), params)(z)
@@ -168,7 +194,10 @@ def momentum_form(m: int, params: SystemParams, z):
     d, lam = params.d, params.lam
     z = np.asarray(z, dtype=complex)
     u = np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d))
-    return lam * np.pi ** -0.25 * np.exp(-0.5 * z * z) * theta3(u, 1j * lam**2 / d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = lam * np.pi ** -0.25 * np.exp(-0.5 * z * z) * theta3(u, 1j * lam**2 / d)
+    _require_finite(values, z, d, "momentum_form")
+    return values
 
 
 def coherent_form(label, params: SystemParams, z, form: str = "auto"):
@@ -183,29 +212,27 @@ def coherent_form(label, params: SystemParams, z, form: str = "auto"):
     z = np.asarray(z, dtype=complex)
     nc = coherent_normalization(a, params)
     pref = np.pi ** -0.5 / lam * math.sqrt(d / nc) * np.exp(0.5j * a.imag * a)
-    minus = theta3((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-    if _parity_form(form, d) == "even":
-        plus = theta3((z + a) / lam * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2)
-        return pref * plus * minus
-    u1 = (z + a) / lam * math.sqrt(np.pi * d / 2)
-    tau1 = 2j * d / lam**2
-    return pref * (
-        theta3(u1, tau1) * minus
-        + theta2(u1, tau1) * theta2((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        minus = theta3((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
+        if _parity_form(form, d) == "even":
+            plus = theta3((z + a) / lam * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2)
+            values = pref * plus * minus
+        else:
+            u1 = (z + a) / lam * math.sqrt(np.pi * d / 2)
+            tau1 = 2j * d / lam**2
+            values = pref * (
+                theta3(u1, tau1) * minus
+                + theta2(u1, tau1) * theta2((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
+            )
+    _require_finite(values, z, d, "coherent_form")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # cell quadrature
 
 
-# Terms one weighted_thetas call may hold in the cell quadratures (nodes times
-# the folded series width, 16 bytes each); larger grids go in blocks of rows
-_QUAD_TERMS = 1 << 20
-
-
-def _cell_trapezoid(params: SystemParams, evaluate, pref: float, tol: float, label: str,
-                    reduce=lambda v: v.sum(axis=(0, 1))):
+def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, label: str):
     """pref * Int_S d2z integrand(z), by the periodic trapezoid rule on the cell.
 
     The integrands of the three cell quadratures are periodic in x and in y
@@ -215,12 +242,12 @@ def _cell_trapezoid(params: SystemParams, evaluate, pref: float, tol: float, lab
     falls like exp(-pi m^2 / 2).  The coarse level takes
     m = sqrt(2 ln(100 / tol) / pi), whose error sits near tol / 100; the
     fine level doubles both axes, so the coarse nodes are every other fine
-    node and one evaluation gives both sums.  The fine sum is returned when
-    the two agree within tol, absolute for values up to 1 and relative
-    above, where the integrand carries the exp(Im(z)^2 / 2) growth of f.
+    node.  The fine sum is returned when the two agree within tol, absolute
+    for values up to 1 and relative above, where the integrand carries the
+    exp(Im(z)^2 / 2) growth of f.
 
-    ``evaluate(z)`` gives the integrand on a 2-d block of nodes, with the
-    node axes first, and ``reduce`` sums such values over the node axes.
+    ``integral(x, y)`` gives the sum of the integrand over the tensor grid
+    x[None, :] + 1j y[:, None] of 1-d node coordinates x and y.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"{label}: tol must lie in (0, 1), got {tol}")
@@ -229,14 +256,8 @@ def _cell_trapezoid(params: SystemParams, evaluate, pref: float, tol: float, lab
     ny = math.ceil(m * math.sqrt(params.d) / params.lam)
     x = params.a + params.cell_width * np.arange(2 * nx) / (2 * nx)
     y = params.b + params.cell_height * np.arange(2 * ny) / (2 * ny)
-    rows = 2 * max(1, _QUAD_TERMS // (4 * nx * _fold_width(params)))  # even, so blocks start on coarse rows
-    fine = coarse = 0.0
-    for j in range(0, 2 * ny, rows):
-        vals = evaluate(x[None, :] + 1j * y[j:j + rows, None])
-        fine = fine + reduce(vals)
-        coarse = coarse + reduce(vals[::2, ::2])
     weight = pref * params.cell_width * params.cell_height / (nx * ny)
-    fine, coarse = fine * (weight / 4), coarse * weight
+    fine, coarse = integral(x, y) * (weight / 4), integral(x[::2], y[::2]) * weight
     if np.max(np.abs(fine - coarse)) <= tol * max(1.0, np.max(np.abs(fine))):
         return fine
     raise RuntimeError(
@@ -255,14 +276,18 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
     the change of e^{-Im(z)^2}.  The periodic trapezoid rule on
     n_x = m lam sqrt(d) by n_y = m sqrt(d) / lam nodes then has error
     exp(-pi m^2 / 2), checked against the same rule on every other node
-    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.
+    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.  The weighted
+    f and g on the grid come from their row and column factors.
     """
     if f.params != g.params:
         raise ValueError("states must share the same system parameters")
     p = f.params
     pref = (2 * np.pi) ** -0.5 * p.d ** -1.5 / p.lam
-    return complex(_cell_trapezoid(p, lambda z: f._weighted(z) * g._weighted(np.conj(z)),
-                                   pref, tol, "scalar_product"))
+
+    def integral(x, y):
+        return np.sum(f._weighted_grid(x, y) * g._weighted_grid(x, -y))
+
+    return complex(_cell_trapezoid(p, integral, pref, tol, "scalar_product"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +326,12 @@ def kernel_eval(kernel: OperatorKernel, z, zeta_star):
     """Kernel value pi**-1/2 d**-1 sum_mn Omega_mn theta3[..z..] theta3[..zeta*..]."""
     p = kernel.params
     val = np.einsum("...m,mn,...n->...", weighted_thetas(z, p), kernel.matrix, weighted_thetas(zeta_star, p))
-    return np.pi ** -0.5 / p.d * val * np.exp(0.5 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exp((y1^2 + y2^2) / 2) in two halves, so the kernel is finite wherever its value is
+        half = np.exp(0.25 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2))
+        values = np.pi ** -0.5 / p.d * val * half * half
+    _require_finite(values, z, p.d, "kernel_eval")
+    return values
 
 
 def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6) -> complex:
@@ -312,7 +342,9 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     split between the weighted theta(zeta*) and f(zeta), which are O(1).  As
     a function of zeta the integrand is doubly periodic on the cell, like
     that of :func:`scalar_product`, and the same periodic trapezoid rule with
-    error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.
+    error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.  The
+    theta(zeta*) factor, contracted with the kernel row at z, is the weighted
+    series of the row's spectrum, so both factors come from grid factors.
     """
     if f.params != kernel.params:
         raise ValueError("state and kernel must share the same system parameters")
@@ -320,8 +352,12 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
     row = np.pi ** -0.5 / p.d * math.exp(0.5 * z.imag**2) * (weighted_thetas(z, p) @ kernel.matrix)
-    return complex(_cell_trapezoid(p, lambda zeta: (weighted_thetas(np.conj(zeta), p) @ row)
-                                   * f._weighted(zeta), pref, tol, "kernel_apply"))
+    spectrum = p.d * np.fft.ifft(row)
+
+    def integral(x, y):
+        return np.sum(_spectral_grid(x, -y, p, spectrum) * f._weighted_grid(x, y))
+
+    return complex(_cell_trapezoid(p, integral, pref, tol, "kernel_apply"))
 
 
 def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
@@ -344,6 +380,32 @@ def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
 # resolution of the identity over the cell
 
 
+def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
+    """sum of t t^H over the tensor grid x[None, :] + 1j y[:, None], t = coherent_unnormalized(node).
+
+    At a node z = x + iy, t_m = p(z) sum_n g_n(y) e^{-2icnx} e^{2 pi i n m / d}
+    with |p(z)|^2 = pi**-1/2 / (d lam^2) and the Gaussian weights
+    g_n(y) = exp(-pi (n - kappa y)^2 / (d lam^2)) of the swapped series.  So
+    the sum is |p|^2 W S W^H with W_mr = e^{2 pi i r m / d}, where S folds by
+    (n mod d, n' mod d) the matrix Gamma(n, n') chi(n - n'), of the row sums
+    Gamma(n, n') = sum_y g_n(y) g_n'(y) and the column sums
+    chi(k) = sum_x e^{-2ickx}.  It takes one product of the Gaussians of
+    every row over the N = d + O(lam sqrt(d)) live n and two FFTs, rather
+    than d values at every node.
+    """
+    d = params.d
+    c, kappa, K = _theta_scales(params)
+    y = np.asarray(y, dtype=float)
+    n = np.arange(math.floor(kappa * y.min() - K), math.ceil(kappa * y.max() + K) + 1)
+    gauss = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y[:, None]) ** 2)
+    gram = gauss.T @ gauss
+    chi = np.exp(-2j * c * np.outer(np.arange(1 - n.size, n.size), x)).sum(axis=1)
+    lag = np.subtract.outer(np.arange(n.size), np.arange(n.size)) + n.size - 1
+    folded = _fold(_fold(gram * chi[lag], d).T, d).T
+    folded = np.roll(folded, n[0] % d, axis=(0, 1))  # row j of the fold holds n = n[0] + j (mod d)
+    return np.pi ** -0.5 / (d * params.lam**2) * np.fft.fft(d * np.fft.ifft(folded, axis=0), axis=1)
+
+
 def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndarray:
     """lam (2 pi d)**-1/2 Int_S N(A) |A>><<A| d2A, as a d x d matrix.
 
@@ -352,8 +414,9 @@ def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndar
     theta-form amplitudes, which is doubly periodic in A on the cell like
     the scalar-product integrand; it is evaluated with the same periodic
     trapezoid rule, error exp(-pi m^2 / 2), and tol in (0, 1) sizes the grid.
+    The node sums come from the row and column sums of the swapped series
+    (``_coherent_gram``).
     """
     pref = params.lam * (2 * np.pi * params.d) ** -0.5
-    return _cell_trapezoid(params, lambda z: coherent_unnormalized(z, params), pref, tol,
-                           "coherent_identity_matrix",
-                           reduce=lambda t: np.tensordot(t, t.conj(), axes=([0, 1], [0, 1])))
+    return _cell_trapezoid(params, lambda x, y: _coherent_gram(params, x, y), pref, tol,
+                           "coherent_identity_matrix")

@@ -9,6 +9,7 @@ Complex flag values use the literal form ``re+imi``, e.g. ``1+1i`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -73,6 +74,7 @@ def _add_common(p):
 
 
 def build_parser() -> _Parser:
+    """A fresh parser for the finiteq command line."""
     parser = _Parser(prog="finiteq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,10 +253,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """One parser per process for :func:`main`: building it costs more than a parse,
+    and each parse fills a fresh namespace, so no value carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

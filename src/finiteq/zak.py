@@ -244,10 +244,45 @@ def _theta_scales(params: SystemParams):
     return c, c * d * lam**2 / np.pi, math.sqrt(_THETA_CUT * d * lam**2 / np.pi)
 
 
-def _fold_width(params: SystemParams) -> int:
-    """Terms weighted_thetas sums per point: every n within K of kappa y, padded to whole periods of d."""
-    _, _, K = _theta_scales(params)
-    return params.d * math.ceil((2 * K + 2) / params.d)
+def _theta_window(params: SystemParams, y, span: float = 0.0):
+    """The live terms of the swapped theta series at heights y - span .. y + span.
+
+    Returns (n, exponent).  Along the last axis n runs over the
+    ceil(2 K + 2 kappa span) + 2 consecutive integers from
+    floor(kappa (y - span) - K), which hold every n within K of kappa times a
+    height of the range; beyond it the Gaussian weight is below
+    exp(-_THETA_CUT) of the largest at each height.  exponent is the log of
+    the weight at height y, -pi (n - kappa y)^2 / (d lam^2).
+    """
+    _, kappa, K = _theta_scales(params)
+    y = np.asarray(y, dtype=float)[..., None]
+    start = np.floor(kappa * (y - span) - K).astype(np.int64)
+    n = start + np.arange(math.ceil(2 * (K + kappa * span)) + 2)
+    return n, -np.pi / (params.d * params.lam**2) * (n - kappa * y) ** 2
+
+
+def _live_terms(z, params: SystemParams, order: int):
+    """(n, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z."""
+    c = _theta_scales(params)[0]
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    n, exponent = _theta_window(params, z.imag)
+    terms = np.exp(exponent - 2j * c * n * z.real[..., None])
+    if order == 1:
+        terms *= -2j * c * n  # a plain multiply: x ** 1 costs several times more
+    elif order:
+        terms *= (-2j * c * n) ** order
+    return n, terms
+
+
+def _fold(values: np.ndarray, d: int) -> np.ndarray:
+    """Sum of the consecutive length-d pieces of the last axis (the last one may be short)."""
+    out = np.zeros(values.shape[:-1] + (d,), dtype=values.dtype)
+    for s in range(0, values.shape[-1], d):
+        piece = values[..., s:s + d]
+        out[..., :piece.shape[-1]] += piece
+    return out
 
 
 def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
@@ -262,25 +297,44 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
     the d values on the last axis.  ``order`` k gives the weighted k-th
     derivative d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
+
+    This is for callers that need all d values at a point: the rows of
+    the reconstruction from zeros, the coherent amplitudes and the operator
+    kernels.  A contraction sum_m a_m theta_m(z), such as f itself, is
+    summed directly from the spectrum of a by :func:`_spectral_sum`.
     """
     d = params.d
-    c, kappa, K = _theta_scales(params)
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    y = z.imag[..., None]
-    start = np.floor(kappa * y - K).astype(np.int64)
-    width = _fold_width(params)
-    n = start + np.arange(width)
-    terms = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y) ** 2 - 2j * c * n * z.real[..., None])
-    if order == 1:
-        terms *= -2j * c * n  # a plain multiply: x ** 1 costs several times more
-    elif order:
-        terms *= (-2j * c * n) ** order
+    n, terms = _live_terms(z, params, order)
     # column j of the fold holds the n = start + j (mod d); rotate it to n mod d
-    folded = terms.reshape(z.shape + (width // d, d)).sum(axis=-2)
-    folded = np.take_along_axis(folded, (np.arange(d) - start) % d, axis=-1)
+    folded = np.take_along_axis(_fold(terms, d), (np.arange(d) - n[..., :1]) % d, axis=-1)
     return d * np.fft.ifft(folded, axis=-1)
+
+
+def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0) -> np.ndarray:
+    """sum_m weighted_thetas(z, params, order)[..., m] a_m, from spectrum = d ifft(a).
+
+    Summing over m first turns the swapped series into one sum over the
+    live n, sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) G_{n mod d},
+    so a point costs its live terms and no fold or FFT.
+    """
+    n, terms = _live_terms(z, params, order)
+    return np.einsum("...j,...j->...", terms, spectrum[n % params.d])
+
+
+def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray) -> np.ndarray:
+    """_spectral_sum on the tensor grid x[None, :] + 1j y[:, None], in factors.
+
+    The term n = start_r + j of row r (height y_r) factors into the row
+    factor exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d}, the column
+    factor exp(-2icjx) and the node phase exp(-2ic start_r x), so the grid
+    takes one matrix product and (rows + columns) x width exponentials.
+    """
+    c = _theta_scales(params)[0]
+    x = np.asarray(x, dtype=float)
+    n, exponent = _theta_window(params, y)
+    rows = np.exp(exponent) * spectrum[n % params.d]
+    cols = np.exp(-2j * c * np.outer(np.arange(n.shape[-1]), x))
+    return (rows @ cols) * np.exp(-2j * c * np.outer(n[:, 0], x))
 
 
 def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
@@ -426,13 +480,22 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
 
 @dataclass
 class SectorFamily:
-    """States of one wavefunction over a uniform sigma1 grid at fixed sigma2."""
+    """States of one wavefunction over a uniform sigma1 grid at fixed sigma2.
+
+    ``amplitudes`` holds the unnormalized components, one row per sigma1;
+    when not given it is built from ``states`` and ``norms``.
+    """
 
     params: SystemParams
     sigma1: np.ndarray
     sigma2: float
     states: list = field(default_factory=list)
     norms: np.ndarray = None
+    amplitudes: np.ndarray = None
+
+    def __post_init__(self):
+        if self.amplitudes is None and self.states:
+            self.amplitudes = np.sqrt(self.norms)[:, None] * np.array([s.components for s in self.states])
 
     def component(self, m: int) -> np.ndarray:
         """Unnormalized component m across the sigma1 grid, for any integer m.
@@ -441,8 +504,7 @@ class SectorFamily:
         t_{m+d}(sigma1) = e^{2 pi i sigma1} t_m(sigma1).
         """
         q, r = divmod(int(m), self.params.d)
-        amps = np.array([s.components[r] for s in self.states])
-        return np.sqrt(self.norms) * amps * np.exp(2j * np.pi * self.sigma1 * q)
+        return self.amplitudes[:, r] * np.exp(2j * np.pi * self.sigma1 * q)
 
 
 def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int = 64) -> SectorFamily:
@@ -455,7 +517,7 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
     t, _ = _lattice_sums(psi, params.d, step, grid, sigma2, None)
     nrm = np.linalg.norm(t, axis=1)
     states = [FiniteState(row / n, normalize=False) for row, n in zip(t, nrm)]
-    return SectorFamily(params, grid, sigma2, states, nrm**2)
+    return SectorFamily(params, grid, sigma2, states, nrm**2, t)
 
 
 def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> complex:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from finiteq import analytic
+from finiteq import analytic, zak
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -390,21 +390,91 @@ def test_kernel_apply_exact_on_every_cell(d, lam):
 
 
 def test_scalar_product_at_large_d():
-    # 110 x 110 nodes at d = 256, evaluated in several blocks of rows
-    params = SystemParams(256)
-    rng = np.random.default_rng(256)
-    f = AnalyticState(random_state(rng, 256), params)
-    g = AnalyticState(random_state(rng, 256), params)
-    bilinear = np.sum(f.state.components * g.state.components)
-    assert abs(scalar_product(f, g) - bilinear) <= 1e-12
+    # 110 x 110 fine nodes at d = 256, 156 x 156 at d = 512
+    for d in (256, 512):
+        params = SystemParams(d)
+        rng = np.random.default_rng(d)
+        f = AnalyticState(random_state(rng, d), params)
+        g = AnalyticState(random_state(rng, d), params)
+        bilinear = np.sum(f.state.components * g.state.components)
+        assert abs(scalar_product(f, g) - bilinear) <= 1e-12
 
 
-def test_quadrature_blocks_of_rows_match_one_block(monkeypatch):
+def test_kernel_apply_at_large_d():
+    d = 512
+    params = SystemParams(d)
+    rng = np.random.default_rng(d)
+    v = random_state(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z = random_cell_point(rng, params)
+    ref = AnalyticState(FiniteState(op @ v.components, normalize=False), params)(z)
+    got = kernel_apply(OperatorKernel(op, params), AnalyticState(v, params), z)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_quadrature_factored_sums_match_pointwise_sums():
+    # the node sums from row and column factors against the same trapezoid
+    # rule summed over the values at each node
     params = SystemParams(5, 1.3, a=0.4, b=-2.0)
-    whole = coherent_identity_matrix(params)
-    monkeypatch.setattr(analytic, "_QUAD_TERMS", 1)  # two rows of nodes per block
-    blocked = coherent_identity_matrix(params)
-    assert np.max(np.abs(blocked - whole)) <= 1e-14
+    rng = np.random.default_rng(5)
+    f = AnalyticState(random_state(rng, 5), params)
+    g = AnalyticState(random_state(rng, 5), params)
+    op = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    z = random_cell_point(rng, params)
+
+    def nodes(x, y):
+        return x[None, :] + 1j * y[:, None]
+
+    def amplitude_sum(x, y):
+        t = coherent_unnormalized(nodes(x, y), params)
+        return np.tensordot(t, t.conj(), axes=([0, 1], [0, 1]))
+
+    pref = params.lam * (2 * np.pi * 5) ** -0.5
+    pointwise = analytic._cell_trapezoid(params, amplitude_sum, pref, 1e-6, "identity")
+    assert np.max(np.abs(coherent_identity_matrix(params) - pointwise)) <= 1e-14
+
+    pref = (2 * np.pi) ** -0.5 * 5 ** -1.5 / params.lam
+    pointwise = analytic._cell_trapezoid(
+        params, lambda x, y: np.sum(f._weighted(nodes(x, y)) * g._weighted(np.conj(nodes(x, y)))),
+        pref, 1e-6, "scalar")
+    assert abs(scalar_product(f, g) - pointwise) <= 1e-14
+
+    def kernel_sum(x, y):
+        zeta = nodes(x, y)
+        return np.sum(kernel_eval(OperatorKernel(op, params), z, np.conj(zeta)) * f._weighted(zeta)
+                      * np.exp(-0.5 * zeta.imag**2))
+
+    pref = (2 * np.pi * 5) ** -0.5 / params.lam
+    pointwise = analytic._cell_trapezoid(params, kernel_sum, pref, 1e-6, "kernel")
+    got = kernel_apply(OperatorKernel(op, params), f, z)
+    assert abs(got - pointwise) <= 1e-14 * max(1.0, abs(pointwise))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1000])
+def test_spectral_sum_matches_weighted_thetas(d):
+    # f and f' are summed from the spectrum d ifft(a) of the amplitudes, on
+    # the grid in row and column factors; the reference contracts the d
+    # values theta_m(z).  Errors are judged against the sum of the moduli of
+    # the terms, |a_m| exp(-pi (n - kappa y)^2 / (d lam^2)) (times 2c|n| for f')
+    rng = np.random.default_rng([29, d])
+    for lam in (0.3, 1.0, 2.5):
+        params, _ = anchored_params(d, lam)
+        amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+        spectrum = d * np.fft.ifft(amps)
+        x = params.a + params.cell_width * rng.uniform(size=7)
+        y = params.b + params.cell_height * rng.uniform(size=5)
+        z = x[None, :] + 1j * y[:, None]
+        c = np.sqrt(np.pi / (2 * d)) / lam
+        kappa = c * d * lam**2 / np.pi
+        n = np.arange(np.floor(kappa * y.min()) - 400, np.ceil(kappa * y.max()) + 401)
+        weights = np.exp(-np.pi * (n - kappa * y[:, None]) ** 2 / (d * lam**2))
+        for order in (0, 1):
+            scale = np.sum(np.abs(amps)) * (weights * (2 * c * np.abs(n)) ** order).sum(axis=1)[:, None]
+            got = zak._spectral_sum(z, params, spectrum, order)
+            ref = zak.weighted_thetas(z, params, order) @ amps
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+            if order == 0:
+                assert np.all(np.abs(zak._spectral_grid(x, y, params, spectrum) - got) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan"), float("inf")])
@@ -555,6 +625,28 @@ def test_non_finite_values_raise():
         s.derivative(z)
     with pytest.raises(RuntimeError, match="displaced f is not finite .* d = 256"):
         displaced_f(s, 1, 2, z)
+    with pytest.raises(RuntimeError, match="kernel_eval is not finite .* d = 256"):
+        kernel_eval(OperatorKernel(np.eye(d), params), z, np.conj(z))
+    with pytest.raises(RuntimeError, match="momentum_form is not finite .* d = 256"):
+        momentum_form(3, params, z)
+    with pytest.raises(RuntimeError, match="coherent_form is not finite .* d = 256"):
+        coherent_form(0.3 + 0.2j, params, z)
+
+
+def test_kernel_eval_near_double_range():
+    # (y1^2 + y2^2) / 2 = 712 lies beyond the double range, yet the value, with
+    # a kernel scaled by 1e-6, does not: the lift is applied in two halves
+    d = 128
+    params = SystemParams(d)
+    rng = np.random.default_rng(128)
+    op = 1e-6 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    y = np.sqrt(712.0)
+    z, zeta_star = complex(0.37 * params.cell_width, y), complex(0.61 * params.cell_width, y)
+    ms = np.arange(d)
+    weighted = mp_thetas(d, 1.0, ms, z) @ op @ mp_thetas(d, 1.0, ms, zeta_star)
+    ref = complex(mpmath.mpc(weighted) * mpmath.exp(712) / (mpmath.sqrt(mpmath.pi) * d))
+    got = kernel_eval(OperatorKernel(op, params), z, zeta_star)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("d,lam", [(1, 1.0), (2, 0.7), (5, 1.3), (16, 1.0), (64, 1.0), (192, 1.0)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finiteq import FiniteState, SystemParams, position_state
-from finiteq.cli import main, parse_complex
+from finiteq.cli import build_parser, main, parse_complex
 from finiteq.serialization import (
     load_state,
     load_zeros_csv,
@@ -160,6 +160,21 @@ def test_verify_deterministic(capsys):
     main(["verify", "--d", "3", "--seed", "11", "--suite", "zak"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_main_calls_share_no_values(tmp_path, capsys):
+    # main parses with one parser per process; no flag value may carry over to the next call
+    first, second = tmp_path / "c.json", tmp_path / "n.json"
+    assert main(["state", "coherent", "--d", "3", "--lambda", "1.2", "--cell-a", "0.5",
+                 "--A", "0.5-0.1i", "--out", str(first)]) == 0
+    assert main(["state", "number", "--d", "4", "--N", "0", "--out", str(second)]) == 0
+    assert json.loads(second.read_text())["lambda"] == 1.0
+    assert main(["verify", "--suite", "theta", "--seed", "5", "--d", "3"]) == 0
+    assert main(["verify", "--suite", "theta"]) == 0
+    assert "(d=4, seed=0, suite=theta)" in capsys.readouterr().out
+    assert main(["state", "number", "--d", "4", "--out", str(second)]) == 1  # --N is not remembered
+    assert "--N is required" in capsys.readouterr().err
+    assert build_parser() is not build_parser()
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,6 +7,7 @@ from finiteq import (
     GaussianCoherent,
     HermiteNumber,
     SampledGrid,
+    SectorFamily,
     SystemParams,
     ZakSector,
     coherent_from_number,
@@ -358,6 +359,13 @@ def test_sector_family_matches_per_sector_sums(psi, sigma2, n_sigma1):
         ref = zak_sums(psi, params, ZakSector(s1, sigma2))
         assert abs(norm - np.sum(np.abs(ref) ** 2)) <= 1e-14 * norm
         assert np.max(np.abs(np.sqrt(norm) * state.components - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a family built directly from its states and norms gives the same components
+    direct = SectorFamily(params, family.sigma1, sigma2, family.states, family.norms)
+    scale = np.max(np.abs(family.amplitudes))
+    for m in (-7, 0, 13):
+        ref = np.array([zak_sums(psi, params, ZakSector(s1, sigma2), m=[m])[0] for s1 in family.sigma1])
+        assert np.max(np.abs(family.component(m) - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(direct.component(m) - ref)) <= 1e-14 * scale
 
 
 def test_sector_family_rejects_odd_grid():
