@@ -232,7 +232,8 @@ def coherent_form(label, params: SystemParams, z, form: str = "auto"):
 # cell quadrature
 
 
-def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, label: str):
+def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, label: str,
+                    floor: float = 1.0):
     """pref * Int_S d2z integrand(z), by the periodic trapezoid rule on the cell.
 
     The integrands of the three cell quadratures are periodic in x and in y
@@ -243,8 +244,8 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     m = sqrt(2 ln(100 / tol) / pi), whose error sits near tol / 100; the
     fine level doubles both axes, so the coarse nodes are every other fine
     node.  The fine sum is returned when the two agree within tol, absolute
-    for values up to 1 and relative above, where the integrand carries the
-    exp(Im(z)^2 / 2) growth of f.
+    for values up to `floor` and relative above, where the integrand carries
+    the exp(Im(z)^2 / 2) growth of f.
 
     ``integral(x, y)`` gives the sum of the integrand over the tensor grid
     x[None, :] + 1j y[:, None] of 1-d node coordinates x and y.
@@ -258,7 +259,7 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     y = params.b + params.cell_height * np.arange(2 * ny) / (2 * ny)
     weight = pref * params.cell_width * params.cell_height / (nx * ny)
     fine, coarse = integral(x, y) * (weight / 4), integral(x[::2], y[::2]) * weight
-    if np.max(np.abs(fine - coarse)) <= tol * max(1.0, np.max(np.abs(fine))):
+    if np.max(np.abs(fine - coarse)) <= tol * max(floor, np.max(np.abs(fine))):
         return fine
     raise RuntimeError(
         f"{label}: quadrature did not converge to {tol}: the trapezoid sums on {nx} x {ny} "
@@ -345,19 +346,28 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.  The
     theta(zeta*) factor, contracted with the kernel row at z, is the weighted
     series of the row's spectrum, so both factors come from grid factors.
+    The sums leave out the factor exp(Im(z)^2 / 2) of the row, which is
+    applied to the result in two halves, so the value is finite wherever
+    |(Omega f)(z)| is, and RuntimeError is raised where it is not.
     """
     if f.params != kernel.params:
         raise ValueError("state and kernel must share the same system parameters")
     p = kernel.params
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
-    row = np.pi ** -0.5 / p.d * math.exp(0.5 * z.imag**2) * (weighted_thetas(z, p) @ kernel.matrix)
+    row = np.pi ** -0.5 / p.d * (weighted_thetas(z, p) @ kernel.matrix)
     spectrum = p.d * np.fft.ifft(row)
 
     def integral(x, y):
         return np.sum(_spectral_grid(x, -y, p, spectrum) * f._weighted_grid(x, y))
 
-    return complex(_cell_trapezoid(p, integral, pref, tol, "kernel_apply"))
+    # the absolute floor 1 on (Omega f)(z) is exp(-Im(z)^2 / 2) on the sums
+    weighted = _cell_trapezoid(p, integral, pref, tol, "kernel_apply", math.exp(-0.5 * z.imag**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(0.25 * z.imag**2)
+        value = weighted * half * half
+    _require_finite(value, z, p.d, "kernel_apply")
+    return complex(value)
 
 
 def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:

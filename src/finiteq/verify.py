@@ -60,9 +60,9 @@ def _suite_hilbert(d, rng):
     s = _random_state(rng, d)
     acc = np.zeros((d, d), dtype=complex)
     for alpha in range(d):
-        for beta in range(d):
-            v = hilbert.displaced_state(s, (alpha, beta)).components
-            acc += np.outer(v, v.conj())
+        # rows are the displaced states over beta, so the product sums their outer products
+        v = np.array([hilbert.displaced_state(s, (alpha, beta)).components for beta in range(d)])
+        acc += v.T @ v.conj()
     out.append(_result("displaced fiducial resolves identity", float(np.max(np.abs(acc / d - np.eye(d)))), 1e-12))
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     table = hilbert.weyl_function(op)

@@ -278,11 +278,10 @@ def _live_terms(z, params: SystemParams, order: int):
 
 def _fold(values: np.ndarray, d: int) -> np.ndarray:
     """Sum of the consecutive length-d pieces of the last axis (the last one may be short)."""
-    out = np.zeros(values.shape[:-1] + (d,), dtype=values.dtype)
-    for s in range(0, values.shape[-1], d):
-        piece = values[..., s:s + d]
-        out[..., :piece.shape[-1]] += piece
-    return out
+    width = values.shape[-1]
+    padded = np.zeros(values.shape[:-1] + (-(-width // d) * d,), dtype=values.dtype)
+    padded[..., :width] = values
+    return padded.reshape(values.shape[:-1] + (-1, d)).sum(axis=-2)
 
 
 def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:

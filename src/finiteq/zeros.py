@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .zak import SystemParams, _theta_scales, coherent_unnormalized, weighted_thetas
+from .zak import SystemParams, _theta_scales, weighted_thetas
 from .analytic import AnalyticState
 
 __all__ = [
@@ -227,27 +227,67 @@ def _into_cell(z, p: SystemParams) -> np.ndarray:
     return p.a + xr + 1j * (p.b + yr)
 
 
+def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
+    """Pairs i < j of points whose nearest lattice translates lie within `diam`, some maybe twice.
+
+    Returns (i, j, offset), offset = _wrap(z[j] - z[i]).  Candidates come from
+    the real parts reduced mod the cell width and sorted, followed by a copy
+    one width up, so that pairs across that edge are adjacent too; a binary
+    search gives each point the points within reach above it, and only
+    those pairs get the full distance.
+    """
+    n, width = z.size, p.cell_width
+    x = (z.real - p.a) % width
+    order = np.argsort(x, kind="stable")
+    ext = np.concatenate((x[order], x[order] + width))
+    # widened by the rounding of the reduction, so that no pair within diam is missed
+    reach = diam + 4 * np.finfo(float).eps * (width + np.max(np.abs(z.real - p.a), initial=0.0))
+    start = np.arange(1, n + 1)
+    stop = np.minimum(np.searchsorted(ext, ext[:n] + reach, side="right"), start + n - 1)
+    counts = np.maximum(stop - start, 0)
+    # sorted point k meets ext[start[k]:stop[k]], at most the n - 1 others once each; flattened
+    shift = np.repeat(start - np.cumsum(counts) + counts, counts)
+    a = order[np.repeat(np.arange(n), counts)]
+    b = order[(shift + np.arange(shift.size)) % n]
+    # a reach beyond half the width can list a pair twice; in _merge the repeat changes nothing
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    offset = _wrap(z[j] - z[i], width, p.cell_height)
+    keep = np.abs(offset) < diam
+    return i[keep], j[keep], offset[keep]
+
+
 def _merge(points, diam: float, p: SystemParams):
     """Points closer than `diam` across the cell's periods, merged into one each.
 
-    A group is keyed by its first member and placed at the mean of its
-    members' translates nearest to that member, reduced into the cell.
+    Points are taken in input order.  A point joins the nearest earlier
+    anchor (the earliest of equally near ones) when that anchor lies within
+    `diam` of one of its lattice translates, and otherwise becomes an anchor
+    itself; so of a chain a-b-c with a, c farther apart than `diam`, b joins
+    a and c anchors its own group.  A group sits at its anchor plus the mean
+    of its members' offsets to the anchor's nearest translates, reduced into
+    the cell, and groups come out in the order their anchors were made.
     Returns (positions, multiplicities).
+
+    Cost: a sort and binary searches over the n points, O(n log n), find the
+    pairs within `diam` (:func:`_close_pairs`), with no n x n distances.
+    Python work is one step per such pair, so it is spent only on points
+    that have an earlier point within `diam`, which are rare at the default
+    diameters, 1e-8 in find_zeros and 1e-10 in classify_completeness.
     """
-    anchors: list[complex] = []
-    offsets: list[list[complex]] = []
-    for z in points:
-        if anchors:
-            off = _wrap(z - np.asarray(anchors), p.cell_width, p.cell_height)
-            i = int(np.argmin(np.abs(off)))
-            if abs(off[i]) < diam:
-                offsets[i].append(complex(off[i]))
-                continue
-        anchors.append(complex(z))
-        offsets.append([0j])
-    positions = _into_cell(np.array([z0 + np.mean(off) for z0, off in zip(anchors, offsets)],
-                                    dtype=complex), p)
-    return positions, np.array([len(off) for off in offsets], dtype=int)
+    z = np.asarray(points, dtype=complex).ravel()
+    i, j, offset = _close_pairs(z, diam, p)
+    anchor = np.ones(z.size, dtype=bool)
+    parent = np.arange(z.size)
+    offsets = np.zeros(z.size, dtype=complex)
+    # by later point, its earlier neighbours nearest first: the first that is an anchor wins
+    by = np.lexsort((i, np.abs(offset), j))
+    for a, b, off in zip(i[by].tolist(), j[by].tolist(), offset[by].tolist()):
+        if anchor[b] and anchor[a]:
+            anchor[b], parent[b], offsets[b] = False, a, off
+    group = (np.cumsum(anchor) - 1)[parent]
+    mults = np.bincount(group)
+    mean = (np.bincount(group, offsets.real) + 1j * np.bincount(group, offsets.imag)) / mults
+    return _into_cell(z[anchor] + mean, p), mults
 
 
 def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> ZeroSet:
@@ -341,8 +381,11 @@ def coherent_gram_rank(points, params: SystemParams, tol: float = 1e-8) -> int:
 
     Computed from the singular values of the amplitude matrix (columns are
     the normalized states); values above tol * largest count toward the rank.
+    The rows are the weighted thetas at the labels: a coherent state is
+    one of them times a prefactor, whose modulus the row normalisation
+    removes and whose phase leaves the singular values unchanged.
     """
-    t = coherent_unnormalized(np.asarray(points, dtype=complex).ravel(), params)
+    t = weighted_thetas(np.asarray(points, dtype=complex).ravel(), params)
     sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
     return int(np.sum(sv > tol * sv[0]))
 

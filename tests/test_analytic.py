@@ -530,6 +530,21 @@ def test_kernel_apply_converges_in_upper_cell(d, height_frac):
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("height_frac", [0.95, 0.98])
+def test_kernel_apply_raises_where_its_value_overflows(height_frac):
+    # at d = 256, exp(Im(z)^2 / 2) alone exceeds the double range at these
+    # heights; the call raises the error f raises there, with no warning
+    # (RuntimeWarnings fail the suite)
+    d = 256
+    params = SystemParams(d)
+    f = AnalyticState(random_state(np.random.default_rng([23, d]), d), params)
+    z = complex(0.37 * params.cell_width, height_frac * params.cell_height)
+    with pytest.raises(RuntimeError, match=r"^f is not finite at z = .* for d = 256"):
+        f(z)
+    with pytest.raises(RuntimeError, match=r"^kernel_apply is not finite at z = .* for d = 256"):
+        kernel_apply(OperatorKernel(np.eye(d), params), f, z)
+
+
 def mp_thetas(d, lam, ms, z, derivative=False):
     """exp(-Im(z)^2/2) theta3[pi m/d - c z; i/(d lam^2)] (or its z-derivative) by mpmath jtheta.
 

@@ -222,6 +222,86 @@ def test_classify_merges_across_cell_edges():
     assert not classify_completeness([near_edge, 0.5 + 0.5j, far], params).reduced
 
 
+def merge_loop(points, diam, params):
+    """The merge rule with one Python iteration per point: the reference for zeros._merge."""
+    anchors, offsets = [], []
+    for z in points:
+        if anchors:
+            off = zeros_module._wrap(z - np.asarray(anchors), params.cell_width, params.cell_height)
+            i = int(np.argmin(np.abs(off)))
+            if abs(off[i]) < diam:
+                offsets[i].append(complex(off[i]))
+                continue
+        anchors.append(complex(z))
+        offsets.append([0j])
+    positions = np.array([z0 + np.mean(off) for z0, off in zip(anchors, offsets)], dtype=complex)
+    return zeros_module._into_cell(positions, params), np.array([len(off) for off in offsets])
+
+
+def assert_merges_like_loop(points, diam, params):
+    positions, mults = zeros_module._merge(points, diam, params)
+    ref_positions, ref_mults = merge_loop(points, diam, params)
+    assert mults.tolist() == ref_mults.tolist()
+    # positions are compared in units of the cell's extent from the origin
+    scale = max(abs(params.a) + params.cell_width, abs(params.b) + params.cell_height)
+    assert np.max(np.abs(positions - ref_positions)) <= 1e-15 * scale
+
+
+@st.composite
+def label_sets(draw):
+    """(points, diam, params): labels with repeats, close groups and pairs across cell edges."""
+    params = SystemParams(draw(st.integers(1, 12)), draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          draw(st.sampled_from([0.0, -3.7])), draw(st.sampled_from([0.0, 12.1])))
+    a, b, width, height = params.a, params.b, params.cell_width, params.cell_height
+    if draw(st.booleans()):
+        diam = draw(st.sampled_from([1e-10, 1e-8]))
+    else:
+        diam = 0.3 * min(width, height)  # larger than the typical spacing
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = a + draw(unit) * width, b + draw(unit) * height
+        z = complex(x, y)
+        step = 0.45 * diam * np.exp(2j * np.pi * draw(unit))  # |step| < diam / 2
+        edge = 0.4 * diam * draw(unit)
+        kind = draw(st.sampled_from(["single", "repeat", "pair", "triple", "chain",
+                                     "left", "right", "bottom", "top", "outside"]))
+        points += {
+            "single": [z],
+            "repeat": [z, z],
+            "pair": [z, z + step],
+            "triple": [z, z + step, z - step],
+            # a and b, b and c within diam, a and c not
+            "chain": [z, z + 1.6 * step, z + 3.2 * step],
+            "left": [complex(a + edge, y), complex(a - edge, y) + step / 4],
+            "right": [complex(a + width - edge, y), complex(a + width + edge, y) + step / 4],
+            "bottom": [complex(x, b + edge), complex(x, b - edge) + step / 4],
+            "top": [complex(x, b + height - edge), complex(x, b + height + edge) + step / 4],
+            "outside": [z + draw(st.integers(-3, 3)) * width + 1j * draw(st.integers(-3, 3)) * height,
+                        z + step],
+        }[kind]
+    order = draw(st.permutations(range(len(points))))
+    return np.array(points)[order], diam, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label_sets())
+def test_merge_matches_loop(case):
+    assert_merges_like_loop(*case)
+
+
+def test_merge_matches_loop_on_1000_labels():
+    params = SystemParams(64)
+    rng = np.random.default_rng(12)
+    pts = (params.a + rng.uniform(0, 1, 1000) * params.cell_width
+           + 1j * (params.b + rng.uniform(0, 1, 1000) * params.cell_height))
+    # every seventh label planted within 1e-10 of another one
+    planted = rng.choice(1000, size=142, replace=False)
+    pts[planted[:71]] = pts[planted[71:]] + 3e-11 * np.exp(2j * np.pi * rng.uniform(size=71))
+    assert_merges_like_loop(pts, 1e-10, params)
+    assert zeros_module._merge(pts, 1e-10, params)[1].tolist().count(2) == 71
+
+
 def test_gram_rank_full_for_generic_points():
     params = SystemParams(3)
     rng = np.random.default_rng(5)
