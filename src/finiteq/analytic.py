@@ -46,12 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import theta2, theta3
+from .theta import _exp, _log_theta3
 from .zak import (
     _THETA_CUT,
     SystemParams,
     _fold,
-    _parity_form,
+    _log_gram,
+    _require_finite,
     _spectral_grid,
     _spectral_sum,
     _theta_scales,
@@ -172,15 +173,6 @@ class AnalyticState:
         return complex(math.sqrt(norm * d) * lam * np.exp(-0.5j * z.imag * z) * ov)
 
 
-def _require_finite(values, z, d: int, what: str):
-    """Raise RuntimeError, naming d and the first such z, where values are not finite."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = complex(np.broadcast_to(z, bad.shape)[bad][0])
-        raise RuntimeError(f"{what} is not finite at z = {where} for d = {d}: "
-                           f"its value exceeds the double range there")
-
-
 def position_form(m: int, params: SystemParams, z):
     """Representation of the m-th position state: pi**-1/4 theta3[pi m/d - c z; i/(d lam^2)]."""
     return AnalyticState(position_state(m, params.d), params)(z)
@@ -189,41 +181,30 @@ def position_form(m: int, params: SystemParams, z):
 def momentum_form(m: int, params: SystemParams, z):
     """Closed form for the m-th momentum state:
 
-    lam pi**-1/4 exp(-z^2/2) theta3[pi m/d - i lam z sqrt(pi/2d); i lam^2/d].
+    lam pi**-1/4 exp(-z^2/2) theta3[pi m/d - i lam z sqrt(pi/2d); i lam^2/d],
+
+    with exp(-z^2/2) joined to the log form of theta3 before one exponential.
     """
     d, lam = params.d, params.lam
     z = np.asarray(z, dtype=complex)
-    u = np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = lam * np.pi ** -0.25 * np.exp(-0.5 * z * z) * theta3(u, 1j * lam**2 / d)
+    s, v = _log_theta3(np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d)), 1j * lam**2 / d)
+    values = _exp(s - 0.5 * z * z + math.log(lam * np.pi ** -0.25), v)
     _require_finite(values, z, d, "momentum_form")
     return values
 
 
-def coherent_form(label, params: SystemParams, z, form: str = "auto"):
-    """Closed theta-product form of the representation of a coherent state.
+def coherent_form(label, params: SystemParams, z):
+    """Closed theta form of f for the state :func:`finiteq.zak.coherent_state_closed`, exact for every d.
 
-    For odd d the sum of two theta products, for even d a single product;
-    ``form='auto'`` dispatches on the parity of d.  Matches evaluating the
-    state of :func:`finiteq.zak.coherent_state_closed` through AnalyticState.
+    With the sum S(A1, A) of :func:`finiteq.zak._log_gram`,
+    f(z) = lam (d / N(A))**1/2 exp(-i Im(z) z / 2) S(conj(z), A).
     """
     d, lam = params.d, params.lam
     a = complex(label)
     z = np.asarray(z, dtype=complex)
-    nc = coherent_normalization(a, params)
-    pref = np.pi ** -0.5 / lam * math.sqrt(d / nc) * np.exp(0.5j * a.imag * a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        minus = theta3((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-        if _parity_form(form, d) == "even":
-            plus = theta3((z + a) / lam * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2)
-            values = pref * plus * minus
-        else:
-            u1 = (z + a) / lam * math.sqrt(np.pi * d / 2)
-            tau1 = 2j * d / lam**2
-            values = pref * (
-                theta3(u1, tau1) * minus
-                + theta2(u1, tau1) * theta2((z - a) / lam * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-            )
+    s, v = _log_gram(np.conj(z), a, params)
+    pref = math.log(lam) + 0.5 * math.log(d / coherent_normalization(a, params)) - 0.5j * z.imag * z
+    values = _exp(s + pref, v)
     _require_finite(values, z, d, "coherent_form")
     return values
 

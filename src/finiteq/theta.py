@@ -10,28 +10,30 @@ pi-periodic in u and quasi-periodic under u -> u + pi*tau:
 
     theta3(u + pi*tau; tau) = exp(-i pi tau - 2 i u) theta3(u; tau)
 
-Evaluation recenters each Gaussian lattice sum on its dominant index, so
-arguments with sizeable |Im u| lose no relative accuracy as long as the
-leading term itself is representable in double precision.
+theta3 is evaluated in log form, exp(s) v.  For |tau| < 1 the Jacobi
+transform (DLMF 20.7.32)
+
+    theta3(u; tau) = (-i tau)**-1/2 exp(u^2 / (i pi tau)) theta3(u / tau; -1 / tau)
+
+first raises Im(tau) to Im(tau) / |tau|^2.  Then the 2K + 1 terms around
+the largest one are summed, K = ceil(sqrt(ln(1/tol) / (pi Im tau))) + 1,
+beyond which every term lies below tol of the largest; the log of the
+largest term goes to s, so no term overflows whatever |Im u| is.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["theta2", "theta3", "theta3_derivative"]
 
-_MAX_SHELLS = 4096
-# number of consecutive negligible index shells required before truncating
-_STOP_RUN = 3
-
 
 def _check_args(u, tau, tol):
     tau = complex(tau)
-    if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
-        raise ValueError("tau must be finite")
-    if tau.imag <= 0.0:
-        raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
+    if not (np.isfinite(tau) and tau.imag > 0.0):
+        raise ValueError(f"tau must be finite and lie in the upper half-plane, got {tau}")
     if not (tol > 0.0):
         raise ValueError(f"truncation tolerance must be positive, got {tol}")
     u = np.asarray(u, dtype=complex)
@@ -40,73 +42,64 @@ def _check_args(u, tau, tol):
     return u, tau
 
 
-def _lattice_series(u, tau, tol, shift, derivative):
-    """Evaluate sum_n w(n) exp(i pi tau (n+shift)^2 + 2 i (n+shift) u).
+def _reduce(u):
+    """u moved by a multiple of the period pi into |Re(u)| <= pi/2."""
+    return u - np.pi * np.rint(u.real / np.pi)
 
-    ``w(n) = 1`` for the plain series and ``w(n) = 2 i (n+shift)`` for the
-    u-derivative.  The sum is recentered on the index of largest modulus and
-    extended symmetrically until _STOP_RUN consecutive shells fall below
-    ``tol * (1 + |partial sum|)``.
+
+def _window(u, tau, tol):
+    """(s, n, terms, ds, dn): theta3(u; tau) = exp(s) sum_n terms, d/du theta3 = exp(s) sum_n (ds + dn n) terms.
+
+    The terms run along a new last axis.
     """
     u, tau = _check_args(u, tau, tol)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
+    u = _reduce(u)
+    s, ds, dn = np.zeros_like(u), np.zeros_like(u), 2j
+    if abs(tau) < 1.0:
+        s = u * u / (1j * np.pi * tau) - 0.5 * np.log(-1j * tau)
+        ds, dn = 2 * u / (1j * np.pi * tau), 2j / tau
+        u, tau = _reduce(u / tau), -1 / tau
+    K = math.ceil(math.sqrt(max(math.log(1 / tol), 0.0) / (np.pi * tau.imag))) + 1
+    # |term| peaks where d/dn [ -pi Im(tau) n^2 - 2 n Im(u) ] = 0
+    center = np.rint(-u.imag / (np.pi * tau.imag))
+    k, c = np.arange(-K, K + 1), center[..., None]
+    terms = np.exp(1j * np.pi * tau * (2 * c + k) * k + 2j * k * u[..., None])
+    return s + 1j * np.pi * tau * center**2 + 2j * center * u, c + k, terms, ds, dn
 
-    # |term| peaks where d/dn [ -pi Im(tau) (n+shift)^2 - 2 (n+shift) Im(u) ] = 0
-    center = np.rint(-np.imag(u) / (np.pi * tau.imag) - shift)
 
-    def term(idx):
-        nu = idx + shift
-        t = np.exp(1j * np.pi * tau * nu * nu + 2j * nu * u)
-        if derivative:
-            t = 2j * nu * t
-        return t
+def _log_theta3(u, tau, tol: float = 1e-14):
+    """(s, v) with theta3(u; tau) = exp(s) v, both of the shape of u."""
+    s, _, terms, _, _ = _window(u, tau, tol)
+    return s, terms.sum(axis=-1)
 
-    total = term(center)
-    run = 0
-    for k in range(1, _MAX_SHELLS + 1):
-        shell = term(center + k) + term(center - k)
-        total += shell
-        rel = np.max(np.abs(shell) / (1.0 + np.abs(total)))
-        run = run + 1 if rel < tol else 0
-        if run >= _STOP_RUN:
-            break
-    else:
-        raise RuntimeError(
-            f"theta series did not converge within {_MAX_SHELLS} shells "
-            f"(tau={tau}, tol={tol})"
-        )
-    return complex(total[0]) if scalar else total
+
+def _exp(s, v):
+    """exp(s) v, finite wherever its modulus is within the double range (inf beyond)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = np.exp(s + np.log(v))
+    return complex(values) if values.ndim == 0 else values
 
 
 def theta3(u, tau, tol: float = 1e-14):
-    """theta3(u; tau) = sum_n exp(i pi tau n^2 + 2 i n u).
+    """theta3(u; tau) = sum_n exp(i pi tau n^2 + 2 i n u), of the shape of u (complex scalar or array).
 
-    Parameters
-    ----------
-    u : complex or array_like of complex
-        Argument(s); the function is entire in u.
-    tau : complex
-        Lattice parameter with Im(tau) > 0.
-    tol : float
-        Relative truncation tolerance of the lattice sum.
-
-    Returns
-    -------
-    complex or ndarray
+    Im(tau) > 0; tol is the relative truncation tolerance of the lattice sum.
     """
-    return _lattice_series(u, tau, tol, shift=0.0, derivative=False)
+    return _exp(*_log_theta3(u, tau, tol))
 
 
 def theta2(u, tau, tol: float = 1e-14):
     """theta2(u; tau) = sum_n exp(i pi tau (n + 1/2)^2 + i (2n + 1) u).
 
-    Same conventions and truncation policy as :func:`theta3`.  Satisfies
-    theta2(u + pi; tau) = -theta2(u; tau) and vanishes at u = pi/2.
+    Evaluated as exp(i pi tau / 4 + i u) theta3(u + pi tau / 2; tau).
+    Satisfies theta2(u + pi; tau) = -theta2(u; tau) and vanishes at u = pi/2.
     """
-    return _lattice_series(u, tau, tol, shift=0.5, derivative=False)
+    u, tau = _check_args(u, tau, tol)
+    s, v = _log_theta3(u + 0.5 * np.pi * tau, tau, tol)
+    return _exp(s + 0.25j * np.pi * tau + 1j * u, v)
 
 
 def theta3_derivative(u, tau, tol: float = 1e-14):
-    """d/du theta3(u; tau), summed termwise: sum_n 2 i n exp(i pi tau n^2 + 2 i n u)."""
-    return _lattice_series(u, tau, tol, shift=0.0, derivative=True)
+    """d/du theta3(u; tau) = sum_n 2 i n exp(i pi tau n^2 + 2 i n u), on the window of :func:`theta3`."""
+    s, n, terms, ds, dn = _window(u, tau, tol)
+    return _exp(s, np.sum((ds[..., None] + dn * n) * terms, axis=-1))

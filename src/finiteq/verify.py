@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, hilbert, zak, zeros
-from .theta import theta2, theta3
+from .theta import _log_theta3, theta2, theta3
 from .wavefunctions import GaussianCoherent, HermiteNumber
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
@@ -37,12 +37,15 @@ def _random_state(rng, d) -> hilbert.FiniteState:
 def _suite_theta(d, rng):
     out = []
     u = rng.uniform(0, np.pi, 12) + 1j * rng.uniform(0, np.pi, 12)
-    err = 0.0
-    for tau in (1j, 2j, 1j / 3):
-        lhs = theta3(u + np.pi * tau, tau)
-        rhs = np.exp(-1j * np.pi * tau - 2j * u) * theta3(u, tau)
-        err = max(err, np.max(np.abs(lhs - rhs) / np.abs(rhs)))
-    out.append(_result("theta3 quasi-periodicity", err, 1e-12))
+    errs = []
+    for tau in (1j, 1j / d, 1j / (2 * d)):
+        # as a ratio of log forms, since at small Im(tau) theta3 underflows between the multiples
+        # of pi; the error is relative to 1 + |s|, as each exponent rounds to eps of its size
+        s1, v1 = _log_theta3(u + np.pi * tau, tau)
+        s0, v0 = _log_theta3(u, tau)
+        ratio = np.exp(s1 - s0 + 1j * np.pi * tau + 2j * u) * v1 / v0
+        errs.append(np.max(np.abs(ratio - 1) / (1 + np.abs(s0))))
+    out.append(_result("theta3 quasi-periodicity", float(np.max(errs)), 1e-14))
     tau = complex(rng.uniform(-1, 1), rng.uniform(0.4, 2.5))
     lhs = theta3(u, tau)
     rhs = (-1j * tau) ** -0.5 * np.exp(u**2 / (1j * np.pi * tau)) * theta3(u / tau, -1 / tau)
@@ -58,12 +61,18 @@ def _suite_hilbert(d, rng):
     out.append(_result("F unitary", float(np.max(np.abs(F @ F.conj().T - np.eye(d)))), 1e-12))
     out.append(_result("F^4 = 1", float(np.max(np.abs(np.linalg.matrix_power(F, 4) - np.eye(d)))), 1e-12))
     s = _random_state(rng, d)
+    m = np.arange(d)
+    beta = m[:, None]
     acc = np.zeros((d, d), dtype=complex)
     for alpha in range(d):
-        # rows are the displaced states over beta, so the product sums their outer products
-        v = np.array([hilbert.displaced_state(s, (alpha, beta)).components for beta in range(d)])
+        # row beta is D(alpha, beta) s: component m, times exp(i pi (alpha beta + 2 alpha m) / d), moves to m + beta
+        v = np.empty((d, d), dtype=complex)
+        v[beta, (m + beta) % d] = np.exp(1j * np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d) * s.components
         acc += v.T @ v.conj()
     out.append(_result("displaced fiducial resolves identity", float(np.max(np.abs(acc / d - np.eye(d)))), 1e-12))
+    # the rows above, at the last alpha, against the library's displaced states
+    ref = np.array([hilbert.displaced_state(s, (alpha, b)).components for b in range(d)])
+    out.append(_result("displaced rows match displaced_state", float(np.max(np.abs(v - ref))), 1e-12))
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     table = hilbert.weyl_function(op)
     # entries against the definition, so a wrong transform pair that inverts itself still fails
@@ -80,13 +89,13 @@ def _projection_vanishes(n, d):
 
     The d-point Fourier matrix realizes the eigenvalue i**n only when the
     spectrum is rich enough: d = 1 carries {1}, d = 2 carries {1, -1}, and
-    d = 4 misses -i.
+    d = 3 and d = 4 miss -i.
     """
     if d == 1:
         return n % 4 != 0
     if d == 2:
         return n % 2 == 1
-    if d == 4:
+    if d in (3, 4):
         return n % 4 == 3
     return False
 
@@ -105,15 +114,37 @@ def _suite_zak(d, rng):
     closed = zak.coherent_state_closed(label, params)
     out.append(_result("Gaussian transform matches theta closed form",
                        float(np.max(np.abs(direct.components - closed.components))), 1e-12))
-    l2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    out.append(_result("overlap closed form vs direct",
-                       abs(zak.coherent_overlap(label, l2, params) - zak.coherent_overlap_direct(label, l2, params)),
-                       1e-9))
     mom = zak.momentum_zak_map(HermiteNumber(int(n)), params)
     pos = zak.zak_map(HermiteNumber(int(n)), params)
     out.append(_result("momentum side equals finite Fourier transform",
                        float(np.max(np.abs(mom.components - F @ pos.components))), 1e-10))
+    # the closed forms at labels and points across the cell width and up to 0.9 of its height
+    a = rng.uniform(0, params.cell_width, 6) + 1j * rng.uniform(0, 0.9, 6) * params.cell_height
+    out.append(_result("overlap closed form vs direct",
+                       max(abs(zak.coherent_overlap(a1, a2, params) - zak.coherent_overlap_direct(a1, a2, params))
+                           for a1, a2 in zip(a[::2], a[1::2])), 1e-9))
+    direct = np.array([zak.coherent_normalization(x, params) for x in a])
+    closed = np.array([zak.coherent_normalization_closed(x, params) for x in a])
+    out.append(_result("normalization closed form vs direct", float(np.max(np.abs(closed / direct - 1))), 1e-10))
+    out.append(_result("momentum_form vs f of the momentum state",
+                       _momentum_form_error(params, a, int(rng.integers(d))), 1e-10))
     return out
+
+
+def _momentum_form_error(params, points, m):
+    """Largest |momentum_form - f| of momentum state m, weighted by exp(-Im(z)^2/2), over sqrt(d).
+
+    Where momentum_form raises, log|f| must lie beyond the double range, or the error is infinite.
+    """
+    s = analytic.AnalyticState(hilbert.momentum_state(m, params.d), params)
+    errs = [0.0]
+    for z in points:
+        w, half = s._weighted(z), np.exp(-0.25 * z.imag**2)
+        try:
+            errs.append(abs(analytic.momentum_form(m, params, z) * half * half - w))
+        except RuntimeError:
+            errs.append(0.0 if np.log(abs(w)) + 0.5 * z.imag**2 > 709.0 else np.inf)
+    return float(max(errs) / np.sqrt(params.d))
 
 
 def _suite_analytic(d, rng):

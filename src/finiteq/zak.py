@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import FiniteState, fourier_matrix
-from .theta import theta2, theta3
+from .theta import _exp, _log_theta3
 from .wavefunctions import HermiteNumber
 
 __all__ = [
@@ -352,52 +352,57 @@ def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
 
 
 def coherent_normalization(label, params: SystemParams) -> float:
-    """Normalization constant, computed from the direct component sum.
+    """Normalization constant from the direct component sum.
 
-    This direct sum is the runtime-authoritative value; the closed theta
-    expression is available as :func:`coherent_normalization_closed` and the
-    two are cross-checked in the test suite.
+    The closed theta form is :func:`coherent_normalization_closed`; the tests cross-check the two.
     """
     t = coherent_unnormalized(complex(label), params)
     return float(np.sum(np.abs(t) ** 2))
 
 
-def _parity_form(form: str, d: int) -> str:
-    """Resolve ``form='auto'`` by the parity of d: 'even' or 'general'."""
-    if form == "auto":
-        return "even" if d % 2 == 0 else "general"
-    if form not in ("even", "general"):
-        raise ValueError(f"form must be 'auto', 'general' or 'even', got {form!r}")
-    return form
+def _log_gram(a1, a2, params: SystemParams):
+    """(s, v) with exp(s) v = sum_m conj(t_m(A1)) t_m(A2), t = :func:`coherent_unnormalized`.
 
+    The double lattice sum of the product runs over the index pairs n = n'
+    (mod d); summing n + n' and (n - n')/d apart, with the parity constraint
+    between them as an average over j, gives for every d
 
-def coherent_normalization_closed(label, params: SystemParams, form: str = "auto") -> float:
-    """Closed theta-product form of the normalization constant.
+        pi**-1/2 lam**-2 exp(-i Im(A1) conj(A1)/2 + i Im(A2) A2/2) K,
+        K = 1/2 sum_{j=0,1} theta3[s+ sqrt(pi d/8) + j pi d/2; id/(2 lam^2)]
+                            theta3[s- sqrt(pi/(8d)) + j pi/2; i/(2 d lam^2)],
 
-    For odd d:
-
-        N(A) = pi**-1/2 lam**-2 exp(-Im(A)^2)
-               * { theta3[Re(A)/lam sqrt(2 pi d); 2id/lam^2]
-                   theta3[i Im(A)/lam sqrt(2 pi/d); 2i/(d lam^2)]
-                 + theta2[...] theta2[...] }
-
-    For even d the brace collapses to the single product
-    theta3[Re(A)/lam sqrt(pi d/2); id/(2 lam^2)] theta3[second arg as above].
-    The exp(-Im(A)^2) factor is required for consistency with the direct sum
-    and with the overlap formula at coinciding labels.
+    s+ = (conj(A1) + A2)/lam, s- = (conj(A1) - A2)/lam.  The larger j-term
+    sets s, and callers add their prefactors to s before one exponential.
     """
     d, lam = params.d, params.lam
+    splus, sminus = (np.conj(a1) + a2) / lam, (np.conj(a1) - a2) / lam
+    j = np.arange(2).reshape((2,) + (1,) * np.ndim(splus))  # the j-terms along a new first axis
+    s1, v1 = _log_theta3(splus * math.sqrt(np.pi * d / 8) + j * np.pi * d / 2, 0.5j * d / lam**2)
+    s2, v2 = _log_theta3(sminus * math.sqrt(np.pi / (8 * d)) + j * np.pi / 2, 0.5j / (d * lam**2))
+    s = np.max(s1.real + s2.real, axis=0)
+    pref = -0.5j * np.imag(a1) * np.conj(a1) + 0.5j * np.imag(a2) * a2 - 0.5 * math.log(np.pi) - 2 * math.log(lam)
+    return s + pref, 0.5 * np.sum(v1 * v2 * np.exp(s1 + s2 - s), axis=0)
+
+
+def _require_finite(values, z, d: int, what: str):
+    """Raise RuntimeError, naming d and the first such z, where values are not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        where = complex(np.broadcast_to(z, bad.shape)[bad][0])
+        raise RuntimeError(f"{what} is not finite at z = {where} for d = {d}: "
+                           f"its value exceeds the double range there")
+
+
+def coherent_normalization_closed(label, params: SystemParams) -> float:
+    """Closed theta form of the normalization constant, :func:`_log_gram` at A1 = A2 = A.
+
+    There N(A) = pi**-1/2 lam**-2 exp(-Im(A)^2) K(2 Re(A)/lam, -2i Im(A)/lam);
+    K grows like exp(Im(A)^2), and the two factors meet in log form, so
+    N(A) = O(1) stays finite at every d.
+    """
     a = complex(label)
-    u2 = 1j * (a.imag / lam) * math.sqrt(2 * np.pi / d)
-    tau2 = 2j / (d * lam**2)
-    if _parity_form(form, d) == "even":
-        u1 = (a.real / lam) * math.sqrt(np.pi * d / 2)
-        brace = theta3(u1, 0.5j * d / lam**2) * theta3(u2, tau2)
-    else:
-        u1 = (a.real / lam) * math.sqrt(2 * np.pi * d)
-        tau1 = 2j * d / lam**2
-        brace = theta3(u1, tau1) * theta3(u2, tau2) + theta2(u1, tau1) * theta2(u2, tau2)
-    val = np.pi ** -0.5 / lam**2 * math.exp(-a.imag**2) * brace
+    val = _exp(*_log_gram(a, a, params))
+    _require_finite(val, a, params.d, "coherent_normalization_closed")
     return float(val.real)
 
 
@@ -414,30 +419,16 @@ def coherent_overlap_direct(label1, label2, params: SystemParams) -> complex:
     return s1.inner(s2)
 
 
-def coherent_overlap(label1, label2, params: SystemParams, form: str = "auto") -> complex:
-    """Overlap <<A1|A2>> from the closed theta-product formula.
+def coherent_overlap(label1, label2, params: SystemParams) -> complex:
+    """Overlap <<A1|A2>> from the closed theta form of :func:`_log_gram`, over (N(A1) N(A2))**1/2.
 
-    The theta3*theta3 + theta2*theta2 combination is exact for odd d and the
-    single-product variant for even d; ``form='auto'`` dispatches on parity.
-    Both variants are validated against :func:`coherent_overlap_direct`.
+    Validated against :func:`coherent_overlap_direct`.
     """
-    d, lam = params.d, params.lam
     a1, a2 = complex(label1), complex(label2)
-    n1 = coherent_normalization(a1, params)
-    n2 = coherent_normalization(a2, params)
-    splus = (np.conj(a1) + a2) / lam
-    sminus = (np.conj(a1) - a2) / lam
-    phase = np.exp(-0.5j * a1.imag * np.conj(a1) + 0.5j * a2.imag * a2)
-    t_minus = theta3(sminus * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2))
-    if _parity_form(form, d) == "even":
-        sum_part = theta3(splus * math.sqrt(np.pi * d / 8), 0.5j * d / lam**2) * t_minus
-    else:
-        u1 = splus * math.sqrt(np.pi * d / 2)
-        tau1 = 2j * d / lam**2
-        sum_part = theta3(u1, tau1) * t_minus + theta2(u1, tau1) * theta2(
-            sminus * math.sqrt(np.pi / (2 * d)), 2j / (d * lam**2)
-        )
-    return complex(np.pi ** -0.5 / lam**2 / math.sqrt(n1 * n2) * phase * sum_part)
+    s, v = _log_gram(a1, a2, params)
+    val = _exp(s - 0.5 * math.log(coherent_normalization(a1, params) * coherent_normalization(a2, params)), v)
+    _require_finite(val, a2, params.d, "coherent_overlap")
+    return complex(val)
 
 
 def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState:

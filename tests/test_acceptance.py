@@ -150,19 +150,19 @@ def test_criterion_04_quadrature_resolution_of_identity():
 def test_criterion_05_overlap_closed_forms():
     rng = np.random.default_rng(55)
     worst = 0.0
-    for d, form in ((4, "even"), (5, "general")):
+    for d in (4, 5):
         params = SystemParams(d)
         half_w = params.cell_width / 2
         half_h = params.cell_height / 2
         for _ in range(100):
             a1 = complex(rng.uniform(-half_w, half_w), rng.uniform(-half_h, half_h))
             a2 = complex(rng.uniform(-half_w, half_w), rng.uniform(-half_h, half_h))
-            closed = coherent_overlap(a1, a2, params, form=form)
+            closed = coherent_overlap(a1, a2, params)
             direct = coherent_overlap_direct(a1, a2, params)
             worst = max(worst, abs(closed - direct))
     assert worst <= 1e-9
     report(5, f"closed-form overlaps vs direct inner products, worst {worst:.2e} "
-              "(<= 1e-9), 100 pairs each at d=4 (even form) and d=5 (general form)")
+              "(<= 1e-9), 100 pairs each at d=4 and d=5")
 
 
 def test_criterion_06_momentum_normalization_ratio():

@@ -123,19 +123,16 @@ def test_coherent_form_matches_eval():
 
 
 def test_coherent_form_parity_variants():
-    # each closed variant is exact on its own parity; they are not
-    # interchangeable, so the dispatcher must pick by parity of d
+    # one closed form, with no branch on the parity of d, is exact at even and odd d
     rng = np.random.default_rng(7)
-    for d, form in ((4, "even"), (5, "general")):
+    for d in (4, 5):
         params = SystemParams(d)
         label = 0.4 - 0.3j
         s = AnalyticState(coherent_state_closed(label, params), params)
         for _ in range(5):
             z = random_cell_point(rng, params)
             val = s(z)
-            assert abs(coherent_form(label, params, z, form=form) - val) < 1e-10 * max(1.0, abs(val))
-            auto = coherent_form(label, params, z)
-            assert abs(auto - val) < 1e-10 * max(1.0, abs(val))
+            assert abs(coherent_form(label, params, z) - val) < 1e-10 * max(1.0, abs(val))
 
 
 def test_closed_forms_at_general_scale():

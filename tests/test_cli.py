@@ -111,6 +111,13 @@ def test_overlap_coherent_labels(tmp_path, capsys):
     assert abs(payload["abs"]) <= 1.0 + 1e-12
 
 
+def test_overlap_coherent_labels_at_d_1000(capsys):
+    # labels 0.6 and 0.3 of the way up the cell, where the loop summation did not converge
+    assert main(["overlap", "--d", "1000", "--A1", "29+47i", "--A2", "8+24i"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["closed_vs_direct"] <= 1e-9
+
+
 def test_overlap_state_files(tmp_path):
     params = SystemParams(3)
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
