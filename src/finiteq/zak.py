@@ -18,7 +18,7 @@ constants, overlaps and the inversion of the transform over a sector family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,20 +255,37 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     the weight at height y, -pi (n - kappa y)^2 / (d lam^2).
     """
     _, kappa, K = _theta_scales(params)
-    y = np.asarray(y, dtype=float)[..., None]
-    start = np.floor(kappa * (y - span) - K).astype(np.int64)
-    n = start + np.arange(math.ceil(2 * (K + kappa * span)) + 2)
-    return n, -np.pi / (params.d * params.lam**2) * (n - kappa * y) ** 2
+    ky = kappa * np.asarray(y, dtype=float)[..., None]
+    start = np.floor(ky - (K + kappa * span))
+    j = np.arange(math.ceil(2 * (K + kappa * span)) + 2)
+    exponent = (start - ky) + j  # n - kappa y, squared and scaled in place
+    exponent *= exponent
+    exponent *= -np.pi / (params.d * params.lam**2)
+    return start.astype(np.int64) + j, exponent
 
 
 def _live_terms(z, params: SystemParams, order: int):
-    """(n, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z."""
+    """(n, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
+
+    The phases e^{-2icnx} of a point are the powers e^{-2ic n0 x} (e^{-2icx})^j
+    of its first live n0 = n - j, so a point takes two complex exponentials
+    and one running product; each power carries the rounding of about j
+    products, far below the tolerance at the widths of the window.  The
+    Gaussian weights are taken as they are, one real exponential per term:
+    split into a per-point ratio times a fixed e^{-pi j^2 / (d lam^2)},
+    their factors overflow before they cancel when d lam^2 is small.
+    """
     c = _theta_scales(params)[0]
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("z must be finite")
     n, exponent = _theta_window(params, z.imag)
-    terms = np.exp(exponent - 2j * c * n * z.real[..., None])
+    phase = -2j * c * z.real[..., None]
+    terms = np.empty(n.shape, dtype=complex)
+    terms[..., :1] = np.exp(phase * n[..., :1])
+    terms[..., 1:] = np.exp(phase)
+    np.cumprod(terms, axis=-1, out=terms)
+    terms *= np.exp(exponent, out=exponent)
     if order == 1:
         terms *= -2j * c * n  # a plain multiply: x ** 1 costs several times more
     elif order:
@@ -294,7 +311,9 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
     overflows at any d.  The n within K of kappa y (beyond it the weight is
     below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
-    the d values on the last axis.  ``order`` k gives the weighted k-th
+    the d values on the last axis.  Each point's terms are placed from the
+    multiple of d below its first live n, so column k of the fold holds the
+    n = k (mod d) with no rotation.  ``order`` k gives the weighted k-th
     derivative d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
 
     This is for callers that need all d values at a point: the rows of
@@ -304,9 +323,12 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     """
     d = params.d
     n, terms = _live_terms(z, params, order)
-    # column j of the fold holds the n = start + j (mod d); rotate it to n mod d
-    folded = np.take_along_axis(_fold(terms, d), (np.arange(d) - n[..., :1]) % d, axis=-1)
-    return d * np.fft.ifft(folded, axis=-1)
+    rows, width = n.shape[:-1], n.shape[-1]
+    length = -(-(width + d - 1) // d) * d
+    placed = np.zeros(rows + (length,), dtype=complex)
+    first = np.arange(placed.size, step=length).reshape(rows + (1,)) - d * (n[..., :1] // d)
+    placed.ravel()[n + first] = terms
+    return d * np.fft.ifft(placed.reshape(rows + (-1, d)).sum(axis=-2), axis=-1)
 
 
 def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0) -> np.ndarray:
@@ -314,10 +336,12 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
 
     Summing over m first turns the swapped series into one sum over the
     live n, sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) G_{n mod d},
-    so a point costs its live terms and no fold or FFT.
+    so a point costs its live terms and no fold or FFT.  ``np.take`` in wrap
+    mode brings n into [0, d) by steps of d, about |n| / d per term: a step
+    or two near the cell, and cheaper there than an integer remainder.
     """
     n, terms = _live_terms(z, params, order)
-    return np.einsum("...j,...j->...", terms, spectrum[n % params.d])
+    return np.einsum("...j,...j->...", terms, np.take(spectrum, n, mode="wrap"))
 
 
 def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray) -> np.ndarray:
@@ -326,13 +350,17 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray) -> np.ndarr
     The term n = start_r + j of row r (height y_r) factors into the row
     factor exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d}, the column
     factor exp(-2icjx) and the node phase exp(-2ic start_r x), so the grid
-    takes one matrix product and (rows + columns) x width exponentials.
+    takes one matrix product, rows x width real exponentials and, as in
+    :func:`_live_terms`, the column factors as powers of exp(-2icx).
     """
     c = _theta_scales(params)[0]
     x = np.asarray(x, dtype=float)
     n, exponent = _theta_window(params, y)
-    rows = np.exp(exponent) * spectrum[n % params.d]
-    cols = np.exp(-2j * c * np.outer(np.arange(n.shape[-1]), x))
+    rows = np.exp(exponent, out=exponent) * np.take(spectrum, n, mode="wrap")
+    cols = np.empty((n.shape[-1], x.size), dtype=complex)
+    cols[0] = 1.0
+    cols[1:] = np.exp(-2j * c * x)
+    np.cumprod(cols, axis=0, out=cols)
     return (rows @ cols) * np.exp(-2j * c * np.outer(n[:, 0], x))
 
 
@@ -468,24 +496,28 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
 # sector families and inversion of the transform
 
 
-@dataclass
 class SectorFamily:
     """States of one wavefunction over a uniform sigma1 grid at fixed sigma2.
 
     ``amplitudes`` holds the unnormalized components, one row per sigma1;
-    when not given it is built from ``states`` and ``norms``.
+    when not given it is built from ``states`` and ``norms``.  ``states``,
+    one normalized :class:`FiniteState` per sigma1, is built from the
+    amplitudes on first access when not given.
     """
 
-    params: SystemParams
-    sigma1: np.ndarray
-    sigma2: float
-    states: list = field(default_factory=list)
-    norms: np.ndarray = None
-    amplitudes: np.ndarray = None
+    def __init__(self, params: SystemParams, sigma1: np.ndarray, sigma2: float,
+                 states: list = None, norms: np.ndarray = None, amplitudes: np.ndarray = None):
+        if amplitudes is None and states:
+            amplitudes = np.sqrt(norms)[:, None] * np.array([s.components for s in states])
+        self.params, self.sigma1, self.sigma2 = params, sigma1, sigma2
+        self.norms, self.amplitudes, self._states = norms, amplitudes, states
 
-    def __post_init__(self):
-        if self.amplitudes is None and self.states:
-            self.amplitudes = np.sqrt(self.norms)[:, None] * np.array([s.components for s in self.states])
+    @property
+    def states(self) -> list:
+        if self._states is None:
+            rows = () if self.amplitudes is None else self.amplitudes / np.sqrt(self.norms)[:, None]
+            self._states = [FiniteState(row, normalize=False) for row in rows]
+        return self._states
 
     def component(self, m: int) -> np.ndarray:
         """Unnormalized component m across the sigma1 grid, for any integer m.
@@ -505,9 +537,7 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
     sigma2 = float(sigma2) % 1.0
     step = math.sqrt(2.0 * math.pi / params.d) * params.lam
     t, _ = _lattice_sums(psi, params.d, step, grid, sigma2, None)
-    nrm = np.linalg.norm(t, axis=1)
-    states = [FiniteState(row / n, normalize=False) for row, n in zip(t, nrm)]
-    return SectorFamily(params, grid, sigma2, states, nrm**2, t)
+    return SectorFamily(params, grid, sigma2, norms=np.sum(np.abs(t) ** 2, axis=1), amplitudes=t)
 
 
 def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> complex:
@@ -515,15 +545,19 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
 
     Integrates N(sigma1)^(1/2) psi_m(sigma1) e^{2 pi i sigma1 w} over one
     period of sigma1 with the periodic trapezoid rule on the family grid.
-    The error estimate compares against the half-resolution grid; a value
-    above `tol` raises (grid too coarse).
+    Component m is component m mod d times e^{2 pi i sigma1 q}, q = m // d,
+    so the integrand takes one exponential at the winding q + w.  The error
+    estimate compares against the half-resolution grid; a value above `tol`
+    raises (grid too coarse).
     """
-    vals = family.component(m) * np.exp(2j * np.pi * family.sigma1 * w)
-    full = complex(np.mean(vals))
-    half = complex(np.mean(vals[::2]))
-    if abs(full - half) > tol:
+    q, r = divmod(int(m), family.params.d)
+    vals = family.amplitudes[:, r] * np.exp(2j * np.pi * (q + w) * family.sigma1)
+    half = vals[::2]
+    full = complex(vals.sum()) / vals.size
+    coarse = complex(half.sum()) / half.size
+    if abs(full - coarse) > tol:
         raise RuntimeError(
-            f"sigma1 grid too coarse: quadrature error estimate {abs(full - half):.2e} > {tol}"
+            f"sigma1 grid too coarse: quadrature error estimate {abs(full - coarse):.2e} > {tol}"
         )
     return full
 

@@ -602,6 +602,65 @@ def test_weighted_kernel_matches_mpmath(d):
                 <= 1e-12 * scale * np.sum(2 * c * np.abs(n) * weights)
 
 
+def per_term_series(z, d, lam, order):
+    """(n, terms) of the swapped series at each z, one complex exponential per term.
+
+    The n run over K + 3 either side of round(kappa y), a wider window than
+    the kernel's, built here independently of it.
+    """
+    c = np.sqrt(np.pi / (2 * d)) / lam
+    kappa = c * d * lam**2 / np.pi
+    half = int(np.ceil(np.sqrt(41 * d * lam**2 / np.pi))) + 3
+    n = np.round(kappa * z.imag)[:, None].astype(np.int64) + np.arange(-half, half + 1)
+    terms = np.exp(-np.pi * (n - kappa * z.imag[:, None]) ** 2 / (d * lam**2) - 2j * c * n * z.real[:, None])
+    return n, terms * (-2j * c * n) ** order
+
+
+@pytest.mark.parametrize("d,lam", [(1, 0.05), (1, 0.1), (2, 0.05), (7, 2.5), (64, 1.0), (1000, 0.3)])
+def test_phase_powers_match_per_term_exponentials(d, lam):
+    # the kernel builds the phases of a point as powers of one phase and takes
+    # the Gaussian weights as they are; at d lam^2 <= 0.01 those weights split
+    # into a per-point ratio times a fixed e^{-pi j^2 / (d lam^2)} overflow.
+    # Errors are judged against the sum of the moduli of the terms, plus eps
+    # times the size of the term exponents, about |x| |y| + 2cK (|x| + |y|),
+    # which every double evaluation rounds: at d = 1000, lam = 0.3 and 40
+    # above the cell that size is 2e4, and the error 2.6e-12 against mpmath
+    eps = np.finfo(float).eps
+    heights = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
+    c = np.sqrt(np.pi / (2 * d)) / lam
+    two_c_k = 2 * c * np.sqrt(41 * d * lam**2 / np.pi)
+    ms = sorted({0, 1 % d, d // 3, d - 1})
+    rng = np.random.default_rng([31, d, int(100 * lam)])
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    spectrum = d * np.fft.ifft(amps)
+    few = np.zeros(d, dtype=complex)
+    few[ms] = amps[ms]
+    for a in (0.0, 40.0, -40.0):
+        for b in (0.0, 40.0, -40.0):
+            params = SystemParams(d, lam, a, b)
+            z = a + params.cell_width * rng.uniform(size=heights.size) + 1j * (b + params.cell_height * heights)
+            size = np.abs(z.real * z.imag) + two_c_k * (np.abs(z.real) + np.abs(z.imag))
+            tol = 1e-12 + eps * size
+            for order in (0, 1, 2):
+                with np.errstate(over="raise", invalid="raise"):
+                    got = zak._spectral_sum(z, params, spectrum, order)
+                    thetas = zak.weighted_thetas(z, params, order)
+                    few_got = zak._spectral_sum(z, params, d * np.fft.ifft(few), order)
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(thetas))
+                n, terms = per_term_series(z, d, lam, order)
+                summands = terms * spectrum[n % d]
+                assert np.all(np.abs(got - summands.sum(axis=1)) <= tol * np.abs(summands).sum(axis=1))
+                ref = np.einsum("pj,pjm->pm", terms, np.exp(2j * np.pi / d * (n % d)[:, :, None] * np.arange(d)))
+                moduli = np.abs(terms).sum(axis=1)
+                assert np.all(np.abs(thetas - ref) <= (tol * moduli)[:, None])
+                if order < 2 and a == b == 40.0:
+                    # mpmath at the bottom and the top of the cell
+                    for k in (0, heights.size - 1):
+                        mp = mp_thetas(d, lam, ms, z[k], derivative=bool(order))
+                        assert np.max(np.abs(thetas[k, ms] - mp)) <= tol[k] * moduli[k]
+                        assert abs(few_got[k] - amps[ms] @ mp) <= tol[k] * moduli[k] * np.sum(np.abs(amps[ms]))
+
+
 def test_values_near_double_range():
     # at d = 226 near the top of the cell |f| is about 1.4e308: finite, and
     # evaluated without overflow because every term is weighted first
