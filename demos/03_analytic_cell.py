@@ -3,8 +3,14 @@
 Any d-component state defines an entire function with one real period and one
 quasi-period, so the whole function lives on a single cell of area 2 pi d.
 The demo evaluates a random state, verifies both periodicity relations, the
-bilinear cell-integral pairing, and the displaced-function closed form.
+bilinear cell-integral pairing, and the displaced-function closed form, then
+evaluates f of a d = 1000 state on 10^5 points and reports the time and the
+peak traced memory, which stay small because f works through the points in
+blocks whose memory does not grow with their number.
 """
+
+import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,3 +50,19 @@ moved = AnalyticState(FiniteState(displacement(d, alpha, beta) @ state.component
                                   normalize=False), params)
 print(f"displaced evaluation, labels ({alpha},{beta}): closed form vs matrix path "
       f"|diff| = {abs(closed - moved(z)):.2e}")
+
+d_big = 1000
+big_params = SystemParams(d_big)
+big = AnalyticState(FiniteState(rng.normal(size=d_big) + 1j * rng.normal(size=d_big)), big_params)
+x = big_params.cell_width * (np.arange(400) + 0.5) / 400
+y = 30.0 * (np.arange(250) + 0.5) / 250  # heights up to 30, where |f| ~ exp(y^2 / 2) stays in double range
+grid = x[None, :] + 1j * y[:, None]
+tracemalloc.start()
+start = time.perf_counter()
+values = big(grid)
+elapsed = time.perf_counter() - start
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(f"\nd={d_big}: f on a {x.size} x {y.size} grid ({grid.size} points) in {elapsed * 1e3:.0f} ms, "
+      f"peak traced memory {peak / 1e6:.1f} MB (the values alone take {values.nbytes / 1e6:.1f} MB); "
+      f"all finite: {bool(np.all(np.isfinite(values)))}")

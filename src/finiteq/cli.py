@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -129,6 +130,18 @@ def _need(args, flag, value):
     return value
 
 
+def _refuse_overwrite(source, *outputs):
+    """Raise ValueError if an output path is the input file `source`, under any name or link."""
+    src = os.stat(source)
+    for out in outputs:
+        try:
+            same = out is not None and os.path.samestat(os.stat(out), src)
+        except FileNotFoundError:
+            continue  # not written yet, so not the input
+        if same:
+            raise ValueError(f"output {out} would overwrite the input {source}")
+
+
 def _load_analytic(path, args) -> AnalyticState:
     state, lam = ser.load_state(path)
     if args.d is not None and args.d != state.d:
@@ -159,9 +172,10 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    out = _need(args, "--out", args.out)
+    _refuse_overwrite(args.state, out, ser.sidecar_path(out), args.svg)
     s = _load_analytic(args.state, args)
     zs = find_zeros(s)
-    out = _need(args, "--out", args.out)
     ser.save_zeros_csv(out, zs)
     print(f"wrote {out} and {ser.sidecar_path(out)} "
           f"({zs.total} zeros, M={zs.M}, N={zs.N}, residual={zs.residual:.2e})")
@@ -172,6 +186,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    out = _need(args, "--out", args.out)
+    _refuse_overwrite(args.zeros, out)
     positions, mults = ser.load_zeros_csv(args.zeros)
     d = int(np.sum(mults))
     if args.d is not None and args.d != d:
@@ -179,7 +195,6 @@ def _cmd_reconstruct(args) -> int:
     params = SystemParams(d, args.lam, args.cell_a, args.cell_b)
     tol = args.tol if args.tol is not None else 1e-6
     st = reconstruct_from_zeros(positions, params, mults, residual_tol=tol)
-    out = _need(args, "--out", args.out)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
     return 0
@@ -230,14 +245,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    out = args.svg or args.out
+    if not out:
+        raise _UsageError("--svg (or --out) is required for plot")
+    _refuse_overwrite(args.state, out)
+    if args.overlay:
+        _refuse_overwrite(args.overlay, out)
     s = _load_analytic(args.state, args)
     zs = find_zeros(s)
     overlay = None
     if args.overlay:
         overlay = find_zeros(_load_analytic(args.overlay, args))
-    out = args.svg or args.out
-    if not out:
-        raise _UsageError("--svg (or --out) is required for plot")
     ser.save_svg(out, zs, overlay)
     print(f"wrote {out}")
     return 0

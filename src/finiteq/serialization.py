@@ -93,7 +93,8 @@ def save_zeros_csv(path, zs: ZeroSet, sidecar: bool = True):
     writer = csv.writer(buf)
     writer.writerow(["re", "im", "multiplicity"])
     for z, m in zip(zs.positions, zs.multiplicities):
-        writer.writerow([f"{z.real:.16g}", f"{z.imag:.16g}", int(m)])
+        # 17 significant digits read back as the same double, bit for bit
+        writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}", int(m)])
     write_atomic(path, buf.getvalue())
     if sidecar:
         save_zeros_sidecar(sidecar_path(path), zs)

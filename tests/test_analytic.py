@@ -1,5 +1,7 @@
 """Evaluation of f(z), closed forms, the cell scalar product, and operators."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -36,6 +38,11 @@ def random_state(rng, d):
 def random_cell_point(rng, params):
     return complex(params.a + rng.uniform(0, params.cell_width),
                    params.b + rng.uniform(0, params.cell_height))
+
+
+def random_cell_points(rng, params, count):
+    return (params.a + params.cell_width * rng.uniform(size=count)
+            + 1j * (params.b + params.cell_height * rng.uniform(size=count)))
 
 
 def test_position_state_closed_form():
@@ -472,6 +479,67 @@ def test_spectral_sum_matches_weighted_thetas(d):
             assert np.all(np.abs(got - ref) <= 1e-13 * scale)
             if order == 0:
                 assert np.all(np.abs(zak._spectral_grid(x, y, params, spectrum) - got) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("d,lam", [(1, 2.5), (7, 2.5), (192, 1.0), (1000, 1.0)])
+def test_blocks_match_pointwise_evaluation(d, lam):
+    # _spectral_sum and weighted_thetas go through the flattened points in
+    # blocks of _BLOCK_TERMS // (terms per point) points; each point takes the
+    # same arithmetic in any block, so the values equal those of the point
+    # evaluated alone, bit for bit, on either side of the block boundaries
+    params = SystemParams(d, lam)
+    rng = np.random.default_rng([37, d])
+    spectrum = d * np.fft.ifft(rng.normal(size=d) + 1j * rng.normal(size=d))
+    width = zak._window_width(d, lam)
+    kernels = [(lambda z, k: zak._spectral_sum(z, params, spectrum, k), width),
+               (lambda z, k: zak.weighted_thetas(z, params, k), -(-(width + d - 1) // d) * d)]
+    for kernel, per_point in kernels:
+        step = max(1, zak._BLOCK_TERMS // per_point)
+        z = random_cell_points(rng, params, 3 * step + 5)
+        for order in (0, 1, 2):
+            alone = np.array([kernel(point, order) for point in z])  # each point as a 0-d z
+            for count in {max(step - 1, 1), step, step + 1, 3 * step + 5}:
+                assert kernel(z[:count], order).tobytes() == alone[:count].tobytes()
+                # two rows, the second reversed, so rows and blocks straddle each other
+                both = np.stack([z[:count], z[:count][::-1]])
+                expect = np.stack([alone[:count], alone[:count][::-1]])
+                assert kernel(both, order).tobytes() == expect.tobytes()
+                assert kernel(both, order).shape == expect.shape
+
+
+def traced_peak(call):
+    """The peak of traced memory, in bytes, while call() runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_f_memory_does_not_grow_with_points():
+    # all 20 000 points at once held about 9 KB of live terms each, 177 MB;
+    # in blocks the kernel holds a few blocks of _BLOCK_TERMS terms
+    d = 1000
+    params = SystemParams(d)
+    rng = np.random.default_rng(43)
+    f = AnalyticState(random_state(rng, d), params)
+    z = params.cell_width * rng.uniform(size=20000) + 30j * rng.uniform(size=20000)
+    f(z[:2])
+    peak, values = traced_peak(lambda: f(z))
+    assert values.shape == z.shape and np.all(np.isfinite(values))
+    assert peak < 16e6
+
+
+def test_weighted_thetas_memory_is_its_output_plus_blocks():
+    d = 1000
+    params = SystemParams(d)
+    rng = np.random.default_rng(47)
+    z = params.cell_width * rng.uniform(size=2000) + 30j * rng.uniform(size=2000)
+    zak.weighted_thetas(z[:2], params, 1)
+    peak, rows = traced_peak(lambda: zak.weighted_thetas(z, params, 1))
+    assert rows.shape == (2000, d)
+    assert peak < rows.nbytes + 16e6
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan"), float("inf")])

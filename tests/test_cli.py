@@ -13,8 +13,10 @@ from finiteq.serialization import (
     load_zeros_csv,
     load_zeros_sidecar,
     save_state,
+    save_zeros_csv,
     sidecar_path,
 )
+from finiteq.zeros import ZeroSet
 
 TABLE_D6_N0 = [0.75971, 0.45004, 0.09373, 0.01365, 0.09373, 0.45004]
 
@@ -202,6 +204,49 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["zeros", "--state", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "z.csv")]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+def test_outputs_onto_the_input_are_refused(tmp_path, capsys):
+    # the sidecar of s.csv is s.json: written, it would replace the state
+    # read from s.json, and the next run would fail on the zeros sidecar
+    state = tmp_path / "s.json"
+    assert main(["state", "number", "--d", "4", "--N", "0", "--out", str(state)]) == 0
+    before = state.read_bytes()
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    for outputs in (["--out", str(tmp_path / "s.csv")],
+                    ["--out", str(state)],
+                    ["--out", str(tmp_path / "z.csv"), "--svg", str(tmp_path / "sub" / ".." / "s.json")]):
+        assert main(["zeros", "--state", str(state)] + outputs) == 1
+        assert "input error" in capsys.readouterr().err
+        assert state.read_bytes() == before
+    assert main(["plot", "--state", str(state), "--svg", str(state)]) == 1
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "sub"]
+    zcsv = tmp_path / "z.csv"
+    zcsv.write_text("re,im,multiplicity\n1.0,1.0,4\n")
+    assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(zcsv)]) == 1
+    assert "input error" in capsys.readouterr().err
+    assert zcsv.read_text() == "re,im,multiplicity\n1.0,1.0,4\n"
+
+
+def test_zeros_csv_round_trips_positions_exactly(tmp_path):
+    # 17 significant digits name every double; 16 lose the last bit of a
+    # quarter of the values in [0, 10)
+    rng = np.random.default_rng(41)
+    positions = 10 * rng.uniform(size=500) + 10j * rng.uniform(size=500)
+    zs = ZeroSet(positions, np.ones(500, dtype=int), SystemParams(500), 10, 20, 1e-13)
+    save_zeros_csv(tmp_path / "z.csv", zs)
+    loaded, mults = load_zeros_csv(tmp_path / "z.csv")
+    assert loaded.tobytes() == positions.tobytes()
+    assert np.array_equal(mults, zs.multiplicities)
+
+
+@pytest.mark.parametrize("label", ["inf", "nan+1i", "1e400i"])
+def test_non_finite_coherent_label_is_an_input_error(label, capsys, tmp_path):
+    assert main(["state", "coherent", "--d", "4", "--A", label, "--out", str(tmp_path / "c.json")]) == 1
+    assert "input error: coherent label must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_reconstruct_rejects_bad_zeros(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Line-to-cycle transform, number and coherent states, sectors and inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from finiteq import (
     coherent_overlap,
     coherent_overlap_direct,
     coherent_state_closed,
+    coherent_unnormalized,
     displaced_state,
     fourier_matrix,
     inverse_zak,
@@ -174,6 +177,21 @@ def test_coherent_quasi_periodicity_both_directions():
     shifted_i = coherent_state_closed(label + 1j * period / lam, params)
     phase_i = np.exp(-1j * label.real / lam * np.sqrt(np.pi * d / 2))
     assert np.max(np.abs(shifted_i.components - base.components * phase_i)) < 1e-12
+
+
+@pytest.mark.parametrize("label", [complex("inf"), complex("nan+1j"), complex(0, float("1e400"))])
+def test_non_finite_coherent_label_raises_before_arithmetic(label):
+    # checked before the prefactor exp(i Re(A) Im(A) / 2), which warns on inf * 0
+    params = SystemParams(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: coherent_unnormalized(label, params),
+                     lambda: coherent_unnormalized([0.5, label], params),
+                     lambda: coherent_state_closed(label, params),
+                     lambda: coherent_normalization_closed(label, params),
+                     lambda: coherent_overlap(0.5, label, params)):
+            with pytest.raises(ValueError, match="coherent label must be finite"):
+                call()
 
 
 def test_coherent_component_vanishes_on_conjugate_lattice():
