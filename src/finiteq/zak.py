@@ -373,9 +373,9 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     of the measuring machine (an x86-64 Xeon) from a few hundred points on.
     Each point takes the same arithmetic in any block, so the values do not
     depend on the blocking.  _BLOCK_TERMS = 2^14, 256 KiB per complex
-    temporary, was the fastest of 2^11 .. 2^17 for f and f' on 880 grid points at
-    d = 192 and 1000 on that machine (2^13 was a few percent faster at
-    d = 16 and 64, where a call costs under 1.5 ms).
+    temporary, was the fastest of 2^11 .. 2^17 for f and f' on 880 grid
+    points at d = 192 and 1000 on that machine (2^13 was 10-20% faster at
+    d = 16 and 64, where a call takes under 2 ms).
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)

@@ -503,8 +503,8 @@ def test_blocks_match_pointwise_evaluation(d, lam):
                 # two rows, the second reversed, so rows and blocks straddle each other
                 both = np.stack([z[:count], z[:count][::-1]])
                 expect = np.stack([alone[:count], alone[:count][::-1]])
-                assert kernel(both, order).tobytes() == expect.tobytes()
-                assert kernel(both, order).shape == expect.shape
+                got = kernel(both, order)
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def traced_peak(call):
@@ -518,7 +518,7 @@ def traced_peak(call):
 
 
 def test_f_memory_does_not_grow_with_points():
-    # all 20 000 points at once held about 9 KB of live terms each, 177 MB;
+    # all 20 000 points at once held about 9 KB of live terms each, 185 MB;
     # in blocks the kernel holds a few blocks of _BLOCK_TERMS terms
     d = 1000
     params = SystemParams(d)
