@@ -40,19 +40,19 @@ their phase-space table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import _exp, _log_theta3
+from .theta import _lift, _log_theta3
 from .zak import (
     _THETA_CUT,
     SystemParams,
     _fold,
     _log_gram,
-    _require_finite,
     _spectral_grid,
     _spectral_sum,
     _theta_scales,
@@ -90,27 +90,24 @@ class AnalyticState:
                 f"state dimension {self.state.d} does not match params.d = {self.params.d}"
             )
 
+    @functools.cached_property
     def _spectrum(self) -> np.ndarray:
-        """G = d ifft(f_m), the coefficients of the swapped series."""
-        return self.params.d * np.fft.ifft(self.state.components)
+        """G = d ifft(f_m), the coefficients of the swapped series; computed once, read-only."""
+        spectrum = self.params.d * np.fft.ifft(self.state.components)
+        spectrum.flags.writeable = False
+        return spectrum
 
     def _weighted(self, z, derivative: bool = False) -> np.ndarray:
         """exp(-Im(z)^2 / 2) f(z), or the same weight times f'(z); O(1) for every d."""
-        return np.pi ** -0.25 * _spectral_sum(z, self.params, self._spectrum(), int(derivative))
+        return np.pi ** -0.25 * _spectral_sum(z, self.params, self._spectrum, int(derivative))
 
     def _weighted_grid(self, x, y) -> np.ndarray:
         """_weighted on the tensor grid x[None, :] + 1j y[:, None] of 1-d x and y."""
-        return np.pi ** -0.25 * _spectral_grid(x, y, self.params, self._spectrum())
+        return np.pi ** -0.25 * _spectral_grid(x, y, self.params, self._spectrum)
 
     def _evaluate(self, z, derivative: bool, what: str):
         z = np.asarray(z, dtype=complex)
-        zz = np.atleast_1d(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # exp(y^2/2) in two halves, so f is finite wherever |f| is
-            half = np.exp(0.25 * zz.imag**2)
-            values = self._weighted(zz, derivative) * half * half
-        _require_finite(values, zz, self.params.d, what)
-        return complex(values[0]) if z.ndim == 0 else values
+        return _lift(0.5 * z.imag**2, self._weighted(z, derivative), what, z, f"d = {self.params.d}")
 
     def __call__(self, z):
         return self._evaluate(z, False, "f")
@@ -146,8 +143,8 @@ class AnalyticState:
         ym = 0.5 * (y0 + y1)
         s = 0.5 * ym**2
         k, exponent = _theta_window(self.params, ym, 0.5 * (y1 - y0))
-        G = self._spectrum()
-        G[np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G))] = 0.0
+        G = self._spectrum
+        G = np.where(np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G)), 0.0, G)
         a = np.pi ** -0.25 * G[k % d] * np.exp(exponent)
         tilt = c * (y1 - y0) * k  # log |v|^k at y1, and minus it at y0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,9 +185,7 @@ def momentum_form(m: int, params: SystemParams, z):
     d, lam = params.d, params.lam
     z = np.asarray(z, dtype=complex)
     s, v = _log_theta3(np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d)), 1j * lam**2 / d)
-    values = _exp(s - 0.5 * z * z + math.log(lam * np.pi ** -0.25), v)
-    _require_finite(values, z, d, "momentum_form")
-    return values
+    return _lift(s - 0.5 * z * z + math.log(lam * np.pi ** -0.25), v, "momentum_form", z, f"d = {d}")
 
 
 def coherent_form(label, params: SystemParams, z):
@@ -204,9 +199,7 @@ def coherent_form(label, params: SystemParams, z):
     z = np.asarray(z, dtype=complex)
     s, v = _log_gram(np.conj(z), a, params)
     pref = math.log(lam) + 0.5 * math.log(d / coherent_normalization(a, params)) - 0.5j * z.imag * z
-    values = _exp(s + pref, v)
-    _require_finite(values, z, d, "coherent_form")
-    return values
+    return _lift(s + pref, v, "coherent_form", z, f"d = {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +301,8 @@ def kernel_eval(kernel: OperatorKernel, z, zeta_star):
     """Kernel value pi**-1/2 d**-1 sum_mn Omega_mn theta3[..z..] theta3[..zeta*..]."""
     p = kernel.params
     val = np.einsum("...m,mn,...n->...", weighted_thetas(z, p), kernel.matrix, weighted_thetas(zeta_star, p))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # exp((y1^2 + y2^2) / 2) in two halves, so the kernel is finite wherever its value is
-        half = np.exp(0.25 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2))
-        values = np.pi ** -0.5 / p.d * val * half * half
-    _require_finite(values, z, p.d, "kernel_eval")
-    return values
+    return _lift(0.5 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2), np.pi ** -0.5 / p.d * val,
+                 "kernel_eval", z, f"d = {p.d}")
 
 
 def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6) -> complex:
@@ -328,7 +317,7 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     theta(zeta*) factor, contracted with the kernel row at z, is the weighted
     series of the row's spectrum, so both factors come from grid factors.
     The sums leave out the factor exp(Im(z)^2 / 2) of the row, which is
-    applied to the result in two halves, so the value is finite wherever
+    applied to the result as to f, so the value is finite wherever
     |(Omega f)(z)| is, and RuntimeError is raised where it is not.
     """
     if f.params != kernel.params:
@@ -336,19 +325,16 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     p = kernel.params
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
-    row = np.pi ** -0.5 / p.d * (weighted_thetas(z, p) @ kernel.matrix)
-    spectrum = p.d * np.fft.ifft(row)
+    # the row as a state of its own, so that its weighted series carries the pi**-1/4 of f
+    row = AnalyticState(FiniteState(np.pi ** -0.25 / p.d * (weighted_thetas(z, p) @ kernel.matrix),
+                                    normalize=False), p)
 
     def integral(x, y):
-        return np.sum(_spectral_grid(x, -y, p, spectrum) * f._weighted_grid(x, y))
+        return np.sum(row._weighted_grid(x, -y) * f._weighted_grid(x, y))
 
     # the absolute floor 1 on (Omega f)(z) is exp(-Im(z)^2 / 2) on the sums
     weighted = _cell_trapezoid(p, integral, pref, tol, "kernel_apply", math.exp(-0.5 * z.imag**2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = np.exp(0.25 * z.imag**2)
-        value = weighted * half * half
-    _require_finite(value, z, p.d, "kernel_apply")
-    return complex(value)
+    return _lift(0.5 * z.imag**2, weighted, "kernel_apply", z, f"d = {p.d}")
 
 
 def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:

@@ -73,19 +73,30 @@ def _log_theta3(u, tau, tol: float = 1e-14):
     return s, terms.sum(axis=-1)
 
 
-def _exp(s, v):
-    """exp(s) v, finite wherever its modulus is within the double range (inf beyond)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = np.exp(s + np.log(v))
-    return complex(values) if values.ndim == 0 else values
+def _lift(s, v, what: str, at, context: str, name: str = "z"):
+    """exp(s) v, taken as v e^{s/2} e^{s/2}: how every evaluator turns its scaled value into a double.
+
+    Where the value is not finite, RuntimeError names `what`, the first such
+    point of `at` (called `name`) and the `context` of the call.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(0.5 * s)
+        values = v * half * half
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        where = complex(np.broadcast_to(at, bad.shape)[bad][0])
+        raise RuntimeError(f"{what} is not finite at {name} = {where} for {context}: "
+                           f"its value exceeds the double range there")
+    return complex(values) if np.ndim(values) == 0 else values
 
 
 def theta3(u, tau, tol: float = 1e-14):
     """theta3(u; tau) = sum_n exp(i pi tau n^2 + 2 i n u), of the shape of u (complex scalar or array).
 
     Im(tau) > 0; tol is the relative truncation tolerance of the lattice sum.
+    RuntimeError where the value exceeds the double range.
     """
-    return _exp(*_log_theta3(u, tau, tol))
+    return _lift(*_log_theta3(u, tau, tol), "theta3", u, f"tau = {tau}", "u")
 
 
 def theta2(u, tau, tol: float = 1e-14):
@@ -96,10 +107,11 @@ def theta2(u, tau, tol: float = 1e-14):
     """
     u, tau = _check_args(u, tau, tol)
     s, v = _log_theta3(u + 0.5 * np.pi * tau, tau, tol)
-    return _exp(s + 0.25j * np.pi * tau + 1j * u, v)
+    return _lift(s + 0.25j * np.pi * tau + 1j * u, v, "theta2", u, f"tau = {tau}", "u")
 
 
 def theta3_derivative(u, tau, tol: float = 1e-14):
     """d/du theta3(u; tau) = sum_n 2 i n exp(i pi tau n^2 + 2 i n u), on the window of :func:`theta3`."""
     s, n, terms, ds, dn = _window(u, tau, tol)
-    return _exp(s, np.sum((ds[..., None] + dn * n) * terms, axis=-1))
+    v = np.sum((ds[..., None] + dn * n) * terms, axis=-1)
+    return _lift(s, v, "theta3_derivative", u, f"tau = {tau}", "u")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, fourier_matrix
-from .theta import _exp, _log_theta3
+from .theta import _lift, _log_theta3
 from .wavefunctions import HermiteNumber
 
 __all__ = [
@@ -191,22 +191,17 @@ def zak_map(psi, params: SystemParams, sector=None) -> FiniteState:
 
 
 def momentum_zak_sums(psi, params: SystemParams, m=None) -> np.ndarray:
-    """Unnormalized momentum-side sums: the transform of psi-hat at spacing 1/lam."""
-    step = math.sqrt(2.0 * math.pi / params.d) / params.lam
-    total, _ = _lattice_sums(psi.fourier_at, params.d, step, 0.0, 0.0, m)
-    return total[0]
+    """Unnormalized momentum-side sums: :func:`zak_sums` of psi-hat at scale 1/lam."""
+    return zak_sums(psi.fourier_at, SystemParams(params.d, 1 / params.lam), m=m)
 
 
 def momentum_zak_normalization(psi, params: SystemParams) -> float:
-    t = momentum_zak_sums(psi, params)
-    return float(np.sum(np.abs(t) ** 2))
+    return zak_normalization(psi.fourier_at, SystemParams(params.d, 1 / params.lam))
 
 
 def momentum_zak_map(psi, params: SystemParams) -> FiniteState:
     """Momentum-side state; equals fourier_matrix(d) @ zak_map(psi) componentwise."""
-    step = math.sqrt(2.0 * math.pi / params.d) / params.lam
-    total, peak = _lattice_sums(psi.fourier_at, params.d, step, 0.0, 0.0, None)
-    return _normalized_or_raise(total[0], peak)
+    return zak_map(psi.fourier_at, SystemParams(params.d, 1 / params.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +304,19 @@ def _live_terms(z, params: SystemParams, order: int):
     return n, terms
 
 
+def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int):
+    """(block, n, terms): :func:`_live_terms` of the flattened points of z, a slice `block` at a time.
+
+    A block holds max(1, _BLOCK_TERMS // per_point) points, where per_point
+    is what a caller holds for each point, so its temporaries stay within
+    about _BLOCK_TERMS values whatever the number of points.
+    """
+    flat = z.reshape(-1)
+    step = max(1, _BLOCK_TERMS // per_point)
+    for lo in range(0, flat.size, step):
+        yield slice(lo, lo + step), *_live_terms(flat[lo:lo + step], params, order)
+
+
 def _fold(values: np.ndarray, d: int) -> np.ndarray:
     """Sum of the consecutive length-d pieces of the last axis (the last one may be short)."""
     width = values.shape[-1]
@@ -346,14 +354,12 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     length = -(-(_window_width(d, params.lam) + d - 1) // d) * d
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape + (d,), dtype=complex)
-    flat, rows_out = z.reshape(-1), out.reshape(-1, d)
-    step = max(1, _BLOCK_TERMS // length)
-    for lo in range(0, z.size, step):
-        n, terms = _live_terms(flat[lo:lo + step], params, order)
+    rows_out = out.reshape(-1, d)
+    for block, n, terms in _live_blocks(z, params, order, length):
         placed = np.zeros((len(n), length), dtype=complex)
         first = np.arange(placed.size, step=length)[:, None] - d * (n[:, :1] // d)
         placed.ravel()[n + first] = terms
-        np.multiply(d, np.fft.ifft(placed.reshape(len(n), -1, d).sum(axis=-2), axis=-1), out=rows_out[lo:lo + step])
+        np.multiply(d, np.fft.ifft(placed.reshape(len(n), -1, d).sum(axis=-2), axis=-1), out=rows_out[block])
     return out
 
 
@@ -379,11 +385,9 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
-    flat, flat_out = z.reshape(-1), out.reshape(-1)
-    step = max(1, _BLOCK_TERMS // _window_width(params.d, params.lam))
-    for lo in range(0, z.size, step):
-        n, terms = _live_terms(flat[lo:lo + step], params, order)
-        flat_out[lo:lo + step] = np.einsum("...j,...j->...", terms, np.take(spectrum, n, mode="wrap"))
+    flat_out = out.reshape(-1)
+    for block, n, terms in _live_blocks(z, params, order, _window_width(params.d, params.lam)):
+        flat_out[block] = np.einsum("...j,...j->...", terms, np.take(spectrum, n, mode="wrap"))
     return out
 
 
@@ -464,15 +468,6 @@ def _log_gram(a1, a2, params: SystemParams):
     return s + pref, 0.5 * np.sum(v1 * v2 * np.exp(s1 + s2 - s), axis=0)
 
 
-def _require_finite(values, z, d: int, what: str):
-    """Raise RuntimeError, naming d and the first such z, where values are not finite."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = complex(np.broadcast_to(z, bad.shape)[bad][0])
-        raise RuntimeError(f"{what} is not finite at z = {where} for d = {d}: "
-                           f"its value exceeds the double range there")
-
-
 def coherent_normalization_closed(label, params: SystemParams) -> float:
     """Closed theta form of the normalization constant, :func:`_log_gram` at A1 = A2 = A.
 
@@ -481,9 +476,7 @@ def coherent_normalization_closed(label, params: SystemParams) -> float:
     N(A) = O(1) stays finite at every d.
     """
     a = complex(_finite_label(label))
-    val = _exp(*_log_gram(a, a, params))
-    _require_finite(val, a, params.d, "coherent_normalization_closed")
-    return float(val.real)
+    return _lift(*_log_gram(a, a, params), "coherent_normalization_closed", a, f"d = {params.d}").real
 
 
 def coherent_state_closed(label, params: SystemParams) -> FiniteState:
@@ -507,9 +500,7 @@ def coherent_overlap(label1, label2, params: SystemParams) -> complex:
     a1, a2 = complex(label1), complex(label2)
     norms = coherent_normalization(a1, params) * coherent_normalization(a2, params)  # checks both labels
     s, v = _log_gram(a1, a2, params)
-    val = _exp(s - 0.5 * math.log(norms), v)
-    _require_finite(val, a2, params.d, "coherent_overlap")
-    return complex(val)
+    return _lift(s - 0.5 * math.log(norms), v, "coherent_overlap", a2, f"d = {params.d}")
 
 
 def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState:

@@ -112,8 +112,8 @@ def _boundary_points(ll: complex, ur: complex, per_edge, spacing=None) -> np.nda
 _MAX_LOG_RATIO = math.log(2.0)
 
 
-def winding_number(f, lower_left: complex, upper_right: complex, zero_tol: float = 0.0,
-                   per_edge: int = 16, spacing: float | None = None) -> int:
+def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int = 16,
+                   spacing: float | None = None) -> int:
     """Winding of f around 0 along the rectangle boundary, by phase tracking.
 
     A segment is bisected until its wrapped phase step stays below pi/2 AND
@@ -128,10 +128,9 @@ def winding_number(f, lower_left: complex, upper_right: complex, zero_tol: float
     the aliasing window around 2 pi.
 
     `f` must accept an ndarray of complex points.  Raises _BoundaryZero when
-    a sample modulus falls at or below `zero_tol`, vanishes exactly, or dips
-    below 1e-13 of its neighbors; |f| ranges over many orders of magnitude
-    across one cell, so the dip test is relative to the local level rather
-    than any global scale.
+    a sample modulus vanishes exactly or dips below 1e-13 of its neighbors;
+    |f| ranges over many orders of magnitude across one cell, so the dip
+    test is relative to the local level rather than any global scale.
     """
     ll, ur = complex(lower_left), complex(upper_right)
     if not (ur.real > ll.real and ur.imag > ll.imag):
@@ -141,7 +140,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, zero_tol: float
     total_pts = pts.size
     for _ in range(_MAX_PASSES):
         mags = np.abs(vals)
-        if np.min(mags) <= zero_tol or np.any(mags == 0.0):
+        if np.any(mags == 0.0):
             raise _BoundaryZero
         neighbor = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
         if np.any(mags <= 1e-13 * neighbor):

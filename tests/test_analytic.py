@@ -19,6 +19,7 @@ from finiteq import (
     coherent_unnormalized,
     displaced_f,
     displacement,
+    find_zeros,
     fourier_matrix,
     kernel_apply,
     kernel_eval,
@@ -800,3 +801,23 @@ def test_laurent_terms_sum_to_f(d, lam):
         k, a, scale = s.laurent_terms(yi, yi)
         series = np.exp(scale) * np.exp(-2j * c * np.outer(x, k)) @ a
         assert np.max(np.abs(series - row)) <= 1e-12 * np.max(np.abs(row))
+
+
+def test_spectrum_computed_once_and_left_unchanged_by_find_zeros(monkeypatch):
+    # a momentum state has one nonzero entry of G; laurent_terms zeroes the
+    # rounding-level rest in a copy, never in the spectrum f is summed from
+    d = 16
+    params = SystemParams(d)
+    calls = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    s = AnalyticState(momentum_state(3, d), params)
+    z = np.array([0.3 + 0.2j, 1.7 + 4.1j, 5.2 + 9.0j])
+    before = s(z)
+    for point in z:
+        s(point), s.derivative(point)
+    assert len(calls) == 1
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    assert find_zeros(s).positions.size > 0
+    assert s(z).tobytes() == before.tobytes()
+    assert not s._spectrum.flags.writeable

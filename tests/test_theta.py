@@ -1,5 +1,6 @@
 """Theta evaluation against brute-force series and the classical identities."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,3 +147,19 @@ def test_rejects_nonfinite_and_bad_tol():
         theta3(0.1, 1j, tol=0.0)
     with pytest.raises(ValueError):
         theta3(0.1, 1j, tol=-1e-10)
+
+
+@pytest.mark.parametrize("fn, kind, derivative", [(theta2, 2, 0), (theta3, 3, 0), (theta3_derivative, 3, 1)])
+def test_overflow_raises_and_nearby_value_matches_mpmath(fn, kind, derivative):
+    # |theta(u; i)| grows like exp(Im(u)^2 / pi): at Im(u) = 300 that is
+    # exp(28648), far beyond the double range, and at Im(u) = 40 about 1e221
+    with pytest.raises(RuntimeError, match=rf"^{fn.__name__} is not finite at u = 300j"):
+        fn(300j, 1j)
+    with pytest.raises(RuntimeError, match=rf"^{fn.__name__} is not finite"):
+        fn(np.array([0.1, 300j]), 1j)
+    u = 0.3 + 40j
+    with mpmath.workdps(40):
+        ref = mpmath.jtheta(kind, mpmath.mpc(u), mpmath.exp(-mpmath.pi), derivative)
+    got = fn(u, 1j)
+    assert np.isfinite(got)
+    assert abs(mpmath.mpc(got) - ref) <= 1e-12 * abs(ref)
