@@ -128,6 +128,12 @@ def _suite_zak(d, rng):
     out.append(_result("normalization closed form vs direct", float(np.max(np.abs(closed / direct - 1))), 1e-10))
     out.append(_result("momentum_form vs f of the momentum state",
                        _momentum_form_error(params, a, int(rng.integers(d))), 1e-10))
+    # the transform both ways, psi -> sector family -> inverse_zak, at |x| <= 3 from components n - d w
+    psi, step = GaussianCoherent(label), np.sqrt(2 * np.pi / d)
+    family = zak.sector_family(psi, params, sigma2=abs(label.imag))
+    n, w = (g.ravel() for g in np.meshgrid(np.round(np.linspace(-3, 3, 7) / step).astype(int), [-1, 0, 1]))
+    err = max(abs(zak.inverse_zak(family, k - d * b, b) - psi(step * (k + family.sigma2))) for k, b in zip(n, w))
+    out.append(_result("inverse transform recovers psi", float(err), 1e-12))
     return out
 
 

@@ -15,6 +15,7 @@ one with label iA, both without extra prefactors.
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -27,27 +28,27 @@ __all__ = [
 ]
 
 
-def hermite_function(n: int, x) -> np.ndarray:
-    """Normalized harmonic-oscillator eigenfunction of index n.
-
-    Evaluated through the stable two-term recurrence
+def _hermite_functions(x):
+    """phi_0, phi_1, ... at x, without end, by the stable two-term recurrence
 
         phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}
 
-    starting from phi_0 = pi**-0.25 exp(-x^2/2), which avoids the factorial
-    overflow of the monomial form well past n = 50.
+    from phi_0 = pi**-0.25 exp(-x^2/2), which avoids the factorial overflow
+    of the monomial form well past n = 50; a series sum_n c_n phi_n takes one pass.
     """
+    x = np.asarray(x, dtype=float)
+    phi_prev, phi = 0.0, np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    for k in itertools.count():
+        yield phi
+        phi_prev, phi = phi, x * np.sqrt(2.0 / (k + 1)) * phi - np.sqrt(k / (k + 1.0)) * phi_prev
+
+
+def hermite_function(n: int, x) -> np.ndarray:
+    """Normalized harmonic-oscillator eigenfunction of index n, by :func:`_hermite_functions`."""
     n = int(n)
     if n < 0:
         raise ValueError(f"Hermite index must be nonnegative, got {n}")
-    x = np.asarray(x, dtype=float)
-    phi_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return phi_prev
-    phi = np.sqrt(2.0) * x * phi_prev
-    for k in range(1, n):
-        phi_prev, phi = phi, x * np.sqrt(2.0 / (k + 1)) * phi - np.sqrt(k / (k + 1.0)) * phi_prev
-    return phi
+    return next(itertools.islice(_hermite_functions(x), n, None))
 
 
 class HermiteNumber:
@@ -136,9 +137,9 @@ class SampledGrid:
 
     def fourier_at(self, p):
         """Trapezoid quadrature of the plus-kernel Fourier integral on the grid."""
-        p = np.asarray(p, dtype=float)
-        kernel = np.exp(1j * np.multiply.outer(p, self.x))
-        return (2 * np.pi) ** -0.5 * np.trapezoid(kernel * self.values, self.x, axis=-1)
+        weights = (np.diff(self.x, prepend=self.x[0]) + np.diff(self.x, append=self.x[-1])) / 2
+        kernel = np.multiply.outer(p, 1j * self.x)  # one complex array, exponentiated in place
+        return (2 * np.pi) ** -0.5 * (np.exp(kernel, out=kernel) @ (weights * self.values))
 
     def __repr__(self):
         return f"SampledGrid(n={self.x.size}, range=[{self.x[0]:g}, {self.x[-1]:g}])"

@@ -17,6 +17,7 @@ constants, overlaps and the inversion of the transform over a sector family.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 
 from .hilbert import FiniteState, fourier_matrix
 from .theta import _lift, _log_theta3
-from .wavefunctions import HermiteNumber
+from .wavefunctions import HermiteNumber, _hermite_functions
 
 __all__ = [
     "SystemParams",
@@ -107,45 +108,43 @@ class ZakSector:
 
 
 def _as_sector(sector) -> ZakSector:
-    if sector is None:
-        return ZakSector()
     if isinstance(sector, ZakSector):
         return sector
-    s1, s2 = sector
-    return ZakSector(s1, s2)
+    return ZakSector() if sector is None else ZakSector(*sector)
 
 
-def _lattice_sums(fn, d, step, sigma1, sigma2, m):
-    """sum_w e^{-2 pi i sigma1 w} fn(step (m + sigma2 + d w)) for each sigma1, adaptively truncated.
+def _lattice_sums(fn, params: SystemParams, sigma1, sigma2, m=None):
+    """sum_w e^{-2 pi i sigma1 w} fn(step (m + sigma2 + d w)), step = sqrt(2 pi / d) lam, for each sigma1.
 
     `sigma1` is an array of twists sharing one set of fn samples; row r of
-    the result, of the shape of m, belongs to sigma1[r].  A row stops taking shells once
-    _STOP_RUN shells in a row add less than _TAIL_TOL of its size, and the
-    loop ends when every row has stopped.  Returns (total, peak) where peak
-    is the largest sampled |fn| value; the ratio ||total|| / peak separates
-    genuine components from sums that cancel identically.
+    the result, of the shape of m (default 0 .. d-1), belongs to sigma1[r].
+    The shells go through in batches, |w| <= _STOP_RUN and then twice as far
+    each time up to W_CAP, each in one fn call and one product with the
+    phases.  The sum ends with the batch in which _STOP_RUN shells in a row
+    first each add less than _TAIL_TOL of every row's size (1 plus its
+    largest entry), bounding shell w of all rows by |fn(+w)| + |fn(-w)|, so
+    it takes no fewer shells than a row-by-row rule stopping at such a run.
+    Returns (total, peak), peak the largest sampled |fn|; ||total|| / peak
+    separates genuine components from sums that cancel identically.
     """
-    shape = (d,) if m is None else np.shape(m)
-    m = np.arange(d) if m is None else np.ravel(m)
+    d, step = params.d, math.sqrt(2.0 * math.pi / params.d) * params.lam
+    m = np.arange(d) if m is None else np.asarray(m)
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    base = (m + sigma2) * step
-    period = d * step
-    first = np.asarray(fn(base), dtype=complex)
-    total = np.repeat(first[None, :], sigma1.size, axis=0)
-    peak = float(np.max(np.abs(first), initial=0.0))
-    run = np.zeros(sigma1.size, dtype=int)
-    for w in range(1, W_CAP + 1):
-        up = np.asarray(fn(base + w * period), dtype=complex)
-        down = np.asarray(fn(base - w * period), dtype=complex)
-        peak = max(peak, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
-        live = run < _STOP_RUN
-        phase = np.exp(-2j * np.pi * sigma1[live] * w)[:, None]
-        shell = phase * up + np.conj(phase) * down
-        total[live] += shell
-        rel = np.max(np.abs(shell), axis=1) / (1.0 + np.max(np.abs(total[live]), axis=1))
-        run[live] = np.where(rel < _TAIL_TOL, run[live] + 1, 0)
-        if np.all(run >= _STOP_RUN):
-            return total.reshape((sigma1.size,) + shape), peak
+    base = (m.ravel() + sigma2) * step
+    total, peak, done, run = np.zeros((sigma1.size, m.size), dtype=complex), 0.0, -1, 0
+    while done < W_CAP:
+        w = np.arange(done + 1, min(max(2 * done, _STOP_RUN), W_CAP) + 1)
+        w = np.concatenate([-w[::-1], w[w > 0]])  # -hi .. -lo, lo .. hi, with w = 0 once in the first batch
+        samples = np.asarray(fn(base + w[:, None] * (d * step)), dtype=complex)
+        modulus = np.abs(samples)
+        peak = max(peak, float(modulus.max(initial=0.0)))
+        total += np.exp(-2j * np.pi * sigma1[:, None] * w) @ samples
+        bound = (modulus + modulus[::-1])[w > 0].max(axis=1, initial=0.0)  # |fn(+w)| + |fn(-w)|, |w| ascending
+        for small in bound < _TAIL_TOL * (1.0 + np.abs(total).max(axis=1, initial=0.0).min()):
+            run = run + 1 if small else 0
+            if run == _STOP_RUN:
+                return total.reshape(sigma1.shape + m.shape), peak
+        done = w[-1]
     raise RuntimeError(
         f"lattice sum tail not converged within |w| <= {W_CAP}; "
         "the wavefunction decays too slowly for this transform"
@@ -160,34 +159,26 @@ _DEGENERATE_RATIO = 1e-12
 
 def zak_sums(psi, params: SystemParams, sector=None, m=None) -> np.ndarray:
     """Unnormalized component sums t_m; `m` may hold any integers (default 0..d-1)."""
-    step = math.sqrt(2.0 * math.pi / params.d) * params.lam
     sector = _as_sector(sector)
-    total, _ = _lattice_sums(psi, params.d, step, sector.sigma1, sector.sigma2, m)
-    return total[0]
+    return _lattice_sums(psi, params, sector.sigma1, sector.sigma2, m)[0][0]
 
 
 def zak_normalization(psi, params: SystemParams, sector=None) -> float:
     """Normalization constant: squared norm of the unnormalized sums."""
-    t = zak_sums(psi, params, sector)
-    return float(np.sum(np.abs(t) ** 2))
+    return float(np.sum(np.abs(zak_sums(psi, params, sector)) ** 2))
 
 
-def _normalized_or_raise(total, peak) -> FiniteState:
+def zak_map(psi, params: SystemParams, sector=None) -> FiniteState:
+    """Map a real-line wavefunction to a normalized d-component state."""
+    sector = _as_sector(sector)
+    total, peak = _lattice_sums(psi, params, sector.sigma1, sector.sigma2)
     nrm = np.linalg.norm(total)
     if nrm <= _DEGENERATE_RATIO * peak or nrm == 0.0:
         raise ValueError(
             "transform of this wavefunction vanishes identically at this "
             "dimension; no normalizable state exists"
         )
-    return FiniteState(total / nrm, normalize=False)
-
-
-def zak_map(psi, params: SystemParams, sector=None) -> FiniteState:
-    """Map a real-line wavefunction to a normalized d-component state."""
-    step = math.sqrt(2.0 * math.pi / params.d) * params.lam
-    sector = _as_sector(sector)
-    total, peak = _lattice_sums(psi, params.d, step, sector.sigma1, sector.sigma2, None)
-    return _normalized_or_raise(total[0], peak)
+    return FiniteState(total[0] / nrm, normalize=False)
 
 
 def momentum_zak_sums(psi, params: SystemParams, m=None) -> np.ndarray:
@@ -512,9 +503,11 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
     truncated at N = n_max; converges to coherent_state_closed(A) as n_max
     grows.  The coefficient follows from the Hermite generating function
     with the Gaussian convention exp(-x^2/2 + A x - Re(A) A / 2), in which
-    the oscillator label is A/sqrt(2).  Each sqrt(Nn(N)) |N>> term is the
-    unnormalized Hermite lattice sum, so indices whose projection vanishes
-    identically contribute nothing.  Requires lam = 1 like the number states.
+    the oscillator label is A/sqrt(2).  The sqrt(Nn(N)) |N>> terms are
+    unnormalized Hermite lattice sums, summed as the one lattice sum of
+    sum_N c_N phi_N (one pass of the Hermite recurrence per batch of
+    shells), so indices whose projection vanishes identically contribute
+    nothing.  Requires lam = 1 like the number states.
     """
     _require_unit_scale(params, "number-basis expansions")
     if n_max < 0:
@@ -522,16 +515,9 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
     a = complex(label)
     alpha = a / math.sqrt(2.0)
     nc = coherent_normalization(a, params)
-    acc = np.zeros(params.d, dtype=complex)
-    for n in range(n_max + 1):
-        # alpha^N / sqrt(N!) in log form to stay finite for large n_max
-        if alpha == 0:
-            if n > 0:
-                break
-            coeff = 1.0 + 0j
-        else:
-            coeff = np.exp(n * np.log(abs(alpha)) - 0.5 * math.lgamma(n + 1)) * (alpha / abs(alpha)) ** n
-        acc += coeff * zak_sums(HermiteNumber(n), params)
+    # alpha^N / sqrt(N!) in log form to stay finite for large n_max; at alpha = 0 only N = 0 is left
+    coeffs = [cmath.exp(n * cmath.log(alpha) - 0.5 * math.lgamma(n + 1)) for n in range(n_max + 1)] if alpha else [1]
+    acc = zak_sums(lambda x: sum(c * phi for c, phi in zip(coeffs, _hermite_functions(x))), params)
     acc *= math.exp(-0.25 * abs(a) ** 2) / math.sqrt(nc)
     return FiniteState(acc, normalize=False)
 
@@ -541,7 +527,7 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
 
 
 class SectorFamily:
-    """States of one wavefunction over a uniform sigma1 grid at fixed sigma2.
+    """States of one wavefunction over the sigma1 grid k / N, k = 0 .. N - 1 (N even), at fixed sigma2.
 
     ``amplitudes`` holds the unnormalized components, one row per sigma1;
     when not given it is built from ``states`` and ``norms``.  ``states``,
@@ -551,6 +537,9 @@ class SectorFamily:
 
     def __init__(self, params: SystemParams, sigma1: np.ndarray, sigma2: float,
                  states: list = None, norms: np.ndarray = None, amplitudes: np.ndarray = None):
+        sigma1, n = np.asarray(sigma1, dtype=float), np.size(sigma1)
+        if n % 2 or np.max(np.abs(sigma1 - np.arange(n) / n), initial=0.0) > 1e-12:
+            raise ValueError("sigma1 must be the grid k / N, k = 0 .. N - 1, for an even N")
         if amplitudes is None and states:
             amplitudes = np.sqrt(norms)[:, None] * np.array([s.components for s in states])
         self.params, self.sigma1, self.sigma2 = params, sigma1, sigma2
@@ -572,6 +561,13 @@ class SectorFamily:
         q, r = divmod(int(m), self.params.d)
         return self.amplitudes[:, r] * np.exp(2j * np.pi * self.sigma1 * q)
 
+    @functools.cached_property
+    def _trapezoid_tables(self) -> tuple:
+        """ifft of the amplitudes over the grid and its even points, computed once and read-only."""
+        full, coarse = np.fft.ifft(self.amplitudes, axis=0), np.fft.ifft(self.amplitudes[::2], axis=0)
+        full.flags.writeable = coarse.flags.writeable = False
+        return full, coarse
+
 
 def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int = 64) -> SectorFamily:
     """Build the family over sigma1 = k / n_sigma1, k = 0 .. n_sigma1 - 1."""
@@ -579,8 +575,7 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
         raise ValueError(f"n_sigma1 must be an even integer >= 4, got {n_sigma1}")
     grid = np.arange(n_sigma1) / n_sigma1
     sigma2 = float(sigma2) % 1.0
-    step = math.sqrt(2.0 * math.pi / params.d) * params.lam
-    t, _ = _lattice_sums(psi, params.d, step, grid, sigma2, None)
+    t, _ = _lattice_sums(psi, params, grid, sigma2)
     return SectorFamily(params, grid, sigma2, norms=np.sum(np.abs(t) ** 2, axis=1), amplitudes=t)
 
 
@@ -589,16 +584,14 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
 
     Integrates N(sigma1)^(1/2) psi_m(sigma1) e^{2 pi i sigma1 w} over one
     period of sigma1 with the periodic trapezoid rule on the family grid.
-    Component m is component m mod d times e^{2 pi i sigma1 q}, q = m // d,
-    so the integrand takes one exponential at the winding q + w.  The error
-    estimate compares against the half-resolution grid; a value above `tol`
-    raises (grid too coarse).
+    Component m is component m mod d times e^{2 pi i sigma1 q}, q = m // d;
+    on the grid k / N the rule is an inverse DFT, read at row (q + w) mod N
+    of the family's table.  The error estimate compares against the
+    half-resolution grid; a value above `tol` raises (grid too coarse).
     """
     q, r = divmod(int(m), family.params.d)
-    vals = family.amplitudes[:, r] * np.exp(2j * np.pi * (q + w) * family.sigma1)
-    half = vals[::2]
-    full = complex(vals.sum()) / vals.size
-    coarse = complex(half.sum()) / half.size
+    full, coarse = family._trapezoid_tables
+    full, coarse = complex(full[(q + int(w)) % len(full), r]), complex(coarse[(q + int(w)) % len(coarse), r])
     if abs(full - coarse) > tol:
         raise RuntimeError(
             f"sigma1 grid too coarse: quadrature error estimate {abs(full - coarse):.2e} > {tol}"

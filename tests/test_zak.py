@@ -1,5 +1,6 @@
 """Line-to-cycle transform, number and coherent states, sectors and inversion."""
 
+import math
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from finiteq import (
     zak_normalization,
     zak_sums,
 )
+from finiteq.zak import _STOP_RUN, _TAIL_TOL, W_CAP, _lattice_sums
 
 TABLE_D6 = {
     0: [0.75971, 0.45004, 0.09373, 0.01365, 0.09373, 0.45004],
@@ -269,6 +271,25 @@ def test_coherent_from_number_truncation_error_decreases():
     assert errs[-1] < 1e-10
 
 
+def _coherent_from_number_terms(label, params, n_max):
+    """coherent_from_number summed term by term: one lattice sum per Hermite index."""
+    alpha = complex(label) / math.sqrt(2.0)
+    acc = np.zeros(params.d, dtype=complex)
+    for n in range(n_max + 1):
+        coeff = np.exp(n * np.log(abs(alpha)) - 0.5 * math.lgamma(n + 1)) * (alpha / abs(alpha)) ** n
+        acc += coeff * zak_sums(HermiteNumber(n), params)
+    return acc * math.exp(-0.25 * abs(label) ** 2) / math.sqrt(coherent_normalization(label, params))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("label", [0.8 - 0.5j, 2.5 + 1.5j])
+def test_coherent_from_number_matches_term_by_term_sum(d, label):
+    params = SystemParams(d)
+    got = coherent_from_number(label, params, n_max=60).components
+    ref = _coherent_from_number_terms(label, params, 60)
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
 def test_number_normalization_positive():
     params = SystemParams(5)
     for n in (0, 3, 7):
@@ -391,6 +412,54 @@ def test_sector_family_rejects_odd_grid():
         sector_family(GaussianCoherent(0), SystemParams(2), n_sigma1=9)
 
 
+def test_sector_family_requires_the_uniform_grid():
+    # inverse_zak reads an FFT table, which is the trapezoid rule only on the grid k / N
+    params, amplitudes = SystemParams(3), np.ones((8, 3), dtype=complex)
+    for sigma1 in (np.linspace(0, 1, 8), np.arange(1, 9) / 8, np.arange(7) / 7):
+        with pytest.raises(ValueError, match="grid k / N"):
+            SectorFamily(params, sigma1, 0.0, amplitudes=amplitudes[:len(sigma1)])
+    family = SectorFamily(params, np.linspace(0, 1, 8, endpoint=False), 0.0, amplitudes=amplitudes)
+    assert inverse_zak(family, 0, 0) == 1.0
+
+
+def _direct_inverse_zak(family, m, w, tol):
+    """inverse_zak as the direct periodic trapezoid sum over the family's grid and its even points."""
+    q, r = divmod(int(m), family.params.d)
+    vals = family.amplitudes[:, r] * np.exp(2j * np.pi * (q + w) * family.sigma1)
+    full, coarse = complex(vals.sum()) / vals.size, complex(vals[::2].sum()) / vals[::2].size
+    if abs(full - coarse) > tol:
+        raise RuntimeError("sigma1 grid too coarse")
+    return full
+
+
+@pytest.mark.parametrize("psi, params", [(GaussianCoherent(0.3 - 0.2j), SystemParams(2, 0.5)),
+                                         (HermiteNumber(3), SystemParams(5)),
+                                         (GaussianCoherent(1.1 + 0.4j), SystemParams(1, 0.7))], ids=repr)
+def test_inverse_zak_matches_direct_trapezoid_sum(psi, params):
+    d, outcomes = params.d, set()
+    for n_sigma1 in (4, 8, 64):
+        family = sector_family(psi, params, sigma2=0.3, n_sigma1=n_sigma1)
+        rebuilt = SectorFamily(params, family.sigma1, family.sigma2, family.states, family.norms)
+        scale = np.max(np.abs(family.amplitudes))
+        for tol in (1e-6, 1e-10):
+            for m in range(-2 * d, 3 * d):
+                for w in range(-70, 71):  # windings past n_sigma1 / 2 wrap around the table
+                    try:
+                        ref = _direct_inverse_zak(family, m, w, tol)
+                    except RuntimeError:
+                        for fam in (family, rebuilt):
+                            with pytest.raises(RuntimeError, match="sigma1 grid too coarse"):
+                                inverse_zak(fam, m, w, tol)
+                        outcomes.add("raised")
+                        continue
+                    # the direct sum rounds its phase angles, 2 pi (q + w) sigma1, to eps of their size
+                    bound = 1e-15 * scale * (1 + abs(m // d + w))
+                    assert abs(inverse_zak(family, m, w, tol) - ref) <= bound
+                    assert abs(inverse_zak(rebuilt, m, w, tol) - ref) <= bound
+                    outcomes.add("value")
+    assert outcomes == {"raised", "value"}
+
+
 # --- sampled-grid wavefunctions ----------------------------------------------
 
 
@@ -431,6 +500,101 @@ def test_sampled_from_csv_roundtrip(tmp_path):
     got = zak_map(grid, SystemParams(3))
     expect = coherent_state_closed(0.3, SystemParams(3))
     assert np.max(np.abs(got.components - expect.components)) < 1e-9
+
+
+# --- the lattice sums against the shell-by-shell loop ---------------------------
+
+
+def _per_shell_lattice_sums(fn, params, sigma1, sigma2, m=None):
+    """The lattice sums one shell w at a time, each twist stopping after _STOP_RUN small shells in a row."""
+    d, step = params.d, math.sqrt(2 * math.pi / params.d) * params.lam
+    shape = (d,) if m is None else np.shape(m)
+    m = np.arange(d) if m is None else np.ravel(m)
+    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
+    base = (m + sigma2) * step
+    period = d * step
+    first = np.asarray(fn(base), dtype=complex)
+    total = np.repeat(first[None, :], sigma1.size, axis=0)
+    peak = float(np.max(np.abs(first), initial=0.0))
+    run = np.zeros(sigma1.size, dtype=int)
+    for w in range(1, W_CAP + 1):
+        up = np.asarray(fn(base + w * period), dtype=complex)
+        down = np.asarray(fn(base - w * period), dtype=complex)
+        peak = max(peak, float(np.max(np.abs(up))), float(np.max(np.abs(down))))
+        live = run < _STOP_RUN
+        phase = np.exp(-2j * np.pi * sigma1[live] * w)[:, None]
+        shell = phase * up + np.conj(phase) * down
+        total[live] += shell
+        rel = np.max(np.abs(shell), axis=1) / (1.0 + np.max(np.abs(total[live]), axis=1))
+        run[live] = np.where(rel < _TAIL_TOL, run[live] + 1, 0)
+        if np.all(run >= _STOP_RUN):
+            return total.reshape((sigma1.size,) + shape), peak
+    raise RuntimeError(f"lattice sum tail not converged within |w| <= {W_CAP}")
+
+
+_GRID_X = np.linspace(-12, 12, 4001)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 48, 1000])
+@pytest.mark.parametrize("make_psi, lams", [
+    (lambda d, lam: HermiteNumber(0), (1.0,)),
+    (lambda d, lam: HermiteNumber(5), (1.0,)),
+    (lambda d, lam: HermiteNumber(30), (1.0,)),
+    # centred 2.3 periods out, so the sum takes its bulk from the second and third shells
+    (lambda d, lam: GaussianCoherent(2.3 * math.sqrt(2 * math.pi * d) * lam + 0.7j), (0.3, 1.0, 2.5)),
+    (lambda d, lam: SampledGrid(_GRID_X, GaussianCoherent(0.4 + 0.3j)(_GRID_X)), (1.0,)),
+], ids=["hermite0", "hermite5", "hermite30", "far-gaussian", "sampled"])
+def test_lattice_sums_match_per_shell_loop(d, make_psi, lams):
+    m_wide = np.array([[-2 * d - 1, -1, 0], [d - 1, d, 3 * d + 2]])  # any integers, any shape
+    for lam in lams:
+        psi, params = make_psi(d, lam), SystemParams(d, lam)
+        for sigma1 in ([0.0], np.arange(64) / 64):
+            for m in (None, m_wide):
+                ref, ref_peak = _per_shell_lattice_sums(psi, params, sigma1, 0.37, m)
+                got, peak = _lattice_sums(psi, params, sigma1, 0.37, m)
+                assert peak == ref_peak and got.shape == ref.shape
+                assert peak > 0 or m is not None  # the far Gaussian lies between the few m of m_wide
+                # rounding of sums that reach a few times the largest sample when lam d is small
+                assert np.max(np.abs(got - ref)) <= 1e-15 * max(peak, np.max(np.abs(ref)))
+
+
+def test_sum_stops_at_the_first_run_of_small_shells_inside_a_batch():
+    # a Gaussian on a floor 1e-18 x^2 that rises with |x|, like the rounding floor of a
+    # sampled grid's trapezoid Fourier transform: at d = 4, |psi(+w)| + |psi(-w)| is
+    # 1.3e-15 at shell 5 and 1.8e-15 at shell 6, against 1e-15 (1 + 0.75), so shells 3,
+    # 4 and 5 are the only run of small shells and the batch 4 .. 6 ends on a large one
+    def psi(x):
+        return GaussianCoherent(0)(x) + 1e-18 * np.asarray(x) ** 2
+
+    params = SystemParams(4)
+    ref, _ = _per_shell_lattice_sums(psi, params, [0.0], 0.0)
+    got, _ = _lattice_sums(psi, params, [0.0], 0.0)
+    base, period = np.arange(4) * math.sqrt(2 * math.pi / 4), math.sqrt(2 * math.pi * 4)
+    # the loop stops at shell 5; the batch adds shell 6 as well
+    assert np.max(np.abs(got[0] - ref[0] - psi(base + 6 * period) - psi(base - 6 * period))) <= 4e-16
+
+
+@pytest.mark.parametrize("n_twists", [1, 64])
+def test_slow_tail_raises_at_the_shell_cap(n_twists):
+    sigma1 = np.arange(n_twists) / n_twists
+    for fn in (lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), lambda x: np.ones(np.shape(x))):
+        with pytest.raises(RuntimeError, match=rf"within \|w\| <= {W_CAP}"):
+            _lattice_sums(fn, SystemParams(3), sigma1, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_undecayed_sampled_grid_raises_as_the_per_shell_loop(d):
+    # at d = 1 the first batch reaches past the grid's edge after its first shell
+    x = np.linspace(-3.0, 3.0, 301)
+    grid, params = SampledGrid(x, GaussianCoherent(0)(x)), SystemParams(d)
+    with pytest.raises(ValueError, match="support") as ref:
+        _per_shell_lattice_sums(grid, params, np.arange(8) / 8, 0.0)
+    for call in (lambda: _lattice_sums(grid, params, np.arange(8) / 8, 0.0),
+                 lambda: zak_map(grid, params),
+                 lambda: sector_family(grid, params, n_sigma1=8)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(ref.value)
 
 
 def test_zak_sums_nonconvergent_tail_raises():
