@@ -37,79 +37,53 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_complex(text: str) -> complex:
     """Parse the CLI literal form: '1+1i', '0.3-0.2i', '-2i', 'i', '0.7'."""
-    bad = _UsageError(f"cannot parse complex literal {text!r} (expected e.g. 0.3-0.2i)")
     s = text.strip().replace(" ", "")
-    if not s:
-        raise bad
     try:
-        if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        # split before the last sign that is neither leading nor an exponent sign
-        split = 0
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        re_text, im_text = body[:split], body[split:]
-        re_part = float(re_text) if re_text else 0.0
-        if im_text in ("", "+"):
-            im_part = 1.0
-        elif im_text == "-":
-            im_part = -1.0
-        else:
-            im_part = float(im_text)
-        return complex(re_part, im_part)
+        if any(c in s for c in "jJ("):  # Python's forms 1+1j and (1+1j), which complex() takes too
+            raise ValueError(s)
+        return complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError:
-        raise bad from None
-
-
-def _add_common(p):
-    p.add_argument("--d", type=int, help="Hilbert-space dimension")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="squeezing scale (default 1)")
-    p.add_argument("--cell-a", type=float, default=0.0, help="real cell anchor (default 0)")
-    p.add_argument("--cell-b", type=float, default=0.0, help="imaginary cell anchor (default 0)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override where applicable")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--out", help="output path")
+        raise _UsageError(f"cannot parse complex literal {text!r} (expected e.g. 0.3-0.2i)") from None
 
 
 def build_parser() -> _Parser:
     """A fresh parser for the finiteq command line."""
     parser = _Parser(prog="finiteq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    common.add_argument("--d", type=int, help="Hilbert-space dimension")
+    common.add_argument("--lambda", dest="lam", type=float, default=1.0, help="squeezing scale (default 1)")
+    common.add_argument("--cell-a", type=float, default=0.0, help="real cell anchor (default 0)")
+    common.add_argument("--cell-b", type=float, default=0.0, help="imaginary cell anchor (default 0)")
+    common.add_argument("--tol", type=float, default=None, help="tolerance override where applicable")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    common.add_argument("--out", help="output path")
 
-    p_state = sub.add_parser("state", help="generate a state file")
+    p_state = sub.add_parser("state", parents=[common], help="generate a state file")
     p_state.add_argument("kind", choices=["number", "coherent", "position", "momentum", "sampled"])
-    _add_common(p_state)
     p_state.add_argument("--N", type=int, help="number-state index")
     p_state.add_argument("--A", help="coherent label, e.g. 1+1i")
     p_state.add_argument("--m", type=int, help="basis index")
     p_state.add_argument("--csv", help="CSV of x,re,im samples (kind 'sampled')")
 
-    p_zeros = sub.add_parser("zeros", help="locate the d zeros of a state's representation")
-    _add_common(p_zeros)
+    p_zeros = sub.add_parser("zeros", parents=[common], help="locate the d zeros of a state's representation")
     p_zeros.add_argument("--state", required=True, help="input state JSON")
     p_zeros.add_argument("--svg", help="also write an SVG scatter")
 
-    p_rec = sub.add_parser("reconstruct", help="rebuild a state from a zeros CSV")
-    _add_common(p_rec)
+    p_rec = sub.add_parser("reconstruct", parents=[common], help="rebuild a state from a zeros CSV")
     p_rec.add_argument("--zeros", required=True, help="input zeros CSV")
 
-    p_ov = sub.add_parser("overlap", help="overlap of two coherent states or two state files")
-    _add_common(p_ov)
+    p_ov = sub.add_parser("overlap", parents=[common], help="overlap of two coherent states or two state files")
     p_ov.add_argument("--A1", help="first coherent label")
     p_ov.add_argument("--A2", help="second coherent label")
     p_ov.add_argument("--in1", help="first state JSON")
     p_ov.add_argument("--in2", help="second state JSON")
 
-    p_ver = sub.add_parser("verify", help="run seeded identity suites")
-    _add_common(p_ver)
+    p_ver = sub.add_parser("verify", parents=[common], help="run seeded identity suites")
     p_ver.add_argument("--suite", default="all",
                        choices=["all", "theta", "hilbert", "zak", "analytic", "zeros"])
 
-    p_plot = sub.add_parser("plot", help="SVG scatter of a state's zeros")
-    _add_common(p_plot)
+    p_plot = sub.add_parser("plot", parents=[common], help="SVG scatter of a state's zeros")
     p_plot.add_argument("--state", required=True, help="input state JSON")
     p_plot.add_argument("--overlay", help="second state JSON, drawn with triangles")
     p_plot.add_argument("--svg", help="output SVG path (defaults to --out)")
@@ -117,11 +91,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params(args, d=None) -> SystemParams:
-    dim = d if d is not None else args.d
-    if dim is None:
+def _params(args) -> SystemParams:
+    if args.d is None:
         raise _UsageError("--d is required for this command")
-    return SystemParams(dim, args.lam, args.cell_a, args.cell_b)
+    return SystemParams(args.d, args.lam, args.cell_a, args.cell_b)
 
 
 def _need(args, flag, value):
@@ -150,20 +123,16 @@ def _load_analytic(path, args) -> AnalyticState:
 
 
 def _cmd_state(args) -> int:
+    params = _params(args)
     if args.kind == "number":
-        params = _params(args)
         st = number_state(_need(args, "--N", args.N), params)
     elif args.kind == "coherent":
-        params = _params(args)
         st = coherent_state_closed(parse_complex(_need(args, "--A", args.A)), params)
     elif args.kind == "position":
-        params = _params(args)
         st = position_state(_need(args, "--m", args.m), params.d)
     elif args.kind == "momentum":
-        params = _params(args)
         st = momentum_state(_need(args, "--m", args.m), params.d)
     else:  # sampled
-        params = _params(args)
         st = zak_map(sampled_from_csv(_need(args, "--csv", args.csv)), params)
     out = _need(args, "--out", args.out)
     ser.save_state(out, st, params)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analytic, hilbert, zak, zeros
 from .theta import _log_theta3, theta2, theta3
-from .wavefunctions import GaussianCoherent, HermiteNumber
+from .wavefunctions import GaussianCoherent
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
@@ -60,19 +60,22 @@ def _suite_hilbert(d, rng):
     F = hilbert.fourier_matrix(d)
     out.append(_result("F unitary", float(np.max(np.abs(F @ F.conj().T - np.eye(d)))), 1e-12))
     out.append(_result("F^4 = 1", float(np.max(np.abs(np.linalg.matrix_power(F, 4) - np.eye(d)))), 1e-12))
-    s = _random_state(rng, d)
-    m = np.arange(d)
-    beta = m[:, None]
-    acc = np.zeros((d, d), dtype=complex)
-    for alpha in range(d):
-        # row beta is D(alpha, beta) s: component m, times exp(i pi (alpha beta + 2 alpha m) / d), moves to m + beta
-        v = np.empty((d, d), dtype=complex)
-        v[beta, (m + beta) % d] = np.exp(1j * np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d) * s.components
-        acc += v.T @ v.conj()
-    out.append(_result("displaced fiducial resolves identity", float(np.max(np.abs(acc / d - np.eye(d)))), 1e-12))
-    # the rows above, at the last alpha, against the library's displaced states
-    ref = np.array([hilbert.displaced_state(s, (alpha, b)).components for b in range(d)])
-    out.append(_result("displaced rows match displaced_state", float(np.max(np.abs(v - ref))), 1e-12))
+    s, m = _random_state(rng, d), np.arange(d)
+
+    def phase(alpha, beta):  # D(alpha, beta) moves component m of a state, times this phase, to m + beta
+        return np.exp(1j * np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d)
+
+    # sum_{alpha, beta} D s s^dagger D^dagger = d I.  Summed over alpha, the phases weight the pair of
+    # components (m, m') by pairs[m, m'], at every beta alike (alpha beta cancels); the shifts by beta
+    # then make the sum circulant, entry (n, n - L) being sum_m pairs[m, m - L] s_m conj(s_{m - L})
+    pairs = phase(m[:, None], 0).T @ phase(m[:, None], 0).conj()  # [alpha, m] tables, summed over alpha
+    lag = (m[:, None] - m) % d  # [m, L] -> m - L
+    c = np.sum(pairs[m[:, None], lag] * s.components[:, None] * s.components[lag].conj(), axis=0)
+    out.append(_result("displaced fiducial resolves identity", float(np.max(np.abs(c / d - (m == 0)))), 1e-12))
+    # the phases of the last alpha against the library's displaced states, read at m + beta in row beta
+    ref = np.array([hilbert.displaced_state(s, (d - 1, b)).components for b in range(d)])
+    err = np.max(np.abs(phase(d - 1, m[:, None]) * s.components - ref[m[:, None], (m + m[:, None]) % d]))
+    out.append(_result("displaced rows match displaced_state", float(err), 1e-12))
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     table = hilbert.weyl_function(op)
     # entries against the definition, so a wrong transform pair that inverts itself still fails
@@ -114,10 +117,14 @@ def _suite_zak(d, rng):
     closed = zak.coherent_state_closed(label, params)
     out.append(_result("Gaussian transform matches theta closed form",
                        float(np.max(np.abs(direct.components - closed.components))), 1e-12))
-    mom = zak.momentum_zak_map(HermiteNumber(int(n)), params)
-    pos = zak.zak_map(HermiteNumber(int(n)), params)
-    out.append(_result("momentum side equals finite Fourier transform",
-                       float(np.max(np.abs(mom.components - F @ pos.components))), 1e-10))
+    # the momentum side against its definition, the sums of psi-hat at scale 1/lam (lam = 2.5: a lost lam shows)
+    psi, scaled = GaussianCoherent(label), zak.SystemParams(d, 2.5)
+    defined = zak.zak_sums(psi.fourier_at, zak.SystemParams(d, 1 / 2.5))
+    norm = np.linalg.norm(defined)
+    err = max(np.max(np.abs(zak.momentum_zak_sums(psi, scaled) - defined)) / norm,
+              abs(zak.momentum_zak_normalization(psi, scaled) / norm**2 - 1),
+              np.max(np.abs(zak.momentum_zak_map(psi, scaled).components - defined / norm)))
+    out.append(_result("momentum side matches the sums of psi-hat", float(err), 1e-12))
     # the closed forms at labels and points across the cell width and up to 0.9 of its height
     a = rng.uniform(0, params.cell_width, 6) + 1j * rng.uniform(0, 0.9, 6) * params.cell_height
     out.append(_result("overlap closed form vs direct",

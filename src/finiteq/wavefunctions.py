@@ -4,8 +4,9 @@ Three families feed the line-to-cycle transform: harmonic-oscillator
 eigenfunctions (``HermiteNumber``), displaced Gaussians
 (``GaussianCoherent``), and tabulated data (``SampledGrid``).  Each exposes
 
-* ``__call__(x)``         -- pointwise values, vectorized, and
-* ``fourier_at(p)``       -- values of (2 pi)**-0.5 Integral psi(x) e^{+ipx} dx.
+* ``__call__(x)``         -- pointwise values, vectorized,
+* ``centre``              -- a point in the bulk of |psi|, where the transform starts its sums, and
+* ``fourier_at(p)``       -- values of (2 pi)**-0.5 Integral psi(x) e^{+ipx} dx (not used by the transform).
 
 The plus-sign kernel is used so that the Hermite functions transform with
 eigenvalue i**N and a displaced Gaussian with label A transforms into the
@@ -62,6 +63,10 @@ class HermiteNumber:
     def __call__(self, x):
         return hermite_function(self.n, x).astype(complex)
 
+    @property
+    def centre(self) -> float:
+        return 0.0
+
     def fourier_at(self, p):
         return (1j) ** self.n * hermite_function(self.n, p)
 
@@ -79,8 +84,12 @@ class GaussianCoherent:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        a = self.label
-        return np.pi ** -0.25 * np.exp(-0.5 * x * x + a * x - 0.5 * a.real * a)
+        a = self.label  # the exponent below has no terms of size |A|^2, whose rounding would not cancel
+        return np.pi ** -0.25 * np.exp(-0.5 * (x - a.real) ** 2 + 1j * a.imag * (x - 0.5 * a.real))
+
+    @property
+    def centre(self) -> float:
+        return self.label.real
 
     def fourier_at(self, p):
         # the plus-kernel transform maps label A to iA with no prefactor
@@ -134,6 +143,10 @@ class SampledGrid:
             return complex(vals[0]) if inside else 0j
         out[inside] = vals
         return out
+
+    @property
+    def centre(self) -> float:
+        return float(self.x[np.argmax(np.abs(self.values))])
 
     def fourier_at(self, p):
         """Trapezoid quadrature of the plus-kernel Fourier integral on the grid."""

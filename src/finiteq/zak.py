@@ -5,9 +5,9 @@ A wavefunction psi on the real line maps to the unnormalized component sums
     t_m = sum_w exp(-2 pi i sigma1 w) psi[ sqrt(2 pi / d) lam (m + sigma2 + d w) ]
 
 followed by normalization of the d-vector (sector (0, 0) is the default).
-The same machinery at spacing 1/lam applied to the Fourier transform of psi
-produces the momentum-side components, which coincide with the finite
-Fourier transform of the position-side ones.
+The momentum side, the same sums of the Fourier transform of psi at scale
+1/lam, equals lam F t by Poisson summation (F the Fourier matrix), so it is
+computed from the position sums and only one lattice is ever summed.
 
 Built on the transform are the two state factories with closed theta-function
 forms: eigenvectors of the Fourier matrix (images of Hermite functions at
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FiniteState, fourier_matrix
+from .hilbert import FiniteState
 from .theta import _lift, _log_theta3
 from .wavefunctions import HermiteNumber, _hermite_functions
 
@@ -116,35 +116,42 @@ def _as_sector(sector) -> ZakSector:
 def _lattice_sums(fn, params: SystemParams, sigma1, sigma2, m=None):
     """sum_w e^{-2 pi i sigma1 w} fn(step (m + sigma2 + d w)), step = sqrt(2 pi / d) lam, for each sigma1.
 
-    `sigma1` is an array of twists sharing one set of fn samples; row r of
-    the result, of the shape of m (default 0 .. d-1), belongs to sigma1[r].
-    The shells go through in batches, |w| <= _STOP_RUN and then twice as far
-    each time up to W_CAP, each in one fn call and one product with the
-    phases.  The sum ends with the batch in which _STOP_RUN shells in a row
-    first each add less than _TAIL_TOL of every row's size (1 plus its
-    largest entry), bounding shell w of all rows by |fn(+w)| + |fn(-w)|, so
-    it takes no fewer shells than a row-by-row rule stopping at such a run.
-    Returns (total, peak), peak the largest sampled |fn|; ||total|| / peak
-    separates genuine components from sums that cancel identically.
+    `sigma1` is an array of twists sharing one set of fn samples; row r of the result, of
+    the shape of m (default 0 .. d-1), belongs to sigma1[r].  Shells are counted w = w0 + k
+    from w0 = round(fn.centre / (d step)), or from 0 without a centre or when
+    |w0| <= _STOP_RUN (the first batch then reaches it), so a far psi does not stop on its
+    vanishing near tail; a centre past 1e8, where doubles lie 1e-8 apart, raises.  The
+    batches are |k| <= _STOP_RUN and then twice as far each time up to W_CAP, each one fn
+    call and one product with the phases.  The sum ends with the batch in which _STOP_RUN
+    shells in a row first each add less than _TAIL_TOL of every row's size (1 plus its
+    largest entry), bounding shell k of all rows by |fn(w0 + k)| + |fn(w0 - k)|, so it takes
+    no fewer shells than a row-by-row rule stopping at such a run.  Returns (total, peak),
+    peak the largest sampled |fn|; ||total|| / peak tells genuine components from sums that
+    cancel identically.
     """
     d, step = params.d, math.sqrt(2.0 * math.pi / params.d) * params.lam
     m = np.arange(d) if m is None else np.asarray(m)
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
     base = (m.ravel() + sigma2) * step
+    w0 = round(getattr(fn, "centre", 0.0) / (d * step))
+    if abs(w0) * d * step > 1e8:
+        raise ValueError(f"the centre of psi, {fn.centre:g}, is too far out to resolve its lattice points")
+    w0 = 0 if abs(w0) <= _STOP_RUN else w0
     total, peak, done, run = np.zeros((sigma1.size, m.size), dtype=complex), 0.0, -1, 0
     while done < W_CAP:
-        w = np.arange(done + 1, min(max(2 * done, _STOP_RUN), W_CAP) + 1)
-        w = np.concatenate([-w[::-1], w[w > 0]])  # -hi .. -lo, lo .. hi, with w = 0 once in the first batch
+        k = np.arange(done + 1, min(max(2 * done, _STOP_RUN), W_CAP) + 1)
+        k = np.concatenate([-k[::-1], k[k > 0]])  # -hi .. -lo, lo .. hi, with k = 0 once in the first batch
+        w = w0 + k
         samples = np.asarray(fn(base + w[:, None] * (d * step)), dtype=complex)
         modulus = np.abs(samples)
         peak = max(peak, float(modulus.max(initial=0.0)))
         total += np.exp(-2j * np.pi * sigma1[:, None] * w) @ samples
-        bound = (modulus + modulus[::-1])[w > 0].max(axis=1, initial=0.0)  # |fn(+w)| + |fn(-w)|, |w| ascending
+        bound = (modulus + modulus[::-1])[k > 0].max(axis=1, initial=0.0)  # |fn(w0 + k)| + |fn(w0 - k)|, |k| rising
         for small in bound < _TAIL_TOL * (1.0 + np.abs(total).max(axis=1, initial=0.0).min()):
             run = run + 1 if small else 0
             if run == _STOP_RUN:
                 return total.reshape(sigma1.shape + m.shape), peak
-        done = w[-1]
+        done = k[-1]
     raise RuntimeError(
         f"lattice sum tail not converged within |w| <= {W_CAP}; "
         "the wavefunction decays too slowly for this transform"
@@ -182,17 +189,20 @@ def zak_map(psi, params: SystemParams, sector=None) -> FiniteState:
 
 
 def momentum_zak_sums(psi, params: SystemParams, m=None) -> np.ndarray:
-    """Unnormalized momentum-side sums: :func:`zak_sums` of psi-hat at scale 1/lam."""
-    return zak_sums(psi.fourier_at, SystemParams(params.d, 1 / params.lam), m=m)
+    """Unnormalized momentum-side sums, :func:`zak_sums` of psi-hat at scale 1/lam: by Poisson summation
+    (Zak, Phys. Rev. Lett. 19 (1967) 1385), lam F zak_sums(psi), F = sqrt(d) ifft, d-periodic in m."""
+    t = params.lam * math.sqrt(params.d) * np.fft.ifft(zak_sums(psi, params))
+    return t if m is None else t[np.asarray(m) % params.d]
 
 
 def momentum_zak_normalization(psi, params: SystemParams) -> float:
-    return zak_normalization(psi.fourier_at, SystemParams(params.d, 1 / params.lam))
+    """Squared norm of :func:`momentum_zak_sums`, lam^2 zak_normalization(psi)."""
+    return params.lam**2 * zak_normalization(psi, params)
 
 
 def momentum_zak_map(psi, params: SystemParams) -> FiniteState:
-    """Momentum-side state; equals fourier_matrix(d) @ zak_map(psi) componentwise."""
-    return zak_map(psi.fourier_at, SystemParams(params.d, 1 / params.lam))
+    """Momentum-side state, the finite Fourier transform of :func:`zak_map`."""
+    return finite_fourier(zak_map(psi, params))
 
 
 # ---------------------------------------------------------------------------
@@ -600,5 +610,5 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
 
 
 def finite_fourier(state: FiniteState) -> FiniteState:
-    """Apply the Fourier matrix to a state."""
-    return FiniteState(fourier_matrix(state.d) @ state.components, normalize=False)
+    """Apply the Fourier matrix to a state, as sqrt(d) ifft: O(d log d), no d x d matrix."""
+    return FiniteState(math.sqrt(state.d) * np.fft.ifft(state.components), normalize=False)

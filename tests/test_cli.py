@@ -29,12 +29,13 @@ def test_parse_complex_forms():
     assert parse_complex("i") == 1j
     assert parse_complex("-i") == -1j
     assert parse_complex("1e-3+2.5e-1i") == 0.001 + 0.25j
+    assert parse_complex("1+i") == 1 + 1j
 
 
 def test_parse_complex_rejects_garbage():
     from finiteq.cli import _UsageError
 
-    for bad in ("abc", "1+2j+3i", "", "1 + 2i x"):
+    for bad in ("abc", "1+2j+3i", "", "1 + 2i x", "1+2J", "(1+2i)", "1i+2"):
         with pytest.raises(_UsageError):
             parse_complex(bad)
 

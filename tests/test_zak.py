@@ -25,6 +25,7 @@ from finiteq import (
     inverse_zak,
     momentum_zak_map,
     momentum_zak_normalization,
+    momentum_zak_sums,
     number_normalization,
     number_state,
     sampled_from_csv,
@@ -97,6 +98,38 @@ def test_hermite2_momentum_components_flip_sign():
     pos = zak_map(HermiteNumber(2), params)
     mom = momentum_zak_map(HermiteNumber(2), params)
     assert np.max(np.abs(mom.components + pos.components)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 48, 1000])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_momentum_side_matches_lattice_sums_of_psi_hat(d, lam):
+    # the definition: the lattice sums of psi-hat at scale 1/lam, summed from fourier_at
+    params, dual = SystemParams(d, lam), SystemParams(d, 1 / lam)
+    m = np.array([[-d - 1, -1, 0], [d - 1, d, 2 * d + 1]])
+    # sums round to eps of the larger of their largest sample and largest value; the definition
+    # also samples psi-hat near its bulk at base + w d step, rounded to eps of |base| <= reach step,
+    # and Hermite 11 changes by about sqrt(23) of its size per unit argument
+    step = math.sqrt(2 * math.pi / d) / lam
+    rel = {reach: 1e-13 + 5 * np.finfo(float).eps * reach * step for reach in (d, 2 * d + 2)}
+    outcomes = set()
+    for psi in [HermiteNumber(n) for n in range(12)] + [GaussianCoherent(1.1 - 0.7j), GaussianCoherent(-2.3 + 0.4j)]:
+        try:
+            ref_map = zak_map(psi.fourier_at, dual)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                momentum_zak_map(psi, params)
+            assert str(got.value) == str(exc)
+            outcomes.add("raised")
+            continue
+        full, peak = _lattice_sums(psi.fourier_at, dual, [0.0], 0.0)
+        scale = max(peak, np.max(np.abs(full)))
+        for mm, reach in ((None, d), (m, 2 * d + 2)):
+            got = momentum_zak_sums(psi, params, m=mm)
+            assert np.max(np.abs(got - zak_sums(psi.fourier_at, dual, m=mm))) <= rel[reach] * scale
+        assert abs(momentum_zak_normalization(psi, params) / zak_normalization(psi.fourier_at, dual) - 1) <= rel[d]
+        assert np.max(np.abs(momentum_zak_map(psi, params).components - ref_map.components)) <= rel[d]
+        outcomes.add("value")
+    assert "value" in outcomes and ("raised" in outcomes) == (d <= 4)
 
 
 def test_number_state_requires_unit_scale():
@@ -483,6 +516,19 @@ def test_sampled_grid_momentum_side():
     assert np.max(np.abs(got.components - expect)) < 1e-7
 
 
+_WIDE_X = np.linspace(-14, 14, 1501)
+
+
+@pytest.mark.parametrize("d", [26, 41, 64, 256, 1000])
+def test_sampled_grid_momentum_side_at_large_d(d):
+    # the trapezoid transform of fourier_at is periodic in p and never decays, so the
+    # lattice sums of it raised at the shell cap; the momentum side no longer uses it
+    label = 0.2 - 0.5j
+    grid, params = SampledGrid(_WIDE_X, GaussianCoherent(label)(_WIDE_X)), SystemParams(d)
+    expect = fourier_matrix(d) @ coherent_state_closed(label, params).components
+    assert np.max(np.abs(momentum_zak_map(grid, params).components - expect)) < 1e-8
+
+
 def test_sampled_grid_support_too_small():
     x = np.linspace(-1.0, 1.0, 201)  # Gaussian far from decayed at the edges
     grid = SampledGrid(x, GaussianCoherent(0)(x))
@@ -574,6 +620,59 @@ def test_sum_stops_at_the_first_run_of_small_shells_inside_a_batch():
     assert np.max(np.abs(got[0] - ref[0] - psi(base + 6 * period) - psi(base - 6 * period))) <= 4e-16
 
 
+def test_centre_is_read_from_the_data():
+    x = np.linspace(-5, 15, 2001)
+    psis = {HermiteNumber(3): 0.0, GaussianCoherent(1.5 - 2j): 1.5,
+            SampledGrid(x, GaussianCoherent(4.2 + 1j)(x)): 4.2}
+    for psi, centre in psis.items():
+        assert psi.centre == pytest.approx(centre, abs=1e-12)
+        with pytest.raises(AttributeError):
+            psi.centre = 0.0
+
+
+def test_far_gaussian_keeps_its_modulus():
+    # summed as -x^2/2 + A x - Re(A) A / 2, terms of size |A|^2 = 1e16 rounded psi by up to e^{+-1}
+    a = 1e8 + 0.3j
+    x = a.real + np.array([-1.0, 0.0, 0.5])
+    expect = np.pi ** -0.25 * np.exp(-0.5 * (x - a.real) ** 2)
+    assert np.max(np.abs(np.abs(GaussianCoherent(a)(x)) / expect - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("label, d", [(16, 1), (25, 2), (30, 3), (30, 4)])
+def test_far_gaussian_sums_from_its_centre(label, d):
+    # counted from w = 0, these sums stopped on the vanishing near tail before the bulk
+    params = SystemParams(d)
+    assert np.max(np.abs(zak_sums(GaussianCoherent(label), params) - coherent_unnormalized(label, params))) < 1e-12
+    got = zak_map(GaussianCoherent(label), params).components
+    assert np.max(np.abs(got - coherent_state_closed(label, params).components)) < 1e-12
+
+
+@pytest.mark.parametrize("label", [1e10, -1e300])
+def test_centre_too_far_to_resolve_raises(label):
+    # doubles lie 1e-8 apart and more past 1e8, too coarse for the lattice points near psi
+    for d in (1, 4, 64):
+        with pytest.raises(ValueError, match="too far out to resolve"):
+            zak_map(GaussianCoherent(label), SystemParams(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 48, 1000])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_far_gaussians_match_the_closed_form(d, lam):
+    # the closed form rounds its exponents to eps |A|^2 (about 1e-10 at d = 1000, lam = 2.5)
+    params = SystemParams(d, lam)
+    for widths in (3.7, 5.3, -8.6):
+        label = widths * params.cell_width + 0.5j
+        got = zak_map(GaussianCoherent(label), params).components
+        assert np.max(np.abs(got - coherent_state_closed(label, params).components)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_sampled_grid_far_from_the_origin(d):
+    x = np.linspace(25, 55, 3001)
+    grid, params = SampledGrid(x, GaussianCoherent(40)(x)), SystemParams(d)
+    assert np.max(np.abs(zak_map(grid, params).components - coherent_state_closed(40, params).components)) < 1e-9
+
+
 @pytest.mark.parametrize("n_twists", [1, 64])
 def test_slow_tail_raises_at_the_shell_cap(n_twists):
     sigma1 = np.arange(n_twists) / n_twists
@@ -591,6 +690,7 @@ def test_undecayed_sampled_grid_raises_as_the_per_shell_loop(d):
         _per_shell_lattice_sums(grid, params, np.arange(8) / 8, 0.0)
     for call in (lambda: _lattice_sums(grid, params, np.arange(8) / 8, 0.0),
                  lambda: zak_map(grid, params),
+                 lambda: momentum_zak_map(grid, params),
                  lambda: sector_family(grid, params, n_sigma1=8)):
         with pytest.raises(ValueError) as got:
             call()
