@@ -4,9 +4,11 @@ Any d-component state defines an entire function with one real period and one
 quasi-period, so the whole function lives on a single cell of area 2 pi d.
 The demo evaluates a random state, verifies both periodicity relations, the
 bilinear cell-integral pairing, and the displaced-function closed form, then
-evaluates f of a d = 1000 state on 10^5 points and reports the time and the
-peak traced memory, which stay small because f works through the points in
-blocks whose memory does not grow with their number.
+evaluates f of a d = 1000 state on a 400 x 250 grid of 10^5 points and
+reports the time and the peak traced memory.  Both stay small because f
+recognises the tensor grid and sums it as one matrix product of row factors
+(one per height) and column factors (one per abscissa), with real
+exponentials and phase powers for the 250 heights and 400 abscissae only.
 """
 
 import time

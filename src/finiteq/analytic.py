@@ -22,9 +22,10 @@ Gaussian-weighted series in the spectrum G = d ifft(f_m) of the state,
 
 whose live terms, the n within sqrt(41 d lam^2 / pi) of kappa y, give f,
 f', displaced f and the cell quadratures at O(lam sqrt(d)) terms per point
-and no FFT per point.  On the tensor grids of the quadratures the terms
-factor into row factors (the Gaussian times the gathered G), column
-factors exp(-2icjx) and one phase per node, so a grid is one matrix
+and no FFT per point.  On a tensor grid, such as x[None, :] + 1j y[:, None]
+for a plot of f or the nodes of a cell quadrature, the terms factor into
+row factors (the Gaussian times the gathered G), column factors
+exp(-2icjx) and one phase per node, and f sums the grid as one matrix
 product.  f raises only where |f| itself exceeds the double range.  The
 operator kernels and the coherent amplitudes, which need all d values
 theta_m(z) at a point, use :func:`finiteq.zak.weighted_thetas`.
@@ -53,7 +54,6 @@ from .zak import (
     SystemParams,
     _fold,
     _log_gram,
-    _spectral_grid,
     _spectral_sum,
     _theta_scales,
     _theta_window,
@@ -100,10 +100,6 @@ class AnalyticState:
     def _weighted(self, z, derivative: bool = False) -> np.ndarray:
         """exp(-Im(z)^2 / 2) f(z), or the same weight times f'(z); O(1) for every d."""
         return np.pi ** -0.25 * _spectral_sum(z, self.params, self._spectrum, int(derivative))
-
-    def _weighted_grid(self, x, y) -> np.ndarray:
-        """_weighted on the tensor grid x[None, :] + 1j y[:, None] of 1-d x and y."""
-        return np.pi ** -0.25 * _spectral_grid(x, y, self.params, self._spectrum)
 
     def _evaluate(self, z, derivative: bool, what: str):
         z = np.asarray(z, dtype=complex)
@@ -260,7 +256,8 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
     pref = (2 * np.pi) ** -0.5 * p.d ** -1.5 / p.lam
 
     def integral(x, y):
-        return np.sum(f._weighted_grid(x, y) * g._weighted_grid(x, -y))
+        nodes = x[None, :] + 1j * y[:, None]
+        return np.sum(f._weighted(nodes) * g._weighted(nodes.conj()))
 
     return complex(_cell_trapezoid(p, integral, pref, tol, "scalar_product"))
 
@@ -330,7 +327,8 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
                                     normalize=False), p)
 
     def integral(x, y):
-        return np.sum(row._weighted_grid(x, -y) * f._weighted_grid(x, y))
+        nodes = x[None, :] + 1j * y[:, None]
+        return np.sum(row._weighted(nodes.conj()) * f._weighted(nodes))
 
     # the absolute floor 1 on (Omega f)(z) is exp(-Im(z)^2 / 2) on the sums
     weighted = _cell_trapezoid(p, integral, pref, tol, "kernel_apply", math.exp(-0.5 * z.imag**2))

@@ -174,6 +174,11 @@ def _suite_analytic(d, rng):
     shifted = w * np.exp(-1j * params.cell_height * z.real)
     out.append(_result("imaginary-period quasi-periodicity",
                        abs(s._weighted(z + 1j * params.cell_height) - shifted) / abs(shifted), 1e-10))
+    # the grid kernel against the pointwise one, up to 0.999 of the cell height (|f| overflows there from d = 226)
+    x, y = params.cell_width * (np.arange(6) + 0.37) / 6, params.cell_height * np.linspace(0.05, 0.999, 5)
+    points = np.array([[s._weighted(x0 + 1j * y0) for x0 in x] for y0 in y])
+    err = np.max(np.abs(s._weighted(x[None, :] + 1j * y[:, None]) - points)) / np.max(np.abs(points))
+    out.append(_result("f on a tensor grid equals f point by point", float(err), 1e-13))
     g = analytic.AnalyticState(_random_state(rng, d), params)
     bilinear = complex(np.sum(s.state.components * g.state.components))
     out.append(_result("cell integral reproduces bilinear pairing",

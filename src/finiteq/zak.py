@@ -373,18 +373,24 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     mode brings n into [0, d) by steps of d, about |n| / d per term: a step
     or two near the cell, and cheaper there than an integer remainder.
 
-    The points go through in blocks of at most _BLOCK_TERMS live terms, each
-    block writing its slice of the output.  All points at once would build
-    several (points x live terms) temporaries, about 9 KB per point at
+    A tensor grid z (:func:`_tensor_grid`), such as a quadrature grid, is
+    one matrix product of factors (:func:`_spectral_grid`).  Other points go
+    through in blocks of at most _BLOCK_TERMS live terms, each block writing
+    its slice of the output.  All points at once would build several
+    (points x live terms) temporaries, about 9 KB per point at
     d = 1000: 900 MB for 10^5 points, and past the 2 MiB L2 cache per core
     of the measuring machine (an x86-64 Xeon) from a few hundred points on.
     Each point takes the same arithmetic in any block, so the values do not
     depend on the blocking.  _BLOCK_TERMS = 2^14, 256 KiB per complex
-    temporary, was the fastest of 2^11 .. 2^17 for f and f' on 880 grid
+    temporary, was the fastest of 2^11 .. 2^17 for f and f' on 880
     points at d = 192 and 1000 on that machine (2^13 was 10-20% faster at
     d = 16 and 64, where a call takes under 2 ms).
     """
     z = np.asarray(z, dtype=complex)
+    grid = _tensor_grid(z)
+    if grid is not None:
+        x, y, y_fastest = grid
+        return _spectral_grid(x, y, params, spectrum, order, y_fastest).reshape(z.shape)
     out = np.empty(z.shape, dtype=complex)
     flat_out = out.reshape(-1)
     for block, n, terms in _live_blocks(z, params, order, _window_width(params.d, params.lam)):
@@ -392,24 +398,54 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     return out
 
 
-def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray) -> np.ndarray:
-    """_spectral_sum on the tensor grid x[None, :] + 1j y[:, None], in factors.
+def _tensor_grid(z: np.ndarray):
+    """(x, y, y_fastest) when z flattens to x[None, :] + 1j y[:, None], or to x[:, None] + 1j y[None, :]
+    with y_fastest, for 2 or more distinct x and y; else None.  Exact, O(z.size); random z fail at once.
+    """
+    flat = z.reshape(-1)
+    y_fastest = flat.size >= 4 and flat[1].real == flat[0].real
+    fast, slow = (flat.imag, flat.real) if y_fastest else (flat.real, flat.imag)
+    if flat.size < 4 or fast[1] == fast[0] or slow[1] != slow[0]:
+        return None
+    width = int((slow != slow[0]).argmax())  # 0 where slow never changes
+    if width == 0 or flat.size % width:
+        return None
+    fast, slow = fast.reshape(-1, width), slow.reshape(-1, width)
+    if (fast != fast[0]).any() or (slow != slow[:, :1]).any():
+        return None
+    return (slow[:, 0], fast[0], True) if y_fastest else (fast[0], slow[:, 0], False)
+
+
+def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int = 0,
+                   y_fastest: bool = False) -> np.ndarray:
+    """_spectral_sum on the tensor grid x[None, :] + 1j y[:, None] (its transpose if y_fastest), in factors.
 
     The term n = start_r + j of row r (height y_r) factors into the row
-    factor exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d}, the column
-    factor exp(-2icjx) and the node phase exp(-2ic start_r x), so the grid
-    takes one matrix product, rows x width real exponentials and, as in
-    :func:`_live_terms`, the column factors as powers of exp(-2icx).
+    factor exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d} (-2icn)^order,
+    the column factor exp(-2icjx) and the node phase exp(-2ic start_r x), so
+    the grid takes one (rows x width) (width x columns) matrix product,
+    rows x width real exponentials and, as in :func:`_live_terms`, the
+    column factors as powers of exp(-2icx); the node phases, rounded as
+    there, multiply the product in place.
     """
     c = _theta_scales(params)[0]
     x = np.asarray(x, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("z must be finite")
     n, exponent = _theta_window(params, y)
     rows = np.exp(exponent, out=exponent) * np.take(spectrum, n, mode="wrap")
+    if order:
+        rows *= (-2j * c * n) ** order
+    start, step = n[:, 0].copy(), -2j * c * x  # node phase arguments start * step
     cols = np.empty((n.shape[-1], x.size), dtype=complex)
     cols[0] = 1.0
-    cols[1:] = np.exp(-2j * c * x)
+    cols[1:] = np.exp(step)
     np.cumprod(cols, axis=0, out=cols)
-    return (rows @ cols) * np.exp(-2j * c * np.outer(n[:, 0], x))
+    out = cols.T @ rows.T if y_fastest else rows @ cols
+    del n, exponent, rows, cols  # the factors go before the output-sized node phases come
+    phase = np.multiply.outer(step, start) if y_fastest else np.multiply.outer(start, step)
+    out *= np.exp(phase, out=phase)
+    return out
 
 
 def _finite_label(label) -> np.ndarray:

@@ -52,7 +52,7 @@ _RNG_SEED = 0x5EED
 
 
 class _BoundaryZero(RuntimeError):
-    """A boundary sample sits on (or numerically at) a zero."""
+    """A zero on or next to the contour: a sample at a zero, or a winding that cannot be tracked."""
 
 
 @dataclass
@@ -152,7 +152,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int =
             w = np.sum(dphi) / (2 * np.pi)
             wi = int(round(w))
             if abs(w - wi) > 0.25:
-                raise RuntimeError(f"winding number not integral: {w}")
+                raise _BoundaryZero(f"winding number not integral: {w}")
             return wi
         mids = 0.5 * (pts[:-1][bad] + pts[1:][bad])
         total_pts += mids.size
@@ -162,14 +162,14 @@ def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int =
         idx = np.flatnonzero(bad)
         pts = np.insert(pts, idx + 1, mids)
         vals = np.insert(vals, idx + 1, mvals)
-    raise RuntimeError(
+    raise _BoundaryZero(
         "argument jump above pi/2 persisted after maximum boundary refinement; "
         "a zero may lie on or vanishingly close to the contour"
     )
 
 
 def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex) -> int:
-    """Number of zeros (with multiplicity) inside a rectangle, via the winding."""
+    """Number of zeros (with multiplicity) inside a rectangle, via the winding; errors of f are raised."""
     p = state.params
     spacing = min(p.cell_width, p.cell_height) / (6.0 * p.d)
     ll, ur = complex(lower_left), complex(upper_right)
@@ -178,7 +178,7 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
     for attempt in range(_JITTER_ATTEMPTS):
         try:
             return winding_number(state, ll, ur, spacing=spacing)
-        except (_BoundaryZero, RuntimeError):
+        except _BoundaryZero:
             shift = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * _JITTER_FRAC * size
             ll = complex(lower_left) + shift
             ur = complex(upper_right) + shift

@@ -5,6 +5,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finiteq import analytic, zak
 from finiteq import (
@@ -821,3 +823,148 @@ def test_spectrum_computed_once_and_left_unchanged_by_find_zeros(monkeypatch):
     assert find_zeros(s).positions.size > 0
     assert s(z).tobytes() == before.tobytes()
     assert not s._spectrum.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# f on tensor grids: one matrix product of row and column factors
+
+
+GRID_LAYOUTS = {
+    "x fastest": lambda x, y: x[None, :] + 1j * y[:, None],
+    "x fastest, flat": lambda x, y: (x[None, :] + 1j * y[:, None]).ravel(),
+    "x fastest, 3-d": lambda x, y: (x[None, :] + 1j * y[:, None]).reshape(y.size, 1, x.size),
+    "y fastest": lambda x, y: x[:, None] + 1j * y[None, :],
+    "y fastest, flat": lambda x, y: (x[:, None] + 1j * y[None, :]).ravel(),
+}
+
+
+def count_grid_calls(monkeypatch):
+    """The calls of the grid kernel from now on, as a growing list."""
+    calls, grid = [], zak._spectral_grid
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(zak, "_spectral_grid", counted)
+    return calls
+
+
+def pointwise(evaluate, z):
+    """evaluate at each point of z on its own, as a 0-d z: the pointwise kernel, bit for bit."""
+    return np.array([evaluate(point) for point in np.ravel(z)]).reshape(np.shape(z))
+
+
+def weighted_term_scale(s, heights, order):
+    """pi**-1/4 sum_n |G_{n mod d}| exp(-pi (n - kappa y)^2 / (d lam^2)) (2c|n|)^order at each height y.
+
+    The sum of the moduli of the weighted terms of f (order 0) or f' (order 1).
+    """
+    d, lam = s.params.d, s.params.lam
+    c, kappa, _ = zak._theta_scales(s.params)
+    y = np.ravel(heights)
+    n = np.arange(np.floor(kappa * y.min()) - 400, np.ceil(kappa * y.max()) + 401)
+    terms = np.exp(-np.pi * (n - kappa * y[:, None]) ** 2 / (d * lam**2)) * (2 * c * np.abs(n)) ** order
+    return np.pi**-0.25 * (terms @ np.abs(s._spectrum[n.astype(int) % d])).reshape(np.shape(heights))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1000])
+def test_grid_matches_pointwise_evaluation(d, monkeypatch):
+    # weighted f and f', which stay finite over the whole cell at every d;
+    # both kernels round the node phase argument alike, so they differ by
+    # the order of their products and sums only
+    rng = np.random.default_rng([53, d])
+    calls = count_grid_calls(monkeypatch)
+    for lam in (0.3, 1.0, 2.5):
+        params, _ = anchored_params(d, lam)
+        s = AnalyticState(random_state(rng, d), params)
+        x = params.a + params.cell_width * rng.uniform(size=7)
+        y = params.b + params.cell_height * rng.uniform(size=6)
+        for order in (0, 1):
+            for layout in GRID_LAYOUTS.values():
+                z = layout(x, y)
+                before = len(calls)
+                got = s._weighted(z, bool(order))
+                assert len(calls) == before + 1 and got.shape == z.shape
+                ref = pointwise(lambda point: s._weighted(point, bool(order)), z)
+                assert np.all(np.abs(got - ref) <= 1e-13 * weighted_term_scale(s, z.imag, order))
+
+
+def test_near_grids_take_the_pointwise_path(monkeypatch):
+    d = 64
+    params = SystemParams(d)
+    rng = np.random.default_rng(59)
+    s = AnalyticState(random_state(rng, d), params)
+    x = params.cell_width * rng.uniform(size=5)
+    y = params.cell_height * rng.uniform(size=4)
+    grid = x[None, :] + 1j * y[:, None]
+    calls = count_grid_calls(monkeypatch)
+    s(grid)
+    s(grid[:2, :2])
+    assert len(calls) == 2  # the smallest grid, 2 x 2, is one
+    moved_x, moved_y, moved_last = grid.copy(), grid.copy(), (x[:, None] + 1j * y[None, :]).ravel()
+    moved_x[2, 3] = complex(np.nextafter(x[3], np.inf), y[2])
+    moved_y[1, 0] = complex(x[0], np.nextafter(y[1], -np.inf))
+    moved_last[-1] = complex(x[-1], np.nextafter(y[-1], np.inf))
+    near = [moved_x, moved_y, moved_last, grid[:1], grid[:, :1], grid[:1].ravel(), grid[:, :1].ravel(),
+            grid.ravel()[[0, 1, 5]], grid[:1, :1], grid[0, 0]]
+    for z in near:
+        for evaluate in (s, s.derivative):
+            assert np.asarray(evaluate(z)).tobytes() == pointwise(evaluate, z).tobytes()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("layout", ["x fastest", "y fastest"])
+def test_grid_overflow_names_the_pointwise_point(layout, monkeypatch):
+    # over the whole cell at d = 256 |f| exceeds the double range near the
+    # top; the grid raises the error the pointwise kernel raises, naming the
+    # first such point in the order of z
+    d = 256
+    params = SystemParams(d)
+    s = AnalyticState(random_state(np.random.default_rng(61), d), params)
+    x = params.cell_width * np.arange(40) / 40
+    y = params.cell_height * np.arange(30) / 30
+    z = GRID_LAYOUTS[layout](x, y)
+    calls = count_grid_calls(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^f is not finite at z = .* for d = 256") as grid_error:
+        s(z)
+    assert len(calls) == 1
+    for row in z:  # a single row is no grid
+        try:
+            s(row)
+        except RuntimeError as error:
+            assert str(grid_error.value) == str(error)
+            break
+    else:
+        raise AssertionError("no row overflows")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_with_non_finite_points_raises(bad):
+    params = SystemParams(16)
+    s = AnalyticState(random_state(np.random.default_rng(67), 16), params)
+    for part in ("real", "imag"):
+        # a whole column or row of bad values, so that infinities keep the grid a grid
+        x, y = np.linspace(0.5, 9.5, 5), np.linspace(0.5, 9.5, 4)
+        (x if part == "real" else y)[2] = bad
+        z = np.empty((4, 5), dtype=complex)
+        z.real, z.imag = x[None, :], y[:, None]
+        for evaluate in (s, s.derivative):
+            with pytest.raises(ValueError, match="z must be finite"):
+                evaluate(z)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([1, 3, 8, 32]), lam=st.sampled_from([0.4, 1.0, 2.5]),
+       xs=st.lists(st.floats(0, 1), min_size=1, max_size=6),
+       ys=st.lists(st.floats(0, 1), min_size=1, max_size=6),
+       layout=st.sampled_from(sorted(GRID_LAYOUTS)), seed=st.integers(0, 2**32 - 1))
+def test_f_on_any_grid_equals_pointwise_f(d, lam, xs, ys, layout, seed):
+    params = SystemParams(d, lam)
+    s = AnalyticState(random_state(np.random.default_rng(seed), d), params)
+    z = GRID_LAYOUTS[layout](params.cell_width * np.array(xs), params.cell_height * np.array(ys))
+    got = s(z)
+    assert got.shape == z.shape
+    scale = weighted_term_scale(s, z.imag, 0) * np.exp(0.5 * z.imag**2)
+    assert np.all(np.abs(got - pointwise(s, z)) <= 1e-13 * scale)

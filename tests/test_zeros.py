@@ -77,6 +77,43 @@ def test_count_subrectangle_single_zero():
     assert count_zeros(s, z0 - 0.4 - 0.4j, z0 + 0.4 + 0.4j) == 1
 
 
+def count_contours(monkeypatch):
+    """The lower-left corners of the contours count_zeros tracks from now on."""
+    corners, winding = [], zeros_module.winding_number
+
+    def counted(f, lower_left, upper_right, **kwargs):
+        corners.append(lower_left)
+        return winding(f, lower_left, upper_right, **kwargs)
+
+    monkeypatch.setattr(zeros_module, "winding_number", counted)
+    return corners
+
+
+def test_count_zeros_raises_the_overflow_of_f_at_once(monkeypatch):
+    # the top of the rectangle, 42.4 of the cell height 43.4 at d = 300, lies
+    # where |f| exceeds the double range: f's own error, which no shifted
+    # contour can cure, so it is raised from the first contour
+    d = 300
+    s = AnalyticState(random_state(np.random.default_rng(300), d), SystemParams(d))
+    corners, evaluate, calls = count_contours(monkeypatch), AnalyticState.__call__, []
+    monkeypatch.setattr(AnalyticState, "__call__", lambda self, z: calls.append(z) or evaluate(self, z))
+    with pytest.raises(RuntimeError, match=r"^f is not finite at z = .* for d = 300: "
+                                           r"its value exceeds the double range there$"):
+        count_zeros(s, 1 + 40.4j, 3 + 42.4j)
+    assert corners == [1 + 40.4j] and len(calls) == 1
+
+
+def test_count_zeros_shifts_a_contour_through_a_zero(monkeypatch):
+    # a corner exactly on a zero of the position state: the first contour
+    # meets the zero, and a shifted one counts it in or out
+    params = SystemParams(4)
+    s = AnalyticState(position_state(1, 4), params)
+    z0 = position_zero_lattice(1, params)[1]
+    corners = count_contours(monkeypatch)
+    assert count_zeros(s, z0, z0 + 0.8 + 0.8j) in (0, 1)
+    assert len(corners) == 2 and corners[0] == z0
+
+
 def test_winding_rejects_degenerate_rectangle():
     with pytest.raises(ValueError):
         winding_number(lambda z: z, 1 + 1j, 1 + 2j)
