@@ -22,11 +22,11 @@ Gaussian-weighted series in the spectrum G = d ifft(f_m) of the state,
 
 whose live terms, the n within sqrt(41 d lam^2 / pi) of kappa y, give f,
 f', displaced f and the cell quadratures at O(lam sqrt(d)) terms per point
-and no FFT per point.  On a tensor grid, such as x[None, :] + 1j y[:, None]
-for a plot of f or the nodes of a cell quadrature, the terms factor into
-row factors (the Gaussian times the gathered G), column factors
-exp(-2icjx) and one phase per node, and f sums the grid as one matrix
-product.  f raises only where |f| itself exceeds the double range.  The
+or row of nodes.  On a tensor grid, such as x[None, :] + 1j y[:, None]
+for a plot of f, the terms factor into row factors (the Gaussian times the
+gathered G), column factors exp(-2icjx) and one phase per node, and f sums
+the grid as one matrix product; the quadratures sum over x in closed form.
+f raises only where |f| itself exceeds the double range.  The
 operator kernels and the coherent amplitudes, which need all d values
 theta_m(z) at a point, use :func:`finiteq.zak.weighted_thetas`.
 
@@ -52,7 +52,6 @@ from .theta import _lift, _log_theta3
 from .zak import (
     _THETA_CUT,
     SystemParams,
-    _fold,
     _log_gram,
     _spectral_sum,
     _theta_scales,
@@ -217,8 +216,8 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     for values up to `floor` and relative above, where the integrand carries
     the exp(Im(z)^2 / 2) growth of f.
 
-    ``integral(x, y)`` gives the sum of the integrand over the tensor grid
-    x[None, :] + 1j y[:, None] of 1-d node coordinates x and y.
+    ``integral(x, y)``, called once on the fine nodes, returns the sums of the
+    integrand over the grid x[None, :] + 1j y[:, None] and over x[::2], y[::2].
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"{label}: tol must lie in (0, 1), got {tol}")
@@ -228,13 +227,39 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     x = params.a + params.cell_width * np.arange(2 * nx) / (2 * nx)
     y = params.b + params.cell_height * np.arange(2 * ny) / (2 * ny)
     weight = pref * params.cell_width * params.cell_height / (nx * ny)
-    fine, coarse = integral(x, y) * (weight / 4), integral(x[::2], y[::2]) * weight
+    fine, coarse = integral(x, y)
+    fine, coarse = fine * (weight / 4), coarse * weight
     if np.max(np.abs(fine - coarse)) <= tol * max(floor, np.max(np.abs(fine))):
         return fine
     raise RuntimeError(
         f"{label}: quadrature did not converge to {tol}: the trapezoid sums on {nx} x {ny} "
         f"and {2 * nx} x {2 * ny} nodes differ by {np.max(np.abs(fine - coarse)):.2e}"
     )
+
+
+def _pair_sums(params: SystemParams, spectra, x, y):
+    """(fine, coarse): the sums of F(z) G(z*) over the grid x[None, :] + 1j y[:, None] and over its every other node.
+
+    F and G are the weighted series pi**-1/4 sum_n w_n(Im z) S_n e^{-2icnx} of the two
+    ``spectra`` (as in :meth:`AnalyticState._weighted`); as w_n(-y) = w_{-n}(y), G(z*) sums
+    w_n(y) S_{-n} e^{2icnx} over the same live n = n_0 + j of each row.  On the N_x (even)
+    abscissae a + i W / N_x of one cell width W, 2cW = 2 pi makes sum_i e^{-2ickx_i} = N_x e^{-2icka}
+    for k = 0 (mod N_x) and 0 otherwise, so the pairs of terms j, j' of a row with j = j' (mod N_x)
+    are all that survive, with the phase e^{-2ic(j - j')a}.  Each row folds the terms of F times
+    e^{-2icja}, and those of G times e^{2icja}, by j mod N_x into F^ and G^, and sums over x to
+    pi**-1/2 N_x sum_k F^[k] G^[k]; the every-other-node sum folds them again, mod N_x / 2, on the even rows.
+    """
+    nx, half = x.size, x.size // 2
+    n, exponent = _theta_window(params, y)
+    width = n.shape[1]
+    phase = np.exp(-2j * _theta_scales(params)[0] * x[0] * np.arange(width))
+    weights = np.exp(exponent, out=exponent)
+    folds = np.zeros((2, y.size, -(-width // nx) * nx), dtype=complex)
+    folds[0, :, :width] = weights * phase * np.take(spectra[0], n, mode="wrap")
+    folds[1, :, :width] = weights * phase.conj() * np.take(spectra[1], -n, mode="wrap")
+    f_hat, g_hat = folds.reshape(2, y.size, -1, nx).sum(axis=2)
+    f_half, g_half = f_hat[::2, :half] + f_hat[::2, half:], g_hat[::2, :half] + g_hat[::2, half:]
+    return np.pi ** -0.5 * nx * np.sum(f_hat * g_hat), np.pi ** -0.5 * half * np.sum(f_half * g_half)
 
 
 def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> complex:
@@ -247,19 +272,15 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
     the change of e^{-Im(z)^2}.  The periodic trapezoid rule on
     n_x = m lam sqrt(d) by n_y = m sqrt(d) / lam nodes then has error
     exp(-pi m^2 / 2), checked against the same rule on every other node
-    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.  The weighted
-    f and g on the grid come from their row and column factors.
+    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.  The node sums
+    come from the spectra of f and g, in closed form over x (``_pair_sums``).
     """
     if f.params != g.params:
         raise ValueError("states must share the same system parameters")
     p = f.params
     pref = (2 * np.pi) ** -0.5 * p.d ** -1.5 / p.lam
-
-    def integral(x, y):
-        nodes = x[None, :] + 1j * y[:, None]
-        return np.sum(f._weighted(nodes) * g._weighted(nodes.conj()))
-
-    return complex(_cell_trapezoid(p, integral, pref, tol, "scalar_product"))
+    spectra = (f._spectrum, g._spectrum)
+    return complex(_cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, tol, "scalar_product"))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +332,9 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     a function of zeta the integrand is doubly periodic on the cell, like
     that of :func:`scalar_product`, and the same periodic trapezoid rule with
     error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.  The
-    theta(zeta*) factor, contracted with the kernel row at z, is the weighted
-    series of the row's spectrum, so both factors come from grid factors.
+    weighted kernel K(z, zeta*), with the row r = weighted_thetas(z) Omega at z, is
+    pi**-1/4 d**-1 times the weighted series of the spectrum d ifft(r) at zeta*,
+    so the node sums are those of :func:`scalar_product` (``_pair_sums``).
     The sums leave out the factor exp(Im(z)^2 / 2) of the row, which is
     applied to the result as to f, so the value is finite wherever
     |(Omega f)(z)| is, and RuntimeError is raised where it is not.
@@ -322,16 +344,10 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     p = kernel.params
     z = complex(z)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
-    # the row as a state of its own, so that its weighted series carries the pi**-1/4 of f
-    row = AnalyticState(FiniteState(np.pi ** -0.25 / p.d * (weighted_thetas(z, p) @ kernel.matrix),
-                                    normalize=False), p)
-
-    def integral(x, y):
-        nodes = x[None, :] + 1j * y[:, None]
-        return np.sum(row._weighted(nodes.conj()) * f._weighted(nodes))
-
+    spectra = (f._spectrum, np.pi ** -0.25 * np.fft.ifft(weighted_thetas(z, p) @ kernel.matrix))
     # the absolute floor 1 on (Omega f)(z) is exp(-Im(z)^2 / 2) on the sums
-    weighted = _cell_trapezoid(p, integral, pref, tol, "kernel_apply", math.exp(-0.5 * z.imag**2))
+    weighted = _cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, tol, "kernel_apply",
+                               math.exp(-0.5 * z.imag**2))
     return _lift(0.5 * z.imag**2, weighted, "kernel_apply", z, f"d = {p.d}")
 
 
@@ -356,29 +372,35 @@ def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
 
 
 def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
-    """sum of t t^H over the tensor grid x[None, :] + 1j y[:, None], t = coherent_unnormalized(node).
+    """(fine, coarse): sum of t t^H over the grid x[None, :] + 1j y[:, None] and over its every other node.
 
-    At a node z = x + iy, t_m = p(z) sum_n g_n(y) e^{-2icnx} e^{2 pi i n m / d}
-    with |p(z)|^2 = pi**-1/2 / (d lam^2) and the Gaussian weights
-    g_n(y) = exp(-pi (n - kappa y)^2 / (d lam^2)) of the swapped series.  So
-    the sum is |p|^2 W S W^H with W_mr = e^{2 pi i r m / d}, where S folds by
-    (n mod d, n' mod d) the matrix Gamma(n, n') chi(n - n'), of the row sums
-    Gamma(n, n') = sum_y g_n(y) g_n'(y) and the column sums
-    chi(k) = sum_x e^{-2ickx}.  It takes one product of the Gaussians of
-    every row over the N = d + O(lam sqrt(d)) live n and two FFTs, rather
-    than d values at every node.
+    At a node z = x + iy, t = coherent_unnormalized(z) has t_m = p(z) sum_n g_n(y) e^{-2icnx} e^{2 pi i n m / d},
+    |p(z)|^2 = pi**-1/2 / (d lam^2), g_n(y) = exp(-pi (n - kappa y)^2 / (d lam^2)).  On the abscissae of
+    :func:`_pair_sums` the sum over x of e^{-2icl x} is chi_l = N_x e^{-2icla} at the lags l = n - n' = 0
+    (mod N_x) and 0 elsewhere, so, with the row sums Gamma_l(n') = sum_y g_{n'+l}(y) g_n'(y),
+
+        sum t_m t*_m' = |p|^2 sum_l chi_l e^{2 pi i l m / d} sum_n' Gamma_l(n') e^{2 pi i n' (m - m') / d}.
+
+    Only the few lags l = 0 (mod N_x / 2, for the half grid's even rows) shorter than the window of live
+    n survive, each one fold by n' mod d and one length-d FFT; row m is row m of their phased sum rotated by m.
     """
     d = params.d
-    c, kappa, K = _theta_scales(params)
-    y = np.asarray(y, dtype=float)
-    n = np.arange(math.floor(kappa * y.min() - K), math.ceil(kappa * y.max() + K) + 1)
-    gauss = np.exp(-np.pi / (d * params.lam**2) * (n - kappa * y[:, None]) ** 2)
-    gram = gauss.T @ gauss
-    chi = np.exp(-2j * c * np.outer(np.arange(1 - n.size, n.size), x)).sum(axis=1)
-    lag = np.subtract.outer(np.arange(n.size), np.arange(n.size)) + n.size - 1
-    folded = _fold(_fold(gram * chi[lag], d).T, d).T
-    folded = np.roll(folded, n[0] % d, axis=(0, 1))  # row j of the fold holds n = n[0] + j (mod d)
-    return np.pi ** -0.5 / (d * params.lam**2) * np.fft.fft(d * np.fft.ifft(folded, axis=0), axis=1)
+    n, exponent = _theta_window(params, y)
+    gauss = np.exp(exponent, out=exponent)
+    width, nx, half = n.shape[1], x.size, x.size // 2
+    lags = half * np.arange(-((width - 1) // half), (width - 1) // half + 1)
+    folds = np.empty((2, lags.size, d))
+    for i, lag in enumerate(lags):
+        lo, hi = max(lag, 0), width + min(lag, 0)
+        pairs, at = gauss[:, lo:hi] * gauss[:, lo - lag:hi - lag], n[:, lo - lag:hi - lag] % d
+        folds[:, i] = np.bincount(at.ravel(), pairs.ravel(), d), np.bincount(at[::2].ravel(), pairs[::2].ravel(), d)
+    counts = np.array([[nx], [half]])  # the abscissae of the two levels
+    chi = counts * (lags % counts == 0) * np.exp(-2j * _theta_scales(params)[0] * x[0] * lags)
+    phases = chi[:, None, :] * np.exp(2j * np.pi / d * (np.outer(np.arange(d), lags) % d))  # [level, m, l]
+    h = np.pi ** -0.5 / (d * params.lam**2) * np.fft.fft(folds)  # times |p|^2
+    table = phases @ np.concatenate([h, h], axis=-1)  # [level, m, k] for k in [0, 2d)
+    # entry (m, m') sits at k = m' - m + d, flat index m (2d - 1) + m' + d of each level
+    return table.reshape(2, -1)[:, d:].reshape(2, d, 2 * d - 1)[:, :, :d]
 
 
 def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndarray:
@@ -389,8 +411,8 @@ def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndar
     theta-form amplitudes, which is doubly periodic in A on the cell like
     the scalar-product integrand; it is evaluated with the same periodic
     trapezoid rule, error exp(-pi m^2 / 2), and tol in (0, 1) sizes the grid.
-    The node sums come from the row and column sums of the swapped series
-    (``_coherent_gram``).
+    The node sums come from the row sums of the swapped series on a few
+    lags, summed over x in closed form (``_coherent_gram``).
     """
     pref = params.lam * (2 * np.pi * params.d) ** -0.5
     return _cell_trapezoid(params, lambda x, y: _coherent_gram(params, x, y), pref, tol,

@@ -183,6 +183,13 @@ def _suite_analytic(d, rng):
     bilinear = complex(np.sum(s.state.components * g.state.components))
     out.append(_result("cell integral reproduces bilinear pairing",
                        abs(analytic.scalar_product(s, g) - bilinear), 1e-5))
+    # the sums over x in closed form against the trapezoid sums of f(z) g(z*) at the nodes themselves (lam = 1)
+    def node_sums(x, y):
+        return np.sum(s._weighted(x[None, :] + 1j * y[:, None]) * g._weighted(x[None, :] - 1j * y[:, None]))
+
+    trapezoid = analytic._cell_trapezoid(params, lambda x, y: (node_sums(x, y), node_sums(x[::2], y[::2])),
+                                         (2 * np.pi) ** -0.5 * d ** -1.5, 1e-6, "node sums")
+    out.append(_result("cell quadrature equals its node sums", abs(analytic.scalar_product(s, g) - trapezoid), 1e-13))
     out.append(_result("coherent states resolve the identity",
                        float(np.max(np.abs(analytic.coherent_identity_matrix(params) - np.eye(d)))), 1e-10))
     return out

@@ -318,14 +318,6 @@ def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int
         yield slice(lo, lo + step), *_live_terms(flat[lo:lo + step], params, order)
 
 
-def _fold(values: np.ndarray, d: int) -> np.ndarray:
-    """Sum of the consecutive length-d pieces of the last axis (the last one may be short)."""
-    width = values.shape[-1]
-    padded = np.zeros(values.shape[:-1] + (-(-width // d) * d,), dtype=values.dtype)
-    padded[..., :width] = values
-    return padded.reshape(values.shape[:-1] + (-1, d)).sum(axis=-2)
-
-
 def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
 
@@ -373,8 +365,8 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     mode brings n into [0, d) by steps of d, about |n| / d per term: a step
     or two near the cell, and cheaper there than an integer remainder.
 
-    A tensor grid z (:func:`_tensor_grid`), such as a quadrature grid, is
-    one matrix product of factors (:func:`_spectral_grid`).  Other points go
+    A tensor grid z (:func:`_tensor_grid`), such as the grid of a plot of f,
+    is one matrix product of factors (:func:`_spectral_grid`).  Other points go
     through in blocks of at most _BLOCK_TERMS live terms, each block writing
     its slice of the output.  All points at once would build several
     (points x live terms) temporaries, about 9 KB per point at

@@ -436,13 +436,16 @@ def test_quadrature_factored_sums_match_pointwise_sums():
         t = coherent_unnormalized(nodes(x, y), params)
         return np.tensordot(t, t.conj(), axes=([0, 1], [0, 1]))
 
+    def both_levels(node_sum):  # the fine sum and the sum over every other node
+        return lambda x, y: (node_sum(x, y), node_sum(x[::2], y[::2]))
+
     pref = params.lam * (2 * np.pi * 5) ** -0.5
-    pointwise = analytic._cell_trapezoid(params, amplitude_sum, pref, 1e-6, "identity")
+    pointwise = analytic._cell_trapezoid(params, both_levels(amplitude_sum), pref, 1e-6, "identity")
     assert np.max(np.abs(coherent_identity_matrix(params) - pointwise)) <= 1e-14
 
     pref = (2 * np.pi) ** -0.5 * 5 ** -1.5 / params.lam
     pointwise = analytic._cell_trapezoid(
-        params, lambda x, y: np.sum(f._weighted(nodes(x, y)) * g._weighted(np.conj(nodes(x, y)))),
+        params, both_levels(lambda x, y: np.sum(f._weighted(nodes(x, y)) * g._weighted(np.conj(nodes(x, y))))),
         pref, 1e-6, "scalar")
     assert abs(scalar_product(f, g) - pointwise) <= 1e-14
 
@@ -452,7 +455,7 @@ def test_quadrature_factored_sums_match_pointwise_sums():
                       * np.exp(-0.5 * zeta.imag**2))
 
     pref = (2 * np.pi * 5) ** -0.5 / params.lam
-    pointwise = analytic._cell_trapezoid(params, kernel_sum, pref, 1e-6, "kernel")
+    pointwise = analytic._cell_trapezoid(params, both_levels(kernel_sum), pref, 1e-6, "kernel")
     got = kernel_apply(OperatorKernel(op, params), f, z)
     assert abs(got - pointwise) <= 1e-14 * max(1.0, abs(pointwise))
 
@@ -968,3 +971,117 @@ def test_f_on_any_grid_equals_pointwise_f(d, lam, xs, ys, layout, seed):
     assert got.shape == z.shape
     scale = weighted_term_scale(s, z.imag, 0) * np.exp(0.5 * z.imag**2)
     assert np.all(np.abs(got - pointwise(s, z)) <= 1e-13 * scale)
+
+
+def quadrature_grid(params):
+    """The fine nodes (x, y) that _cell_trapezoid hands its integrand at tol 1e-6."""
+    grid = []
+    analytic._cell_trapezoid(params, lambda x, y: grid.append((x, y)) or (0.0, 0.0), 1.0, 1e-6, "grid")
+    return grid[0]
+
+
+def captured_integral(monkeypatch, quadrature, *args):
+    """The function of the nodes that `quadrature` hands to _cell_trapezoid."""
+    seen, trapezoid = [], analytic._cell_trapezoid
+
+    def spy(params, integral, *rest):
+        seen.append(integral)
+        return trapezoid(params, integral, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "_cell_trapezoid", spy)
+        quadrature(*args)
+    return seen[0]
+
+
+def level_sums(node_sum, x, y):
+    """node_sum on the grid and on its every other node, as _cell_trapezoid asks of its integrand."""
+    return np.array([node_sum(x, y), node_sum(x[::2], y[::2])])
+
+
+def grid_nodes(x, y):
+    return x[None, :] + 1j * y[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256])
+def test_quadrature_sums_match_node_sums(d, monkeypatch):
+    # the sums over x in closed form against the same trapezoid sums taken node by node, on the fine grid
+    # and on its every other node, relative to the sum of the moduli of the terms; at d = 1, lam = 0.3 the
+    # window of live n is wider than the 4 abscissae, so the fold wraps more than one period
+    rng = np.random.default_rng([71, d])
+    for lam in (0.3, 1.0, 2.5):
+        params, _ = anchored_params(d, lam)
+        x, y = quadrature_grid(params)
+        f, g = AnalyticState(random_state(rng, d), params), AnalyticState(random_state(rng, d), params)
+
+        got = captured_integral(monkeypatch, scalar_product, f, g)(x, y)
+        ref = level_sums(lambda x, y: np.sum(f._weighted(grid_nodes(x, y)) * g._weighted(grid_nodes(x, -y))), x, y)
+        scale = level_sums(lambda x, y: x.size * weighted_term_scale(f, y, 0) @ weighted_term_scale(g, -y, 0), x, y)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+        # kernel_apply: the kernel row at z contracted with the thetas at the conjugate nodes, times f
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        z = random_cell_point(rng, params)
+        row = zak.weighted_thetas(z, params) @ op
+        got = captured_integral(monkeypatch, kernel_apply, OperatorKernel(op, params), f, z)(x, y)
+        ref = level_sums(lambda x, y: np.pi**-0.5 / d * np.sum(
+            (zak.weighted_thetas(grid_nodes(x, -y), params) @ row) * f._weighted(grid_nodes(x, y))), x, y)
+        row_state = AnalyticState(FiniteState(np.pi**-0.25 / d * row, normalize=False), params)
+        scale = level_sums(
+            lambda x, y: x.size * weighted_term_scale(f, y, 0) @ weighted_term_scale(row_state, -y, 0), x, y)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+        if d > 64:
+            continue
+        got = captured_integral(monkeypatch, coherent_identity_matrix, params)(x, y)
+
+        def amplitude_sum(x, y):
+            t = coherent_unnormalized(grid_nodes(x, y), params)
+            return np.tensordot(t, t.conj(), axes=([0, 1], [0, 1]))
+
+        # |t_m| <= |p| sum_n g_n(y), |p|^2 = pi**-1/2 / (d lam^2): see analytic._coherent_gram
+        _, kappa, _ = zak._theta_scales(params)
+        n = np.arange(np.floor(kappa * y.min()) - 400, np.ceil(kappa * y.max()) + 401)
+        gauss = np.exp(-np.pi * (n - kappa * y[:, None]) ** 2 / (d * lam**2)).sum(axis=1)
+        scale = np.pi**-0.5 / (d * lam**2) * np.array([x.size * gauss @ gauss, x.size // 2 * gauss[::2] @ gauss[::2]])
+        assert np.all(np.abs(got - level_sums(amplitude_sum, x, y)) <= 1e-13 * scale[:, None, None])
+
+
+def test_cell_trapezoid_evaluates_once_and_keeps_its_tolerance_rule():
+    # the integrand gets the fine grid once and returns both levels; the levels must agree within tol,
+    # absolute up to the floor 1 and relative above, or the unchanged message is raised
+    params = SystemParams(7, 1.3, a=0.4, b=-2.0)
+    grids = []
+
+    def levels(fine, coarse):  # an integrand whose scaled fine and coarse sums are these
+        def integral(x, y):
+            grids.append((x, y))
+            weight = params.cell_width * params.cell_height * 4 / (x.size * y.size)
+            return 4 * fine / weight, coarse / weight
+        return integral
+
+    for value, converges in ((1e-3, True), (1e3, True), (1e-3, False), (1e3, False)):
+        close = 1e-6 * max(1.0, value) * (0.5 if converges else 2.0)
+        grids.clear()
+        if converges:
+            got = analytic._cell_trapezoid(params, levels(value, value + close), 1.0, 1e-6, "label")
+            assert got == pytest.approx(value)
+        else:
+            with pytest.raises(RuntimeError) as err:
+                analytic._cell_trapezoid(params, levels(value, value + close), 1.0, 1e-6, "label")
+            nx, ny = grids[0][0].size // 2, grids[0][1].size // 2
+            assert str(err.value) == (f"label: quadrature did not converge to 1e-06: the trapezoid sums on "
+                                      f"{nx} x {ny} and {2 * nx} x {2 * ny} nodes differ by {close:.2e}")
+        assert len(grids) == 1
+        x, y = grids[0]
+        assert x[0] == params.a and y[0] == params.b and x.size % 2 == 0 and y.size % 2 == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 48), lam=st.floats(0.3, 3.0), a=st.floats(-10, 10), b=st.floats(-10, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_product_equals_bilinear_sum_on_any_cell(d, lam, a, b, seed):
+    params = SystemParams(d, lam, a, b)
+    rng = np.random.default_rng(seed)
+    f, g = AnalyticState(random_state(rng, d), params), AnalyticState(random_state(rng, d), params)
+    assert abs(scalar_product(f, g) - np.sum(f.state.components * g.state.components)) <= 1e-10
