@@ -22,7 +22,7 @@ from .hilbert import position_state, momentum_state
 from .verify import run_suite
 from .wavefunctions import sampled_from_csv
 from .zak import SystemParams, coherent_overlap, coherent_overlap_direct, coherent_state_closed, number_state, zak_map
-from .zeros import find_zeros, reconstruct_from_zeros
+from .zeros import LATTICE_TOL, find_zeros, reconstruct_from_zeros
 
 class _UsageError(Exception):
     pass
@@ -50,54 +50,62 @@ def build_parser() -> _Parser:
     """A fresh parser for the finiteq command line."""
     parser = _Parser(prog="finiteq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
-    common.add_argument("--d", type=int, help="Hilbert-space dimension")
-    common.add_argument("--lambda", dest="lam", type=float, default=1.0, help="squeezing scale (default 1)")
-    common.add_argument("--cell-a", type=float, default=0.0, help="real cell anchor (default 0)")
-    common.add_argument("--cell-b", type=float, default=0.0, help="imaginary cell anchor (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override where applicable")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--out", help="output path")
 
-    p_state = sub.add_parser("state", parents=[common], help="generate a state file")
+    p_state = sub.add_parser("state", help="generate a state file")
     p_state.add_argument("kind", choices=["number", "coherent", "position", "momentum", "sampled"])
     p_state.add_argument("--N", type=int, help="number-state index")
     p_state.add_argument("--A", help="coherent label, e.g. 1+1i")
     p_state.add_argument("--m", type=int, help="basis index")
     p_state.add_argument("--csv", help="CSV of x,re,im samples (kind 'sampled')")
 
-    p_zeros = sub.add_parser("zeros", parents=[common], help="locate the d zeros of a state's representation")
+    p_zeros = sub.add_parser("zeros", help="locate the d zeros of a state's representation")
     p_zeros.add_argument("--state", required=True, help="input state JSON")
     p_zeros.add_argument("--svg", help="also write an SVG scatter")
 
-    p_rec = sub.add_parser("reconstruct", parents=[common], help="rebuild a state from a zeros CSV")
+    p_rec = sub.add_parser("reconstruct", help="rebuild a state from a zeros CSV")
     p_rec.add_argument("--zeros", required=True, help="input zeros CSV")
+    p_rec.add_argument("--tol", type=float, default=LATTICE_TOL,
+                       help=f"largest lattice residual of the zero sum (default {LATTICE_TOL:g})")
 
-    p_ov = sub.add_parser("overlap", parents=[common], help="overlap of two coherent states or two state files")
+    p_ov = sub.add_parser("overlap", help="overlap of two coherent states or two state files")
     p_ov.add_argument("--A1", help="first coherent label")
     p_ov.add_argument("--A2", help="second coherent label")
     p_ov.add_argument("--in1", help="first state JSON")
     p_ov.add_argument("--in2", help="second state JSON")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run seeded identity suites")
+    p_ver = sub.add_parser("verify", help="run seeded identity suites")
     p_ver.add_argument("--suite", default="all",
                        choices=["all", "theta", "hilbert", "zak", "analytic", "zeros"])
+    p_ver.add_argument("--d", type=int, default=4, help="Hilbert-space dimension (default 4)")
+    p_ver.add_argument("--seed", type=int, default=0, help="seed of the randomized checks (default 0)")
 
-    p_plot = sub.add_parser("plot", parents=[common], help="SVG scatter of a state's zeros")
+    p_plot = sub.add_parser("plot", help="SVG scatter of a state's zeros")
     p_plot.add_argument("--state", required=True, help="input state JSON")
     p_plot.add_argument("--overlay", help="second state JSON, drawn with triangles")
-    p_plot.add_argument("--svg", help="output SVG path (defaults to --out)")
+    p_plot.add_argument("--svg", required=True, help="output SVG path")
 
+    shared = {  # the flags several subcommands take, each added only where it is read
+        "--d": dict(type=int, help="Hilbert-space dimension"),
+        "--lambda": dict(dest="lam", type=float, default=1.0, help="squeezing scale (default 1)"),
+        "--cell-a": dict(type=float, default=0.0, help="real cell anchor (default 0)"),
+        "--cell-b": dict(type=float, default=0.0, help="imaginary cell anchor (default 0)"),
+        "--out": dict(help="output path"),
+    }
+    for p, flags in ((p_state, "--d --lambda --out"), (p_zeros, "--out --d --cell-a --cell-b"),
+                     (p_rec, "--out --d --lambda --cell-a --cell-b"), (p_ov, "--d --lambda --out"),
+                     (p_plot, "--d --cell-a --cell-b")):
+        for flag in flags.split():
+            p.add_argument(flag, **shared[flag])
     return parser
 
 
 def _params(args) -> SystemParams:
     if args.d is None:
         raise _UsageError("--d is required for this command")
-    return SystemParams(args.d, args.lam, args.cell_a, args.cell_b)
+    return SystemParams(args.d, args.lam)
 
 
-def _need(args, flag, value):
+def _need(flag, value):
     if value is None:
         raise _UsageError(f"{flag} is required for this subcommand")
     return value
@@ -125,26 +133,25 @@ def _load_analytic(path, args) -> AnalyticState:
 def _cmd_state(args) -> int:
     params = _params(args)
     if args.kind == "number":
-        st = number_state(_need(args, "--N", args.N), params)
+        st = number_state(_need("--N", args.N), params)
     elif args.kind == "coherent":
-        st = coherent_state_closed(parse_complex(_need(args, "--A", args.A)), params)
+        st = coherent_state_closed(parse_complex(_need("--A", args.A)), params)
     elif args.kind == "position":
-        st = position_state(_need(args, "--m", args.m), params.d)
+        st = position_state(_need("--m", args.m), params.d)
     elif args.kind == "momentum":
-        st = momentum_state(_need(args, "--m", args.m), params.d)
+        st = momentum_state(_need("--m", args.m), params.d)
     else:  # sampled
-        st = zak_map(sampled_from_csv(_need(args, "--csv", args.csv)), params)
-    out = _need(args, "--out", args.out)
+        st = zak_map(sampled_from_csv(_need("--csv", args.csv)), params)
+    out = _need("--out", args.out)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_zeros(args) -> int:
-    out = _need(args, "--out", args.out)
+    out = _need("--out", args.out)
     _refuse_overwrite(args.state, out, ser.sidecar_path(out), args.svg)
-    s = _load_analytic(args.state, args)
-    zs = find_zeros(s)
+    zs = find_zeros(_load_analytic(args.state, args))
     ser.save_zeros_csv(out, zs)
     print(f"wrote {out} and {ser.sidecar_path(out)} "
           f"({zs.total} zeros, M={zs.M}, N={zs.N}, residual={zs.residual:.2e})")
@@ -155,15 +162,14 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    out = _need(args, "--out", args.out)
+    out = _need("--out", args.out)
     _refuse_overwrite(args.zeros, out)
     positions, mults = ser.load_zeros_csv(args.zeros)
     d = int(np.sum(mults))
     if args.d is not None and args.d != d:
         raise ValueError(f"--d {args.d} conflicts with {d} zeros (with multiplicity) in the CSV")
     params = SystemParams(d, args.lam, args.cell_a, args.cell_b)
-    tol = args.tol if args.tol is not None else 1e-6
-    st = reconstruct_from_zeros(positions, params, mults, residual_tol=tol)
+    st = reconstruct_from_zeros(positions, params, mults, residual_tol=args.tol)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
     return 0
@@ -172,8 +178,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_overlap(args) -> int:
     if args.A1 is not None or args.A2 is not None:
         params = _params(args)
-        a1 = parse_complex(_need(args, "--A1", args.A1))
-        a2 = parse_complex(_need(args, "--A2", args.A2))
+        a1 = parse_complex(_need("--A1", args.A1))
+        a2 = parse_complex(_need("--A2", args.A2))
         closed = coherent_overlap(a1, a2, params)
         direct = coherent_overlap_direct(a1, a2, params)
         payload = {
@@ -200,13 +206,12 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params_d = args.d if args.d is not None else 4
-    results = run_suite(args.suite, params_d, args.seed)
+    results = run_suite(args.suite, args.d, args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed (d={params_d}, seed={args.seed}, suite={args.suite})")
+    print(f"{passed}/{len(results)} checks passed (d={args.d}, seed={args.seed}, suite={args.suite})")
     if passed != len(results):
         print("verification failed", file=sys.stderr)
         return 2
@@ -214,19 +219,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    out = args.svg or args.out
-    if not out:
-        raise _UsageError("--svg (or --out) is required for plot")
-    _refuse_overwrite(args.state, out)
-    if args.overlay:
-        _refuse_overwrite(args.overlay, out)
-    s = _load_analytic(args.state, args)
-    zs = find_zeros(s)
-    overlay = None
-    if args.overlay:
-        overlay = find_zeros(_load_analytic(args.overlay, args))
-    ser.save_svg(out, zs, overlay)
-    print(f"wrote {out}")
+    for source in filter(None, (args.state, args.overlay)):
+        _refuse_overwrite(source, args.svg)
+    zs = find_zeros(_load_analytic(args.state, args))
+    overlay = find_zeros(_load_analytic(args.overlay, args)) if args.overlay else None
+    ser.save_svg(args.svg, zs, overlay)
+    print(f"wrote {args.svg}")
     return 0
 
 

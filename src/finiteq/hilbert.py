@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "FiniteState",
     "PhasePoint",
-    "omega_power",
     "half_power",
     "fourier_matrix",
     "position_state",
@@ -89,14 +88,6 @@ class PhasePoint(NamedTuple):
 
     alpha: int
     beta: int
-
-    def reduced(self, d: int) -> "PhasePoint":
-        return PhasePoint(self.alpha % d, self.beta % d)
-
-
-def omega_power(d: int, k: int) -> complex:
-    """exp(2j pi k / d) with the exponent reduced mod d as an integer."""
-    return np.exp(2j * np.pi * (int(k) % d) / d)
 
 
 def half_power(d: int, k: int) -> complex:
@@ -218,7 +209,7 @@ def weyl_function(op: np.ndarray) -> np.ndarray:
     return d * np.fft.ifft(op[_diagonals(d)], axis=1).T * _half_angle_table(d)
 
 
-def operator_from_weyl(table: np.ndarray, d: int | None = None) -> np.ndarray:
+def operator_from_weyl(table: np.ndarray) -> np.ndarray:
     """Invert :func:`weyl_function`.
 
     Uses the adjoint pairing op = d**-1 sum_{a,b} W(a, b) D(a, b)^dagger,
@@ -231,9 +222,7 @@ def operator_from_weyl(table: np.ndarray, d: int | None = None) -> np.ndarray:
     one FFT over alpha, O(d^2 log d).
     """
     table = np.asarray(table, dtype=complex)
-    if d is None:
-        d = table.shape[0]
-    d = _check_dim(d)
+    d = _check_dim(table.shape[0])
     if table.shape != (d, d):
         raise ValueError(f"Weyl table must be {d}x{d}, got {table.shape}")
     op = np.empty((d, d), dtype=complex)

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+_SVG_SIZE = 480  # pixels along the longer side of the cell in zeros_svg
+
+
 def write_atomic(path, text: str):
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
@@ -88,7 +91,8 @@ def load_state(path) -> tuple[FiniteState, float]:
     return state_from_dict(data)
 
 
-def save_zeros_csv(path, zs: ZeroSet, sidecar: bool = True):
+def save_zeros_csv(path, zs: ZeroSet):
+    """Write the zeros CSV at `path` and its sidecar at :func:`sidecar_path`."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re", "im", "multiplicity"])
@@ -96,8 +100,7 @@ def save_zeros_csv(path, zs: ZeroSet, sidecar: bool = True):
         # 17 significant digits read back as the same double, bit for bit
         writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}", int(m)])
     write_atomic(path, buf.getvalue())
-    if sidecar:
-        save_zeros_sidecar(sidecar_path(path), zs)
+    save_zeros_sidecar(sidecar_path(path), zs)
 
 
 def load_zeros_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +136,7 @@ def load_zeros_sidecar(path) -> dict:
         return json.load(fh)
 
 
-def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None, size: int = 480) -> str:
+def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None) -> str:
     """Scatter of zero positions over the cell rectangle, as an SVG document.
 
     Primary zeros are drawn as circles, overlay zeros (if given) as
@@ -144,9 +147,7 @@ def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None, size: int = 480) -> s
     p = zs.params
     width, height = p.cell_width, p.cell_height
     margin = 40.0
-    sx = size / width
-    sy = size / height
-    s = min(sx, sy)
+    s = _SVG_SIZE / max(width, height)
     w_px = width * s + 2 * margin
     h_px = height * s + 2 * margin
 

@@ -99,15 +99,19 @@ class GaussianCoherent:
         return f"GaussianCoherent({self.label})"
 
 
+_SUPPORT_TOL = 1e-12  # the largest edge-to-peak modulus ratio at which SampledGrid reads 0 off its grid
+
+
 class SampledGrid:
     """Wavefunction tabulated on an ascending real grid.
 
     Off-grid queries interpolate with a cubic spline.  Queries outside the
     tabulated range return zero, which is only legitimate when the data has
-    decayed at the grid edges; otherwise the call raises.
+    decayed at the grid edges, to _SUPPORT_TOL = 1e-12 of its peak modulus;
+    otherwise the call raises.
     """
 
-    def __init__(self, x, values, support_tol: float = 1e-12):
+    def __init__(self, x, values):
         # imported here: scipy.interpolate is most of the import time of finiteq
         from scipy.interpolate import CubicSpline
 
@@ -123,14 +127,13 @@ class SampledGrid:
         if peak == 0.0:
             raise ValueError("sampled wavefunction is identically zero")
         self._edge_ratio = max(abs(self.values[0]), abs(self.values[-1])) / peak
-        self._support_tol = float(support_tol)
         self._spline_re = CubicSpline(self.x, self.values.real)
         self._spline_im = CubicSpline(self.x, self.values.imag)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.x[0]) & (x <= self.x[-1])
-        if not np.all(inside) and self._edge_ratio > self._support_tol:
+        if not np.all(inside) and self._edge_ratio > _SUPPORT_TOL:
             raise ValueError(
                 "grid support too small: values at the grid edges have not "
                 f"decayed (edge/peak = {self._edge_ratio:.2e}) but points outside "

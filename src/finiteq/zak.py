@@ -86,14 +86,6 @@ class SystemParams:
     def cell_height(self) -> float:
         return math.sqrt(2.0 * math.pi * self.d) / self.lam
 
-    @property
-    def tau0(self) -> complex:
-        """Lattice parameter i / (d lam^2) of the position-basis theta forms."""
-        return 1j / (self.d * self.lam**2)
-
-    def with_anchor(self, a: float, b: float) -> "SystemParams":
-        return SystemParams(self.d, self.lam, a, b)
-
 
 @dataclass(frozen=True)
 class ZakSector:
@@ -165,9 +157,14 @@ _DEGENERATE_RATIO = 1e-12
 
 
 def zak_sums(psi, params: SystemParams, sector=None, m=None) -> np.ndarray:
-    """Unnormalized component sums t_m; `m` may hold any integers (default 0..d-1)."""
+    """Unnormalized component sums t_m; `m` may hold any integers (default 0..d-1).
+
+    t_{qd+r} = e^{2 pi i sigma1 q} t_r, so only r in [0, d) is summed, from the shells where psi lives.
+    """
     sector = _as_sector(sector)
-    return _lattice_sums(psi, params, sector.sigma1, sector.sigma2, m)[0][0]
+    q, r = np.divmod(np.arange(params.d) if m is None else np.asarray(m), params.d)
+    t = _lattice_sums(psi, params, sector.sigma1, sector.sigma2, r)[0][0]
+    return t * np.exp(2j * np.pi * sector.sigma1 * q)
 
 
 def zak_normalization(psi, params: SystemParams, sector=None) -> float:

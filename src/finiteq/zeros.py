@@ -46,8 +46,11 @@ _MAX_BOUNDARY_POINTS = 400_000
 _JITTER_ATTEMPTS = 24
 _JITTER_FRAC = 1e-3
 _CLUSTER_DIAM = 1e-8
-# largest lattice residual of a zero set find_zeros returns
-_RESIDUAL_MAX = 1e-6
+# largest lattice residual of a zero sum in find_zeros, classify_completeness and reconstruct_from_zeros
+LATTICE_TOL = 1e-6
+_MERGE_DIAM = 1e-10  # labels closer than this are one label in classify_completeness
+_RANK_TOL = 1e-8  # singular values above this fraction of the largest count in coherent_gram_rank
+_PER_EDGE = 16  # samples per edge of winding_number's first contour without a spacing
 _RNG_SEED = 0x5EED
 
 
@@ -85,18 +88,16 @@ class CompletenessResult:
     gram_rank: int | None = None
 
 
-def _boundary_points(ll: complex, ur: complex, per_edge, spacing=None) -> np.ndarray:
+def _boundary_points(ll: complex, ur: complex, spacing=None) -> np.ndarray:
     """Counterclockwise closed polyline around the rectangle [ll, ur].
 
     With `spacing` given, each edge gets enough points to keep samples at
-    most that far apart (at least 8 per edge); otherwise `per_edge` is used.
+    most that far apart (at least 8 per edge); otherwise _PER_EDGE.
     """
     x0, y0, x1, y1 = ll.real, ll.imag, ur.real, ur.imag
 
     def n_for(length):
-        if spacing is None:
-            return per_edge
-        return max(8, int(math.ceil(length / spacing)))
+        return _PER_EDGE if spacing is None else max(8, math.ceil(length / spacing))
 
     nx = n_for(x1 - x0)
     ny = n_for(y1 - y0)
@@ -112,8 +113,7 @@ def _boundary_points(ll: complex, ur: complex, per_edge, spacing=None) -> np.nda
 _MAX_LOG_RATIO = math.log(2.0)
 
 
-def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int = 16,
-                   spacing: float | None = None) -> int:
+def winding_number(f, lower_left: complex, upper_right: complex, spacing: float | None = None) -> int:
     """Winding of f around 0 along the rectangle boundary, by phase tracking.
 
     A segment is bisected until its wrapped phase step stays below pi/2 AND
@@ -125,7 +125,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int =
     Callers must choose `spacing` so that the smooth exponential factors of
     f advance the phase well under pi per initial step; a single simple zero
     near a segment then adds under pi more, keeping every true step out of
-    the aliasing window around 2 pi.
+    the aliasing window around 2 pi.  Without it, _PER_EDGE = 16 per edge.
 
     `f` must accept an ndarray of complex points.  Raises _BoundaryZero when
     a sample modulus vanishes exactly or dips below 1e-13 of its neighbors;
@@ -135,7 +135,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, per_edge: int =
     ll, ur = complex(lower_left), complex(upper_right)
     if not (ur.real > ll.real and ur.imag > ll.imag):
         raise ValueError("degenerate rectangle")
-    pts = _boundary_points(ll, ur, per_edge, spacing)
+    pts = _boundary_points(ll, ur, spacing)
     vals = np.asarray(f(pts), dtype=complex)
     total_pts = pts.size
     for _ in range(_MAX_PASSES):
@@ -306,7 +306,7 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     lattice translation and sorted by (Im, Re).
 
     The result is certified: RuntimeError is raised when the multiplicities do
-    not sum to d or the zero sum misses the lattice rule by more than 1e-6.
+    not sum to d or the zero sum misses the lattice rule by more than LATTICE_TOL = 1e-6.
 
     A state whose exact representation has a multiple zero acquires, through
     float rounding of its amplitudes, a cluster of simple zeros separated by
@@ -342,9 +342,9 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     if int(np.sum(mults)) != d:
         raise RuntimeError(f"found {int(np.sum(mults))} zeros in the cell, expected {d}")
     residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), p)
-    if residual > _RESIDUAL_MAX:
+    if residual > LATTICE_TOL:
         raise RuntimeError(
-            f"zero sum misses the lattice rule by {residual:.3e} > {_RESIDUAL_MAX:.0e}"
+            f"zero sum misses the lattice rule by {residual:.3e} > {LATTICE_TOL:.0e}"
         )
     return ZeroSet(positions, mults, p, M, N, residual)
 
@@ -375,38 +375,37 @@ def zero_sum_residual(zs: ZeroSet):
 # completeness of coherent-state label sets
 
 
-def coherent_gram_rank(points, params: SystemParams, tol: float = 1e-8) -> int:
+def coherent_gram_rank(points, params: SystemParams) -> int:
     """Rank of the Gram matrix of the coherent states at the given labels.
 
     Computed from the singular values of the amplitude matrix (columns are
-    the normalized states); values above tol * largest count toward the rank.
-    The rows are the weighted thetas at the labels: a coherent state is
-    one of them times a prefactor, whose modulus the row normalisation
-    removes and whose phase leaves the singular values unchanged.
+    the normalized states); values above _RANK_TOL = 1e-8 of the largest
+    count toward the rank.  The rows are the weighted thetas at the labels:
+    a coherent state is one of them times a prefactor, whose modulus the row
+    normalisation removes and whose phase leaves the singular values unchanged.
     """
     t = weighted_thetas(np.asarray(points, dtype=complex).ravel(), params)
     sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > _RANK_TOL * sv[0]))
 
 
-def classify_completeness(points, params: SystemParams, residual_tol: float = 1e-6,
-                          merge_tol: float = 1e-10, cross_validate: bool = False) -> CompletenessResult:
+def classify_completeness(points, params: SystemParams, cross_validate: bool = False) -> CompletenessResult:
     """Classify a set of coherent-state labels inside the cell.
 
     More than d labels (counted with multiplicity after merging duplicates)
     are at least complete; fewer are undercomplete; exactly d labels are
-    undercomplete precisely when their sum satisfies the lattice constraint.
-    Labels closer than `merge_tol`, also across the cell's edges, count as
-    one label of higher multiplicity.  Labels outside the cell are
-    translated back in (the physical ray is unchanged by quasi-periodicity)
-    and flagged.
+    undercomplete precisely when their sum satisfies the lattice constraint
+    to within LATTICE_TOL = 1e-6.  Labels closer than _MERGE_DIAM = 1e-10,
+    also across the cell's edges, count as one label of higher multiplicity.
+    Labels outside the cell are translated back in (the physical ray is
+    unchanged by quasi-periodicity) and flagged.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise ValueError("need at least one point")
     x, y = pts.real - params.a, pts.imag - params.b
     reduced = bool(np.any((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)))
-    positions, mults = _merge(pts, merge_tol, params)
+    positions, mults = _merge(pts, _MERGE_DIAM, params)
     count = int(np.sum(mults))
     d = params.d
     if count > d:
@@ -414,7 +413,7 @@ def classify_completeness(points, params: SystemParams, residual_tol: float = 1e
     if count < d:
         return CompletenessResult("undercomplete", count, None, None, None, reduced)
     residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), params)
-    verdict = "undercomplete" if residual <= residual_tol else "complete"
+    verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
     if cross_validate:
         rank = coherent_gram_rank(np.repeat(positions, mults), params)
@@ -426,14 +425,14 @@ def classify_completeness(points, params: SystemParams, residual_tol: float = 1e
 
 
 def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
-                           multiplicities=None, residual_tol: float = 1e-6) -> FiniteState:
+                           multiplicities=None, residual_tol: float = LATTICE_TOL) -> FiniteState:
     """Rebuild the state whose representation vanishes at the given zeros.
 
     Accepts a ZeroSet, or an array of positions plus `params` (and optional
     multiplicities, each at least 1; a position listed more than once is one
     zero with the summed multiplicity).  The multiplicity-weighted sum must
-    satisfy the lattice constraint to within `residual_tol`, otherwise no
-    state exists and a ValueError is raised.
+    satisfy the lattice constraint to within `residual_tol` (default
+    LATTICE_TOL = 1e-6), otherwise no state exists and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal

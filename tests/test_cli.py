@@ -1,6 +1,8 @@
 """Command-line frontend: file formats, exit codes, end-to-end roundtrips."""
 
 import json
+import pathlib
+import shlex
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -175,7 +177,7 @@ def test_verify_deterministic(capsys):
 def test_main_calls_share_no_values(tmp_path, capsys):
     # main parses with one parser per process; no flag value may carry over to the next call
     first, second = tmp_path / "c.json", tmp_path / "n.json"
-    assert main(["state", "coherent", "--d", "3", "--lambda", "1.2", "--cell-a", "0.5",
+    assert main(["state", "coherent", "--d", "3", "--lambda", "1.2",
                  "--A", "0.5-0.1i", "--out", str(first)]) == 0
     assert main(["state", "number", "--d", "4", "--N", "0", "--out", str(second)]) == 0
     assert json.loads(second.read_text())["lambda"] == 1.0
@@ -185,6 +187,52 @@ def test_main_calls_share_no_values(tmp_path, capsys):
     assert main(["state", "number", "--d", "4", "--out", str(second)]) == 1  # --N is not remembered
     assert "--N is required" in capsys.readouterr().err
     assert build_parser() is not build_parser()
+
+
+# flags a subcommand does not read, with a value each; argparse must refuse them
+_UNREAD_FLAGS = [
+    ("state", "--cell-a", "0.5"), ("state", "--cell-b", "0.5"), ("state", "--tol", "1e-3"),
+    ("state", "--seed", "3"),
+    ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
+    ("reconstruct", "--seed", "3"),
+    ("overlap", "--cell-a", "0.5"), ("overlap", "--cell-b", "0.5"), ("overlap", "--tol", "1e-3"),
+    ("overlap", "--seed", "3"),
+    ("verify", "--lambda", "2.5"), ("verify", "--cell-a", "1.3"), ("verify", "--cell-b", "-0.7"),
+    ("verify", "--tol", "1e-3"), ("verify", "--out", "verify.txt"),
+    ("plot", "--lambda", "2.5"), ("plot", "--tol", "1e-3"), ("plot", "--seed", "3"),
+    ("plot", "--out", "other.svg"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(command, flag, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["state", "number", "--d", "4", "--N", "0", "--out", "s.json"]) == 0
+    assert main(["zeros", "--state", "s.json", "--out", "z.csv"]) == 0
+    valid = {
+        "state": ["state", "number", "--d", "4", "--N", "0", "--out", "n.json"],
+        "zeros": ["zeros", "--state", "s.json", "--out", "z2.csv"],
+        "reconstruct": ["reconstruct", "--zeros", "z.csv", "--out", "r.json"],
+        "overlap": ["overlap", "--d", "3", "--A1", "0.3", "--A2", "0.1+0.2i", "--out", "ov.json"],
+        "verify": ["verify", "--suite", "theta", "--d", "3"],
+        "plot": ["plot", "--state", "s.json", "--svg", "p.svg"],
+    }[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(valid + [flag, value]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert main(valid) == 0  # the same call without the flag runs
+
+
+def test_readme_commands_parse():
+    # every finiteq line of the README's command-line block is a valid call
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("finiteq ")]
+    assert len(calls) >= 10
+    for argv in calls:
+        build_parser().parse_args(argv[1:])
 
 
 def test_usage_error_exit_code(capsys):

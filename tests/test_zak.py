@@ -647,6 +647,21 @@ def test_far_gaussian_sums_from_its_centre(label, d):
     assert np.max(np.abs(got - coherent_state_closed(label, params).components)) < 1e-12
 
 
+@pytest.mark.parametrize("sector", [(0.0, 0.0), (0.25, 0.5)])
+def test_far_components_sum_from_the_wavefunction(sector):
+    # psi = phi_0 at d = 1, lam = 1/0.3: lattice points 8.4 apart, so m = 7 lies seven periods from
+    # psi's centre; summed from shell 0 it stopped on the vanishing near tail and returned 2e-243
+    params, psi, m = SystemParams(1, 1 / 0.3), HermiteNumber(0), np.array([0, 7, -4])
+    sigma1, sigma2 = sector
+    step = math.sqrt(2 * math.pi) / 0.3
+    w = np.arange(-40, 41)
+    direct = [np.sum(np.exp(-2j * np.pi * sigma1 * w) * psi(step * (k + sigma2 + w))) for k in m]
+    got = zak_sums(psi, params, ZakSector(*sector), m=m)
+    assert np.max(np.abs(got - direct)) < 1e-15
+    if sector == (0.0, 0.0):
+        assert abs(got[1] - 0.75112554) < 1e-8
+
+
 @pytest.mark.parametrize("label", [1e10, -1e300])
 def test_centre_too_far_to_resolve_raises(label):
     # doubles lie 1e-8 apart and more past 1e8, too coarse for the lattice points near psi
