@@ -293,13 +293,17 @@ def _live_terms(z, params: SystemParams, order: int):
     terms = np.empty(n.shape, dtype=complex)
     terms[..., :1] = np.exp(phase * n[..., :1])
     terms[..., 1:] = np.exp(phase)
-    np.cumprod(terms, axis=-1, out=terms)
+    terms.cumprod(axis=-1, out=terms)
     terms *= np.exp(exponent, out=exponent)
-    if order == 1:
-        terms *= -2j * c * n  # a plain multiply: x ** 1 costs several times more
-    elif order:
-        terms *= (-2j * c * n) ** order
+    if order:
+        terms *= _derivative_factor(c, n, order)
     return n, terms
+
+
+def _derivative_factor(c: float, n: np.ndarray, order: int) -> np.ndarray:
+    """(-2icn)^order, the factor that the order-th z-derivative puts on the term n of the swapped series."""
+    factor = -2j * c * n
+    return factor if order == 1 else factor ** order  # x ** 1 costs several times a plain copy
 
 
 def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int):
@@ -341,15 +345,54 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     summed directly from the spectrum of a by :func:`_spectral_sum`.
     """
     d = params.d
-    length = -(-(_window_width(d, params.lam) + d - 1) // d) * d
+    length = _fold_length(d, params.lam)
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape + (d,), dtype=complex)
     rows_out = out.reshape(-1, d)
     for block, n, terms in _live_blocks(z, params, order, length):
-        placed = np.zeros((len(n), length), dtype=complex)
-        first = np.arange(placed.size, step=length)[:, None] - d * (n[:, :1] // d)
-        placed.ravel()[n + first] = terms
-        np.multiply(d, np.fft.ifft(placed.reshape(len(n), -1, d).sum(axis=-2), axis=-1), out=rows_out[block])
+        _fold(n, terms, d, length, rows_out[block])
+    return out
+
+
+def _fold_length(d: int, lam: float) -> int:
+    """The length of a point's placed fold in weighted_thetas: its live window plus d - 1, rounded up to a multiple of d."""
+    return -(-(_window_width(d, lam) + d - 1) // d) * d
+
+
+def _fold(n: np.ndarray, terms: np.ndarray, d: int, length: int, out: np.ndarray) -> None:
+    """out[r] = d ifft of the live terms of row r folded by n mod d, each row placed from the
+    multiple of d below its first n, so that column k of the fold holds the n = k (mod d)."""
+    placed = np.zeros((len(n), length), dtype=complex)
+    first = np.arange(placed.size, step=length)[:, None] - d * (n[:, :1] // d)
+    placed.ravel()[n + first] = terms
+    np.multiply(d, np.fft.ifft(placed.reshape(len(n), -1, d).sum(axis=-2), axis=-1), out=out)
+
+
+def _derivative_rows(z: np.ndarray, params: SystemParams, mults: np.ndarray) -> np.ndarray:
+    """The rows weighted_thetas(z[mults > k], params, k) for k = 0 .. max(mults) - 1, stacked in that order.
+
+    One pass of live terms at order 0 and one fold for all of them: the rows
+    of order k take the factor (-2icn)^k on their terms as weighted_thetas
+    does, so each row equals its weighted_thetas row bit for bit.  With every
+    multiplicity 1 these are the rows weighted_thetas(z, params).
+    """
+    d = params.d
+    top = int(mults.max())
+    bounds = [0, z.size]  # rows bounds[k] .. bounds[k + 1] - 1 take order k
+    if top > 1:
+        picks = [z[mults > k] for k in range(top)]
+        bounds = np.cumsum([0] + [q.size for q in picks]).tolist()
+        z = np.concatenate(picks)
+    c = _theta_scales(params)[0]
+    length = _fold_length(d, params.lam)
+    out = np.empty((z.size, d), dtype=complex)
+    for block, n, terms in _live_blocks(z, params, 0, length):
+        for k in range(1, top):
+            lo = max(bounds[k], block.start) - block.start
+            hi = min(bounds[k + 1], block.start + len(n)) - block.start
+            if lo < hi:
+                terms[lo:hi] *= _derivative_factor(c, n[lo:hi], k)
+        _fold(n, terms, d, length, out[block])
     return out
 
 

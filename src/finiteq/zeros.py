@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .zak import SystemParams, _theta_scales, weighted_thetas
+from .zak import SystemParams, _derivative_rows, _theta_scales, weighted_thetas
 from .analytic import AnalyticState
 
 __all__ = [
@@ -52,6 +52,7 @@ _MERGE_DIAM = 1e-10  # labels closer than this are one label in classify_complet
 _RANK_TOL = 1e-8  # singular values above this fraction of the largest count in coherent_gram_rank
 _PER_EDGE = 16  # samples per edge of winding_number's first contour without a spacing
 _RNG_SEED = 0x5EED
+_EPS = float(np.finfo(float).eps)
 
 
 class _BoundaryZero(RuntimeError):
@@ -221,9 +222,10 @@ def _into_cell(z, p: SystemParams) -> np.ndarray:
     width, height = p.cell_width, p.cell_height
     xr = (z.real - p.a) % width
     yr = (z.imag - p.b) % height
-    xr = np.where(width - xr < 1e-9 * width, 0.0, xr)
-    yr = np.where(height - yr < 1e-9 * height, 0.0, yr)
-    return p.a + xr + 1j * (p.b + yr)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = p.a + np.where(width - xr < 1e-9 * width, 0.0, xr)
+    out.imag = p.b + np.where(height - yr < 1e-9 * height, 0.0, yr)
+    return out
 
 
 def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
@@ -231,23 +233,35 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
 
     Returns (i, j, offset), offset = _wrap(z[j] - z[i]).  Candidates come from
     the real parts reduced mod the cell width and sorted, followed by a copy
-    one width up, so that pairs across that edge are adjacent too; a binary
-    search gives each point the points within reach above it, and only
-    those pairs get the full distance.
+    one width up, so that pairs across that edge are adjacent too.  A pair
+    within `diam` has its real parts within reach of each other, so the
+    points m = 1, 2, ... places apart are visited only while some of them
+    are still within reach, and only those pairs get the full distance.
+    When no two neighbours are within reach, which is the case for simple
+    label sets and for the roots of find_zeros, that is one pass over the
+    n gaps.
     """
     n, width = z.size, p.cell_width
-    x = (z.real - p.a) % width
+    u = z.real - p.a
+    x = u % width
     order = np.argsort(x, kind="stable")
-    ext = np.concatenate((x[order], x[order] + width))
+    ext = x[order]
+    ext = np.concatenate((ext, ext + width))
     # widened by the rounding of the reduction, so that no pair within diam is missed
-    reach = diam + 4 * np.finfo(float).eps * (width + np.max(np.abs(z.real - p.a), initial=0.0))
-    start = np.arange(1, n + 1)
-    stop = np.minimum(np.searchsorted(ext, ext[:n] + reach, side="right"), start + n - 1)
-    counts = np.maximum(stop - start, 0)
-    # sorted point k meets ext[start[k]:stop[k]], at most the n - 1 others once each; flattened
-    shift = np.repeat(start - np.cumsum(counts) + counts, counts)
-    a = order[np.repeat(np.arange(n), counts)]
-    b = order[(shift + np.arange(shift.size)) % n]
+    reach = diam + 4 * _EPS * (width + np.abs(u).max(initial=0.0))
+    limit = ext[:n] + reach
+    # sorted point k meets k + m while ext[k + m] is within its reach, at most the n - 1 others once each
+    near, a, b = (ext[1:n + 1] <= limit).nonzero()[0], [], []
+    for m in range(1, n):
+        if not near.size:
+            break
+        a.append(near)
+        b.append(near + m)
+        near = near[ext[near + m + 1] <= limit[near]]
+    if not a:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty(0, dtype=complex)
+    a, b = order[np.concatenate(a)], order[np.concatenate(b) % n]
     # a reach beyond half the width can list a pair twice; in _merge the repeat changes nothing
     i, j = np.minimum(a, b), np.maximum(a, b)
     offset = _wrap(z[j] - z[i], width, p.cell_height)
@@ -267,14 +281,18 @@ def _merge(points, diam: float, p: SystemParams):
     the cell, and groups come out in the order their anchors were made.
     Returns (positions, multiplicities).
 
-    Cost: a sort and binary searches over the n points, O(n log n), find the
-    pairs within `diam` (:func:`_close_pairs`), with no n x n distances.
-    Python work is one step per such pair, so it is spent only on points
-    that have an earlier point within `diam`, which are rare at the default
-    diameters, 1e-8 in find_zeros and 1e-10 in classify_completeness.
+    Cost: a sort of the n points and one pass over their gaps find the
+    pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
+    with none, every point is its own group and the points come back
+    reduced into the cell at once.  Python work is one step per pair, so it
+    is spent only on points that have an earlier point within `diam`,
+    which are rare at the default diameters, 1e-8 in find_zeros and 1e-10
+    in classify_completeness.
     """
     z = np.asarray(points, dtype=complex).ravel()
     i, j, offset = _close_pairs(z, diam, p)
+    if not i.size:
+        return _into_cell(z, p), np.ones(z.size, dtype=np.intp)
     anchor = np.ones(z.size, dtype=bool)
     parent = np.arange(z.size)
     offsets = np.zeros(z.size, dtype=complex)
@@ -375,6 +393,18 @@ def zero_sum_residual(zs: ZeroSet):
 # completeness of coherent-state label sets
 
 
+def _labels(points) -> np.ndarray:
+    """Labels or zeros as a flat complex array; ValueError, before any arithmetic, when there are
+    none or one is not finite."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    finite = np.isfinite(pts)
+    if not finite.all():
+        raise ValueError(f"points must be finite, got {complex(pts[~finite][0])}")
+    return pts
+
+
 def coherent_gram_rank(points, params: SystemParams) -> int:
     """Rank of the Gram matrix of the coherent states at the given labels.
 
@@ -383,10 +413,16 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     count toward the rank.  The rows are the weighted thetas at the labels:
     a coherent state is one of them times a prefactor, whose modulus the row
     normalisation removes and whose phase leaves the singular values unchanged.
+    ValueError is raised when there is no label or one is not finite.
     """
-    t = weighted_thetas(np.asarray(points, dtype=complex).ravel(), params)
+    return _gram_rank(_labels(points), params)
+
+
+def _gram_rank(pts: np.ndarray, params: SystemParams) -> int:
+    """coherent_gram_rank of labels already checked by _labels."""
+    t = weighted_thetas(pts, params)
     sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
-    return int(np.sum(sv > _RANK_TOL * sv[0]))
+    return int((sv > _RANK_TOL * sv[0]).sum())
 
 
 def classify_completeness(points, params: SystemParams, cross_validate: bool = False) -> CompletenessResult:
@@ -398,25 +434,25 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     to within LATTICE_TOL = 1e-6.  Labels closer than _MERGE_DIAM = 1e-10,
     also across the cell's edges, count as one label of higher multiplicity.
     Labels outside the cell are translated back in (the physical ray is
-    unchanged by quasi-periodicity) and flagged.
+    unchanged by quasi-periodicity) and flagged.  ValueError is raised when
+    there is no label or one is not finite.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size == 0:
-        raise ValueError("need at least one point")
+    pts = _labels(points)
     x, y = pts.real - params.a, pts.imag - params.b
-    reduced = bool(np.any((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)))
+    reduced = bool(((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)).any())
     positions, mults = _merge(pts, _MERGE_DIAM, params)
-    count = int(np.sum(mults))
+    count = int(mults.sum())
     d = params.d
     if count > d:
         return CompletenessResult("overcomplete-at-least-complete", count, None, None, None, reduced)
     if count < d:
         return CompletenessResult("undercomplete", count, None, None, None, reduced)
-    residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), params)
+    residual, M, N = sum_constraint_fit(complex((positions * mults).sum()), params)
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
     if cross_validate:
-        rank = coherent_gram_rank(np.repeat(positions, mults), params)
+        # a label of multiplicity m is m equal rows; with simple labels there is none to repeat
+        rank = _gram_rank(positions if count == positions.size else np.repeat(positions, mults), params)
     return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
 
 
@@ -428,10 +464,11 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
                            multiplicities=None, residual_tol: float = LATTICE_TOL) -> FiniteState:
     """Rebuild the state whose representation vanishes at the given zeros.
 
-    Accepts a ZeroSet, or an array of positions plus `params` (and optional
-    multiplicities, each at least 1; a position listed more than once is one
-    zero with the summed multiplicity).  The multiplicity-weighted sum must
-    satisfy the lattice constraint to within `residual_tol` (default
+    Accepts a ZeroSet, or an array of finite positions plus `params` (and
+    optional multiplicities, one integer of at least 1 per position; a
+    position listed more than once is one zero with the summed
+    multiplicity); other input raises ValueError.  The multiplicity-weighted
+    sum must satisfy the lattice constraint to within `residual_tol` (default
     LATTICE_TOL = 1e-6), otherwise no state exists and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
@@ -453,18 +490,21 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     else:
         if params is None:
             raise ValueError("params required when zeros are given as an array")
-        positions = np.asarray(zeros, dtype=complex).ravel()
+        positions = _labels(zeros)
         if multiplicities is None:
             multiplicities = np.ones(positions.size, dtype=int)
+        elif np.shape(multiplicities) != positions.shape:
+            raise ValueError(f"{np.size(multiplicities)} multiplicities for {positions.size} positions")
+        elif not (np.isfinite(multiplicities).all() and np.all(multiplicities == np.round(multiplicities))):
+            raise ValueError(f"multiplicities must be integers, got {np.asarray(multiplicities).tolist()}")
     multiplicities = np.asarray(multiplicities, dtype=int)
     d = params.d
-    if np.any(multiplicities < 1):
+    if (multiplicities < 1).any():
         raise ValueError(f"multiplicities must be at least 1, got {multiplicities.min()}")
-    if int(np.sum(multiplicities)) != d:
-        raise ValueError(
-            f"multiplicities sum to {int(np.sum(multiplicities))}, expected d = {d}"
-        )
-    residual, _, _ = sum_constraint_fit(complex(np.sum(positions * multiplicities)), params)
+    total = int(multiplicities.sum())
+    if total != d:
+        raise ValueError(f"multiplicities sum to {total}, expected d = {d}")
+    residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)
     if residual > residual_tol:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
@@ -473,12 +513,13 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, which = np.unique(positions, return_inverse=True)
-    mults = np.bincount(which, weights=multiplicities).astype(int)
-    rows = np.concatenate([weighted_thetas(positions[mults > k], params, k)
-                           for k in range(mults.max())])
+    mults = multiplicities  # all 1 with no position repeated, and then in any order
+    if positions.size < total:
+        mults = np.bincount(which, weights=multiplicities).astype(int)
+    rows = _derivative_rows(positions, params, mults)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     _, sv, vh = np.linalg.svd(rows)
-    if sv[-2] <= d * np.finfo(float).eps * sv[0]:
+    if sv[-2] <= d * _EPS * sv[0]:
         raise RuntimeError(
             "the zeros do not fix one state in double precision: second-smallest "
             f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps"

@@ -305,6 +305,15 @@ def test_reconstruct_rejects_bad_zeros(tmp_path, capsys):
     assert "no such state exists" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_non_finite_zeros(tmp_path, capsys):
+    # an inf position ended in an OverflowError traceback from round()
+    zcsv = tmp_path / "z.csv"
+    zcsv.write_text("re,im,multiplicity\n0.5,0.5,1\ninf,1.0,1\n2.0,2.0,1\n3.0,3.0,1\n")
+    assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(tmp_path / "r.json")]) == 1
+    assert "input error: points must be finite, got (inf+1j)" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_state_sampled_from_csv(tmp_path):
     from finiteq import GaussianCoherent, coherent_state_closed
 

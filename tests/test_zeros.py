@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
+from finiteq import zak
 from finiteq.zak import weighted_thetas
 from finiteq import (
     AnalyticState,
@@ -327,6 +328,25 @@ def test_merge_matches_loop(case):
     assert_merges_like_loop(*case)
 
 
+def close_pairs_all(z, diam, params):
+    """Every pair i < j within diam across the cell's periods, from all n^2 distances."""
+    i, j = np.triu_indices(z.size, 1)
+    offset = zeros_module._wrap(z[j] - z[i], params.cell_width, params.cell_height)
+    keep = np.abs(offset) < diam
+    return {(int(a), int(b)): complex(o) for a, b, o in zip(i[keep], j[keep], offset[keep])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label_sets())
+def test_close_pairs_match_all_pairs(case):
+    points, diam, params = case
+    i, j, offset = zeros_module._close_pairs(points, diam, params)
+    found = {}
+    for a, b, o in zip(i.tolist(), j.tolist(), offset.tolist()):
+        assert found.setdefault((a, b), o) == o  # a pair listed twice has one offset
+    assert found == close_pairs_all(points, diam, params)
+
+
 def test_merge_matches_loop_on_1000_labels():
     params = SystemParams(64)
     rng = np.random.default_rng(12)
@@ -345,6 +365,102 @@ def test_gram_rank_full_for_generic_points():
     pts = [complex(rng.uniform(0, params.cell_width), rng.uniform(0, params.cell_height))
            for _ in range(3)]
     assert coherent_gram_rank(pts, params) == 3
+
+
+def lattice_label_set(rng, params, double):
+    """d labels in the cell on the lattice rule, the first one twice with `double`."""
+    d, lam = params.d, params.lam
+    pts = (params.a + rng.uniform(size=d) * params.cell_width
+           + 1j * (params.b + rng.uniform(size=d) * params.cell_height))
+    if double:
+        pts[1] = pts[0]
+    M, N = rng.integers(-2, 3, size=2)
+    target = (np.sqrt(np.pi / 2) * d**1.5 * (lam + 1j / lam)
+              + np.sqrt(2 * np.pi * d) * (M * lam + 1j * N / lam))
+    pts[-1] = zeros_module._into_cell(target - pts[:-1].sum(), params)
+    return pts
+
+
+def off_rule_copy(rng, params, pts):
+    """pts with the last label moved by 5% of the cell height: off the lattice rule."""
+    off = pts.copy()
+    off[-1] = zeros_module._into_cell(off[-1] + 0.05 * params.cell_height * np.exp(2j * np.pi * rng.uniform()),
+                                      params)
+    return off
+
+
+@pytest.mark.parametrize("d", [8, 12, 16, 24, 32, 48, 64])
+@pytest.mark.parametrize("index", range(3))
+def test_gram_rank_of_rule_and_off_rule_sets(d, index):
+    # d - 1 independent coherent states when the labels are the zeros of one
+    # state, d off the rule, and d - 1 for a set with a label given twice
+    params = SystemParams(d)
+    rng = np.random.default_rng([61, d, index])
+    for double in (False, True):
+        pts = lattice_label_set(rng, params, double)
+        rule, broken = (classify_completeness(q, params, cross_validate=True)
+                        for q in (pts, off_rule_copy(rng, params, pts)))
+        assert (rule.verdict, broken.verdict) == ("undercomplete", "complete")
+        assert (rule.gram_rank, broken.gram_rank) == (d - 1, d - double)
+
+
+@pytest.mark.xfail(strict=True, reason="the 1e-8 rank rule of coherent_gram_rank reads this complete "
+                                       "set as rank d - 1; one row builder and rank rule is ROADMAP item 7")
+def test_gram_rank_of_an_off_rule_set_at_d48():
+    params = SystemParams(48)
+    rng = np.random.default_rng([61, 48])
+    for _ in range(2):
+        off = off_rule_copy(rng, params, lattice_label_set(rng, params, False))
+    res = classify_completeness(off, params, cross_validate=True)
+    assert (res.verdict, res.gram_rank) == ("complete", 48)
+
+
+@pytest.mark.parametrize("d", [1, 5, 64, 1000])
+def test_derivative_rows_equal_weighted_thetas(d):
+    # one pass of live terms for every order gives each row bit for bit; at
+    # d = 1000 the rows of each order straddle the blocks of the kernel
+    params = SystemParams(d)
+    rng = np.random.default_rng([67, d])
+    z = params.cell_width * rng.uniform(size=40) + 1j * params.cell_height * rng.uniform(size=40)
+    for mults in (np.ones(40, dtype=int), rng.integers(1, 5, size=40)):
+        rows = zak._derivative_rows(z, params, mults)
+        expect = np.concatenate([weighted_thetas(z[mults > k], params, k) for k in range(mults.max())])
+        assert rows.shape == expect.shape and rows.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("labels", [[np.inf, 1, 2], [np.nan, 1, 2, 3, 4], [np.nan, 1, 2, 3],
+                                    [1 + 1j, complex(2, np.inf), 3, 4]])
+def test_non_finite_labels_raise(labels):
+    # at d = 4 these gave a count of 3 "undercomplete", "overcomplete" with
+    # reduced=False, and "cannot convert float NaN to integer"
+    params = SystemParams(4)
+    with pytest.raises(ValueError, match="must be finite"):
+        classify_completeness(labels, params)
+    with pytest.raises(ValueError, match="must be finite"):
+        coherent_gram_rank(labels, params)
+    if len(labels) == 4:  # the rebuild raised OverflowError from round()
+        with pytest.raises(ValueError, match="must be finite"):
+            reconstruct_from_zeros(np.array(labels, dtype=complex), params)
+
+
+def test_empty_labels_raise():
+    params = SystemParams(4)
+    for call in (coherent_gram_rank, classify_completeness):
+        with pytest.raises(ValueError, match="at least one point"):
+            call([], params)
+
+
+def test_reconstruct_rejects_bad_multiplicities():
+    params = SystemParams(3)
+    zeros = np.array([1 + 1j, 2 + 1j, 3 + 2j])
+    # non-integral values were truncated: this was "multiplicities sum to 3"
+    with pytest.raises(ValueError, match="must be integers"):
+        reconstruct_from_zeros(zeros, params, [1.5, 1.5, 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        reconstruct_from_zeros(zeros, params, [np.nan, 1, 1])
+    # a length other than the positions' was numpy's broadcast error
+    with pytest.raises(ValueError, match="2 multiplicities for 3 positions"):
+        reconstruct_from_zeros(zeros, params, [2, 1])
 
 
 def test_reconstruct_roundtrip_random_state():
