@@ -137,10 +137,11 @@ class AnalyticState:
         c = _theta_scales(self.params)[0]
         ym = 0.5 * (y0 + y1)
         s = 0.5 * ym**2
-        k, exponent = _theta_window(self.params, ym, 0.5 * (y1 - y0))
+        index, base, exponent = _theta_window(self.params, ym, 0.5 * (y1 - y0))
         G = self._spectrum
         G = np.where(np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G)), 0.0, G)
-        a = np.pi ** -0.25 * G[k % d] * np.exp(exponent)
+        a = np.pi ** -0.25 * np.take(G, index, mode="wrap") * np.exp(exponent)
+        k = base + index
         tilt = c * (y1 - y0) * k  # log |v|^k at y1, and minus it at y0
         with np.errstate(divide="ignore", invalid="ignore"):
             log_a = np.log(np.abs(a))
@@ -250,13 +251,13 @@ def _pair_sums(params: SystemParams, spectra, x, y):
     pi**-1/2 N_x sum_k F^[k] G^[k]; the every-other-node sum folds them again, mod N_x / 2, on the even rows.
     """
     nx, half = x.size, x.size // 2
-    n, exponent = _theta_window(params, y)
-    width = n.shape[1]
+    index, _, exponent = _theta_window(params, y)
+    width = index.shape[1]
     phase = np.exp(-2j * _theta_scales(params)[0] * x[0] * np.arange(width))
     weights = np.exp(exponent, out=exponent)
     folds = np.zeros((2, y.size, -(-width // nx) * nx), dtype=complex)
-    folds[0, :, :width] = weights * phase * np.take(spectra[0], n, mode="wrap")
-    folds[1, :, :width] = weights * phase.conj() * np.take(spectra[1], -n, mode="wrap")
+    folds[0, :, :width] = weights * phase * np.take(spectra[0], index, mode="wrap")
+    folds[1, :, :width] = weights * phase.conj() * np.take(spectra[1], -index, mode="wrap")
     f_hat, g_hat = folds.reshape(2, y.size, -1, nx).sum(axis=2)
     f_half, g_half = f_hat[::2, :half] + f_hat[::2, half:], g_hat[::2, :half] + g_hat[::2, half:]
     return np.pi ** -0.5 * nx * np.sum(f_hat * g_hat), np.pi ** -0.5 * half * np.sum(f_half * g_half)
@@ -385,14 +386,14 @@ def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
     n survive, each one fold by n' mod d and one length-d FFT; row m is row m of their phased sum rotated by m.
     """
     d = params.d
-    n, exponent = _theta_window(params, y)
+    index, _, exponent = _theta_window(params, y)
     gauss = np.exp(exponent, out=exponent)
-    width, nx, half = n.shape[1], x.size, x.size // 2
+    width, nx, half = index.shape[1], x.size, x.size // 2
     lags = half * np.arange(-((width - 1) // half), (width - 1) // half + 1)
     folds = np.empty((2, lags.size, d))
     for i, lag in enumerate(lags):
         lo, hi = max(lag, 0), width + min(lag, 0)
-        pairs, at = gauss[:, lo:hi] * gauss[:, lo - lag:hi - lag], n[:, lo - lag:hi - lag] % d
+        pairs, at = gauss[:, lo:hi] * gauss[:, lo - lag:hi - lag], index[:, lo - lag:hi - lag] % d
         folds[:, i] = np.bincount(at.ravel(), pairs.ravel(), d), np.bincount(at[::2].ravel(), pairs[::2].ravel(), d)
     counts = np.array([[nx], [half]])  # the abscissae of the two levels
     chi = counts * (lags % counts == 0) * np.exp(-2j * _theta_scales(params)[0] * x[0] * lags)

@@ -77,6 +77,9 @@ class SystemParams:
         object.__setattr__(self, "d", int(self.d))
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise ValueError(f"scale lam must be positive and finite, got {self.lam}")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"cell anchor {name} must be finite, got {value}")
 
     @property
     def cell_width(self) -> float:
@@ -245,21 +248,31 @@ def _theta_scales(params: SystemParams):
 def _theta_window(params: SystemParams, y, span: float = 0.0):
     """The live terms of the swapped theta series at heights y - span .. y + span.
 
-    Returns (n, exponent).  Along the last axis n runs over the
+    Returns (index, base, exponent).  The live n of a height are the
     ceil(2 K + 2 kappa span) + 2 consecutive integers from
-    floor(kappa (y - span) - K), which hold every n within K of kappa times a
-    height of the range; beyond it the Gaussian weight is below
-    exp(-_THETA_CUT) of the largest at each height.  exponent is the log of
-    the weight at height y, -pi (n - kappa y)^2 / (d lam^2).
+    n0 = floor(kappa (y - span) - K): every n within K of kappa times a
+    height of the range, beyond which the Gaussian weight is below
+    exp(-_THETA_CUT) of the largest.  n = base + index, base = d floor(n0 / d),
+    so index lies in [0, d + width) at any height and reads G_{n mod d} (and
+    -index G_{-n mod d}) by ``np.take`` in wrap mode in at most 1 + width / d steps.
+    exponent is -pi (n - kappa y)^2 / (d lam^2), the log of the weight at
+    height y.  Past kappa |y| = 2^53 doubles no longer hold consecutive n,
+    and ValueError is raised.
     """
     _, kappa, K = _theta_scales(params)
     ky = kappa * np.asarray(y, dtype=float)[..., None]
-    start = np.floor(ky - (K + kappa * span))
-    j = np.arange(math.ceil(2 * (K + kappa * span)) + 2)
+    reach = K + kappa * span
+    top = np.abs(ky).max(initial=0.0) + reach
+    if not top < 2.0**53:
+        raise ValueError(f"height {top / kappa:g} is too far out to resolve the terms of the theta series")
+    start = np.floor(ky - reach)
+    j = np.arange(math.ceil(2 * reach) + 2)
     exponent = (start - ky) + j  # n - kappa y, squared and scaled in place
     exponent *= exponent
     exponent *= -np.pi / (params.d * params.lam**2)
-    return start.astype(np.int64) + j, exponent
+    start = start.astype(np.int64)
+    offset = start % params.d
+    return offset + j, start - offset, exponent
 
 
 @functools.cache
@@ -273,41 +286,47 @@ def _window_width(d: int, lam: float) -> int:
     return math.ceil(2 * _theta_scales(SystemParams(d, lam))[2]) + 2
 
 
-def _live_terms(z, params: SystemParams, order: int):
-    """(n, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
+def _live_terms(z, params: SystemParams, order):
+    """(index, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
 
-    The phases e^{-2icnx} of a point are the powers e^{-2ic n0 x} (e^{-2icx})^j
-    of its first live n0 = n - j, so a point takes two complex exponentials
-    and one running product; each power carries the rounding of about j
-    products, far below the tolerance at the widths of the window.  The
-    Gaussian weights are taken as they are, one real exponential per term:
-    split into a per-point ratio times a fixed e^{-pi j^2 / (d lam^2)},
-    their factors overflow before they cancel when d lam^2 is small.
+    ``order`` is an int, or for a flat z an int array of one order per
+    point; points of order 0 take no factor.  The phases e^{-2icnx} of a
+    point are the powers e^{-2ic n0 x} (e^{-2icx})^j of its first live
+    n0 = n - j, so a point takes two complex exponentials and one running
+    product; each power carries the rounding of about j products, far below
+    the tolerance at the widths of the window.  The Gaussian weights are
+    taken as they are, one real exponential per term: split into a
+    per-point ratio times a fixed e^{-pi j^2 / (d lam^2)}, their factors
+    overflow before they cancel when d lam^2 is small.
     """
     c = _theta_scales(params)[0]
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    n, exponent = _theta_window(params, z.imag)
+    index, base, exponent = _theta_window(params, z.imag)
     phase = -2j * c * z.real[..., None]
-    terms = np.empty(n.shape, dtype=complex)
-    terms[..., :1] = np.exp(phase * n[..., :1])
+    terms = np.empty(index.shape, dtype=complex)
+    terms[..., :1] = np.exp(phase * (base + index[..., :1]))
     terms[..., 1:] = np.exp(phase)
     terms.cumprod(axis=-1, out=terms)
     terms *= np.exp(exponent, out=exponent)
-    if order:
-        terms *= _derivative_factor(c, n, order)
-    return n, terms
+    if isinstance(order, np.ndarray):
+        up = np.flatnonzero(order)
+        terms[up] *= _derivative_factor(c, base[up] + index[up], order[up, None])
+    elif order:
+        terms *= _derivative_factor(c, base + index, order)
+    return index, terms
 
 
-def _derivative_factor(c: float, n: np.ndarray, order: int) -> np.ndarray:
-    """(-2icn)^order, the factor that the order-th z-derivative puts on the term n of the swapped series."""
+def _derivative_factor(c: float, n: np.ndarray, order) -> np.ndarray:
+    """(-2icn)^order (order an int or an int array), the order-th z-derivative's factor on term n of the series."""
     factor = -2j * c * n
-    return factor if order == 1 else factor ** order  # x ** 1 costs several times a plain copy
+    return factor if isinstance(order, int) and order == 1 else factor ** order  # x ** 1 costs several times a copy
 
 
-def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int):
-    """(block, n, terms): :func:`_live_terms` of the flattened points of z, a slice `block` at a time.
+def _live_blocks(z: np.ndarray, params: SystemParams, order, per_point: int):
+    """(block, index, terms): :func:`_live_terms` of the flattened points of z, a slice `block` at a time;
+    ``order`` is an int, or a flat int array of one order per point.
 
     A block holds max(1, _BLOCK_TERMS // per_point) points, where per_point
     is what a caller holds for each point, so its temporaries stay within
@@ -316,10 +335,11 @@ def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int
     flat = z.reshape(-1)
     step = max(1, _BLOCK_TERMS // per_point)
     for lo in range(0, flat.size, step):
-        yield slice(lo, lo + step), *_live_terms(flat[lo:lo + step], params, order)
+        block = slice(lo, lo + step)
+        yield block, *_live_terms(flat[block], params, order[block] if isinstance(order, np.ndarray) else order)
 
 
-def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
+def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
 
     Swapping the two sums, with z = x + iy, gives
@@ -329,10 +349,12 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
     overflows at any d.  The n within K of kappa y (beyond it the weight is
     below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
-    the d values on the last axis.  Each point's terms are placed from the
-    multiple of d below its first live n, so column k of the fold holds the
-    n = k (mod d) with no rotation.  ``order`` k gives the weighted k-th
-    derivative d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
+    the d values on the last axis.  Each point's terms are placed by their
+    index n - base (:func:`_theta_window`), base a multiple of d, so column k
+    of the fold holds the n = k (mod d) with no rotation.  ``order`` k gives
+    the weighted k-th derivative d^k/dz^k theta_m, whose terms carry a factor
+    (-2icn)^k; an int array of z's shape gives each point its own order, and
+    each row equals, bit for bit, its row from a call at that order alone.
 
     The points go through in blocks whose placed fold array holds at most
     _BLOCK_TERMS values, each block writing its rows of the output, so the
@@ -345,54 +367,23 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     summed directly from the spectrum of a by :func:`_spectral_sum`.
     """
     d = params.d
-    length = _fold_length(d, params.lam)
     z = np.asarray(z, dtype=complex)
+    if isinstance(order, (int, np.integer)) and order >= 0:
+        order = int(order)
+    else:
+        order = np.asarray(order)
+        if order.shape != z.shape or order.dtype.kind not in "iu" or (order < 0).any():
+            raise ValueError(f"order must be a non-negative int or an array of them of z's shape {z.shape}")
+        order = order.reshape(-1)
+    # a point's placed fold: its live window, which ends before d + width, in whole periods of d
+    length = -(-(_window_width(d, params.lam) + d - 1) // d) * d
     out = np.empty(z.shape + (d,), dtype=complex)
     rows_out = out.reshape(-1, d)
-    for block, n, terms in _live_blocks(z, params, order, length):
-        _fold(n, terms, d, length, rows_out[block])
-    return out
-
-
-def _fold_length(d: int, lam: float) -> int:
-    """The length of a point's placed fold in weighted_thetas: its live window plus d - 1, rounded up to a multiple of d."""
-    return -(-(_window_width(d, lam) + d - 1) // d) * d
-
-
-def _fold(n: np.ndarray, terms: np.ndarray, d: int, length: int, out: np.ndarray) -> None:
-    """out[r] = d ifft of the live terms of row r folded by n mod d, each row placed from the
-    multiple of d below its first n, so that column k of the fold holds the n = k (mod d)."""
-    placed = np.zeros((len(n), length), dtype=complex)
-    first = np.arange(placed.size, step=length)[:, None] - d * (n[:, :1] // d)
-    placed.ravel()[n + first] = terms
-    np.multiply(d, np.fft.ifft(placed.reshape(len(n), -1, d).sum(axis=-2), axis=-1), out=out)
-
-
-def _derivative_rows(z: np.ndarray, params: SystemParams, mults: np.ndarray) -> np.ndarray:
-    """The rows weighted_thetas(z[mults > k], params, k) for k = 0 .. max(mults) - 1, stacked in that order.
-
-    One pass of live terms at order 0 and one fold for all of them: the rows
-    of order k take the factor (-2icn)^k on their terms as weighted_thetas
-    does, so each row equals its weighted_thetas row bit for bit.  With every
-    multiplicity 1 these are the rows weighted_thetas(z, params).
-    """
-    d = params.d
-    top = int(mults.max())
-    bounds = [0, z.size]  # rows bounds[k] .. bounds[k + 1] - 1 take order k
-    if top > 1:
-        picks = [z[mults > k] for k in range(top)]
-        bounds = np.cumsum([0] + [q.size for q in picks]).tolist()
-        z = np.concatenate(picks)
-    c = _theta_scales(params)[0]
-    length = _fold_length(d, params.lam)
-    out = np.empty((z.size, d), dtype=complex)
-    for block, n, terms in _live_blocks(z, params, 0, length):
-        for k in range(1, top):
-            lo = max(bounds[k], block.start) - block.start
-            hi = min(bounds[k + 1], block.start + len(n)) - block.start
-            if lo < hi:
-                terms[lo:hi] *= _derivative_factor(c, n[lo:hi], k)
-        _fold(n, terms, d, length, out[block])
+    for block, index, terms in _live_blocks(z, params, order, length):
+        placed = np.zeros((len(index), length), dtype=complex)
+        placed.ravel()[index + np.arange(placed.size, step=length)[:, None]] = terms
+        folded = placed.reshape(len(index), -1, d).sum(axis=-2)
+        np.multiply(d, np.fft.ifft(folded, axis=-1), out=rows_out[block])
     return out
 
 
@@ -401,9 +392,7 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
 
     Summing over m first turns the swapped series into one sum over the
     live n, sum_n exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) G_{n mod d},
-    so a point costs its live terms and no fold or FFT.  ``np.take`` in wrap
-    mode brings n into [0, d) by steps of d, about |n| / d per term: a step
-    or two near the cell, and cheaper there than an integer remainder.
+    so a point costs its live terms and no fold or FFT.
 
     A tensor grid z (:func:`_tensor_grid`), such as the grid of a plot of f,
     is one matrix product of factors (:func:`_spectral_grid`).  Other points go
@@ -425,8 +414,8 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
         return _spectral_grid(x, y, params, spectrum, order, y_fastest).reshape(z.shape)
     out = np.empty(z.shape, dtype=complex)
     flat_out = out.reshape(-1)
-    for block, n, terms in _live_blocks(z, params, order, _window_width(params.d, params.lam)):
-        flat_out[block] = np.einsum("...j,...j->...", terms, np.take(spectrum, n, mode="wrap"))
+    for block, index, terms in _live_blocks(z, params, order, _window_width(params.d, params.lam)):
+        flat_out[block] = np.einsum("...j,...j->...", terms, np.take(spectrum, index, mode="wrap"))
     return out
 
 
@@ -464,17 +453,17 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     x = np.asarray(x, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("z must be finite")
-    n, exponent = _theta_window(params, y)
-    rows = np.exp(exponent, out=exponent) * np.take(spectrum, n, mode="wrap")
+    index, base, exponent = _theta_window(params, y)
+    rows = np.exp(exponent, out=exponent) * np.take(spectrum, index, mode="wrap")
     if order:
-        rows *= (-2j * c * n) ** order
-    start, step = n[:, 0].copy(), -2j * c * x  # node phase arguments start * step
-    cols = np.empty((n.shape[-1], x.size), dtype=complex)
+        rows *= _derivative_factor(c, base + index, order)
+    start, step = base[:, 0] + index[:, 0], -2j * c * x  # node phase arguments start * step
+    cols = np.empty((index.shape[-1], x.size), dtype=complex)
     cols[0] = 1.0
     cols[1:] = np.exp(step)
     np.cumprod(cols, axis=0, out=cols)
     out = cols.T @ rows.T if y_fastest else rows @ cols
-    del n, exponent, rows, cols  # the factors go before the output-sized node phases come
+    del index, base, exponent, rows, cols  # the factors go before the output-sized node phases come
     phase = np.multiply.outer(step, start) if y_fastest else np.multiply.outer(start, step)
     out *= np.exp(phase, out=phase)
     return out

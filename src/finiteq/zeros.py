@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .zak import SystemParams, _derivative_rows, _theta_scales, weighted_thetas
+from .zak import SystemParams, _theta_scales, weighted_thetas
 from .analytic import AnalyticState
 
 __all__ = [
@@ -467,15 +467,18 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     Accepts a ZeroSet, or an array of finite positions plus `params` (and
     optional multiplicities, one integer of at least 1 per position; a
     position listed more than once is one zero with the summed
-    multiplicity); other input raises ValueError.  The multiplicity-weighted
-    sum must satisfy the lattice constraint to within `residual_tol` (default
-    LATTICE_TOL = 1e-6), otherwise no state exists and a ValueError is raised.
+    multiplicity); other input raises ValueError, as do `params` or
+    `multiplicities` given with a ZeroSet that they disagree with.  The
+    multiplicity-weighted sum must satisfy the lattice constraint to within
+    `residual_tol` (default LATTICE_TOL = 1e-6), otherwise no state exists
+    and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal
     to the coherent state at conj(z_j).  A zero of multiplicity m gives the
-    rows of derivative orders 0 .. m-1.  By the completeness theorem, d rows
-    of zeros obeying the lattice constraint have rank d - 1, and the
+    rows of derivative orders 0 .. m-1, all from one weighted_thetas call
+    with one order per row.  By the completeness theorem, d rows of zeros
+    obeying the lattice constraint have rank d - 1, and the
     amplitudes are their null vector: the last right singular vector of the
     row-normalised matrix.  Its error is about eps / gap, where gap is the
     second-smallest singular value over the largest.  When gap is at most
@@ -484,6 +487,10 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     normalized; the global phase is not fixed by the zeros.
     """
     if isinstance(zeros, ZeroSet):
+        if params is not None and params != zeros.params:
+            raise ValueError(f"params {params} disagree with those of the zero set, {zeros.params}")
+        if multiplicities is not None and not np.array_equal(multiplicities, zeros.multiplicities):
+            raise ValueError("multiplicities disagree with those of the zero set")
         params = zeros.params
         positions = zeros.positions
         multiplicities = zeros.multiplicities
@@ -513,10 +520,12 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, which = np.unique(positions, return_inverse=True)
-    mults = multiplicities  # all 1 with no position repeated, and then in any order
+    order, at = 0, slice(None)  # every multiplicity 1: one row of order 0 per position
     if positions.size < total:
         mults = np.bincount(which, weights=multiplicities).astype(int)
-    rows = _derivative_rows(positions, params, mults)
+        # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
+        order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
+    rows = weighted_thetas(positions[at], params, order)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     _, sv, vh = np.linalg.svd(rows)
     if sv[-2] <= d * _EPS * sv[0]:

@@ -1,5 +1,6 @@
 """Evaluation of f(z), closed forms, the cell scalar product, and operators."""
 
+import timeit
 import tracemalloc
 
 import mpmath
@@ -776,6 +777,63 @@ def test_non_finite_values_raise():
         momentum_form(3, params, z)
     with pytest.raises(RuntimeError, match="coherent_form is not finite .* d = 256"):
         coherent_form(0.3 + 0.2j, params, z)
+
+
+@pytest.mark.parametrize("height", [1e9, 1e12, -1e12])
+def test_far_heights_raise_beyond_the_double_range(height):
+    # G was gathered by np.take in wrap mode on the full n, about |n| / d
+    # steps per term, so f at Im z = 1e12 never returned
+    params = SystemParams(8)
+    s = AnalyticState(random_state(np.random.default_rng(53), 8), params)
+    x = 0.3 + 0.7 * np.arange(3)
+    grid = x[None, :] + 1j * (height + 0.5 * np.arange(2))[:, None]
+    for points in (complex(x[0], height), x + 1j * height, grid):
+        for call in (s, s.derivative, lambda z: displaced_f(s, 1, 2, z)):
+            with pytest.raises(RuntimeError, match="exceeds the double range"):
+                call(points)
+
+
+def test_heights_beyond_consecutive_doubles_raise():
+    # past kappa |y| = 2^53 doubles no longer hold consecutive n
+    params = SystemParams(8)
+    s = AnalyticState(random_state(np.random.default_rng(57), 8), params)
+    limit = 2.0**53 / zak._theta_scales(params)[1]
+    with pytest.raises(RuntimeError, match="exceeds the double range"):
+        s(complex(0.3, 0.99 * limit))
+    x = 0.3 + 0.7 * np.arange(3)
+    for height in (1.01 * limit, -1.01 * limit):
+        grid = x[None, :] + 1j * (height + 0.5 * np.arange(2))[:, None]
+        for points in (complex(x[0], height), x + 1j * height, grid):
+            for call in (s, s.derivative, lambda z: displaced_f(s, 1, 2, z)):
+                with pytest.raises(ValueError, match="too far out"):
+                    call(points)
+    far = SystemParams(8, b=1.01 * limit)
+    f = AnalyticState(s.state, far)
+    for call in (lambda: scalar_product(f, f), lambda: coherent_identity_matrix(far),
+                 lambda: kernel_apply(OperatorKernel(np.eye(8), far), f, 0.3 + 0.2j), lambda: find_zeros(f)):
+        with pytest.raises(ValueError, match="too far out"):
+            call()
+
+
+def test_far_anchored_quadratures_cost_what_they_cost_at_the_origin():
+    # at b = 1e8 the gather of G on the full n took 4.4 s at d = 8, against
+    # 2 ms at b = 0
+    d = 8
+    rng = np.random.default_rng(59)
+    u, v = random_state(rng, d), random_state(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z = 0.7 + 1.1j
+    seconds = {}
+    for b in (0.0, 1e8):
+        params = SystemParams(d, b=b)
+        f, g = AnalyticState(u, params), AnalyticState(v, params)
+        kernel = OperatorKernel(op, params)
+        ref = AnalyticState(FiniteState(op @ u.components, normalize=False), params)(z)
+        assert abs(scalar_product(f, g) - np.sum(u.components * v.components)) <= 1e-6
+        assert abs(kernel_apply(kernel, f, z) - ref) <= 1e-6 * max(1.0, abs(ref))
+        seconds[b] = min(timeit.repeat(lambda: (scalar_product(f, g), kernel_apply(kernel, f, z)),
+                                       number=1, repeat=5))
+    assert seconds[1e8] <= 10 * seconds[0.0]
 
 
 def test_kernel_eval_near_double_range():

@@ -354,6 +354,16 @@ def test_cell_anchor_flags(tmp_path):
         assert 1.5 <= z.imag < 1.5 + width
 
 
+@pytest.mark.parametrize("flag,value", [("--cell-b", "inf"), ("--cell-a", "nan")])
+def test_non_finite_cell_anchor_is_an_input_error(flag, value, tmp_path, capsys):
+    state = tmp_path / "c.json"
+    assert main(["state", "coherent", "--d", "3", "--A", "0.4+0.1i", "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["zeros", "--state", str(state), flag, value, "--out", str(tmp_path / "z.csv")]) == 1
+    assert f"input error: cell anchor {flag[-1]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()
+
+
 def test_lambda_flag_roundtrip(tmp_path):
     out = tmp_path / "c.json"
     assert main(["state", "coherent", "--d", "3", "--lambda", "1.2",

@@ -719,3 +719,13 @@ def test_zak_sums_nonconvergent_tail_raises():
 
     with pytest.raises(RuntimeError):
         zak_sums(Flat(), SystemParams(3))
+
+
+@pytest.mark.parametrize("a,b,name", [(math.nan, 0.0, "a"), (0.0, math.nan, "b"),
+                                      (math.inf, 0.0, "a"), (0.0, -math.inf, "b")])
+def test_non_finite_cell_anchor_raises(a, b, name):
+    # a NaN anchor ended in "cannot convert float NaN to integer" in
+    # find_zeros and classify_completeness, and b = inf left scalar_product
+    # without end
+    with pytest.raises(ValueError, match=f"cell anchor {name} must be finite"):
+        SystemParams(4, 1.0, a, b)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
-from finiteq import zak
 from finiteq.zak import weighted_thetas
 from finiteq import (
     AnalyticState,
@@ -415,17 +414,42 @@ def test_gram_rank_of_an_off_rule_set_at_d48():
     assert (res.verdict, res.gram_rank) == ("complete", 48)
 
 
-@pytest.mark.parametrize("d", [1, 5, 64, 1000])
-def test_derivative_rows_equal_weighted_thetas(d):
-    # one pass of live terms for every order gives each row bit for bit; at
-    # d = 1000 the rows of each order straddle the blocks of the kernel
-    params = SystemParams(d)
-    rng = np.random.default_rng([67, d])
-    z = params.cell_width * rng.uniform(size=40) + 1j * params.cell_height * rng.uniform(size=40)
-    for mults in (np.ones(40, dtype=int), rng.integers(1, 5, size=40)):
-        rows = zak._derivative_rows(z, params, mults)
-        expect = np.concatenate([weighted_thetas(z[mults > k], params, k) for k in range(mults.max())])
-        assert rows.shape == expect.shape and rows.tobytes() == expect.tobytes()
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1000])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_per_point_orders_equal_scalar_orders(d, lam):
+    # one call with an order per point, as the rebuild takes the rows of its
+    # multiple zeros, gives each row bit for bit as a call at that order
+    # alone; at d = 1000 the 60 points straddle the blocks of the kernel
+    params = SystemParams(d, lam)
+    rng = np.random.default_rng([67, d, int(10 * lam)])
+    z = params.cell_width * rng.uniform(size=(2, 30)) + 1j * params.cell_height * rng.uniform(size=(2, 30))
+    order = rng.integers(0, 5, size=z.shape)
+    rows = weighted_thetas(z, params, order)
+    assert rows.shape == z.shape + (d,)
+    for k in range(5):
+        assert rows[order == k].tobytes() == weighted_thetas(z[order == k], params, k).tobytes()
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1])])
+def test_weighted_thetas_rejects_bad_orders(order):
+    with pytest.raises(ValueError, match="order must be"):
+        weighted_thetas(np.array([0.3 + 0.2j, 1.1 + 0.4j]), SystemParams(5), order)
+
+
+def test_reconstruct_rejects_arguments_that_disagree_with_a_zero_set():
+    # both were ignored with a ZeroSet: a d = 5 set and SystemParams(7) gave
+    # a d = 5 state
+    params = SystemParams(5)
+    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(71), 5), params))
+    same = reconstruct_from_zeros(zs, params, zs.multiplicities)
+    assert same.components.tobytes() == reconstruct_from_zeros(zs).components.tobytes()
+    with pytest.raises(ValueError, match="params .* disagree"):
+        reconstruct_from_zeros(zs, SystemParams(7))
+    with pytest.raises(ValueError, match="params .* disagree"):
+        reconstruct_from_zeros(zs, SystemParams(5, b=0.5))
+    for mults in (zs.multiplicities + 1, zs.multiplicities[:-1]):
+        with pytest.raises(ValueError, match="multiplicities disagree"):
+            reconstruct_from_zeros(zs, multiplicities=mults)
 
 
 @pytest.mark.parametrize("labels", [[np.inf, 1, 2], [np.nan, 1, 2, 3, 4], [np.nan, 1, 2, 3],
