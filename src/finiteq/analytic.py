@@ -50,7 +50,6 @@ import numpy as np
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
 from .theta import _lift, _log_theta3
 from .zak import (
-    _THETA_CUT,
     SystemParams,
     _log_gram,
     _spectral_sum,
@@ -110,48 +109,6 @@ class AnalyticState:
     def derivative(self, z):
         """df/dz, from the termwise derivative of the weighted series."""
         return self._evaluate(z, True, "f'")
-
-    def laurent_terms(self, y0: float, y1: float):
-        """The terms of f that matter at heights y0 <= Im(z) <= y1.
-
-        Swapping the two sums of the theta form gives a Laurent series in w:
-
-            f(z) = pi**-1/4 sum_k exp(-pi k^2 / (d lam^2)) G_{k mod d} w^k,
-            w = exp(-2icz),  c = sqrt(pi/2d) / lam,  G = d ifft(f_m),
-
-        whose k-th term is largest at the height k / kappa, kappa = c d lam^2 / pi.
-        Only k within K = sqrt(41 d lam^2 / pi) of [kappa y0, kappa y1] are
-        kept: the Gaussian weight of every other term lies below e^-41 of the
-        largest weight at each height of the range.  Entries of G at the
-        rounding level of the FFT are set to zero: they stand for exact zeros
-        (of parity or momentum states).  End terms below e^-41 of the largest
-        term at both ends of the range are dropped too.  Either kind, left as
-        a leading term, would add spurious roots far outside the range and
-        spoil the accuracy of the roots inside it.  Returns (k, a, s), the
-        terms rescaled to the mid height ym, which is the weighted series
-        of :meth:`_weighted` at ym, so that nothing overflows at any d:
-
-            f(z) = exp(s) sum_k a_k v^k,   v = w exp(-2 c ym),   s = ym^2 / 2.
-        """
-        d = self.params.d
-        c = _theta_scales(self.params)[0]
-        ym = 0.5 * (y0 + y1)
-        s = 0.5 * ym**2
-        index, base, exponent = _theta_window(self.params, ym, 0.5 * (y1 - y0))
-        G = self._spectrum
-        G = np.where(np.abs(G) <= d * np.finfo(float).eps * np.max(np.abs(G)), 0.0, G)
-        a = np.pi ** -0.25 * np.take(G, index, mode="wrap") * np.exp(exponent)
-        k = base + index
-        tilt = c * (y1 - y0) * k  # log |v|^k at y1, and minus it at y0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_a = np.log(np.abs(a))
-            top, bottom = log_a + tilt, log_a - tilt
-            kept = np.flatnonzero((a != 0) & ((top >= np.max(top) - _THETA_CUT)
-                                              | (bottom >= np.max(bottom) - _THETA_CUT)))
-        if kept.size == 0:
-            return k[:0], a[:0], s
-        ends = slice(kept[0], kept[-1] + 1)
-        return k[ends], a[ends], s
 
     def inner_product_form(self, z: complex) -> complex:
         """The defining overlap expression N(z)^(1/2) sqrt(d) lam e^{-i Im(z) z / 2} <<z*|f>>.

@@ -206,7 +206,22 @@ def _suite_zeros(d, rng):
     out.append(_result("reconstruction fidelity", 1.0 - rec.fidelity(s.state), 1e-10))
     verdict = zeros.classify_completeness(zs.positions, params).verdict
     out.append(CheckResult("own zeros classified undercomplete", verdict == "undercomplete", verdict))
+    out.append(_result("displacement translates zeros", _displaced_zeros_error(s, zs), 1e-12))
     return out
+
+
+def _displaced_zeros_error(s, zs) -> float:
+    """Largest distance, over the cell height, between the zeros of D(1, 0) s and D(0, 1) s and those of s
+    moved by beta lam sqrt(2 pi/d) - i alpha sqrt(2 pi/d) / lam, nearest lattice translates, both ways."""
+    p = s.params
+    step = np.sqrt(2 * np.pi / p.d)
+    errs = []
+    for alpha, beta in ((1, 0), (0, 1)):
+        moved = zs.positions + beta * p.lam * step - 1j * alpha * step / p.lam
+        found = zeros.find_zeros(analytic.AnalyticState(hilbert.displaced_state(s.state, (alpha, beta)), p))
+        dist = np.abs(zeros._wrap(moved[:, None] - found.positions, p.cell_width, p.cell_height))
+        errs += [dist.min(axis=0).max(), dist.min(axis=1).max()]
+    return float(max(errs) / p.cell_height)
 
 
 SUITES = {

@@ -9,7 +9,8 @@ for integers M, N.  Counting uses the argument principle with continuous
 phase tracking along rectangle boundaries.  Location takes the zeros as the
 eigenvalues of companion matrices: f is a Laurent series in w = exp(-2icz),
 the cell maps onto an annulus in w, and each horizontal band of the cell is
-covered by a polynomial of degree O(sqrt(d)).  The count d and the sum
+covered by a polynomial of degree O(sqrt(d)), all of them cut from one window
+of the series (_band_terms).  The count d and the sum
 constraint certify every located set.  The sum constraint also classifies
 sets of coherent-state labels and gates the reconstruction of a state from
 its zeros.  The reconstruction rests on orthogonality: f(z_j) = 0 says the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .zak import SystemParams, _theta_scales, weighted_thetas
+from .zak import _THETA_CUT, SystemParams, _theta_scales, _theta_window, weighted_thetas
 from .analytic import AnalyticState
 
 __all__ = [
@@ -48,7 +49,7 @@ _JITTER_FRAC = 1e-3
 _CLUSTER_DIAM = 1e-8
 # largest lattice residual of a zero sum in find_zeros, classify_completeness and reconstruct_from_zeros
 LATTICE_TOL = 1e-6
-_MERGE_DIAM = 1e-10  # labels closer than this are one label in classify_completeness
+_MERGE_DIAM = 1e-10  # labels closer than this are one label in classify_completeness and reconstruct_from_zeros
 _RANK_TOL = 1e-8  # singular values above this fraction of the largest count in coherent_gram_rank
 _PER_EDGE = 16  # samples per edge of winding_number's first contour without a spacing
 _RNG_SEED = 0x5EED
@@ -186,10 +187,47 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
     raise RuntimeError("zeros persist on the rectangle boundary after jitter attempts")
 
 
-def _band_roots(state: AnalyticState, y0: float, y1: float) -> np.ndarray:
-    """Zeros of f with y0 <= Im(z) <= y1: companion eigenvalues of its Laurent terms."""
-    c = _theta_scales(state.params)[0]
-    _, a, _ = state.laurent_terms(y0, y1)
+def _band_terms(state: AnalyticState, y0: np.ndarray, y1: np.ndarray) -> list:
+    """The terms of f that matter in each band y0[i] <= Im(z) <= y1[i], all cut from one window.
+
+    Swapping the two sums of the theta form makes f a Laurent series in
+    w = exp(-2icz), c = sqrt(pi/2d)/lam, with G = d ifft(f_m):
+
+        f(z) = pi**-1/4 sum_k exp(-pi k^2 / (d lam^2)) G_{k mod d} w^k.
+
+    One window of it (:func:`finiteq.zak._theta_window`) at the bands' mid
+    heights, with the largest half-span, holds every term whose weight is
+    within e^-41 of the largest somewhere in each band.  Entries of G at the
+    rounding level of the FFT stand for exact zeros (of parity or momentum
+    states) and are set to zero, and each band drops its end terms below
+    e^-41 of its largest term at both edges: either kind, left as a leading
+    term, would add spurious roots far outside the band and spoil those
+    inside it.  Returns one (k, a) per band, rescaled to its mid height ym
+    so that nothing overflows at any d: f(z) = exp(ym^2/2) sum_k a_k (w exp(-2 c ym))^k.
+    """
+    p = state.params
+    c = _theta_scales(p)[0]
+    index, base, exponent = _theta_window(p, 0.5 * (y0 + y1), 0.5 * np.max(y1 - y0))
+    G = state._spectrum
+    G = np.where(np.abs(G) <= p.d * _EPS * np.max(np.abs(G)), 0.0, G)
+    a = np.pi ** -0.25 * np.take(G, index, mode="wrap") * np.exp(exponent)
+    k = base + index
+    tilt = (c * (y1 - y0))[:, None] * k  # log |v|^k at y1, and minus it at y0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(np.abs(a))
+        top, bottom = log_a + tilt, log_a - tilt
+        kept = (a != 0) & ((top >= top.max(axis=1, keepdims=True) - _THETA_CUT)
+                           | (bottom >= bottom.max(axis=1, keepdims=True) - _THETA_CUT))
+    terms = []
+    for k_band, a_band, kept_band in zip(k, a, kept):
+        at = np.flatnonzero(kept_band)
+        ends = slice(at[0], at[-1] + 1) if at.size else slice(0)
+        terms.append((k_band[ends], a_band[ends]))
+    return terms
+
+
+def _band_roots(a: np.ndarray, c: float, y0: float, y1: float) -> np.ndarray:
+    """Zeros of f with y0 <= Im(z) <= y1: companion eigenvalues of the band's terms a (:func:`_band_terms`)."""
     if a.size < 2:
         return np.empty(0, dtype=complex)
     # rescale v so that the roots' geometric mean modulus is 1, which balances
@@ -283,11 +321,10 @@ def _merge(points, diam: float, p: SystemParams):
 
     Cost: a sort of the n points and one pass over their gaps find the
     pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
-    with none, every point is its own group and the points come back
-    reduced into the cell at once.  Python work is one step per pair, so it
-    is spent only on points that have an earlier point within `diam`,
-    which are rare at the default diameters, 1e-8 in find_zeros and 1e-10
-    in classify_completeness.
+    with none, the points come back reduced into the cell at once.  Python
+    work is one step per pair, rare at the default diameters: 1e-8 in
+    find_zeros, 1e-10 for the labels of classify_completeness and
+    reconstruct_from_zeros.
     """
     z = np.asarray(points, dtype=complex).ravel()
     i, j, offset = _close_pairs(z, diam, p)
@@ -311,12 +348,12 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     """Locate all d zeros inside the half-open fundamental cell.
 
     With w = exp(-2icz), c = sqrt(pi/2d)/lam, the cell maps one to one onto
-    an annulus in w and f is a Laurent series in w there
-    (:meth:`AnalyticState.laurent_terms`), so its zeros are polynomial roots.
-    The cell height is split into ceil(sqrt(d)/(2 lam)) bands, each padded by
-    2% of the height.  A band keeps only the terms that matter across it,
-    which holds the degree to O(lam sqrt(d)), and its roots are the
-    eigenvalues of the companion matrix.  Each band keeps the roots between two cut heights, set
+    an annulus in w and f is a Laurent series in w there, so its zeros are
+    polynomial roots.  The cell height is split into ceil(sqrt(d)/(2 lam))
+    bands, each padded by 2% of the height.  A band keeps only the terms that
+    matter across it (:func:`_band_terms`), which holds the degree to
+    O(lam sqrt(d)), and its roots are the eigenvalues of the companion
+    matrix.  Each band keeps the roots between two cut heights, set
     in the widest gap between roots near its edges; the bottom and top cuts
     lie one period apart, so a zero on a cell edge is counted once.  Roots
     closer than `cluster_diam` form one zero at their mean, with their summed
@@ -339,7 +376,9 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     n_bands = math.ceil(math.sqrt(d) / (2 * p.lam))
     margin = 0.02 * height
     edges = p.b + height * np.arange(n_bands + 1) / n_bands
-    bands = [_band_roots(state, lo - margin, hi + margin) for lo, hi in zip(edges[:-1], edges[1:])]
+    lows, highs = edges[:-1] - margin, edges[1:] + margin
+    c = _theta_scales(p)[0]
+    bands = [_band_roots(a, c, lo, hi) for (_, a), lo, hi in zip(_band_terms(state, lows, highs), lows, highs)]
     ys = [z.imag for z in bands]
     cuts = [_cut(np.concatenate((ys[0], ys[-1] - height)), p.b - margin, p.b + margin)]
     cuts += [_cut(np.concatenate(ys[j - 1:j + 1]), e - margin, e + margin)
@@ -465,9 +504,10 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     """Rebuild the state whose representation vanishes at the given zeros.
 
     Accepts a ZeroSet, or an array of finite positions plus `params` (and
-    optional multiplicities, one integer of at least 1 per position; a
-    position listed more than once is one zero with the summed
-    multiplicity); other input raises ValueError, as do `params` or
+    optional multiplicities, one integer of at least 1 per position;
+    positions within _MERGE_DIAM = 1e-10 of each other, also across the
+    cell's edges, are one zero with the summed multiplicity, by the rule of
+    classify_completeness); other input raises ValueError, as do `params` or
     `multiplicities` given with a ZeroSet that they disagree with.  The
     multiplicity-weighted sum must satisfy the lattice constraint to within
     `residual_tol` (default LATTICE_TOL = 1e-6), otherwise no state exists
@@ -508,10 +548,10 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     d = params.d
     if (multiplicities < 1).any():
         raise ValueError(f"multiplicities must be at least 1, got {multiplicities.min()}")
-    total = int(multiplicities.sum())
-    if total != d:
-        raise ValueError(f"multiplicities sum to {total}, expected d = {d}")
-    residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)
+    labels = np.repeat(positions, multiplicities)  # a zero of multiplicity m is m equal labels
+    if labels.size != d:
+        raise ValueError(f"multiplicities sum to {labels.size}, expected d = {d}")
+    residual, _, _ = sum_constraint_fit(complex(labels.sum()), params)
     if residual > residual_tol:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
@@ -519,10 +559,16 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
         )
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-    positions, which = np.unique(positions, return_inverse=True)
+    # labels within _MERGE_DIAM of each other are one zero, as in classify_completeness: exact repeats
+    # are counted here, and _merge, several times dearer, runs only where other close labels remain
+    counts = {}
+    for z in labels.tolist():
+        counts[z] = counts.get(z, 0) + 1
+    positions, mults = np.array(list(counts)), np.array(list(counts.values()))
+    if _close_pairs(positions, _MERGE_DIAM, params)[0].size:
+        positions, mults = _merge(labels, _MERGE_DIAM, params)
     order, at = 0, slice(None)  # every multiplicity 1: one row of order 0 per position
-    if positions.size < total:
-        mults = np.bincount(which, weights=multiplicities).astype(int)
+    if positions.size < d:
         # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
         order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
     rows = weighted_thetas(positions[at], params, order)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finiteq import analytic, zak
+from finiteq.zeros import _band_terms
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -860,14 +861,14 @@ def test_laurent_terms_sum_to_f(d, lam):
     x = params.a + np.arange(12) / 12 * params.cell_width
     y = params.b + np.linspace(0.0, 1.0, 5) * params.cell_height
     ref = s(x[None, :] + 1j * y[:, None])
-    for yi, row in zip(y, ref):
-        k, a, scale = s.laurent_terms(yi, yi)
-        series = np.exp(scale) * np.exp(-2j * c * np.outer(x, k)) @ a
+    # one band of zero span at each height, all from one call
+    for yi, row, (k, a) in zip(y, ref, _band_terms(s, y, y)):
+        series = np.exp(0.5 * yi**2) * np.exp(-2j * c * np.outer(x, k)) @ a
         assert np.max(np.abs(series - row)) <= 1e-12 * np.max(np.abs(row))
 
 
 def test_spectrum_computed_once_and_left_unchanged_by_find_zeros(monkeypatch):
-    # a momentum state has one nonzero entry of G; laurent_terms zeroes the
+    # a momentum state has one nonzero entry of G; _band_terms zeroes the
     # rounding-level rest in a copy, never in the spectrum f is summed from
     d = 16
     params = SystemParams(d)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
+from finiteq import analytic, verify, zak
 from finiteq.zak import weighted_thetas
 from finiteq import (
     AnalyticState,
@@ -550,6 +551,31 @@ def test_reconstruct_triple_zero():
     assert count_zeros(AnalyticState(once, params), z0 - half, z0 + half) == 3
 
 
+@pytest.mark.parametrize("copies", ["within 1e-10", "one period away"])
+def test_reconstruct_merges_labels_as_classify_does(copies):
+    # the triple zero above listed as three labels that classify_completeness counts as one
+    params = SystemParams(5)
+    width, height = params.cell_width, params.cell_height
+    z0, z1 = complex(0.317 * width, 0.473 * height), complex(0.812 * width, 0.131 * height)
+    z2 = np.sqrt(np.pi / 2) * 5**1.5 * (1 + 1j) - 3 * z0 - z1
+    z2 = complex(z2.real % width, z2.imag % height)
+    shifts = (1e-12, -1e-12j) if copies == "within 1e-10" else (width, -1j * height)
+    labels = np.array([z0, z0 + shifts[0], z0 + shifts[1], z1, z2])
+    result = classify_completeness(labels, params)
+    assert (result.verdict, result.count) == ("undercomplete", 5)
+    once = reconstruct_from_zeros(np.array([z0, z1, z2]), params, [3, 1, 1])
+    assert 1 - reconstruct_from_zeros(labels, params).fidelity(once) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("d", [3, 8, 16, 32, 64])
+def test_displacement_translates_zeros(d, lam):
+    # the zeros of D(1, 0) s and D(0, 1) s are those of s moved by a lattice step over d
+    params = SystemParams(d, lam)
+    s = AnalyticState(random_state(np.random.default_rng([d, 25]), d), params)
+    assert verify._displaced_zeros_error(s, find_zeros(s)) <= 1e-12
+
+
 def test_double_zero_roundtrip():
     # fuse two zeros of a genuine set into one double zero, rebuild, and look
     # at how find_zeros reports it.  Float rounding of the rebuilt amplitudes
@@ -672,12 +698,23 @@ def test_find_zeros_certificate_raises(monkeypatch):
     params = SystemParams(6)
     s = AnalyticState(random_state(np.random.default_rng(9), 6), params)
     band_roots = zeros_module._band_roots
-    monkeypatch.setattr(zeros_module, "_band_roots", lambda *args: band_roots(*args)[1:])
+    monkeypatch.setattr(zeros_module, "_band_roots", lambda a, c, y0, y1: band_roots(a, c, y0, y1)[1:])
     with pytest.raises(RuntimeError, match="expected 6"):
         find_zeros(s)
-    monkeypatch.setattr(zeros_module, "_band_roots", lambda *args: band_roots(*args) + 1e-4)
+    monkeypatch.setattr(zeros_module, "_band_roots", lambda a, c, y0, y1: band_roots(a, c, y0, y1) + 1e-4)
     with pytest.raises(RuntimeError, match="lattice rule"):
         find_zeros(s)
+
+
+def test_find_zeros_cuts_every_band_from_one_window(monkeypatch):
+    # d = 64 splits the cell into 4 bands; counted in every module that holds the window
+    calls, window = [], zak._theta_window
+    for module in (zak, analytic, zeros_module):
+        if hasattr(module, "_theta_window"):
+            monkeypatch.setattr(module, "_theta_window", lambda *a, **k: calls.append(1) or window(*a, **k))
+    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(64), 64), SystemParams(64)))
+    assert zs.total == 64
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam", [0.3, 2.5])
