@@ -249,7 +249,6 @@ def _cut(heights: np.ndarray, lo: float, hi: float) -> float:
 
 def _wrap(dz, width: float, height: float):
     """Lattice translate of dz nearest to 0."""
-    dz = np.asarray(dz, dtype=complex)
     return ((dz.real + 0.5 * width) % width - 0.5 * width
             + 1j * ((dz.imag + 0.5 * height) % height - 0.5 * height))
 
@@ -261,8 +260,9 @@ def _into_cell(z, p: SystemParams) -> np.ndarray:
     xr = (z.real - p.a) % width
     yr = (z.imag - p.b) % height
     out = np.empty(z.shape, dtype=complex)
-    out.real = p.a + np.where(width - xr < 1e-9 * width, 0.0, xr)
-    out.imag = p.b + np.where(height - yr < 1e-9 * height, 0.0, yr)
+    # times 0 where float noise left a point just below the far edge
+    out.real = p.a + xr * (width - xr >= 1e-9 * width)
+    out.imag = p.b + yr * (height - yr >= 1e-9 * height)
     return out
 
 
@@ -274,10 +274,10 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
     one width up, so that pairs across that edge are adjacent too.  A pair
     within `diam` has its real parts within reach of each other, so the
     points m = 1, 2, ... places apart are visited only while some of them
-    are still within reach, and only those pairs get the full distance.
-    When no two neighbours are within reach, which is the case for simple
-    label sets and for the roots of find_zeros, that is one pass over the
-    n gaps.
+    are still within reach, and only those pairs get the full distance
+    (none if all are exact repeats, at offset 0).  When no two neighbours
+    are within reach, which is the case for simple label sets and for the
+    roots of find_zeros, that is one pass over the n gaps.
     """
     n, width = z.size, p.cell_width
     u = z.real - p.a
@@ -295,53 +295,64 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
             break
         a.append(near)
         b.append(near + m)
-        near = near[ext[near + m + 1] <= limit[near]]
+        near = near[ext[b[-1] + 1] <= limit[near]]
     if not a:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty, np.empty(0, dtype=complex)
-    a, b = order[np.concatenate(a)], order[np.concatenate(b) % n]
+    a, b = order[np.concatenate(a)], np.take(order, np.concatenate(b), mode="wrap")
     # a reach beyond half the width can list a pair twice; in _merge the repeat changes nothing
     i, j = np.minimum(a, b), np.maximum(a, b)
-    offset = _wrap(z[j] - z[i], width, p.cell_height)
+    offset = z[j] - z[i]
+    if diam > 0 and not offset.any():
+        return i, j, offset
+    offset = _wrap(offset, width, p.cell_height)
     keep = np.abs(offset) < diam
     return i[keep], j[keep], offset[keep]
 
 
-def _merge(points, diam: float, p: SystemParams):
+def _merge(points, diam: float, p: SystemParams, mults=None):
     """Points closer than `diam` across the cell's periods, merged into one each.
 
-    Points are taken in input order.  A point joins the nearest earlier
-    anchor (the earliest of equally near ones) when that anchor lies within
-    `diam` of one of its lattice translates, and otherwise becomes an anchor
-    itself; so of a chain a-b-c with a, c farther apart than `diam`, b joins
-    a and c anchors its own group.  A group sits at its anchor plus the mean
-    of its members' offsets to the anchor's nearest translates, reduced into
-    the cell, and groups come out in the order their anchors were made.
-    Returns (positions, multiplicities).
+    Point k stands for mults[k] equal points (one without `mults`): the
+    result is that of the rule below on np.repeat(points, mults).  Points
+    are taken in input order.  A point joins the nearest earlier anchor (the
+    earliest of equally near ones) when that anchor lies within `diam` of
+    one of its lattice translates, and otherwise becomes an anchor itself;
+    so of a chain a-b-c with a, c farther apart than `diam`, b joins a and c
+    anchors its own group.  A group's multiplicity is the sum of its
+    members' weights, and it sits at its anchor plus their weighted mean
+    offset to the anchor's nearest translates, reduced into the cell.
+    Groups come out in the order their anchors were made.  Returns
+    (positions, multiplicities).
 
     Cost: a sort of the n points and one pass over their gaps find the
     pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
-    with none, the points come back reduced into the cell at once.  Python
-    work is one step per pair, rare at the default diameters: 1e-8 in
-    find_zeros, 1e-10 for the labels of classify_completeness and
+    with none, the points come back reduced into the cell at once.  Groups
+    take one Python step per pair; exact repeats need no wrap, and groups
+    of them alone no mean.  Pairs are rare at the default diameters: 1e-8
+    in find_zeros, 1e-10 for the labels of classify_completeness and
     reconstruct_from_zeros.
     """
     z = np.asarray(points, dtype=complex).ravel()
+    w = np.ones(z.size, dtype=np.intp) if mults is None else np.array(mults, dtype=np.intp).ravel()
     i, j, offset = _close_pairs(z, diam, p)
     if not i.size:
-        return _into_cell(z, p), np.ones(z.size, dtype=np.intp)
-    anchor = np.ones(z.size, dtype=bool)
-    parent = np.arange(z.size)
-    offsets = np.zeros(z.size, dtype=complex)
+        return _into_cell(z, p), w
     # by later point, its earlier neighbours nearest first: the first that is an anchor wins
     by = np.lexsort((i, np.abs(offset), j))
-    for a, b, off in zip(i[by].tolist(), j[by].tolist(), offset[by].tolist()):
-        if anchor[b] and anchor[a]:
-            anchor[b], parent[b], offsets[b] = False, a, off
-    group = (np.cumsum(anchor) - 1)[parent]
-    mults = np.bincount(group)
-    mean = (np.bincount(group, offsets.real) + 1j * np.bincount(group, offsets.imag)) / mults
-    return _into_cell(z[anchor] + mean, p), mults
+    joined = {}
+    for b, a, off in zip(j[by].tolist(), i[by].tolist(), offset[by].tolist()):
+        if b not in joined and a not in joined:
+            joined[b] = a, off
+    members = np.array(list(joined))  # by increasing index, so each group's sums run in input order
+    anchor, moved = (np.array(v) for v in zip(*joined.values()))
+    moved *= w[members]
+    np.add.at(w, anchor, w[members])
+    keep = np.ones(z.size, dtype=bool)
+    keep[members] = False
+    if moved.any():  # exact repeats have no offset to add
+        z = z + (np.bincount(anchor, moved.real, z.size) + 1j * np.bincount(anchor, moved.imag, z.size)) / w
+    return _into_cell(z[keep], p), w[keep]
 
 
 def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> ZeroSet:
@@ -467,11 +478,11 @@ def _gram_rank(pts: np.ndarray, params: SystemParams) -> int:
 def classify_completeness(points, params: SystemParams, cross_validate: bool = False) -> CompletenessResult:
     """Classify a set of coherent-state labels inside the cell.
 
-    More than d labels (counted with multiplicity after merging duplicates)
-    are at least complete; fewer are undercomplete; exactly d labels are
-    undercomplete precisely when their sum satisfies the lattice constraint
-    to within LATTICE_TOL = 1e-6.  Labels closer than _MERGE_DIAM = 1e-10,
-    also across the cell's edges, count as one label of higher multiplicity.
+    More than d labels are at least complete; fewer are undercomplete;
+    exactly d labels are undercomplete precisely when their sum satisfies
+    the lattice constraint to within LATTICE_TOL = 1e-6.  Labels closer than
+    _MERGE_DIAM = 1e-10, also across the cell's edges, are one label of
+    higher multiplicity, which leaves the count as it is.
     Labels outside the cell are translated back in (the physical ray is
     unchanged by quasi-periodicity) and flagged.  ValueError is raised when
     there is no label or one is not finite.
@@ -479,13 +490,11 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     pts = _labels(points)
     x, y = pts.real - params.a, pts.imag - params.b
     reduced = bool(((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)).any())
+    count, d = pts.size, params.d
+    if count != d:
+        verdict = "overcomplete-at-least-complete" if count > d else "undercomplete"
+        return CompletenessResult(verdict, count, None, None, None, reduced)
     positions, mults = _merge(pts, _MERGE_DIAM, params)
-    count = int(mults.sum())
-    d = params.d
-    if count > d:
-        return CompletenessResult("overcomplete-at-least-complete", count, None, None, None, reduced)
-    if count < d:
-        return CompletenessResult("undercomplete", count, None, None, None, reduced)
     residual, M, N = sum_constraint_fit(complex((positions * mults).sum()), params)
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
@@ -531,9 +540,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
             raise ValueError(f"params {params} disagree with those of the zero set, {zeros.params}")
         if multiplicities is not None and not np.array_equal(multiplicities, zeros.multiplicities):
             raise ValueError("multiplicities disagree with those of the zero set")
-        params = zeros.params
-        positions = zeros.positions
-        multiplicities = zeros.multiplicities
+        params, positions, multiplicities = zeros.params, zeros.positions, zeros.multiplicities
     else:
         if params is None:
             raise ValueError("params required when zeros are given as an array")
@@ -548,10 +555,9 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     d = params.d
     if (multiplicities < 1).any():
         raise ValueError(f"multiplicities must be at least 1, got {multiplicities.min()}")
-    labels = np.repeat(positions, multiplicities)  # a zero of multiplicity m is m equal labels
-    if labels.size != d:
-        raise ValueError(f"multiplicities sum to {labels.size}, expected d = {d}")
-    residual, _, _ = sum_constraint_fit(complex(labels.sum()), params)
+    if multiplicities.sum() != d:
+        raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
+    residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)
     if residual > residual_tol:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
@@ -559,14 +565,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
         )
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-    # labels within _MERGE_DIAM of each other are one zero, as in classify_completeness: exact repeats
-    # are counted here, and _merge, several times dearer, runs only where other close labels remain
-    counts = {}
-    for z in labels.tolist():
-        counts[z] = counts.get(z, 0) + 1
-    positions, mults = np.array(list(counts)), np.array(list(counts.values()))
-    if _close_pairs(positions, _MERGE_DIAM, params)[0].size:
-        positions, mults = _merge(labels, _MERGE_DIAM, params)
+    positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
     order, at = 0, slice(None)  # every multiplicity 1: one row of order 0 per position
     if positions.size < d:
         # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn

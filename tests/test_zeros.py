@@ -276,10 +276,11 @@ def merge_loop(points, diam, params):
     return zeros_module._into_cell(positions, params), np.array([len(off) for off in offsets])
 
 
-def assert_merges_like_loop(points, diam, params):
-    positions, mults = zeros_module._merge(points, diam, params)
-    ref_positions, ref_mults = merge_loop(points, diam, params)
-    assert mults.tolist() == ref_mults.tolist()
+def assert_merges_like_loop(points, diam, params, mults=None):
+    # a point of weight m is m equal points in a row
+    positions, merged = zeros_module._merge(points, diam, params, mults)
+    ref_positions, ref_mults = merge_loop(points if mults is None else np.repeat(points, mults), diam, params)
+    assert merged.tolist() == ref_mults.tolist()
     # positions are compared in units of the cell's extent from the origin
     scale = max(abs(params.a) + params.cell_width, abs(params.b) + params.cell_height)
     assert np.max(np.abs(positions - ref_positions)) <= 1e-15 * scale
@@ -287,7 +288,8 @@ def assert_merges_like_loop(points, diam, params):
 
 @st.composite
 def label_sets(draw):
-    """(points, diam, params): labels with repeats, close groups and pairs across cell edges."""
+    """(points, diam, params, mults): labels with repeats, close groups and pairs across cell edges,
+    and a weight of 1 to 3 for each."""
     params = SystemParams(draw(st.integers(1, 12)), draw(st.sampled_from([0.5, 1.0, 2.0])),
                           draw(st.sampled_from([0.0, -3.7])), draw(st.sampled_from([0.0, 12.1])))
     a, b, width, height = params.a, params.b, params.cell_width, params.cell_height
@@ -319,13 +321,16 @@ def label_sets(draw):
                         z + step],
         }[kind]
     order = draw(st.permutations(range(len(points))))
-    return np.array(points)[order], diam, params
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    return np.array(points)[order], diam, params, np.array(mults)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(label_sets())
 def test_merge_matches_loop(case):
-    assert_merges_like_loop(*case)
+    points, diam, params, mults = case
+    assert_merges_like_loop(points, diam, params)
+    assert_merges_like_loop(points, diam, params, mults)
 
 
 def close_pairs_all(z, diam, params):
@@ -339,7 +344,7 @@ def close_pairs_all(z, diam, params):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(label_sets())
 def test_close_pairs_match_all_pairs(case):
-    points, diam, params = case
+    points, diam, params, _ = case
     i, j, offset = zeros_module._close_pairs(points, diam, params)
     found = {}
     for a, b, o in zip(i.tolist(), j.tolist(), offset.tolist()):
@@ -551,7 +556,7 @@ def test_reconstruct_triple_zero():
     assert count_zeros(AnalyticState(once, params), z0 - half, z0 + half) == 3
 
 
-@pytest.mark.parametrize("copies", ["within 1e-10", "one period away"])
+@pytest.mark.parametrize("copies", ["exact", "within 1e-10", "one period away"])
 def test_reconstruct_merges_labels_as_classify_does(copies):
     # the triple zero above listed as three labels that classify_completeness counts as one
     params = SystemParams(5)
@@ -559,12 +564,32 @@ def test_reconstruct_merges_labels_as_classify_does(copies):
     z0, z1 = complex(0.317 * width, 0.473 * height), complex(0.812 * width, 0.131 * height)
     z2 = np.sqrt(np.pi / 2) * 5**1.5 * (1 + 1j) - 3 * z0 - z1
     z2 = complex(z2.real % width, z2.imag % height)
-    shifts = (1e-12, -1e-12j) if copies == "within 1e-10" else (width, -1j * height)
+    shifts = {"exact": (0, 0), "within 1e-10": (1e-12, -1e-12j), "one period away": (width, -1j * height)}[copies]
     labels = np.array([z0, z0 + shifts[0], z0 + shifts[1], z1, z2])
     result = classify_completeness(labels, params)
     assert (result.verdict, result.count) == ("undercomplete", 5)
     once = reconstruct_from_zeros(np.array([z0, z1, z2]), params, [3, 1, 1])
     assert 1 - reconstruct_from_zeros(labels, params).fidelity(once) <= 1e-12
+
+
+def test_one_merge_decides_which_labels_are_one_zero(monkeypatch):
+    # the rebuild merges once whatever its input, and classify only a set of exactly d labels
+    params = SystemParams(5)
+    width, height = params.cell_width, params.cell_height
+    z0, z1 = complex(0.317 * width, 0.473 * height), complex(0.812 * width, 0.131 * height)
+    z2 = np.sqrt(np.pi / 2) * 5**1.5 * (1 + 1j) - 3 * z0 - z1
+    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(26), 5), params))
+    merge, calls = zeros_module._merge, []
+    monkeypatch.setattr(zeros_module, "_merge", lambda *a: calls.append(1) or merge(*a))
+    for args in ((zs.positions, params), (zs,), (np.array([z0, z0, z0, z1, z2]), params),
+                 (np.array([z0, z1, z2]), params, [3, 1, 1])):
+        calls.clear()
+        reconstruct_from_zeros(*args)
+        assert len(calls) == 1
+    for count, merges in ((4, 0), (5, 1), (6, 0)):
+        calls.clear()
+        classify_completeness(np.resize(zs.positions, count), params, cross_validate=True)
+        assert len(calls) == merges
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
