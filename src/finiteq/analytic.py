@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import _lift, _log_theta3
+from .theta import _finite, _lift, _log_theta3
 from .zak import (
     SystemParams,
     _log_gram,
@@ -136,7 +136,7 @@ def momentum_form(m: int, params: SystemParams, z):
     with exp(-z^2/2) joined to the log form of theta3 before one exponential.
     """
     d, lam = params.d, params.lam
-    z = np.asarray(z, dtype=complex)
+    z = _finite(z, "z")
     s, v = _log_theta3(np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d)), 1j * lam**2 / d)
     return _lift(s - 0.5 * z * z + math.log(lam * np.pi ** -0.25), v, "momentum_form", z, f"d = {d}")
 
@@ -148,8 +148,8 @@ def coherent_form(label, params: SystemParams, z):
     f(z) = lam (d / N(A))**1/2 exp(-i Im(z) z / 2) S(conj(z), A).
     """
     d, lam = params.d, params.lam
-    a = complex(label)
-    z = np.asarray(z, dtype=complex)
+    a = complex(_finite(label, "coherent label"))
+    z = _finite(z, "z")
     s, v = _log_gram(np.conj(z), a, params)
     pref = math.log(lam) + 0.5 * math.log(d / coherent_normalization(a, params)) - 0.5j * z.imag * z
     return _lift(s + pref, v, "coherent_form", z, f"d = {d}")
@@ -267,7 +267,7 @@ class OperatorKernel:
     params: SystemParams
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = _finite(self.matrix, "operator matrix")
         d = self.params.d
         if self.matrix.shape != (d, d):
             raise ValueError(f"operator must be {d}x{d}, got {self.matrix.shape}")

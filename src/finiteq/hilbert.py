@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .theta import _finite
+
 __all__ = [
     "FiniteState",
     "PhasePoint",
@@ -53,11 +55,9 @@ class FiniteState:
     """
 
     def __init__(self, components, normalize: bool = True):
-        vec = np.asarray(components, dtype=complex).reshape(-1).copy()
+        vec = _finite(components, "state components").reshape(-1).copy()
         if vec.size == 0:
             raise ValueError("state needs at least one component")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("state components must be finite")
         nrm = np.linalg.norm(vec)
         if normalize:
             if nrm == 0.0:
@@ -137,19 +137,13 @@ def momentum_operator(d: int) -> np.ndarray:
 
 
 def clock_matrix(d: int, alpha: int = 1) -> np.ndarray:
-    """Z**alpha: diagonal phases omega(alpha m) on position states."""
-    d = _check_dim(d)
-    m = np.arange(d)
-    return np.diag(np.exp(2j * np.pi * ((int(alpha) * m) % d) / d))
+    """Z**alpha = D(alpha, 0): diagonal phases omega(alpha m) on position states."""
+    return displacement(d, alpha, 0)
 
 
 def shift_matrix(d: int, beta: int = 1) -> np.ndarray:
-    """X**beta: cyclic shift |m> -> |m + beta> of the position basis."""
-    d = _check_dim(d)
-    m = np.arange(d)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[(m + int(beta) % d) % d, m] = 1.0
-    return mat
+    """X**beta = D(0, beta): cyclic shift |m> -> |m + beta> of the position basis."""
+    return displacement(d, 0, beta)
 
 
 def _column_phases(d: int, alpha: int, beta: int):
@@ -202,7 +196,7 @@ def weyl_function(op: np.ndarray) -> np.ndarray:
 
     one inverse FFT over m of the d wrapped diagonals of op, O(d^2 log d).
     """
-    op = np.asarray(op, dtype=complex)
+    op = _finite(op, "operator")
     d = op.shape[0]
     if op.shape != (d, d):
         raise ValueError(f"operator must be square, got shape {op.shape}")
@@ -221,7 +215,7 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
 
     one FFT over alpha, O(d^2 log d).
     """
-    table = np.asarray(table, dtype=complex)
+    table = _finite(table, "Weyl table")
     d = _check_dim(table.shape[0])
     if table.shape != (d, d):
         raise ValueError(f"Weyl table must be {d}x{d}, got {table.shape}")

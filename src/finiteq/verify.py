@@ -7,6 +7,7 @@ pass/fail line per check.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,28 +88,14 @@ def _suite_hilbert(d, rng):
     return out
 
 
-def _projection_vanishes(n, d):
-    """Hermite projections that cancel identically (missing Fourier eigenvalues).
-
-    The d-point Fourier matrix realizes the eigenvalue i**n only when the
-    spectrum is rich enough: d = 1 carries {1}, d = 2 carries {1, -1}, and
-    d = 3 and d = 4 miss -i.
-    """
-    if d == 1:
-        return n % 4 != 0
-    if d == 2:
-        return n % 2 == 1
-    if d in (3, 4):
-        return n % 4 == 3
-    return False
-
-
 def _suite_zak(d, rng):
     out = []
     params = zak.SystemParams(d)
-    choices = [n for n in range(9) if not _projection_vanishes(n, d)]
-    n = choices[int(rng.integers(0, len(choices)))]
-    v = zak.number_state(int(n), params)
+    choices = []  # (n, number state) for the n <= 8 that have one at d
+    for n in range(9):
+        with contextlib.suppress(ValueError):  # the projection vanishes: F lacks the eigenvalue i**n
+            choices.append((n, zak.number_state(n, params)))
+    n, v = choices[int(rng.integers(0, len(choices)))]
     F = hilbert.fourier_matrix(d)
     out.append(_result(f"F eigenvector (n={n})",
                        float(np.linalg.norm(F @ v.components - 1j**int(n) * v.components)), 1e-10))

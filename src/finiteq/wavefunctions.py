@@ -20,6 +20,8 @@ import itertools
 
 import numpy as np
 
+from .theta import _finite
+
 __all__ = [
     "hermite_function",
     "HermiteNumber",
@@ -79,8 +81,7 @@ class GaussianCoherent:
 
     def __init__(self, label: complex):
         self.label = complex(label)
-        if not np.isfinite(self.label.real) or not np.isfinite(self.label.imag):
-            raise ValueError("Gaussian label must be finite")
+        _finite(self.label, "Gaussian label")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

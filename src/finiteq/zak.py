@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _lift, _log_theta3
+from .theta import _finite, _lift, _log_theta3
 from .wavefunctions import HermiteNumber, _hermite_functions
 
 __all__ = [
@@ -75,11 +75,10 @@ class SystemParams:
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
-        if not (self.lam > 0.0) or not math.isfinite(self.lam):
+        if not 0.0 < self.lam < math.inf:
             raise ValueError(f"scale lam must be positive and finite, got {self.lam}")
         for name, value in (("a", self.a), ("b", self.b)):
-            if not math.isfinite(value):
-                raise ValueError(f"cell anchor {name} must be finite, got {value}")
+            _finite(value, f"cell anchor {name}", float)
 
     @property
     def cell_width(self) -> float:
@@ -137,7 +136,7 @@ def _lattice_sums(fn, params: SystemParams, sigma1, sigma2, m=None):
         k = np.arange(done + 1, min(max(2 * done, _STOP_RUN), W_CAP) + 1)
         k = np.concatenate([-k[::-1], k[k > 0]])  # -hi .. -lo, lo .. hi, with k = 0 once in the first batch
         w = w0 + k
-        samples = np.asarray(fn(base + w[:, None] * (d * step)), dtype=complex)
+        samples = _finite(fn(base + w[:, None] * (d * step)), "the values of psi")
         modulus = np.abs(samples)
         peak = max(peak, float(modulus.max(initial=0.0)))
         total += np.exp(-2j * np.pi * sigma1[:, None] * w) @ samples
@@ -266,7 +265,7 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     if not top < 2.0**53:
         raise ValueError(f"height {top / kappa:g} is too far out to resolve the terms of the theta series")
     start = np.floor(ky - reach)
-    j = np.arange(math.ceil(2 * reach) + 2)
+    j = np.arange(_window_width(params, span))
     exponent = (start - ky) + j  # n - kappa y, squared and scaled in place
     exponent *= exponent
     exponent *= -np.pi / (params.d * params.lam**2)
@@ -275,15 +274,10 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     return offset + j, start - offset, exponent
 
 
-@functools.cache
-def _window_width(d: int, lam: float) -> int:
-    """The number of live terms per point at (d, lam), the width of :func:`_theta_window` at span 0.
-
-    Cached (one int per (d, lam) pair in use): the blocked kernels ask for
-    it on every call, and at one point working it out is a sizeable part of
-    their fixed cost.
-    """
-    return math.ceil(2 * _theta_scales(SystemParams(d, lam))[2]) + 2
+def _window_width(params: SystemParams, span: float = 0.0) -> int:
+    """The number of live terms per height of :func:`_theta_window`, ceil(2 K + 2 kappa span) + 2."""
+    _, kappa, K = _theta_scales(params)
+    return math.ceil(2 * (K + kappa * span)) + 2
 
 
 def _live_terms(z, params: SystemParams, order):
@@ -300,9 +294,6 @@ def _live_terms(z, params: SystemParams, order):
     overflow before they cancel when d lam^2 is small.
     """
     c = _theta_scales(params)[0]
-    z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
     index, base, exponent = _theta_window(params, z.imag)
     phase = -2j * c * z.real[..., None]
     terms = np.empty(index.shape, dtype=complex)
@@ -367,7 +358,7 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     summed directly from the spectrum of a by :func:`_spectral_sum`.
     """
     d = params.d
-    z = np.asarray(z, dtype=complex)
+    z = _finite(z, "z")
     if isinstance(order, (int, np.integer)) and order >= 0:
         order = int(order)
     else:
@@ -376,7 +367,7 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
             raise ValueError(f"order must be a non-negative int or an array of them of z's shape {z.shape}")
         order = order.reshape(-1)
     # a point's placed fold: its live window, which ends before d + width, in whole periods of d
-    length = -(-(_window_width(d, params.lam) + d - 1) // d) * d
+    length = -(-(_window_width(params) + d - 1) // d) * d
     out = np.empty(z.shape + (d,), dtype=complex)
     rows_out = out.reshape(-1, d)
     for block, index, terms in _live_blocks(z, params, order, length):
@@ -407,14 +398,14 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     points at d = 192 and 1000 on that machine (2^13 was 10-20% faster at
     d = 16 and 64, where a call takes under 2 ms).
     """
-    z = np.asarray(z, dtype=complex)
+    z = _finite(z, "z")
     grid = _tensor_grid(z)
     if grid is not None:
         x, y, y_fastest = grid
         return _spectral_grid(x, y, params, spectrum, order, y_fastest).reshape(z.shape)
     out = np.empty(z.shape, dtype=complex)
     flat_out = out.reshape(-1)
-    for block, index, terms in _live_blocks(z, params, order, _window_width(params.d, params.lam)):
+    for block, index, terms in _live_blocks(z, params, order, _window_width(params)):
         flat_out[block] = np.einsum("...j,...j->...", terms, np.take(spectrum, index, mode="wrap"))
     return out
 
@@ -451,8 +442,6 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     """
     c = _theta_scales(params)[0]
     x = np.asarray(x, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("z must be finite")
     index, base, exponent = _theta_window(params, y)
     rows = np.exp(exponent, out=exponent) * np.take(spectrum, index, mode="wrap")
     if order:
@@ -469,15 +458,6 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     return out
 
 
-def _finite_label(label) -> np.ndarray:
-    """The coherent label(s) as a complex array; ValueError, before any arithmetic, unless finite."""
-    a = np.asarray(label, dtype=complex)
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(f"coherent label must be finite, got {complex(a[~finite][0])}")
-    return a
-
-
 def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
     """Unnormalized amplitudes of the displaced-Gaussian state with label A.
 
@@ -488,7 +468,7 @@ def coherent_unnormalized(label, params: SystemParams) -> np.ndarray:
 
     The label may be an array; the last axis of the result runs over m.
     """
-    a = _finite_label(label)
+    a = _finite(label, "coherent label")
     pref = np.pi ** -0.25 / (math.sqrt(params.d) * params.lam) * np.exp(0.5j * a.real * a.imag)
     return pref[..., None] * weighted_thetas(a, params)
 
@@ -533,7 +513,7 @@ def coherent_normalization_closed(label, params: SystemParams) -> float:
     K grows like exp(Im(A)^2), and the two factors meet in log form, so
     N(A) = O(1) stays finite at every d.
     """
-    a = complex(_finite_label(label))
+    a = complex(_finite(label, "coherent label"))
     return _lift(*_log_gram(a, a, params), "coherent_normalization_closed", a, f"d = {params.d}").real
 
 
@@ -655,7 +635,10 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
     on the grid k / N the rule is an inverse DFT, read at row (q + w) mod N
     of the family's table.  The error estimate compares against the
     half-resolution grid; a value above `tol` raises (grid too coarse).
+    ValueError unless tol is finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     q, r = divmod(int(m), family.params.d)
     full, coarse = family._trapezoid_tables
     full, coarse = complex(full[(q + int(w)) % len(full), r]), complex(coarse[(q + int(w)) % len(coarse), r])

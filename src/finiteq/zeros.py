@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
+from .theta import _finite
 from .zak import _THETA_CUT, SystemParams, _theta_scales, _theta_window, weighted_thetas
 from .analytic import AnalyticState
 
@@ -134,11 +135,11 @@ def winding_number(f, lower_left: complex, upper_right: complex, spacing: float 
     |f| ranges over many orders of magnitude across one cell, so the dip
     test is relative to the local level rather than any global scale.
     """
-    ll, ur = complex(lower_left), complex(upper_right)
+    ll, ur = _finite([lower_left, upper_right], "rectangle corner").tolist()
     if not (ur.real > ll.real and ur.imag > ll.imag):
         raise ValueError("degenerate rectangle")
     pts = _boundary_points(ll, ur, spacing)
-    vals = np.asarray(f(pts), dtype=complex)
+    vals = _finite(f(pts), "f")
     total_pts = pts.size
     for _ in range(_MAX_PASSES):
         mags = np.abs(vals)
@@ -160,7 +161,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, spacing: float 
         total_pts += mids.size
         if total_pts > _MAX_BOUNDARY_POINTS:
             break
-        mvals = np.asarray(f(mids), dtype=complex)
+        mvals = _finite(f(mids), "f")
         idx = np.flatnonzero(bad)
         pts = np.insert(pts, idx + 1, mids)
         vals = np.insert(vals, idx + 1, mvals)
@@ -425,6 +426,7 @@ def sum_constraint_fit(total: complex, params: SystemParams):
     from the origin fit as well as those of the cell at the origin.
     """
     d, lam = params.d, params.lam
+    total = complex(_finite(total, "total"))
     base = math.sqrt(np.pi / 2) * d**1.5 * complex(lam, 1.0 / lam)
     lattice = math.sqrt(2 * np.pi * d)
     rem = total - base
@@ -446,12 +448,9 @@ def zero_sum_residual(zs: ZeroSet):
 def _labels(points) -> np.ndarray:
     """Labels or zeros as a flat complex array; ValueError, before any arithmetic, when there are
     none or one is not finite."""
-    pts = np.asarray(points, dtype=complex).ravel()
+    pts = _finite(points, "points").ravel()
     if pts.size == 0:
         raise ValueError("need at least one point")
-    finite = np.isfinite(pts)
-    if not finite.all():
-        raise ValueError(f"points must be finite, got {complex(pts[~finite][0])}")
     return pts
 
 
@@ -519,8 +518,8 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     classify_completeness); other input raises ValueError, as do `params` or
     `multiplicities` given with a ZeroSet that they disagree with.  The
     multiplicity-weighted sum must satisfy the lattice constraint to within
-    `residual_tol` (default LATTICE_TOL = 1e-6), otherwise no state exists
-    and a ValueError is raised.
+    `residual_tol` (default LATTICE_TOL = 1e-6, finite and positive),
+    otherwise no state exists and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal
@@ -535,6 +534,8 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     state in double precision and RuntimeError is raised.  The result is
     normalized; the global phase is not fixed by the zeros.
     """
+    if not 0.0 < residual_tol < math.inf:
+        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
             raise ValueError(f"params {params} disagree with those of the zero set, {zeros.params}")
@@ -549,8 +550,10 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
             multiplicities = np.ones(positions.size, dtype=int)
         elif np.shape(multiplicities) != positions.shape:
             raise ValueError(f"{np.size(multiplicities)} multiplicities for {positions.size} positions")
-        elif not (np.isfinite(multiplicities).all() and np.all(multiplicities == np.round(multiplicities))):
+        elif not np.all(multiplicities == np.round(multiplicities)):  # NaN fails here, inf next
             raise ValueError(f"multiplicities must be integers, got {np.asarray(multiplicities).tolist()}")
+        else:
+            _finite(multiplicities, "multiplicities", float)
     multiplicities = np.asarray(multiplicities, dtype=int)
     d = params.d
     if (multiplicities < 1).any():

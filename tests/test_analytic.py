@@ -498,7 +498,7 @@ def test_blocks_match_pointwise_evaluation(d, lam):
     params = SystemParams(d, lam)
     rng = np.random.default_rng([37, d])
     spectrum = d * np.fft.ifft(rng.normal(size=d) + 1j * rng.normal(size=d))
-    width = zak._window_width(d, lam)
+    width = zak._window_width(params)
     kernels = [(lambda z, k: zak._spectral_sum(z, params, spectrum, k), width),
                (lambda z, k: zak.weighted_thetas(z, params, k), -(-(width + d - 1) // d) * d)]
     for kernel, per_point in kernels:

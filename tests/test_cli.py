@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from finiteq import FiniteState, SystemParams, position_state
+from finiteq import FiniteState, SystemParams, number_state, position_state
 from finiteq.cli import build_parser, main, parse_complex
 from finiteq.serialization import (
     load_state,
@@ -166,6 +166,34 @@ def test_verify_analytic_rejects_wrong_quadrature_prefactor(monkeypatch):
     assert not results["coherent states resolve the identity"]
 
 
+def _projection_vanishes(n, d):
+    """Hermite projections that cancel identically: the d-point Fourier matrix
+    lacks the eigenvalue i**n (d = 1 carries {1}, d = 2 {1, -1}, d = 3 and 4 miss -i)."""
+    return {1: n % 4 != 0, 2: n % 2 == 1, 3: n % 4 == 3, 4: n % 4 == 3}.get(d, False)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_verify_zak_draws_an_n_that_has_a_number_state(d):
+    from finiteq import verify
+
+    params = SystemParams(d)
+    has_state = []
+    for n in range(9):
+        try:
+            number_state(n, params)
+            has_state.append(n)
+        except ValueError:
+            pass
+    assert has_state == [n for n in range(9) if not _projection_vanishes(n, d)]
+    drawn = set()
+    for seed in range(12):
+        check = verify.run_suite("zak", d, seed)[0]
+        n = int(check.name.removeprefix("F eigenvector (n=").removesuffix(")"))
+        assert check.passed and n in has_state
+        drawn.add(n)
+    assert len(drawn) > 1
+
+
 def test_verify_deterministic(capsys):
     main(["verify", "--d", "3", "--seed", "11", "--suite", "zak"])
     first = capsys.readouterr().out
@@ -303,6 +331,16 @@ def test_reconstruct_rejects_bad_zeros(tmp_path, capsys):
     zcsv.write_text("re,im,multiplicity\n0.5,0.5,1\n1.0,1.0,1\n2.0,2.0,1\n3.0,3.0,1\n")
     assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(tmp_path / "r.json")]) == 1
     assert "no such state exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_reconstruct_rejects_bad_tolerance(tol, tmp_path, capsys):
+    # an off-rule set (residual about 1.9): nan and inf took any zero sum and wrote a "state"
+    zcsv = tmp_path / "z.csv"
+    zcsv.write_text("re,im,multiplicity\n0.5,0.5,1\n1.0,1.0,1\n2.0,2.0,1\n")
+    assert main(["reconstruct", "--zeros", str(zcsv), "--tol", tol, "--out", str(tmp_path / "r.json")]) == 1
+    assert "input error: residual_tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_reconstruct_rejects_non_finite_zeros(tmp_path, capsys):

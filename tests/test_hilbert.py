@@ -160,6 +160,21 @@ def test_displacement_and_shift_match_loop_reference():
             assert np.array_equal(shift_matrix(d, alpha), displacement_loop(d, 0, alpha))
 
 
+def test_clock_matrix_is_displacement_at_any_label():
+    # int(alpha) m overflowed int64 in the clock's own phases: at 2**62 three of the five
+    # diagonal entries were wrong, and 2**70 raised OverflowError
+    d = 5
+    for alpha in (2**62, 2**70, -(2**63) - 3):
+        assert np.array_equal(clock_matrix(d, alpha), displacement(d, alpha, 0))
+        exact = [np.exp(2j * np.pi * (alpha * m % d) / d) for m in range(d)]  # Python ints, exact
+        assert np.max(np.abs(np.diag(clock_matrix(d, alpha)) - exact)) < 1e-15
+    # the phases omega(alpha m) of the definition, in int64 where alpha m fits
+    for d in (1, 2, 5, 8, 33):
+        m = np.arange(d)
+        for alpha in range(-2 * d, 2 * d + 1):
+            assert np.max(np.abs(clock_matrix(d, alpha) - np.diag(np.exp(2j * np.pi * (alpha * m % d) / d)))) < 1e-15
+
+
 def test_displaced_state_matches_matrix_product():
     rng = np.random.default_rng(6)
     for d in (1, 2, 5, 8, 33):
