@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import _finite, _lift, _log_theta3
+from .theta import _finite, _integer, _lift, _log_theta3
 from .zak import (
     SystemParams,
     _log_gram,
@@ -136,8 +136,8 @@ def momentum_form(m: int, params: SystemParams, z):
     with exp(-z^2/2) joined to the log form of theta3 before one exponential.
     """
     d, lam = params.d, params.lam
-    z = _finite(z, "z")
-    s, v = _log_theta3(np.pi * (int(m) % d) / d - 1j * lam * z * math.sqrt(np.pi / (2 * d)), 1j * lam**2 / d)
+    z, m = _finite(z, "z"), _integer(m, "label m") % d
+    s, v = _log_theta3(np.pi * m / d - 1j * lam * z * math.sqrt(np.pi / (2 * d)), 1j * lam**2 / d)
     return _lift(s - 0.5 * z * z + math.log(lam * np.pi ** -0.25), v, "momentum_form", z, f"d = {d}")
 
 
@@ -275,7 +275,7 @@ class OperatorKernel:
 
 def kernel_eval(kernel: OperatorKernel, z, zeta_star):
     """Kernel value pi**-1/2 d**-1 sum_mn Omega_mn theta3[..z..] theta3[..zeta*..]."""
-    p = kernel.params
+    p, z, zeta_star = kernel.params, _finite(z, "z"), _finite(zeta_star, "zeta_star")
     val = np.einsum("...m,mn,...n->...", weighted_thetas(z, p), kernel.matrix, weighted_thetas(zeta_star, p))
     return _lift(0.5 * (np.imag(z) ** 2 + np.imag(zeta_star) ** 2), np.pi ** -0.5 / p.d * val,
                  "kernel_eval", z, f"d = {p.d}")

@@ -14,8 +14,9 @@ which acts on the position basis as
 The half-angle phase is well defined for every d (even d included) and makes
 D(alpha, beta)^dagger = D(-alpha, -beta) exact on integer labels.  As a
 function of its integer labels D is 2d-periodic, not d-periodic:
-D(alpha + d, beta) = (-1)**beta D(alpha, beta).  Phases are reduced in exact
-integer arithmetic modulo 2d before exponentiation.
+D(alpha + d, beta) = (-1)**beta D(alpha, beta).  Every phase here is
+``half_power(d, k) = exp(1j pi k / d)``, which reduces k modulo 2d in exact
+integer arithmetic before exponentiation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .theta import _finite
+from .theta import _finite, _integer
 
 __all__ = [
     "FiniteState",
@@ -90,44 +91,35 @@ class PhasePoint(NamedTuple):
     beta: int
 
 
-def half_power(d: int, k: int) -> complex:
-    """exp(1j pi k / d) with the exponent reduced mod 2d as an integer."""
-    return np.exp(1j * np.pi * (int(k) % (2 * d)) / d)
-
-
-def _check_dim(d: int) -> int:
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    return d
+def half_power(d: int, k) -> complex:
+    """exp(1j pi k / d) for an int or an int array k, reduced mod 2d as an integer: the one half-angle phase."""
+    d = _integer(d, "dimension", 1)
+    return np.exp(1j * (np.pi * (_integer(k, "exponent k") % (2 * d)) / d))
 
 
 def fourier_matrix(d: int) -> np.ndarray:
     """Unitary with entries d**-0.5 * omega(m n); satisfies F^4 = 1."""
-    d = _check_dim(d)
-    m = np.arange(d)
-    phase = np.exp(2j * np.pi * ((np.outer(m, m)) % d) / d)
-    return phase / np.sqrt(d)
+    m = np.arange(_integer(d, "dimension", 1))
+    return half_power(d, 2 * np.outer(m, m)) / np.sqrt(d)
 
 
 def position_state(m: int, d: int) -> FiniteState:
-    d = _check_dim(d)
+    d = _integer(d, "dimension", 1)
     vec = np.zeros(d, dtype=complex)
-    vec[int(m) % d] = 1.0
+    vec[_integer(m, "label m") % d] = 1.0
     return FiniteState(vec, normalize=False)
 
 
 def momentum_state(m: int, d: int) -> FiniteState:
     """Image of the m-th position state under the Fourier matrix."""
-    d = _check_dim(d)
-    n = np.arange(d)
-    vec = np.exp(2j * np.pi * ((int(m) % d) * n % d) / d) / np.sqrt(d)
+    d = _integer(d, "dimension", 1)
+    vec = half_power(d, 2 * (_integer(m, "label m") % d) * np.arange(d)) / np.sqrt(d)
     return FiniteState(vec, normalize=False)
 
 
 def position_operator(d: int) -> np.ndarray:
     """diag(0, 1, ..., d-1) in the position basis."""
-    return np.diag(np.arange(_check_dim(d), dtype=complex))
+    return np.diag(np.arange(_integer(d, "dimension", 1), dtype=complex))
 
 
 def momentum_operator(d: int) -> np.ndarray:
@@ -149,9 +141,9 @@ def shift_matrix(d: int, beta: int = 1) -> np.ndarray:
 def _column_phases(d: int, alpha: int, beta: int):
     """Rows (m + beta) mod d and phases half_power(d, alpha*beta + 2*alpha*m) of D's columns m."""
     # D depends on the labels mod 2d only; reducing them keeps the exponents small
-    alpha, beta = int(alpha) % (2 * d), int(beta) % (2 * d)
+    alpha, beta = _integer(alpha, "label alpha") % (2 * d), _integer(beta, "label beta") % (2 * d)
     m = np.arange(d)
-    return (m + beta) % d, np.exp(1j * (np.pi * ((alpha * beta + 2 * alpha * m) % (2 * d)) / d))
+    return (m + beta) % d, half_power(d, alpha * beta + 2 * alpha * m)
 
 
 def displacement(d: int, alpha: int, beta: int) -> np.ndarray:
@@ -159,7 +151,7 @@ def displacement(d: int, alpha: int, beta: int) -> np.ndarray:
 
     D(alpha, beta) |m> = half_power(d, alpha*beta + 2*alpha*m) |m + beta>.
     """
-    d = _check_dim(d)
+    d = _integer(d, "dimension", 1)
     rows, phases = _column_phases(d, alpha, beta)
     mat = np.zeros((d, d), dtype=complex)
     mat[rows, np.arange(d)] = phases
@@ -181,12 +173,6 @@ def _diagonals(d: int):
     return m[None, :], (m[None, :] + m[:, None]) % d
 
 
-def _half_angle_table(d: int) -> np.ndarray:
-    """exp(1j pi alpha beta / d) on [0, d)^2, alpha beta reduced mod 2d as an integer."""
-    m = np.arange(d)
-    return np.exp(1j * (np.pi * (np.outer(m, m) % (2 * d)) / d))
-
-
 def weyl_function(op: np.ndarray) -> np.ndarray:
     """Table W(alpha, beta) = Tr[op D(alpha, beta)] over canonical labels [0, d)^2.
 
@@ -200,7 +186,8 @@ def weyl_function(op: np.ndarray) -> np.ndarray:
     d = op.shape[0]
     if op.shape != (d, d):
         raise ValueError(f"operator must be square, got shape {op.shape}")
-    return d * np.fft.ifft(op[_diagonals(d)], axis=1).T * _half_angle_table(d)
+    m = np.arange(d)
+    return d * np.fft.ifft(op[_diagonals(d)], axis=1).T * half_power(d, np.outer(m, m))
 
 
 def operator_from_weyl(table: np.ndarray) -> np.ndarray:
@@ -216,11 +203,11 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
     one FFT over alpha, O(d^2 log d).
     """
     table = _finite(table, "Weyl table")
-    d = _check_dim(table.shape[0])
+    d = _integer(table.shape[0], "dimension", 1)
     if table.shape != (d, d):
         raise ValueError(f"Weyl table must be {d}x{d}, got {table.shape}")
-    op = np.empty((d, d), dtype=complex)
-    op[_diagonals(d)] = np.fft.fft(table * _half_angle_table(d).conj(), axis=0).T / d
+    op, m = np.empty((d, d), dtype=complex), np.arange(d)
+    op[_diagonals(d)] = np.fft.fft(table * half_power(d, np.outer(m, m)).conj(), axis=0).T / d
     return op
 
 

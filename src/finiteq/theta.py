@@ -34,8 +34,8 @@ def _check_args(u, tau, tol):
     tau = complex(tau)
     if not (np.isfinite(tau) and tau.imag > 0.0):
         raise ValueError(f"tau must be finite and lie in the upper half-plane, got {tau}")
-    if not (tol > 0.0):
-        raise ValueError(f"truncation tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     return _finite(u, "argument u"), tau
 
 
@@ -80,6 +80,29 @@ def _finite(values, what: str, dtype=complex) -> np.ndarray:
     if np.count_nonzero(finite) < finite.size:  # a third of the fixed cost of finite.all()
         raise ValueError(f"{what} must be finite, got {values[~finite][0]}")
     return values
+
+
+def _integer(value, what: str, low=None):
+    """value as an int, or as an int array if it is a list, tuple or array: the integer rule beside :func:`_finite`.
+
+    Python ints stay exact at any size and an integer array passes through
+    unchanged; floats must be finite and integral.  ValueError names `what`
+    and its first value that is not an integer, or that lies below `low`.
+    """
+    kind = "an integer"
+    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer():
+        if low is None or value >= low:
+            return int(value)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        ints = np.asarray(value)
+        bad = np.zeros(ints.shape, dtype=bool) if low is None else ints < low
+        if ints.dtype.kind not in "iu":
+            ints = np.asarray(value, dtype=float)
+            bad |= ~np.isfinite(ints) | (ints != np.trunc(ints))
+        if not bad.any():
+            return ints.astype(int) if ints.dtype.kind == "f" else ints
+        kind, value = "integers", ints[bad][0]
+    raise ValueError(f"{what} must be {kind}{'' if low is None else f' of at least {low}'}, got {value}")
 
 
 def _lift(s, v, what: str, at, context: str, name: str = "z"):

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .theta import _finite
+from .theta import _finite, _integer
 
 __all__ = [
     "hermite_function",
@@ -48,19 +48,15 @@ def _hermite_functions(x):
 
 def hermite_function(n: int, x) -> np.ndarray:
     """Normalized harmonic-oscillator eigenfunction of index n, by :func:`_hermite_functions`."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"Hermite index must be nonnegative, got {n}")
-    return next(itertools.islice(_hermite_functions(x), n, None))
+    n = _integer(n, "Hermite index", 0)
+    return next(itertools.islice(_hermite_functions(_finite(x, "x", float)), n, None))
 
 
 class HermiteNumber:
     """The n-th oscillator eigenfunction; Fourier eigenvector with value i**n."""
 
     def __init__(self, n: int):
-        self.n = int(n)
-        if self.n < 0:
-            raise ValueError(f"Hermite index must be nonnegative, got {n}")
+        self.n = _integer(n, "Hermite index", 0)
 
     def __call__(self, x):
         return hermite_function(self.n, x).astype(complex)
@@ -84,7 +80,7 @@ class GaussianCoherent:
         _finite(self.label, "Gaussian label")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _finite(x, "x", float)
         a = self.label  # the exponent below has no terms of size |A|^2, whose rounding would not cancel
         return np.pi ** -0.25 * np.exp(-0.5 * (x - a.real) ** 2 + 1j * a.imag * (x - 0.5 * a.real))
 
@@ -116,8 +112,8 @@ class SampledGrid:
         # imported here: scipy.interpolate is most of the import time of finiteq
         from scipy.interpolate import CubicSpline
 
-        self.x = np.asarray(x, dtype=float).reshape(-1)
-        self.values = np.asarray(values, dtype=complex).reshape(-1)
+        self.x = _finite(x, "grid", float).reshape(-1)
+        self.values = _finite(values, "values").reshape(-1)
         if self.x.size != self.values.size:
             raise ValueError("grid and values must have the same length")
         if self.x.size < 4:
@@ -132,7 +128,7 @@ class SampledGrid:
         self._spline_im = CubicSpline(self.x, self.values.imag)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _finite(x, "x", float)
         inside = (x >= self.x[0]) & (x <= self.x[-1])
         if not np.all(inside) and self._edge_ratio > _SUPPORT_TOL:
             raise ValueError(
@@ -163,20 +159,20 @@ class SampledGrid:
 
 
 def sampled_from_csv(path) -> SampledGrid:
-    """Load a SampledGrid from CSV rows ``x,re,im`` (a header row is allowed)."""
+    """Load a SampledGrid from CSV rows ``x,re,im``; the first row may be a header."""
     xs, vals = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for i, row in enumerate(csv.reader(fh)):
             if not row or not row[0].strip():
                 continue
             try:
-                x = float(row[0])
-            except ValueError:
-                continue  # header
-            if len(row) < 3:
-                raise ValueError(f"CSV row needs x,re,im fields, got {row!r}")
+                x, value = float(row[0]), complex(float(row[1]), float(row[2]))
+            except (ValueError, IndexError) as exc:
+                if i == 0:
+                    continue  # header
+                raise ValueError(f"malformed CSV row {i + 1} {row!r}: needs numbers x,re,im") from exc
             xs.append(x)
-            vals.append(complex(float(row[1]), float(row[2])))
+            vals.append(value)
     if not xs:
         raise ValueError(f"no data rows found in {path}")
     return SampledGrid(np.array(xs), np.array(vals))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _finite, _lift, _log_theta3
+from .theta import _finite, _integer, _lift, _log_theta3
 from .wavefunctions import HermiteNumber, _hermite_functions
 
 __all__ = [
@@ -72,9 +72,7 @@ class SystemParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _integer(self.d, "dimension", 1))
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"scale lam must be positive and finite, got {self.lam}")
         for name, value in (("a", self.a), ("b", self.b)):
@@ -164,7 +162,7 @@ def zak_sums(psi, params: SystemParams, sector=None, m=None) -> np.ndarray:
     t_{qd+r} = e^{2 pi i sigma1 q} t_r, so only r in [0, d) is summed, from the shells where psi lives.
     """
     sector = _as_sector(sector)
-    q, r = np.divmod(np.arange(params.d) if m is None else np.asarray(m), params.d)
+    q, r = np.divmod(np.arange(params.d) if m is None else _integer(m, "label m"), params.d)
     t = _lattice_sums(psi, params, sector.sigma1, sector.sigma2, r)[0][0]
     return t * np.exp(2j * np.pi * sector.sigma1 * q)
 
@@ -359,11 +357,9 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     """
     d = params.d
     z = _finite(z, "z")
-    if isinstance(order, (int, np.integer)) and order >= 0:
-        order = int(order)
-    else:
-        order = np.asarray(order)
-        if order.shape != z.shape or order.dtype.kind not in "iu" or (order < 0).any():
+    order = _integer(order, "order", 0)
+    if isinstance(order, np.ndarray):
+        if order.shape != z.shape:
             raise ValueError(f"order must be a non-negative int or an array of them of z's shape {z.shape}")
         order = order.reshape(-1)
     # a point's placed fold: its live window, which ends before d + width, in whole periods of d
@@ -557,8 +553,7 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
     nothing.  Requires lam = 1 like the number states.
     """
     _require_unit_scale(params, "number-basis expansions")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _integer(n_max, "n_max", 0)
     a = complex(label)
     alpha = a / math.sqrt(2.0)
     nc = coherent_normalization(a, params)
@@ -576,28 +571,21 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
 class SectorFamily:
     """States of one wavefunction over the sigma1 grid k / N, k = 0 .. N - 1 (N even), at fixed sigma2.
 
-    ``amplitudes`` holds the unnormalized components, one row per sigma1;
-    when not given it is built from ``states`` and ``norms``.  ``states``,
-    one normalized :class:`FiniteState` per sigma1, is built from the
-    amplitudes on first access when not given.
+    ``amplitudes`` holds the unnormalized components, one row per sigma1.
+    ``norms``, their squared norms, and ``states``, one normalized
+    :class:`FiniteState` per sigma1 (built on first access), derive from them.
     """
 
-    def __init__(self, params: SystemParams, sigma1: np.ndarray, sigma2: float,
-                 states: list = None, norms: np.ndarray = None, amplitudes: np.ndarray = None):
+    def __init__(self, params: SystemParams, sigma1: np.ndarray, sigma2: float, amplitudes: np.ndarray):
         sigma1, n = np.asarray(sigma1, dtype=float), np.size(sigma1)
         if n % 2 or np.max(np.abs(sigma1 - np.arange(n) / n), initial=0.0) > 1e-12:
             raise ValueError("sigma1 must be the grid k / N, k = 0 .. N - 1, for an even N")
-        if amplitudes is None and states:
-            amplitudes = np.sqrt(norms)[:, None] * np.array([s.components for s in states])
-        self.params, self.sigma1, self.sigma2 = params, sigma1, sigma2
-        self.norms, self.amplitudes, self._states = norms, amplitudes, states
+        self.params, self.sigma1, self.sigma2, self.amplitudes = params, sigma1, sigma2, amplitudes
+        self.norms = np.sum(np.abs(amplitudes) ** 2, axis=1)
 
-    @property
+    @functools.cached_property
     def states(self) -> list:
-        if self._states is None:
-            rows = () if self.amplitudes is None else self.amplitudes / np.sqrt(self.norms)[:, None]
-            self._states = [FiniteState(row, normalize=False) for row in rows]
-        return self._states
+        return [FiniteState(row, normalize=False) for row in self.amplitudes / np.sqrt(self.norms)[:, None]]
 
     def component(self, m: int) -> np.ndarray:
         """Unnormalized component m across the sigma1 grid, for any integer m.
@@ -605,7 +593,7 @@ class SectorFamily:
         Components extend quasi-periodically beyond [0, d):
         t_{m+d}(sigma1) = e^{2 pi i sigma1} t_m(sigma1).
         """
-        q, r = divmod(int(m), self.params.d)
+        q, r = divmod(_integer(m, "label m"), self.params.d)
         return self.amplitudes[:, r] * np.exp(2j * np.pi * self.sigma1 * q)
 
     @functools.cached_property
@@ -623,7 +611,7 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
     grid = np.arange(n_sigma1) / n_sigma1
     sigma2 = float(sigma2) % 1.0
     t, _ = _lattice_sums(psi, params, grid, sigma2)
-    return SectorFamily(params, grid, sigma2, norms=np.sum(np.abs(t) ** 2, axis=1), amplitudes=t)
+    return SectorFamily(params, grid, sigma2, t)
 
 
 def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> complex:
@@ -639,9 +627,9 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    q, r = divmod(int(m), family.params.d)
-    full, coarse = family._trapezoid_tables
-    full, coarse = complex(full[(q + int(w)) % len(full), r]), complex(coarse[(q + int(w)) % len(coarse), r])
+    q, r = divmod(_integer(m, "label m"), family.params.d)
+    row, (full, coarse) = q + _integer(w, "winding w"), family._trapezoid_tables
+    full, coarse = complex(full[row % len(full), r]), complex(coarse[row % len(coarse), r])
     if abs(full - coarse) > tol:
         raise RuntimeError(
             f"sigma1 grid too coarse: quadrature error estimate {abs(full - coarse):.2e} > {tol}"

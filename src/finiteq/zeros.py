@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _finite
+from .theta import _finite, _integer
 from .zak import _THETA_CUT, SystemParams, _theta_scales, _theta_window, weighted_thetas
 from .analytic import AnalyticState
 
@@ -550,14 +550,8 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
             multiplicities = np.ones(positions.size, dtype=int)
         elif np.shape(multiplicities) != positions.shape:
             raise ValueError(f"{np.size(multiplicities)} multiplicities for {positions.size} positions")
-        elif not np.all(multiplicities == np.round(multiplicities)):  # NaN fails here, inf next
-            raise ValueError(f"multiplicities must be integers, got {np.asarray(multiplicities).tolist()}")
-        else:
-            _finite(multiplicities, "multiplicities", float)
-    multiplicities = np.asarray(multiplicities, dtype=int)
+    multiplicities = _integer(multiplicities, "multiplicities", 1)
     d = params.d
-    if (multiplicities < 1).any():
-        raise ValueError(f"multiplicities must be at least 1, got {multiplicities.min()}")
     if multiplicities.sum() != d:
         raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
     residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)

@@ -160,6 +160,21 @@ def test_displacement_and_shift_match_loop_reference():
             assert np.array_equal(shift_matrix(d, alpha), displacement_loop(d, 0, alpha))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 257])
+def test_half_power_is_the_half_angle_phase(d):
+    # half_power is the displacement's own phase, so the loop reference above
+    # shares it; here it meets the plain formula, scalar and array alike, to
+    # the rounding of angles up to 2 pi (k is reduced into [0, 2d) first)
+    k = np.arange(-2 * d + 1, 2 * d)
+    expect = np.exp(1j * np.pi * k / d)
+    assert np.max(np.abs(half_power(d, k) - expect)) < 3e-15
+    assert max(abs(half_power(d, int(j)) - e) for j, e in zip(k, expect)) < 3e-15
+    # the label is reduced mod 2d as a Python int, so a label past 2**64 is exact
+    big = 2**70 + 1
+    assert half_power(d, big) == half_power(d, big % (2 * d))
+    assert abs(half_power(d, big) - np.exp(1j * np.pi * (big % (2 * d)) / d)) < 1e-15
+
+
 def test_clock_matrix_is_displacement_at_any_label():
     # int(alpha) m overflowed int64 in the clock's own phases: at 2**62 three of the five
     # diagonal entries were wrong, and 2**70 raised OverflowError

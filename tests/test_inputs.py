@@ -1,4 +1,4 @@
-"""Non-finite inputs and tolerances: every public entry raises ValueError naming the argument."""
+"""Non-finite and non-integer inputs and tolerances: every public entry raises ValueError naming the argument."""
 
 import re
 
@@ -9,24 +9,38 @@ from finiteq import (
     AnalyticState,
     FiniteState,
     GaussianCoherent,
+    HermiteNumber,
     OperatorKernel,
+    SampledGrid,
     SystemParams,
     apply_weyl_expansion,
     classify_completeness,
+    clock_matrix,
     coherent_form,
+    coherent_from_number,
     coherent_gram_rank,
     coherent_normalization_closed,
     coherent_state_closed,
     coherent_unnormalized,
     count_zeros,
     displaced_f,
+    displaced_state,
+    displacement,
+    find_zeros,
+    fourier_matrix,
+    hermite_function,
     inverse_zak,
+    kernel_eval,
     momentum_form,
+    momentum_state,
+    number_state,
     operator_from_weyl,
     position_form,
+    position_operator,
     position_state,
     reconstruct_from_zeros,
     sector_family,
+    shift_matrix,
     sum_constraint_fit,
     theta2,
     theta3,
@@ -36,11 +50,16 @@ from finiteq import (
     zak_map,
     zak_sums,
 )
+from finiteq.hilbert import half_power
 from finiteq.zak import weighted_thetas
 
 P3 = SystemParams(3)
 STATE = AnalyticState(position_state(1, 3), P3)
 ZEROS = np.array([1 + 1j, 2 + 1j, 3 + 2j])
+FAMILY = sector_family(GaussianCoherent(0.3), P3)
+KERNEL = OperatorKernel(np.eye(3), P3)
+GRID_X = np.linspace(-8.0, 8.0, 64)
+GRID = SampledGrid(GRID_X, GaussianCoherent(0.3)(GRID_X))
 
 
 def _with(bad, shape=(3, 3)):
@@ -89,6 +108,45 @@ ENTRIES = {
     "winding_number corner": ("rectangle corner", lambda x: winding_number(np.exp, x, 1 + 1j)),
     "count_zeros": ("rectangle corner", lambda x: count_zeros(STATE, 0, x)),
     "sum_constraint_fit": ("total", lambda x: sum_constraint_fit(x, P3)),
+    "hermite_function": ("x", lambda x: hermite_function(3, x)),
+    "HermiteNumber": ("x", lambda x: HermiteNumber(3)([0.5, x])),
+    "GaussianCoherent point": ("x", lambda x: GaussianCoherent(0.3)(x)),
+    "SampledGrid point": ("x", lambda x: GRID([0.5, x])),
+    "SampledGrid grid": ("grid", lambda x: SampledGrid(np.r_[x, GRID_X[1:]], GRID.values)),
+    "SampledGrid values": ("values", lambda x: SampledGrid(GRID_X, np.r_[x, GRID.values[1:]])),
+    "kernel_eval z": ("z", lambda x: kernel_eval(KERNEL, x, 0.3)),
+    "kernel_eval zeta_star": ("zeta_star", lambda x: kernel_eval(KERNEL, 0.3, x)),
+}
+
+# (argument named in the message, call with the non-integer value x)
+INTEGER_ENTRIES = {
+    "SystemParams": ("dimension", lambda x: SystemParams(x)),
+    "fourier_matrix": ("dimension", lambda x: fourier_matrix(x)),
+    "position_operator": ("dimension", lambda x: position_operator(x)),
+    "position_state d": ("dimension", lambda x: position_state(0, x)),
+    "position_state m": ("label m", lambda x: position_state(x, 4)),
+    "momentum_state d": ("dimension", lambda x: momentum_state(0, x)),
+    "momentum_state m": ("label m", lambda x: momentum_state(x, 4)),
+    "half_power d": ("dimension", lambda x: half_power(x, 1)),
+    "half_power k": ("exponent k", lambda x: half_power(4, x)),
+    "displacement d": ("dimension", lambda x: displacement(x, 1, 1)),
+    "displacement alpha": ("label alpha", lambda x: displacement(3, x, 0)),
+    "displacement beta": ("label beta", lambda x: displacement(3, 0, x)),
+    "clock_matrix": ("label alpha", lambda x: clock_matrix(3, x)),
+    "shift_matrix": ("label beta", lambda x: shift_matrix(3, x)),
+    "displaced_state": ("label alpha", lambda x: displaced_state(position_state(0, 3), (x, 1))),
+    "displaced_f": ("label beta", lambda x: displaced_f(STATE, 1, x, 0.5)),
+    "hermite_function": ("Hermite index", lambda x: hermite_function(x, 0.3)),
+    "HermiteNumber": ("Hermite index", lambda x: HermiteNumber(x)),
+    "number_state": ("Hermite index", lambda x: number_state(x, SystemParams(6))),
+    "coherent_from_number": ("n_max", lambda x: coherent_from_number(0.3, P3, x)),
+    "inverse_zak m": ("label m", lambda x: inverse_zak(FAMILY, x, 0)),
+    "inverse_zak w": ("winding w", lambda x: inverse_zak(FAMILY, 0, x)),
+    "SectorFamily.component": ("label m", lambda x: FAMILY.component(x)),
+    "zak_sums": ("label m", lambda x: zak_sums(GaussianCoherent(0.3), P3, m=[0, x])),
+    "momentum_form": ("label m", lambda x: momentum_form(x, P3, 0.5)),
+    "weighted_thetas": ("order", lambda x: weighted_thetas(0.5, P3, x)),
+    "reconstruct_from_zeros": ("multiplicities", lambda x: reconstruct_from_zeros(ZEROS, P3, [x, 1, 1])),
 }
 
 
@@ -102,10 +160,39 @@ def test_non_finite_input_is_a_value_error_naming_the_argument(entry, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf], ids=str)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_non_integer_input_is_a_value_error_naming_the_argument(entry, bad):
+    # before, most of these truncated: fourier_matrix(2.5) was 2 x 2, HermiteNumber(2.5).n was 2,
+    # displacement(3, 0.5, 0) the identity, and NaN raised "cannot convert float NaN to integer"
+    name, call = INTEGER_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(bad)
+
+
+def test_integral_values_of_any_type_are_accepted():
+    # Python ints, numpy ints and integral floats give the same result, and ints come back as Python ints
+    for d in (6, np.int64(6), 6.0, np.float32(6)):
+        params = SystemParams(d)
+        assert params.d == 6 and type(params.d) is int
+        assert np.array_equal(number_state(2.0, params).components, number_state(2, SystemParams(6)).components)
+    assert type(HermiteNumber(np.int8(2)).n) is int
+    assert np.array_equal(displacement(5.0, np.int64(2**62), 3.0), displacement(5, 2**62, 3))
+    assert np.array_equal(position_state(np.uint8(7), 4.0).components, position_state(3, 4).components)
+    assert inverse_zak(FAMILY, 1.0, np.int32(-1)) == inverse_zak(FAMILY, 1, -1)
+    zeros = find_zeros(STATE).positions
+    assert np.array_equal(reconstruct_from_zeros(zeros, P3, [1.0, 1.0, 1.0]).components,
+                          reconstruct_from_zeros(zeros, P3, np.ones(3, dtype=np.int32)).components)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf])
 def test_non_positive_tolerances_are_value_errors(tol):
-    # residual_tol <= 0 blamed the zeros ("no such state exists"), and inverse_zak reported a coarse grid
+    # residual_tol <= 0 blamed the zeros ("no such state exists"), inverse_zak reported a coarse grid,
+    # and the theta functions took tol = inf to a "math domain error"
     with pytest.raises(ValueError, match="^residual_tol must be finite and positive"):
         reconstruct_from_zeros(ZEROS, P3, residual_tol=tol)
     with pytest.raises(ValueError, match="^tol must be finite and positive"):
-        inverse_zak(sector_family(GaussianCoherent(0.3), P3), 0, 0, tol=tol)
+        inverse_zak(FAMILY, 0, 0, tol=tol)
+    for theta in (theta3, theta2, theta3_derivative):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            theta(0.3, 1j, tol=tol)

@@ -431,8 +431,9 @@ def test_sector_family_matches_per_sector_sums(psi, sigma2, n_sigma1):
         ref = zak_sums(psi, params, ZakSector(s1, sigma2))
         assert abs(norm - np.sum(np.abs(ref) ** 2)) <= 1e-14 * norm
         assert np.max(np.abs(np.sqrt(norm) * state.components - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # a family built directly from its states and norms gives the same components
-    direct = SectorFamily(params, family.sigma1, sigma2, family.states, family.norms)
+    # a family built directly from the per-sector sums gives the same components
+    direct = SectorFamily(params, family.sigma1, sigma2,
+                          np.array([zak_sums(psi, params, ZakSector(s1, sigma2)) for s1 in family.sigma1]))
     scale = np.max(np.abs(family.amplitudes))
     for m in (-7, 0, 13):
         ref = np.array([zak_sums(psi, params, ZakSector(s1, sigma2), m=[m])[0] for s1 in family.sigma1])
@@ -472,7 +473,9 @@ def test_inverse_zak_matches_direct_trapezoid_sum(psi, params):
     d, outcomes = params.d, set()
     for n_sigma1 in (4, 8, 64):
         family = sector_family(psi, params, sigma2=0.3, n_sigma1=n_sigma1)
-        rebuilt = SectorFamily(params, family.sigma1, family.sigma2, family.states, family.norms)
+        # the family rebuilt from its states and norms
+        rebuilt = SectorFamily(params, family.sigma1, family.sigma2,
+                               np.sqrt(family.norms)[:, None] * np.array([s.components for s in family.states]))
         scale = np.max(np.abs(family.amplitudes))
         for tol in (1e-6, 1e-10):
             for m in range(-2 * d, 3 * d):
@@ -546,6 +549,20 @@ def test_sampled_from_csv_roundtrip(tmp_path):
     got = zak_map(grid, SystemParams(3))
     expect = coherent_state_closed(0.3, SystemParams(3))
     assert np.max(np.abs(got.components - expect.components)) < 1e-9
+
+
+def test_sampled_from_csv_names_a_malformed_row(tmp_path):
+    # only the first row may be a header: a bad row further down was skipped,
+    # so "1.0e,0.5,0" among 201 data rows loaded 200 rows and no error
+    x = np.linspace(-10, 10, 201)
+    lines = ["x,re,im"] + [f"{xi},{v.real},{v.imag}" for xi, v in zip(x, GaussianCoherent(0.3)(x))]
+    path = tmp_path / "wave.csv"
+    for row, bad in ((100, "1.0e,0.5,0"), (7, "x,re,im"), (201, "3.0,0.5")):
+        path.write_text("\n".join(lines[:row] + [bad] + lines[row:]) + "\n")
+        with pytest.raises(ValueError, match=f"^malformed CSV row {row + 1} "):
+            sampled_from_csv(path)
+    path.write_text("\n".join(lines[1:]) + "\n")  # no header
+    assert sampled_from_csv(path).x.size == 201
 
 
 # --- the lattice sums against the shell-by-shell loop ---------------------------
