@@ -208,10 +208,9 @@ def _pair_sums(params: SystemParams, spectra, x, y):
     pi**-1/2 N_x sum_k F^[k] G^[k]; the every-other-node sum folds them again, mod N_x / 2, on the even rows.
     """
     nx, half = x.size, x.size // 2
-    index, _, exponent = _theta_window(params, y)
+    index, _, weights = _theta_window(params, y)
     width = index.shape[1]
     phase = np.exp(-2j * _theta_scales(params)[0] * x[0] * np.arange(width))
-    weights = np.exp(exponent, out=exponent)
     folds = np.zeros((2, y.size, -(-width // nx) * nx), dtype=complex)
     folds[0, :, :width] = weights * phase * np.take(spectra[0], index, mode="wrap")
     folds[1, :, :width] = weights * phase.conj() * np.take(spectra[1], -index, mode="wrap")
@@ -343,8 +342,7 @@ def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
     n survive, each one fold by n' mod d and one length-d FFT; row m is row m of their phased sum rotated by m.
     """
     d = params.d
-    index, _, exponent = _theta_window(params, y)
-    gauss = np.exp(exponent, out=exponent)
+    index, _, gauss = _theta_window(params, y)
     width, nx, half = index.shape[1], x.size, x.size // 2
     lags = half * np.arange(-((width - 1) // half), (width - 1) // half + 1)
     folds = np.empty((2, lags.size, d))

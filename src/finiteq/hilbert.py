@@ -212,6 +212,10 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    return bool(np.max(np.abs(op @ op.conj().T - np.eye(d))) <= tol)
+    """Whether op op^dagger is within tol of the identity entrywise; op finite and square, tol finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    op = _finite(op, "operator")
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"operator must be square, got shape {op.shape}")
+    return bool(np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= tol)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import FiniteState
+from .theta import _integer
 from .zak import SystemParams
 from .zeros import ZeroSet
 
@@ -68,7 +69,9 @@ def state_to_dict(state: FiniteState, params: SystemParams) -> dict:
 
 def state_from_dict(data: dict) -> tuple[FiniteState, float]:
     try:
-        d = int(data["d"])
+        d = _integer(data["d"], "d", 1)
+        if not isinstance(d, int):  # a list passes the integer rule as an array
+            raise TypeError(f"d must be an integer, got {data['d']}")
         lam = float(data["lambda"])
         comps = [complex(re, im) for re, im in data["components"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -154,6 +157,13 @@ def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None) -> str:
     def to_px(z: complex):
         return margin + (z.real - p.a) * s, margin + (p.b + height - z.imag) * s
 
+    def circle(x, y):
+        return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="none" stroke="steelblue" stroke-width="2"/>'
+
+    def triangle(x, y, r=6.0):
+        pts = f"{x:.2f},{y - r:.2f} {x - 0.866 * r:.2f},{y + 0.5 * r:.2f} {x + 0.866 * r:.2f},{y + 0.5 * r:.2f}"
+        return f'<polygon points="{pts}" fill="none" stroke="firebrick" stroke-width="2"/>'
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px:.0f}" height="{h_px:.0f}" '
         f'viewBox="0 0 {w_px:.0f} {h_px:.0f}">',
@@ -163,24 +173,12 @@ def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None) -> str:
         f'cell [{p.a:.3g}, {p.a + width:.3g}) x [{p.b:.3g}, {p.b + height:.3g}), '
         f'd={p.d}, lambda={p.lam:g}</text>',
     ]
-    for z, m in zip(zs.positions, zs.multiplicities):
-        x, y = to_px(z)
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="none" '
-            'stroke="steelblue" stroke-width="2"/>'
-        )
-        if m > 1:
-            parts.append(f'<text x="{x + 7:.2f}" y="{y - 7:.2f}" font-size="11">x{int(m)}</text>')
-    if overlay is not None:
-        for z, m in zip(overlay.positions, overlay.multiplicities):
+    for zeros, marker, label_dy in ((zs, circle, -7), (overlay, triangle, 14)):
+        for z, m in zip(zeros.positions, zeros.multiplicities) if zeros is not None else ():
             x, y = to_px(z)
-            r = 6.0
-            pts = f"{x:.2f},{y - r:.2f} {x - 0.866 * r:.2f},{y + 0.5 * r:.2f} {x + 0.866 * r:.2f},{y + 0.5 * r:.2f}"
-            parts.append(
-                f'<polygon points="{pts}" fill="none" stroke="firebrick" stroke-width="2"/>'
-            )
+            parts.append(marker(x, y))
             if m > 1:
-                parts.append(f'<text x="{x + 7:.2f}" y="{y + 14:.2f}" font-size="11">x{int(m)}</text>')
+                parts.append(f'<text x="{x + 7:.2f}" y="{y + label_dy:.2f}" font-size="11">x{int(m)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

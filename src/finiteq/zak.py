@@ -245,16 +245,16 @@ def _theta_scales(params: SystemParams):
 def _theta_window(params: SystemParams, y, span: float = 0.0):
     """The live terms of the swapped theta series at heights y - span .. y + span.
 
-    Returns (index, base, exponent).  The live n of a height are the
+    Returns (index, base, weight).  The live n of a height are the
     ceil(2 K + 2 kappa span) + 2 consecutive integers from
     n0 = floor(kappa (y - span) - K): every n within K of kappa times a
     height of the range, beyond which the Gaussian weight is below
     exp(-_THETA_CUT) of the largest.  n = base + index, base = d floor(n0 / d),
     so index lies in [0, d + width) at any height and reads G_{n mod d} (and
     -index G_{-n mod d}) by ``np.take`` in wrap mode in at most 1 + width / d steps.
-    exponent is -pi (n - kappa y)^2 / (d lam^2), the log of the weight at
-    height y.  Past kappa |y| = 2^53 doubles no longer hold consecutive n,
-    and ValueError is raised.
+    weight is the Gaussian weight exp(-pi (n - kappa y)^2 / (d lam^2)) at
+    height y, one real exponential per term.  Past kappa |y| = 2^53 doubles
+    no longer hold consecutive n, and ValueError is raised.
     """
     _, kappa, K = _theta_scales(params)
     ky = kappa * np.asarray(y, dtype=float)[..., None]
@@ -269,7 +269,7 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     exponent *= -np.pi / (params.d * params.lam**2)
     start = start.astype(np.int64)
     offset = start % params.d
-    return offset + j, start - offset, exponent
+    return offset + j, start - offset, np.exp(exponent, out=exponent)
 
 
 def _window_width(params: SystemParams, span: float = 0.0) -> int:
@@ -286,19 +286,19 @@ def _live_terms(z, params: SystemParams, order):
     point are the powers e^{-2ic n0 x} (e^{-2icx})^j of its first live
     n0 = n - j, so a point takes two complex exponentials and one running
     product; each power carries the rounding of about j products, far below
-    the tolerance at the widths of the window.  The Gaussian weights are
-    taken as they are, one real exponential per term: split into a
+    the tolerance at the widths of the window.  The Gaussian weights come
+    from the window as they are, one real exponential per term: split into a
     per-point ratio times a fixed e^{-pi j^2 / (d lam^2)}, their factors
     overflow before they cancel when d lam^2 is small.
     """
     c = _theta_scales(params)[0]
-    index, base, exponent = _theta_window(params, z.imag)
+    index, base, weight = _theta_window(params, z.imag)
     phase = -2j * c * z.real[..., None]
     terms = np.empty(index.shape, dtype=complex)
     terms[..., :1] = np.exp(phase * (base + index[..., :1]))
     terms[..., 1:] = np.exp(phase)
     terms.cumprod(axis=-1, out=terms)
-    terms *= np.exp(exponent, out=exponent)
+    terms *= weight
     if isinstance(order, np.ndarray):
         up = np.flatnonzero(order)
         terms[up] *= _derivative_factor(c, base[up] + index[up], order[up, None])
@@ -438,8 +438,8 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     """
     c = _theta_scales(params)[0]
     x = np.asarray(x, dtype=float)
-    index, base, exponent = _theta_window(params, y)
-    rows = np.exp(exponent, out=exponent) * np.take(spectrum, index, mode="wrap")
+    index, base, weight = _theta_window(params, y)
+    rows = weight * np.take(spectrum, index, mode="wrap")
     if order:
         rows *= _derivative_factor(c, base + index, order)
     start, step = base[:, 0] + index[:, 0], -2j * c * x  # node phase arguments start * step
@@ -448,7 +448,7 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     cols[1:] = np.exp(step)
     np.cumprod(cols, axis=0, out=cols)
     out = cols.T @ rows.T if y_fastest else rows @ cols
-    del index, base, exponent, rows, cols  # the factors go before the output-sized node phases come
+    del index, base, weight, rows, cols  # the factors go before the output-sized node phases come
     phase = np.multiply.outer(step, start) if y_fastest else np.multiply.outer(start, step)
     out *= np.exp(phase, out=phase)
     return out
@@ -580,6 +580,8 @@ class SectorFamily:
         sigma1, n = np.asarray(sigma1, dtype=float), np.size(sigma1)
         if n % 2 or np.max(np.abs(sigma1 - np.arange(n) / n), initial=0.0) > 1e-12:
             raise ValueError("sigma1 must be the grid k / N, k = 0 .. N - 1, for an even N")
+        if np.shape(amplitudes) != (n, params.d):
+            raise ValueError(f"amplitudes must have shape (N, d) = {(n, params.d)}, got {np.shape(amplitudes)}")
         self.params, self.sigma1, self.sigma2, self.amplitudes = params, sigma1, sigma2, amplitudes
         self.norms = np.sum(np.abs(amplitudes) ** 2, axis=1)
 

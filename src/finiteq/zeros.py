@@ -97,20 +97,12 @@ def _boundary_points(ll: complex, ur: complex, spacing=None) -> np.ndarray:
     With `spacing` given, each edge gets enough points to keep samples at
     most that far apart (at least 8 per edge); otherwise _PER_EDGE.
     """
-    x0, y0, x1, y1 = ll.real, ll.imag, ur.real, ur.imag
-
-    def n_for(length):
-        return _PER_EDGE if spacing is None else max(8, math.ceil(length / spacing))
-
-    nx = n_for(x1 - x0)
-    ny = n_for(y1 - y0)
-    tx = np.linspace(0.0, 1.0, nx, endpoint=False)
-    ty = np.linspace(0.0, 1.0, ny, endpoint=False)
-    bottom = x0 + tx * (x1 - x0) + 1j * y0
-    right = x1 + 1j * (y0 + ty * (y1 - y0))
-    top = x1 - tx * (x1 - x0) + 1j * y1
-    left = x0 + 1j * (y1 - ty * (y1 - y0))
-    return np.concatenate([bottom, right, top, left, [ll]])
+    corners = [ll, complex(ur.real, ll.imag), ur, complex(ll.real, ur.imag), ll]
+    edges = []
+    for a, b in zip(corners, corners[1:]):
+        n = _PER_EDGE if spacing is None else max(8, math.ceil(abs(b - a) / spacing))
+        edges.append(a + np.linspace(0.0, 1.0, n, endpoint=False) * (b - a))
+    return np.concatenate(edges + [[ll]])
 
 
 _MAX_LOG_RATIO = math.log(2.0)
@@ -208,10 +200,10 @@ def _band_terms(state: AnalyticState, y0: np.ndarray, y1: np.ndarray) -> list:
     """
     p = state.params
     c = _theta_scales(p)[0]
-    index, base, exponent = _theta_window(p, 0.5 * (y0 + y1), 0.5 * np.max(y1 - y0))
+    index, base, weight = _theta_window(p, 0.5 * (y0 + y1), 0.5 * np.max(y1 - y0))
     G = state._spectrum
     G = np.where(np.abs(G) <= p.d * _EPS * np.max(np.abs(G)), 0.0, G)
-    a = np.pi ** -0.25 * np.take(G, index, mode="wrap") * np.exp(exponent)
+    a = np.pi ** -0.25 * np.take(G, index, mode="wrap") * weight
     k = base + index
     tilt = (c * (y1 - y0))[:, None] * k  # log |v|^k at y1, and minus it at y0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,23 +266,32 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
     the real parts reduced mod the cell width and sorted, followed by a copy
     one width up, so that pairs across that edge are adjacent too.  A pair
     within `diam` has its real parts within reach of each other, so the
-    points m = 1, 2, ... places apart are visited only while some of them
-    are still within reach, and only those pairs get the full distance
-    (none if all are exact repeats, at offset 0).  When no two neighbours
-    are within reach, which is the case for simple label sets and for the
-    roots of find_zeros, that is one pass over the n gaps.
+    points m = 1, 2, ... places apart are visited only while some of them are
+    still within reach, and only those pairs get the full distance (none if
+    all are exact repeats, at offset 0).  When no two neighbours are within
+    reach, which is the case for simple label sets and for the roots of
+    find_zeros, that is one pass over the n gaps.  When three points in a row
+    are each within reach of the next, the imaginary parts mod the cell
+    height are swept too and the axis with fewer neighbours within reach is
+    walked: a column is as fast as a row, and only points crowding both axes,
+    such as an L, stay quadratic.
     """
-    n, width = z.size, p.cell_width
-    u = z.real - p.a
-    x = u % width
-    order = np.argsort(x, kind="stable")
-    ext = x[order]
-    ext = np.concatenate((ext, ext + width))
-    # widened by the rounding of the reduction, so that no pair within diam is missed
-    reach = diam + 4 * _EPS * (width + np.abs(u).max(initial=0.0))
-    limit = ext[:n] + reach
+    n, sweeps = z.size, []
+    for part, origin, period in ((np.real, p.a, p.cell_width), (np.imag, p.b, p.cell_height)):
+        u = part(z) - origin
+        x = u % period
+        order = np.argsort(x, kind="stable")
+        ext = x[order]
+        ext = np.concatenate((ext, ext + period))
+        # widened by the rounding of the reduction, so that no pair within diam is missed
+        limit = ext[:n] + diam + 4 * _EPS * (period + np.abs(u).max(initial=0.0))
+        near = (ext[1:n + 1] <= limit).nonzero()[0]
+        sweeps.append((order, ext, limit, near))
+        if near.size < 2 or not (np.diff(near) == 1).any():  # no three points in a row, each within reach of the next
+            break
+    order, ext, limit, near = min(sweeps, key=lambda sweep: sweep[3].size)  # the first on a tie
     # sorted point k meets k + m while ext[k + m] is within its reach, at most the n - 1 others once each
-    near, a, b = (ext[1:n + 1] <= limit).nonzero()[0], [], []
+    a, b = [], []
     for m in range(1, n):
         if not near.size:
             break
@@ -301,12 +302,12 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
         empty = np.empty(0, dtype=np.intp)
         return empty, empty, np.empty(0, dtype=complex)
     a, b = order[np.concatenate(a)], np.take(order, np.concatenate(b), mode="wrap")
-    # a reach beyond half the width can list a pair twice; in _merge the repeat changes nothing
+    # a reach beyond half the period can list a pair twice; in _merge the repeat changes nothing
     i, j = np.minimum(a, b), np.maximum(a, b)
     offset = z[j] - z[i]
     if diam > 0 and not offset.any():
         return i, j, offset
-    offset = _wrap(offset, width, p.cell_height)
+    offset = _wrap(offset, p.cell_width, p.cell_height)
     keep = np.abs(offset) < diam
     return i[keep], j[keep], offset[keep]
 
@@ -464,12 +465,7 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     normalisation removes and whose phase leaves the singular values unchanged.
     ValueError is raised when there is no label or one is not finite.
     """
-    return _gram_rank(_labels(points), params)
-
-
-def _gram_rank(pts: np.ndarray, params: SystemParams) -> int:
-    """coherent_gram_rank of labels already checked by _labels."""
-    t = weighted_thetas(pts, params)
+    t = weighted_thetas(_labels(points), params)
     sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
     return int((sv > _RANK_TOL * sv[0]).sum())
 
@@ -498,8 +494,7 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
     if cross_validate:
-        # a label of multiplicity m is m equal rows; with simple labels there is none to repeat
-        rank = _gram_rank(positions if count == positions.size else np.repeat(positions, mults), params)
+        rank = coherent_gram_rank(positions, params)  # a label of multiplicity m is m equal rows, which add no rank
     return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
 
 

@@ -17,6 +17,7 @@ from finiteq.serialization import (
     save_state,
     save_zeros_csv,
     sidecar_path,
+    state_from_dict,
 )
 from finiteq.zeros import ZeroSet
 
@@ -273,6 +274,19 @@ def test_usage_error_exit_code(capsys):
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
+    assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+def test_state_record_reads_d_by_the_integer_rule(tmp_path, capsys):
+    # d = 2.9 with two components loaded as a d = 2 state; a string or a list is refused as well
+    record = {"lambda": 1.0, "components": [[1.0, 0.0], [0.0, 1.0]]}
+    for d in (2.9, "2", [2], 0, None):
+        with pytest.raises(ValueError, match="^malformed state record: d must be"):
+            state_from_dict(dict(record, d=d))
+    assert state_from_dict(dict(record, d=2.0))[0].d == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(record, d=2.9)))
     assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
     assert "input error" in capsys.readouterr().err
 

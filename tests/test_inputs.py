@@ -30,6 +30,7 @@ from finiteq import (
     fourier_matrix,
     hermite_function,
     inverse_zak,
+    is_unitary,
     kernel_eval,
     momentum_form,
     momentum_state,
@@ -98,6 +99,8 @@ ENTRIES = {
                                             lambda x: reconstruct_from_zeros(ZEROS, P3, residual_tol=x)),
     "inverse_zak": ("tol", lambda x: inverse_zak(sector_family(GaussianCoherent(0.3), P3), 0, 0, tol=x)),
     "weyl_function": ("operator", lambda x: weyl_function(_with(x))),
+    "is_unitary": ("operator", lambda x: is_unitary(_with(x))),
+    "is_unitary tol": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
     "operator_from_weyl": ("Weyl table", lambda x: operator_from_weyl(_with(x))),
     "OperatorKernel": ("operator matrix", lambda x: OperatorKernel(_with(x), P3)),
     "apply_weyl_expansion": ("Weyl table", lambda x: apply_weyl_expansion(_with(x), STATE, 0.5)),
@@ -196,3 +199,13 @@ def test_non_positive_tolerances_are_value_errors(tol):
     for theta in (theta3, theta2, theta3_derivative):
         with pytest.raises(ValueError, match="^tol must be finite and positive"):
             theta(0.3, 1j, tol=tol)
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        is_unitary(np.eye(3), tol=tol)
+
+
+def test_is_unitary_needs_a_square_matrix():
+    # a 2 x 3 matrix, a vector and a number were read as "not unitary", or raised numpy's own error
+    for op in (np.ones((2, 3)), np.ones(3), 1.0):
+        with pytest.raises(ValueError, match="^operator must be square"):
+            is_unitary(op)
+    assert is_unitary(np.eye(3)) and not is_unitary(2 * np.eye(3))

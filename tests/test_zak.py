@@ -456,6 +456,15 @@ def test_sector_family_requires_the_uniform_grid():
     assert inverse_zak(family, 0, 0) == 1.0
 
 
+def test_sector_family_checks_its_table():
+    # a table of the wrong shape was accepted: inverse_zak then read 1 + 0j and component(1) raised numpy's
+    # broadcast error
+    params, sigma1 = SystemParams(3), np.arange(8) / 8
+    for shape in ((4, 3), (8, 2), (8,), (8, 3, 1)):
+        with pytest.raises(ValueError, match=r"^amplitudes must have shape \(N, d\) = \(8, 3\)"):
+            SectorFamily(params, sigma1, 0.0, np.ones(shape))
+
+
 def _direct_inverse_zak(family, m, w, tol):
     """inverse_zak as the direct periodic trapezoid sum over the family's grid and its even points."""
     q, r = divmod(int(m), family.params.d)

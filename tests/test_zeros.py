@@ -1,8 +1,10 @@
 """Winding counts, zero location, the sum rule, completeness, reconstruction."""
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
@@ -341,15 +343,56 @@ def close_pairs_all(z, diam, params):
     return {(int(a), int(b)): complex(o) for a, b, o in zip(i[keep], j[keep], offset[keep])}
 
 
+LINE_PARAMS = SystemParams(5, 1.0, -3.7, 12.1)
+
+
+def line_set(shape, diam):
+    """(points, diam, params, None): a column of labels sharing one real part, a row sharing one imaginary part,
+    or both as an L, each with a repeat, a pair within diam and a pair across the cell's bottom edge."""
+    p, t = LINE_PARAMS, (np.arange(40) + 0.5) / 40
+    column = p.a + 0.3 * p.cell_width + 1j * (p.b + t * p.cell_height)
+    row = p.a + t * p.cell_width + 1j * (p.b + 0.6 * p.cell_height)
+    points = {"column": column, "row": row, "L": np.concatenate((column, row))}[shape]
+    extra = points[:3] + np.array([0.0, 0.3 * diam * np.exp(0.7j), 1j * p.cell_height])
+    return np.concatenate((points, extra)), diam, p, None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(label_sets())
+@example(line_set("column", 1e-10))
+@example(line_set("row", 1e-10))
+@example(line_set("L", 1e-10))
+@example(line_set("column", 0.3 * LINE_PARAMS.cell_height))
+@example(line_set("L", 0.3 * LINE_PARAMS.cell_height))
 def test_close_pairs_match_all_pairs(case):
+    # the column is walked along the imaginary parts, the row along the real parts; the L crowds both axes,
+    # so it stays quadratic on either
     points, diam, params, _ = case
     i, j, offset = zeros_module._close_pairs(points, diam, params)
     found = {}
     for a, b, o in zip(i.tolist(), j.tolist(), offset.tolist()):
         assert found.setdefault((a, b), o) == o  # a pair listed twice has one offset
     assert found == close_pairs_all(points, diam, params)
+
+
+def test_merge_of_a_column_is_not_quadratic():
+    # the zeros of position states form columns: 4000 labels sharing one real part took over 1000 times
+    # as long as 4000 scattered ones when only the real parts were swept
+    params = SystemParams(64)
+    rng = np.random.default_rng(14)
+    heights = params.b + rng.uniform(size=4000) * params.cell_height
+    column = params.a + 0.3 * params.cell_width + 1j * heights
+    scattered = params.a + rng.uniform(size=4000) * params.cell_width + 1j * heights
+
+    def best_of_3(points):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            zeros_module._merge(points, 1e-10, params)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(column) <= 20 * best_of_3(scattered)
 
 
 def test_merge_matches_loop_on_1000_labels():
@@ -407,6 +450,23 @@ def test_gram_rank_of_rule_and_off_rule_sets(d, index):
                         for q in (pts, off_rule_copy(rng, params, pts)))
         assert (rule.verdict, broken.verdict) == ("undercomplete", "complete")
         assert (rule.gram_rank, broken.gram_rank) == (d - 1, d - double)
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_gram_rank_of_a_repeated_label(d):
+    # a label of multiplicity 2 is two equal rows, which add no rank: the cross-check reads the rank of the
+    # labels as given and of the distinct labels alike
+    params = SystemParams(d)
+    if d == 3:
+        labels = np.array([0.5 + 0.5j, 0.5 + 0.5j + 1e-12, 1 + 1j])
+        distinct = labels[[0, 2]]
+    else:
+        rng = np.random.default_rng(16)
+        distinct = (params.a + rng.uniform(size=d - 1) * params.cell_width
+                    + 1j * (params.b + rng.uniform(size=d - 1) * params.cell_height))
+        labels = np.concatenate((distinct, distinct[:1]))
+    res = classify_completeness(labels, params, cross_validate=True)
+    assert res.gram_rank == coherent_gram_rank(labels, params) == coherent_gram_rank(distinct, params)
 
 
 @pytest.mark.xfail(strict=True, reason="the 1e-8 rank rule of coherent_gram_rank reads this complete "
