@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import _finite, _integer, _lift, _log_theta3
+from .theta import _finite, _integer, _lift, _log_theta3, _positive, _square
 from .zak import (
     SystemParams,
     _log_gram,
@@ -177,8 +177,7 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     ``integral(x, y)``, called once on the fine nodes, returns the sums of the
     integrand over the grid x[None, :] + 1j y[:, None] and over x[::2], y[::2].
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"{label}: tol must lie in (0, 1), got {tol}")
+    _positive(tol, "tol", 1.0)
     m = math.sqrt(2.0 * math.log(100.0 / tol) / math.pi)
     nx = math.ceil(m * params.lam * math.sqrt(params.d))
     ny = math.ceil(m * math.sqrt(params.d) / params.lam)
@@ -266,10 +265,7 @@ class OperatorKernel:
     params: SystemParams
 
     def __post_init__(self):
-        self.matrix = _finite(self.matrix, "operator matrix")
-        d = self.params.d
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"operator must be {d}x{d}, got {self.matrix.shape}")
+        self.matrix = _square(self.matrix, "operator matrix", self.params.d)
 
 
 def kernel_eval(kernel: OperatorKernel, z, zeta_star):
@@ -316,10 +312,7 @@ def apply_weyl_expansion(table: np.ndarray, f: AnalyticState, z) -> complex:
     is the representation of (Omega state) at z: Omega is built by
     :func:`finiteq.hilbert.operator_from_weyl` and f evaluated once.
     """
-    d = f.params.d
-    table = np.asarray(table, dtype=complex)
-    if table.shape != (d, d):
-        raise ValueError(f"table must be {d}x{d}, got {table.shape}")
+    table = _square(table, "Weyl table", f.params.d)
     moved = FiniteState(operator_from_weyl(table) @ f.state.components, normalize=False)
     return complex(AnalyticState(moved, f.params)(z))
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .theta import _finite, _integer
+from .theta import _finite, _integer, _integers, _positive, _square
 
 __all__ = [
     "FiniteState",
@@ -94,7 +94,7 @@ class PhasePoint(NamedTuple):
 def half_power(d: int, k) -> complex:
     """exp(1j pi k / d) for an int or an int array k, reduced mod 2d as an integer: the one half-angle phase."""
     d = _integer(d, "dimension", 1)
-    return np.exp(1j * (np.pi * (_integer(k, "exponent k") % (2 * d)) / d))
+    return np.exp(1j * (np.pi * (_integers(k, "exponent k") % (2 * d)) / d))
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -182,11 +182,8 @@ def weyl_function(op: np.ndarray) -> np.ndarray:
 
     one inverse FFT over m of the d wrapped diagonals of op, O(d^2 log d).
     """
-    op = _finite(op, "operator")
-    d = op.shape[0]
-    if op.shape != (d, d):
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    m = np.arange(d)
+    op = _square(op, "operator")
+    d, m = len(op), np.arange(len(op))
     return d * np.fft.ifft(op[_diagonals(d)], axis=1).T * half_power(d, np.outer(m, m))
 
 
@@ -202,10 +199,8 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
 
     one FFT over alpha, O(d^2 log d).
     """
-    table = _finite(table, "Weyl table")
-    d = _integer(table.shape[0], "dimension", 1)
-    if table.shape != (d, d):
-        raise ValueError(f"Weyl table must be {d}x{d}, got {table.shape}")
+    table = _square(table, "Weyl table")
+    d = len(table)
     op, m = np.empty((d, d), dtype=complex), np.arange(d)
     op[_diagonals(d)] = np.fft.fft(table * half_power(d, np.outer(m, m)).conj(), axis=0).T / d
     return op
@@ -213,9 +208,6 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
 
 def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether op op^dagger is within tol of the identity entrywise; op finite and square, tol finite and positive."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    op = _finite(op, "operator")
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
+    _positive(tol, "tol")
+    op = _square(op, "operator")
     return bool(np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= tol)

@@ -70,8 +70,6 @@ def state_to_dict(state: FiniteState, params: SystemParams) -> dict:
 def state_from_dict(data: dict) -> tuple[FiniteState, float]:
     try:
         d = _integer(data["d"], "d", 1)
-        if not isinstance(d, int):  # a list passes the integer rule as an array
-            raise TypeError(f"d must be an integer, got {data['d']}")
         lam = float(data["lambda"])
         comps = [complex(re, im) for re, im in data["components"]]
     except (KeyError, TypeError, ValueError) as exc:

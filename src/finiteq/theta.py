@@ -34,8 +34,7 @@ def _check_args(u, tau, tol):
     tau = complex(tau)
     if not (np.isfinite(tau) and tau.imag > 0.0):
         raise ValueError(f"tau must be finite and lie in the upper half-plane, got {tau}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _positive(tol, "tol")
     return _finite(u, "argument u"), tau
 
 
@@ -82,27 +81,45 @@ def _finite(values, what: str, dtype=complex) -> np.ndarray:
     return values
 
 
-def _integer(value, what: str, low=None):
-    """value as an int, or as an int array if it is a list, tuple or array: the integer rule beside :func:`_finite`.
+def _square(values, what: str, d=None) -> np.ndarray:
+    """values as a finite complex n x n array, n >= 1 and n = d if given: the shape rule beside :func:`_finite`."""
+    values = _finite(values, what)
+    n = values.shape[0] if d is None and values.ndim else d
+    if not n or values.shape != (n, n):
+        shape = "square and non-empty" if d is None else f"{d}x{d}"
+        raise ValueError(f"{what} must be {shape}, got shape {values.shape}")
+    return values
 
-    Python ints stay exact at any size and an integer array passes through
-    unchanged; floats must be finite and integral.  ValueError names `what`
-    and its first value that is not an integer, or that lies below `low`.
-    """
-    kind = "an integer"
+
+def _integer(value, what: str, low=None) -> int:
+    """value as a Python int, exact at any size, from an int, numpy int or integral float: the integer rule beside
+    :func:`_finite`.  Anything else, a list included, or a value below `low` raises ValueError naming `what`."""
     if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer():
         if low is None or value >= low:
             return int(value)
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        ints = np.asarray(value)
-        bad = np.zeros(ints.shape, dtype=bool) if low is None else ints < low
-        if ints.dtype.kind not in "iu":
-            ints = np.asarray(value, dtype=float)
-            bad |= ~np.isfinite(ints) | (ints != np.trunc(ints))
-        if not bad.any():
-            return ints.astype(int) if ints.dtype.kind == "f" else ints
-        kind, value = "integers", ints[bad][0]
-    raise ValueError(f"{what} must be {kind}{'' if low is None else f' of at least {low}'}, got {value}")
+    raise ValueError(f"{what} must be an integer{'' if low is None else f' of at least {low}'}, got {value}")
+
+
+def _integers(values, what: str, low=None):
+    """A list, tuple or array as an int array (an int array unchanged) by the rule of :func:`_integer`, else one int."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        return _integer(values, what, low)
+    ints = np.asarray(values)
+    bad = np.zeros(ints.shape, dtype=bool) if low is None else ints < low
+    if ints.dtype.kind not in "iu":
+        ints = np.asarray(values, dtype=float)
+        bad |= ~np.isfinite(ints) | (ints != np.trunc(ints))
+    if bad.any():
+        raise ValueError(f"{what} must be integers{'' if low is None else f' of at least {low}'}, got {ints[bad][0]}")
+    return ints.astype(int) if ints.dtype.kind == "f" else ints
+
+
+def _positive(value, what: str, high=math.inf) -> float:
+    """value as a float in (0, high), the rule for tolerances and lengths; otherwise ValueError names `what`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < high:
+        return float(value)
+    bound = "finite and positive" if high == math.inf else f"positive and below {high:.6g}"
+    raise ValueError(f"{what} must be {bound}, got {value}")
 
 
 def _lift(s, v, what: str, at, context: str, name: str = "z"):

@@ -124,8 +124,7 @@ class SampledGrid:
         if peak == 0.0:
             raise ValueError("sampled wavefunction is identically zero")
         self._edge_ratio = max(abs(self.values[0]), abs(self.values[-1])) / peak
-        self._spline_re = CubicSpline(self.x, self.values.real)
-        self._spline_im = CubicSpline(self.x, self.values.imag)
+        self._spline = CubicSpline(self.x, self.values)
 
     def __call__(self, x):
         x = _finite(x, "x", float)
@@ -137,8 +136,7 @@ class SampledGrid:
                 "the grid were requested"
             )
         out = np.zeros(np.shape(x), dtype=complex)
-        xin = np.atleast_1d(x)[np.atleast_1d(inside)]
-        vals = self._spline_re(xin) + 1j * self._spline_im(xin)
+        vals = self._spline(np.atleast_1d(x)[np.atleast_1d(inside)])
         if out.ndim == 0:
             return complex(vals[0]) if inside else 0j
         out[inside] = vals

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _finite, _integer, _lift, _log_theta3
+from .theta import _finite, _integer, _integers, _lift, _log_theta3, _positive
 from .wavefunctions import HermiteNumber, _hermite_functions
 
 __all__ = [
@@ -73,8 +73,7 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer(self.d, "dimension", 1))
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"scale lam must be positive and finite, got {self.lam}")
+        _positive(self.lam, "scale lam")
         for name, value in (("a", self.a), ("b", self.b)):
             _finite(value, f"cell anchor {name}", float)
 
@@ -95,8 +94,8 @@ class ZakSector:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma1", float(self.sigma1) % 1.0)
-        object.__setattr__(self, "sigma2", float(self.sigma2) % 1.0)
+        for name in ("sigma1", "sigma2"):
+            object.__setattr__(self, name, float(_finite(getattr(self, name), f"twist {name}", float)) % 1.0)
 
 
 def _as_sector(sector) -> ZakSector:
@@ -162,7 +161,7 @@ def zak_sums(psi, params: SystemParams, sector=None, m=None) -> np.ndarray:
     t_{qd+r} = e^{2 pi i sigma1 q} t_r, so only r in [0, d) is summed, from the shells where psi lives.
     """
     sector = _as_sector(sector)
-    q, r = np.divmod(np.arange(params.d) if m is None else _integer(m, "label m"), params.d)
+    q, r = np.divmod(np.arange(params.d) if m is None else _integers(m, "label m"), params.d)
     t = _lattice_sums(psi, params, sector.sigma1, sector.sigma2, r)[0][0]
     return t * np.exp(2j * np.pi * sector.sigma1 * q)
 
@@ -357,7 +356,7 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     """
     d = params.d
     z = _finite(z, "z")
-    order = _integer(order, "order", 0)
+    order = _integers(order, "order", 0)
     if isinstance(order, np.ndarray):
         if order.shape != z.shape:
             raise ValueError(f"order must be a non-negative int or an array of them of z's shape {z.shape}")
@@ -608,10 +607,10 @@ class SectorFamily:
 
 def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int = 64) -> SectorFamily:
     """Build the family over sigma1 = k / n_sigma1, k = 0 .. n_sigma1 - 1."""
-    if n_sigma1 < 4 or n_sigma1 % 2:
+    if _integer(n_sigma1, "n_sigma1", 4) % 2:
         raise ValueError(f"n_sigma1 must be an even integer >= 4, got {n_sigma1}")
     grid = np.arange(n_sigma1) / n_sigma1
-    sigma2 = float(sigma2) % 1.0
+    sigma2 = ZakSector(sigma2=sigma2).sigma2
     t, _ = _lattice_sums(psi, params, grid, sigma2)
     return SectorFamily(params, grid, sigma2, t)
 
@@ -627,8 +626,7 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
     half-resolution grid; a value above `tol` raises (grid too coarse).
     ValueError unless tol is finite and positive.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _positive(tol, "tol")
     q, r = divmod(_integer(m, "label m"), family.params.d)
     row, (full, coarse) = q + _integer(w, "winding w"), family._trapezoid_tables
     full, coarse = complex(full[row % len(full), r]), complex(coarse[row % len(coarse), r])

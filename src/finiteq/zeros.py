@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _finite, _integer
+from .theta import _finite, _integers, _positive
 from .zak import _THETA_CUT, SystemParams, _theta_scales, _theta_window, weighted_thetas
 from .analytic import AnalyticState
 
@@ -130,7 +130,7 @@ def winding_number(f, lower_left: complex, upper_right: complex, spacing: float 
     ll, ur = _finite([lower_left, upper_right], "rectangle corner").tolist()
     if not (ur.real > ll.real and ur.imag > ll.imag):
         raise ValueError("degenerate rectangle")
-    pts = _boundary_points(ll, ur, spacing)
+    pts = _boundary_points(ll, ur, spacing if spacing is None else _positive(spacing, "spacing"))
     vals = _finite(f(pts), "f")
     total_pts = pts.size
     for _ in range(_MAX_PASSES):
@@ -380,10 +380,12 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     float rounding of its amplitudes, a cluster of simple zeros separated by
     about sqrt(machine eps); the default `cluster_diam` resolves such a
     cluster into its simple members, while a larger value reports it as one
-    multiple zero.
+    multiple zero.  ValueError unless 0 < cluster_diam < half the shorter
+    side of the cell, beyond which the nearest translate of a root is not unique.
     """
     p = state.params
     d, width, height = p.d, p.cell_width, p.cell_height
+    _positive(cluster_diam, "cluster_diam", 0.5 * min(width, height))
     # at this count the scaled terms of every band span the same range,
     # about e^-67, whatever lam is
     n_bands = math.ceil(math.sqrt(d) / (2 * p.lam))
@@ -455,6 +457,12 @@ def _labels(points) -> np.ndarray:
     return pts
 
 
+def _unit_rows(z, params: SystemParams, order=0) -> np.ndarray:
+    """weighted_thetas(z, params, order), each row scaled to unit norm: the matrix of the label-set path."""
+    rows = weighted_thetas(z, params, order)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def coherent_gram_rank(points, params: SystemParams) -> int:
     """Rank of the Gram matrix of the coherent states at the given labels.
 
@@ -465,8 +473,7 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     normalisation removes and whose phase leaves the singular values unchanged.
     ValueError is raised when there is no label or one is not finite.
     """
-    t = weighted_thetas(_labels(points), params)
-    sv = np.linalg.svd(t / np.linalg.norm(t, axis=1, keepdims=True), compute_uv=False)
+    sv = np.linalg.svd(_unit_rows(_labels(points), params), compute_uv=False)
     return int((sv > _RANK_TOL * sv[0]).sum())
 
 
@@ -529,8 +536,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     state in double precision and RuntimeError is raised.  The result is
     normalized; the global phase is not fixed by the zeros.
     """
-    if not 0.0 < residual_tol < math.inf:
-        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
+    _positive(residual_tol, "residual_tol")
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
             raise ValueError(f"params {params} disagree with those of the zero set, {zeros.params}")
@@ -545,7 +551,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
             multiplicities = np.ones(positions.size, dtype=int)
         elif np.shape(multiplicities) != positions.shape:
             raise ValueError(f"{np.size(multiplicities)} multiplicities for {positions.size} positions")
-    multiplicities = _integer(multiplicities, "multiplicities", 1)
+    multiplicities = _integers(multiplicities, "multiplicities", 1)
     d = params.d
     if multiplicities.sum() != d:
         raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
@@ -562,9 +568,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     if positions.size < d:
         # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
         order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
-    rows = weighted_thetas(positions[at], params, order)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    _, sv, vh = np.linalg.svd(rows)
+    _, sv, vh = np.linalg.svd(_unit_rows(positions[at], params, order))
     if sv[-2] <= d * _EPS * sv[0]:
         raise RuntimeError(
             "the zeros do not fix one state in double precision: second-smallest "

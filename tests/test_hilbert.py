@@ -35,7 +35,7 @@ def test_fourier_d2_explicit():
 def test_fourier_unitary_and_fourth_power():
     for d in range(2, 9):
         F = fourier_matrix(d)
-        assert is_unitary(F, tol=1e-12)
+        assert is_unitary(F, tol=1e-12) and not is_unitary(2 * F)
         assert np.max(np.abs(np.linalg.matrix_power(F, 4) - np.eye(d))) < 1e-12
 
 

@@ -13,6 +13,7 @@ from finiteq import (
     OperatorKernel,
     SampledGrid,
     SystemParams,
+    ZakSector,
     apply_weyl_expansion,
     classify_completeness,
     clock_matrix,
@@ -40,6 +41,7 @@ from finiteq import (
     position_operator,
     position_state,
     reconstruct_from_zeros,
+    scalar_product,
     sector_family,
     shift_matrix,
     sum_constraint_fit,
@@ -119,6 +121,19 @@ ENTRIES = {
     "SampledGrid values": ("values", lambda x: SampledGrid(GRID_X, np.r_[x, GRID.values[1:]])),
     "kernel_eval z": ("z", lambda x: kernel_eval(KERNEL, x, 0.3)),
     "kernel_eval zeta_star": ("zeta_star", lambda x: kernel_eval(KERNEL, 0.3, x)),
+    "ZakSector sigma1": ("twist sigma1", lambda x: ZakSector(x, 0.5)),
+    "ZakSector sigma2": ("twist sigma2", lambda x: ZakSector(0.5, x)),
+    "zak_sums sector": ("twist sigma1", lambda x: zak_sums(GaussianCoherent(0.3), P3, (x, 0))),
+    "sector_family sigma2": ("twist sigma2", lambda x: sector_family(GaussianCoherent(0.3), P3, sigma2=x)),
+}
+
+# (argument named in the message, call with the matrix x); d = 3 where the entry fixes the size
+SQUARE_ENTRIES = {
+    "weyl_function": ("operator", lambda x: weyl_function(x)),
+    "operator_from_weyl": ("Weyl table", lambda x: operator_from_weyl(x)),
+    "is_unitary": ("operator", lambda x: is_unitary(x)),
+    "OperatorKernel": ("operator matrix", lambda x: OperatorKernel(x, P3)),
+    "apply_weyl_expansion": ("Weyl table", lambda x: apply_weyl_expansion(x, STATE, 0.5)),
 }
 
 # (argument named in the message, call with the non-integer value x)
@@ -146,10 +161,27 @@ INTEGER_ENTRIES = {
     "inverse_zak m": ("label m", lambda x: inverse_zak(FAMILY, x, 0)),
     "inverse_zak w": ("winding w", lambda x: inverse_zak(FAMILY, 0, x)),
     "SectorFamily.component": ("label m", lambda x: FAMILY.component(x)),
+    "sector_family": ("n_sigma1", lambda x: sector_family(GaussianCoherent(0.3), P3, n_sigma1=x)),
     "zak_sums": ("label m", lambda x: zak_sums(GaussianCoherent(0.3), P3, m=[0, x])),
     "momentum_form": ("label m", lambda x: momentum_form(x, P3, 0.5)),
     "weighted_thetas": ("order", lambda x: weighted_thetas(0.5, P3, x)),
     "reconstruct_from_zeros": ("multiplicities", lambda x: reconstruct_from_zeros(ZEROS, P3, [x, 1, 1])),
+}
+# the rows whose argument may hold many integers, one per exponent, label, point or position
+ARRAY_ENTRIES = {"half_power k", "zak_sums", "weighted_thetas", "reconstruct_from_zeros"}
+
+# (argument named in the message, call with the value x, which must lie in (0, inf) or (0, 1))
+POSITIVE_ENTRIES = {
+    "theta3": ("tol", lambda x: theta3(0.3, 1j, tol=x)),
+    "theta2": ("tol", lambda x: theta2(0.3, 1j, tol=x)),
+    "theta3_derivative": ("tol", lambda x: theta3_derivative(0.3, 1j, tol=x)),
+    "is_unitary": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
+    "inverse_zak": ("tol", lambda x: inverse_zak(FAMILY, 0, 0, tol=x)),
+    "scalar_product": ("tol", lambda x: scalar_product(STATE, STATE, tol=x)),
+    "reconstruct_from_zeros": ("residual_tol", lambda x: reconstruct_from_zeros(ZEROS, P3, residual_tol=x)),
+    "SystemParams": ("scale lam", lambda x: SystemParams(3, x)),
+    "winding_number": ("spacing", lambda x: winding_number(np.exp, 0, 1 + 1j, spacing=x)),
+    "find_zeros": ("cluster_diam", lambda x: find_zeros(STATE, cluster_diam=x)),
 }
 
 
@@ -188,24 +220,39 @@ def test_integral_values_of_any_type_are_accepted():
                           reconstruct_from_zeros(zeros, P3, np.ones(3, dtype=np.int32)).components)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf])
-def test_non_positive_tolerances_are_value_errors(tol):
+@pytest.mark.parametrize("entry", sorted(set(INTEGER_ENTRIES) - ARRAY_ENTRIES))
+def test_a_list_is_not_one_integer(entry):
+    # before, a list passed the integer rule as an int array: SystemParams([3]) had d = [3], and
+    # fourier_matrix([3]) raised numpy's "only 0-dimensional arrays can be converted"
+    name, call = INTEGER_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+        call([3])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1"], ids=str)
+@pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRIES))
+def test_non_positive_tolerances_are_value_errors(entry, bad):
     # residual_tol <= 0 blamed the zeros ("no such state exists"), inverse_zak reported a coarse grid,
-    # and the theta functions took tol = inf to a "math domain error"
-    with pytest.raises(ValueError, match="^residual_tol must be finite and positive"):
-        reconstruct_from_zeros(ZEROS, P3, residual_tol=tol)
-    with pytest.raises(ValueError, match="^tol must be finite and positive"):
-        inverse_zak(FAMILY, 0, 0, tol=tol)
-    for theta in (theta3, theta2, theta3_derivative):
-        with pytest.raises(ValueError, match="^tol must be finite and positive"):
-            theta(0.3, 1j, tol=tol)
-    with pytest.raises(ValueError, match="^tol must be finite and positive"):
-        is_unitary(np.eye(3), tol=tol)
+    # the theta functions took tol = inf to a "math domain error", spacing = 0 divided by zero,
+    # cluster_diam = inf merged all d zeros into one, and a string raised TypeError
+    name, call = POSITIVE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(bad)
 
 
-def test_is_unitary_needs_a_square_matrix():
-    # a 2 x 3 matrix, a vector and a number were read as "not unitary", or raised numpy's own error
-    for op in (np.ones((2, 3)), np.ones(3), 1.0):
-        with pytest.raises(ValueError, match="^operator must be square"):
-            is_unitary(op)
-    assert is_unitary(np.eye(3)) and not is_unitary(2 * np.eye(3))
+def test_cluster_diam_lies_below_half_the_shorter_side():
+    # past that the nearest lattice translate of two roots is not unique; at d = 4, cluster_diam = 5.0
+    # gave a certified zero of multiplicity 4 whose rebuild had fidelity 0.936 to the state
+    half = 0.5 * min(P3.cell_width, P3.cell_height)
+    with pytest.raises(ValueError, match="^cluster_diam must be positive and below"):
+        find_zeros(STATE, cluster_diam=half)
+
+
+@pytest.mark.parametrize("bad", [1.0, np.ones(3), np.ones((2, 3)), np.zeros((0, 0))], ids=str)
+@pytest.mark.parametrize("entry", sorted(SQUARE_ENTRIES))
+def test_a_matrix_of_the_wrong_shape_is_a_value_error_naming_the_argument(entry, bad):
+    # weyl_function(1.0) raised IndexError, an empty matrix reached numpy's FFT or max, and
+    # is_unitary read a 2 x 3 matrix as "not unitary"
+    name, call = SQUARE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(bad)

@@ -35,7 +35,7 @@ from finiteq import (
     zak_normalization,
     zak_sums,
 )
-from finiteq.zak import _STOP_RUN, _TAIL_TOL, W_CAP, _lattice_sums
+from finiteq.zak import _STOP_RUN, _TAIL_TOL, W_CAP, _lattice_sums, weighted_thetas
 
 TABLE_D6 = {
     0: [0.75971, 0.45004, 0.09373, 0.01365, 0.09373, 0.45004],
@@ -180,6 +180,22 @@ def test_high_index_hermite_stays_normalized():
     v = number_state(50, params)
     assert np.all(np.isfinite(v.components))
     assert abs(np.linalg.norm(v.components) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 64, 256, 1000])
+def test_number_states_are_sums_of_theta_derivatives_at_zero(d):
+    # the Hermite generating function makes |N>> the normalised sum over k <= N, N - k even, of
+    # C(N, k) (N - k - 1)!! sqrt(2)^k times the weighted k-th theta derivative at 0: an oracle
+    # for number_state without its lattice sum, which matches it with phase exactly 1
+    params = SystemParams(d)
+    for n in range(12):
+        try:
+            got = number_state(n, params).components
+        except ValueError:
+            continue  # the projection vanishes identically at this d
+        want = sum(math.comb(n, k) * math.prod(range(n - k - 1, 0, -2)) * math.sqrt(2) ** k
+                   * weighted_thetas(0, params, k) for k in range(n % 2, n + 1, 2))
+        assert np.max(np.abs(want / np.linalg.norm(want) - got)) <= (1e-12 if d <= 16 else 1e-11), n
 
 
 def test_printed_eigenvectors_span_the_space():
