@@ -14,12 +14,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import serialization as ser
 from .analytic import AnalyticState
 from .hilbert import position_state, momentum_state
-from .verify import run_suite
 from .wavefunctions import sampled_from_csv
 from .zak import SystemParams, coherent_overlap, coherent_overlap_direct, coherent_state_closed, number_state, zak_map
 from .zeros import LATTICE_TOL, find_zeros, reconstruct_from_zeros
@@ -91,9 +88,9 @@ def build_parser() -> _Parser:
         "--cell-b": dict(type=float, default=0.0, help="imaginary cell anchor (default 0)"),
         "--out": dict(help="output path"),
     }
-    for p, flags in ((p_state, "--d --lambda --out"), (p_zeros, "--out --d --cell-a --cell-b"),
-                     (p_rec, "--out --d --lambda --cell-a --cell-b"), (p_ov, "--d --lambda --out"),
-                     (p_plot, "--d --cell-a --cell-b")):
+    for p, flags in ((p_state, "--d --lambda --out"), (p_zeros, "--out --cell-a --cell-b"),
+                     (p_rec, "--out --lambda --cell-a --cell-b"), (p_ov, "--d --lambda --out"),
+                     (p_plot, "--cell-a --cell-b")):
         for flag in flags.split():
             p.add_argument(flag, **shared[flag])
     return parser
@@ -125,8 +122,6 @@ def _refuse_overwrite(source, *outputs):
 
 def _load_analytic(path, args) -> AnalyticState:
     state, lam = ser.load_state(path)
-    if args.d is not None and args.d != state.d:
-        raise ValueError(f"--d {args.d} conflicts with state file dimension {state.d}")
     return AnalyticState(state, SystemParams(state.d, lam, args.cell_a, args.cell_b))
 
 
@@ -165,10 +160,7 @@ def _cmd_reconstruct(args) -> int:
     out = _need("--out", args.out)
     _refuse_overwrite(args.zeros, out)
     positions, mults = ser.load_zeros_csv(args.zeros)
-    d = int(np.sum(mults))
-    if args.d is not None and args.d != d:
-        raise ValueError(f"--d {args.d} conflicts with {d} zeros (with multiplicity) in the CSV")
-    params = SystemParams(d, args.lam, args.cell_a, args.cell_b)
+    params = SystemParams(int(mults.sum()), args.lam, args.cell_a, args.cell_b)
     st = reconstruct_from_zeros(positions, params, mults, residual_tol=args.tol)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
@@ -206,6 +198,8 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite  # imported here: no other subcommand needs the suites
+
     results = run_suite(args.suite, args.d, args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

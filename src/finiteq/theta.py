@@ -16,9 +16,10 @@ transform (DLMF 20.7.32)
     theta3(u; tau) = (-i tau)**-1/2 exp(u^2 / (i pi tau)) theta3(u / tau; -1 / tau)
 
 first raises Im(tau) to Im(tau) / |tau|^2.  Then the 2K + 1 terms around
-the largest one are summed, K = ceil(sqrt(ln(1/tol) / (pi Im tau))) + 1,
-beyond which every term lies below tol of the largest; the log of the
-largest term goes to s, so no term overflows whatever |Im u| is.
+the largest one are summed, K = ceil(sqrt(ln(1/tol) / (pi Im tau))) + 1
+with tol = _TOL = 1e-14, beyond which every term lies below tol of the
+largest; the log of the largest term goes to s, so no term overflows
+whatever |Im u| is.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import numpy as np
 
 __all__ = ["theta2", "theta3", "theta3_derivative"]
 
+_TOL = 1e-14  # the relative truncation tolerance of the lattice sum
 
-def _check_args(u, tau, tol):
+
+def _check_args(u, tau):
     tau = complex(tau)
     if not (np.isfinite(tau) and tau.imag > 0.0):
         raise ValueError(f"tau must be finite and lie in the upper half-plane, got {tau}")
-    _positive(tol, "tol")
     return _finite(u, "argument u"), tau
 
 
@@ -43,19 +45,19 @@ def _reduce(u):
     return u - np.pi * np.rint(u.real / np.pi)
 
 
-def _window(u, tau, tol):
+def _window(u, tau):
     """(s, n, terms, ds, dn): theta3(u; tau) = exp(s) sum_n terms, d/du theta3 = exp(s) sum_n (ds + dn n) terms.
 
     The terms run along a new last axis.
     """
-    u, tau = _check_args(u, tau, tol)
+    u, tau = _check_args(u, tau)
     u = _reduce(u)
     s, ds, dn = np.zeros_like(u), np.zeros_like(u), 2j
     if abs(tau) < 1.0:
         s = u * u / (1j * np.pi * tau) - 0.5 * np.log(-1j * tau)
         ds, dn = 2 * u / (1j * np.pi * tau), 2j / tau
         u, tau = _reduce(u / tau), -1 / tau
-    K = math.ceil(math.sqrt(max(math.log(1 / tol), 0.0) / (np.pi * tau.imag))) + 1
+    K = math.ceil(math.sqrt(math.log(1 / _TOL) / (np.pi * tau.imag))) + 1
     # |term| peaks where d/dn [ -pi Im(tau) n^2 - 2 n Im(u) ] = 0
     center = np.rint(-u.imag / (np.pi * tau.imag))
     k, c = np.arange(-K, K + 1), center[..., None]
@@ -63,9 +65,9 @@ def _window(u, tau, tol):
     return s + 1j * np.pi * tau * center**2 + 2j * center * u, c + k, terms, ds, dn
 
 
-def _log_theta3(u, tau, tol: float = 1e-14):
+def _log_theta3(u, tau):
     """(s, v) with theta3(u; tau) = exp(s) v, both of the shape of u."""
-    s, _, terms, _, _ = _window(u, tau, tol)
+    s, _, terms, _, _ = _window(u, tau)
     return s, terms.sum(axis=-1)
 
 
@@ -139,28 +141,28 @@ def _lift(s, v, what: str, at, context: str, name: str = "z"):
     return complex(values) if np.ndim(values) == 0 else values
 
 
-def theta3(u, tau, tol: float = 1e-14):
+def theta3(u, tau):
     """theta3(u; tau) = sum_n exp(i pi tau n^2 + 2 i n u), of the shape of u (complex scalar or array).
 
-    Im(tau) > 0; tol is the relative truncation tolerance of the lattice sum.
+    Im(tau) > 0; the lattice sum is truncated at relative tolerance _TOL = 1e-14.
     RuntimeError where the value exceeds the double range.
     """
-    return _lift(*_log_theta3(u, tau, tol), "theta3", u, f"tau = {tau}", "u")
+    return _lift(*_log_theta3(u, tau), "theta3", u, f"tau = {tau}", "u")
 
 
-def theta2(u, tau, tol: float = 1e-14):
+def theta2(u, tau):
     """theta2(u; tau) = sum_n exp(i pi tau (n + 1/2)^2 + i (2n + 1) u).
 
     Evaluated as exp(i pi tau / 4 + i u) theta3(u + pi tau / 2; tau).
     Satisfies theta2(u + pi; tau) = -theta2(u; tau) and vanishes at u = pi/2.
     """
-    u, tau = _check_args(u, tau, tol)
-    s, v = _log_theta3(u + 0.5 * np.pi * tau, tau, tol)
+    u, tau = _check_args(u, tau)
+    s, v = _log_theta3(u + 0.5 * np.pi * tau, tau)
     return _lift(s + 0.25j * np.pi * tau + 1j * u, v, "theta2", u, f"tau = {tau}", "u")
 
 
-def theta3_derivative(u, tau, tol: float = 1e-14):
+def theta3_derivative(u, tau):
     """d/du theta3(u; tau) = sum_n 2 i n exp(i pi tau n^2 + 2 i n u), on the window of :func:`theta3`."""
-    s, n, terms, ds, dn = _window(u, tau, tol)
+    s, n, terms, ds, dn = _window(u, tau)
     v = np.sum((ds[..., None] + dn * n) * terms, axis=-1)
     return _lift(s, v, "theta3_derivative", u, f"tau = {tau}", "u")

@@ -4,8 +4,11 @@ Three families feed the line-to-cycle transform: harmonic-oscillator
 eigenfunctions (``HermiteNumber``), displaced Gaussians
 (``GaussianCoherent``), and tabulated data (``SampledGrid``).  Each exposes
 
-* ``__call__(x)``         -- pointwise values, vectorized,
-* ``centre``              -- a point in the bulk of |psi|, where the transform starts its sums, and
+* ``__call__(x)``         -- pointwise values, vectorized, and
+* ``centre``              -- a point in the bulk of |psi|, where the transform starts its sums;
+
+the Hermite and Gaussian families also give, in closed form,
+
 * ``fourier_at(p)``       -- values of (2 pi)**-0.5 Integral psi(x) e^{+ipx} dx (not used by the transform).
 
 The plus-sign kernel is used so that the Hermite functions transform with
@@ -145,12 +148,6 @@ class SampledGrid:
     @property
     def centre(self) -> float:
         return float(self.x[np.argmax(np.abs(self.values))])
-
-    def fourier_at(self, p):
-        """Trapezoid quadrature of the plus-kernel Fourier integral on the grid."""
-        weights = (np.diff(self.x, prepend=self.x[0]) + np.diff(self.x, append=self.x[-1])) / 2
-        kernel = np.multiply.outer(p, 1j * self.x)  # one complex array, exponentiated in place
-        return (2 * np.pi) ** -0.5 * (np.exp(kernel, out=kernel) @ (weights * self.values))
 
     def __repr__(self):
         return f"SampledGrid(n={self.x.size}, range=[{self.x[0]:g}, {self.x[-1]:g}])"

@@ -564,10 +564,8 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
-    order, at = 0, slice(None)  # every multiplicity 1: one row of order 0 per position
-    if positions.size < d:
-        # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
-        order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
+    # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
+    order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
     _, sv, vh = np.linalg.svd(_unit_rows(positions[at], params, order))
     if sv[-2] <= d * _EPS * sv[0]:
         raise RuntimeError(

@@ -266,6 +266,13 @@ def test_kernel_identity_acts_as_identity():
     assert abs(kernel_apply(kernel, f, z) - f(z)) < 1e-6 * max(1.0, abs(f(z)))
 
 
+def test_kernel_apply_rejects_a_kernel_of_other_params():
+    f = AnalyticState(position_state(1, 3), SystemParams(3))
+    for params in (SystemParams(3, 1.2), SystemParams(3, b=0.5)):
+        with pytest.raises(ValueError, match="share the same system parameters"):
+            kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5 + 0.5j)
+
+
 def test_kernel_fourier_matches_matrix_path():
     params = SystemParams(3)
     rng = np.random.default_rng(13)

@@ -18,6 +18,7 @@ from finiteq.serialization import (
     save_zeros_csv,
     sidecar_path,
     state_from_dict,
+    zeros_svg,
 )
 from finiteq.zeros import ZeroSet
 
@@ -142,6 +143,23 @@ def test_verify_passes(capsys):
     assert "FAIL" not in report
 
 
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    from finiteq import verify
+
+    monkeypatch.setitem(verify.SUITES, "theta", lambda d, rng: [verify.CheckResult("broken", False, "error 1")])
+    assert main(["verify", "--suite", "theta", "--d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL  broken" in captured.out and "0/1 checks passed" in captured.out
+    assert "verification failed" in captured.err
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    from finiteq import verify
+
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope", 3, 0)
+
+
 def test_verify_hilbert_rejects_self_consistent_wrong_weyl_pair(monkeypatch):
     # a transposed table with a matching inverse passes the round trip, not the entry check
     from finiteq import hilbert, verify
@@ -222,13 +240,13 @@ def test_main_calls_share_no_values(tmp_path, capsys):
 _UNREAD_FLAGS = [
     ("state", "--cell-a", "0.5"), ("state", "--cell-b", "0.5"), ("state", "--tol", "1e-3"),
     ("state", "--seed", "3"),
-    ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
-    ("reconstruct", "--seed", "3"),
+    ("zeros", "--d", "4"), ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
+    ("reconstruct", "--d", "4"), ("reconstruct", "--seed", "3"),
     ("overlap", "--cell-a", "0.5"), ("overlap", "--cell-b", "0.5"), ("overlap", "--tol", "1e-3"),
     ("overlap", "--seed", "3"),
     ("verify", "--lambda", "2.5"), ("verify", "--cell-a", "1.3"), ("verify", "--cell-b", "-0.7"),
     ("verify", "--tol", "1e-3"), ("verify", "--out", "verify.txt"),
-    ("plot", "--lambda", "2.5"), ("plot", "--tol", "1e-3"), ("plot", "--seed", "3"),
+    ("plot", "--d", "4"), ("plot", "--lambda", "2.5"), ("plot", "--tol", "1e-3"), ("plot", "--seed", "3"),
     ("plot", "--out", "other.svg"),
 ]
 
@@ -267,8 +285,31 @@ def test_readme_commands_parse():
 def test_usage_error_exit_code(capsys):
     assert main(["state", "number", "--d", "6"]) == 1  # --N and --out missing
     assert "usage error" in capsys.readouterr().err
+    assert main(["state", "number", "--N", "0", "--out", "n.json"]) == 1
+    assert "usage error: --d is required" in capsys.readouterr().err
     assert main(["zeros", "--state", "x.json"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_overlap_usage_and_dimension_errors(tmp_path, capsys):
+    f3, f4 = tmp_path / "a.json", tmp_path / "b.json"
+    save_state(f3, position_state(0, 3), SystemParams(3))
+    save_state(f4, position_state(0, 4), SystemParams(4))
+    assert main(["overlap", "--in1", str(f3), "--in2", str(f4)]) == 1
+    assert "input error: dimension mismatch: 3 vs 4" in capsys.readouterr().err
+    for argv in ([], ["--in1", str(f3)]):
+        assert main(["overlap", "--d", "3"] + argv) == 1
+        assert "usage error: overlap needs either --A1/--A2 or --in1/--in2" in capsys.readouterr().err
+
+
+def test_zeros_reports_a_miscount_as_a_computation_failure(tmp_path, capsys):
+    # along the zero lines of a position state at d = 64 the series cancels below double precision
+    state, zcsv = tmp_path / "p.json", tmp_path / "z.csv"
+    assert main(["state", "position", "--d", "64", "--m", "0", "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["zeros", "--state", str(state), "--out", str(zcsv)]) == 1
+    assert "computation failed: found 63 zeros in the cell, expected 64" in capsys.readouterr().err
+    assert not zcsv.exists()
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -319,6 +360,49 @@ def test_outputs_onto_the_input_are_refused(tmp_path, capsys):
     assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(zcsv)]) == 1
     assert "input error" in capsys.readouterr().err
     assert zcsv.read_text() == "re,im,multiplicity\n1.0,1.0,4\n"
+
+
+def test_load_zeros_csv_skips_blank_rows_and_rejects_bad_ones(tmp_path):
+    path = tmp_path / "z.csv"
+    path.write_text("re,im,multiplicity\n1.0,2.0,1\n\n ,\n3.0,4.0,2\n")
+    positions, mults = load_zeros_csv(path)
+    assert positions.tolist() == [1 + 2j, 3 + 4j] and mults.tolist() == [1, 2]
+    path.write_text("re,im,multiplicity\n1.0,oops,1\n")
+    with pytest.raises(ValueError, match="malformed zeros CSV row"):
+        load_zeros_csv(path)
+    path.write_text("re,im,multiplicity\n")
+    with pytest.raises(ValueError, match="no zeros found in"):
+        load_zeros_csv(path)
+
+
+def test_write_atomic_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    from finiteq import serialization
+
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(serialization.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        serialization.write_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_state_record_needs_d_components():
+    record = {"d": 3, "lambda": 1.0, "components": [[1.0, 0.0], [0.0, 1.0]]}
+    with pytest.raises(ValueError, match="state record claims d=3 but has 2 components"):
+        state_from_dict(record)
+
+
+def test_svg_labels_a_double_zero():
+    zs = ZeroSet(np.array([1 + 1j, 2 + 2j]), np.array([2, 1]), SystemParams(3), 0, 0, 0.0)
+    root = ET.fromstring(zeros_svg(zs))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}circle")) == 2
+    assert [t.text for t in root.findall(f"{ns}text")][1:] == ["x2"]
 
 
 def test_zeros_csv_round_trips_positions_exactly(tmp_path):

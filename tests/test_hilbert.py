@@ -45,6 +45,11 @@ def test_fourier_maps_position_to_momentum():
     assert np.max(np.abs(out - momentum_state(m, d).components)) < 1e-14
 
 
+def test_state_needs_a_component():
+    with pytest.raises(ValueError, match="state needs at least one component"):
+        FiniteState([])
+
+
 def test_fourier_rejects_zero_dimension():
     with pytest.raises(ValueError):
         fourier_matrix(0)

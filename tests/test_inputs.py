@@ -172,9 +172,6 @@ ARRAY_ENTRIES = {"half_power k", "zak_sums", "weighted_thetas", "reconstruct_fro
 
 # (argument named in the message, call with the value x, which must lie in (0, inf) or (0, 1))
 POSITIVE_ENTRIES = {
-    "theta3": ("tol", lambda x: theta3(0.3, 1j, tol=x)),
-    "theta2": ("tol", lambda x: theta2(0.3, 1j, tol=x)),
-    "theta3_derivative": ("tol", lambda x: theta3_derivative(0.3, 1j, tol=x)),
     "is_unitary": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
     "inverse_zak": ("tol", lambda x: inverse_zak(FAMILY, 0, 0, tol=x)),
     "scalar_product": ("tol", lambda x: scalar_product(STATE, STATE, tol=x)),
@@ -233,7 +230,7 @@ def test_a_list_is_not_one_integer(entry):
 @pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRIES))
 def test_non_positive_tolerances_are_value_errors(entry, bad):
     # residual_tol <= 0 blamed the zeros ("no such state exists"), inverse_zak reported a coarse grid,
-    # the theta functions took tol = inf to a "math domain error", spacing = 0 divided by zero,
+    # spacing = 0 divided by zero,
     # cluster_diam = inf merged all d zeros into one, and a string raised TypeError
     name, call = POSITIVE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):

@@ -136,17 +136,13 @@ def test_rejects_lower_half_plane(bad_tau):
         theta2(0.3, bad_tau)
 
 
-def test_rejects_nonfinite_and_bad_tol():
+def test_rejects_nonfinite_arguments():
     with pytest.raises(ValueError):
         theta3(np.nan, 1j)
     with pytest.raises(ValueError):
         theta3(np.inf + 0j, 1j)
     with pytest.raises(ValueError):
         theta3(0.1, complex(np.nan, 1.0))
-    with pytest.raises(ValueError):
-        theta3(0.1, 1j, tol=0.0)
-    with pytest.raises(ValueError):
-        theta3(0.1, 1j, tol=-1e-10)
 
 
 @pytest.mark.parametrize("fn, kind, derivative", [(theta2, 2, 0), (theta3, 3, 0), (theta3_derivative, 3, 1)])

@@ -534,6 +534,16 @@ def test_sampled_grid_matches_analytic_gaussian():
     assert np.max(np.abs(got.components - expect.components)) < 1e-9
 
 
+def test_sampled_grid_at_one_point():
+    # a scalar inside the grid is the spline's value, one outside a decayed grid is 0
+    x = np.linspace(-12, 12, 401)
+    grid = SampledGrid(x, GaussianCoherent(0.4)(x))
+    inside = grid(0.31)
+    assert type(inside) is complex and abs(inside - GaussianCoherent(0.4)(0.31)) < 1e-6
+    outside = grid(12.5)
+    assert type(outside) is complex and outside == 0
+
+
 def test_sampled_grid_momentum_side():
     label = 0.2 - 0.5j
     x = np.linspace(-14, 14, 6001)

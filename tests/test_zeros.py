@@ -540,6 +540,11 @@ def test_empty_labels_raise():
             call([], params)
 
 
+def test_reconstruct_of_an_array_needs_params():
+    with pytest.raises(ValueError, match="params required"):
+        reconstruct_from_zeros(np.array([1 + 1j, 2 + 1j, 3 + 2j]))
+
+
 def test_reconstruct_rejects_bad_multiplicities():
     params = SystemParams(3)
     zeros = np.array([1 + 1j, 2 + 1j, 3 + 2j])
