@@ -19,7 +19,7 @@ from .analytic import AnalyticState
 from .hilbert import position_state, momentum_state
 from .wavefunctions import sampled_from_csv
 from .zak import SystemParams, coherent_overlap, coherent_overlap_direct, coherent_state_closed, number_state, zak_map
-from .zeros import LATTICE_TOL, find_zeros, reconstruct_from_zeros
+from .zeros import find_zeros, reconstruct_from_zeros
 
 class _UsageError(Exception):
     pass
@@ -61,8 +61,6 @@ def build_parser() -> _Parser:
 
     p_rec = sub.add_parser("reconstruct", help="rebuild a state from a zeros CSV")
     p_rec.add_argument("--zeros", required=True, help="input zeros CSV")
-    p_rec.add_argument("--tol", type=float, default=LATTICE_TOL,
-                       help=f"largest lattice residual of the zero sum (default {LATTICE_TOL:g})")
 
     p_ov = sub.add_parser("overlap", help="overlap of two coherent states or two state files")
     p_ov.add_argument("--A1", help="first coherent label")
@@ -161,7 +159,7 @@ def _cmd_reconstruct(args) -> int:
     _refuse_overwrite(args.zeros, out)
     positions, mults = ser.load_zeros_csv(args.zeros)
     params = SystemParams(int(mults.sum()), args.lam, args.cell_a, args.cell_b)
-    st = reconstruct_from_zeros(positions, params, mults, residual_tol=args.tol)
+    st = reconstruct_from_zeros(positions, params, mults)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
     return 0

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .hilbert import FiniteState
-from .theta import _integer
+from .theta import _integer, _positive
 from .zak import SystemParams
 from .zeros import ZeroSet
 
@@ -70,7 +70,7 @@ def state_to_dict(state: FiniteState, params: SystemParams) -> dict:
 def state_from_dict(data: dict) -> tuple[FiniteState, float]:
     try:
         d = _integer(data["d"], "d", 1)
-        lam = float(data["lambda"])
+        lam = _positive(data["lambda"], "lambda")
         comps = [complex(re, im) for re, im in data["components"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
@@ -143,9 +143,13 @@ def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None) -> str:
     Primary zeros are drawn as circles, overlay zeros (if given) as
     triangles, mirroring the circle/triangle marker pairing of a two-state
     comparison plot.  Circles are used for nothing else, so a structural
-    count of circle elements equals the number of primary zeros.
+    count of circle elements equals the number of primary zeros.  The
+    overlay must share the primary set's params, whose cell the plot draws;
+    otherwise ValueError.
     """
     p = zs.params
+    if overlay is not None and overlay.params != p:
+        raise ValueError(f"overlay must share the cell of the primary set: {overlay.params} against {p}")
     width, height = p.cell_width, p.cell_height
     margin = 40.0
     s = _SVG_SIZE / max(width, height)

@@ -277,18 +277,18 @@ def _window_width(params: SystemParams, span: float = 0.0) -> int:
     return math.ceil(2 * (K + kappa * span)) + 2
 
 
-def _live_terms(z, params: SystemParams, order):
+def _live_terms(z, params: SystemParams, order: int):
     """(index, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
 
-    ``order`` is an int, or for a flat z an int array of one order per
-    point; points of order 0 take no factor.  The phases e^{-2icnx} of a
-    point are the powers e^{-2ic n0 x} (e^{-2icx})^j of its first live
-    n0 = n - j, so a point takes two complex exponentials and one running
-    product; each power carries the rounding of about j products, far below
-    the tolerance at the widths of the window.  The Gaussian weights come
-    from the window as they are, one real exponential per term: split into a
-    per-point ratio times a fixed e^{-pi j^2 / (d lam^2)}, their factors
-    overflow before they cancel when d lam^2 is small.
+    ``order`` is one int for all points; order 0 takes no factor.  The
+    phases e^{-2icnx} of a point are the powers e^{-2ic n0 x} (e^{-2icx})^j
+    of its first live n0 = n - j, so a point takes two complex exponentials
+    and one running product; each power carries the rounding of about j
+    products, far below the tolerance at the widths of the window.  The
+    Gaussian weights come from the window as they are, one real exponential
+    per term: split into a per-point ratio times a fixed
+    e^{-pi j^2 / (d lam^2)}, their factors overflow before they cancel when
+    d lam^2 is small.
     """
     c = _theta_scales(params)[0]
     index, base, weight = _theta_window(params, z.imag)
@@ -298,23 +298,19 @@ def _live_terms(z, params: SystemParams, order):
     terms[..., 1:] = np.exp(phase)
     terms.cumprod(axis=-1, out=terms)
     terms *= weight
-    if isinstance(order, np.ndarray):
-        up = np.flatnonzero(order)
-        terms[up] *= _derivative_factor(c, base[up] + index[up], order[up, None])
-    elif order:
+    if order:
         terms *= _derivative_factor(c, base + index, order)
     return index, terms
 
 
-def _derivative_factor(c: float, n: np.ndarray, order) -> np.ndarray:
-    """(-2icn)^order (order an int or an int array), the order-th z-derivative's factor on term n of the series."""
+def _derivative_factor(c: float, n: np.ndarray, order: int) -> np.ndarray:
+    """(-2icn)^order, the order-th z-derivative's factor on term n of the series."""
     factor = -2j * c * n
-    return factor if isinstance(order, int) and order == 1 else factor ** order  # x ** 1 costs several times a copy
+    return factor if order == 1 else factor ** order  # x ** 1 costs several times a copy
 
 
-def _live_blocks(z: np.ndarray, params: SystemParams, order, per_point: int):
-    """(block, index, terms): :func:`_live_terms` of the flattened points of z, a slice `block` at a time;
-    ``order`` is an int, or a flat int array of one order per point.
+def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int):
+    """(block, index, terms): :func:`_live_terms` of the flattened points of z, a slice `block` at a time.
 
     A block holds max(1, _BLOCK_TERMS // per_point) points, where per_point
     is what a caller holds for each point, so its temporaries stay within
@@ -324,10 +320,10 @@ def _live_blocks(z: np.ndarray, params: SystemParams, order, per_point: int):
     step = max(1, _BLOCK_TERMS // per_point)
     for lo in range(0, flat.size, step):
         block = slice(lo, lo + step)
-        yield block, *_live_terms(flat[block], params, order[block] if isinstance(order, np.ndarray) else order)
+        yield block, *_live_terms(flat[block], params, order)
 
 
-def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
+def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     """exp(-Im(z)^2 / 2) theta3[pi m / d - c z; i / (d lam^2)] for m = 0 .. d-1.
 
     Swapping the two sums, with z = x + iy, gives
@@ -339,10 +335,9 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
     the d values on the last axis.  Each point's terms are placed by their
     index n - base (:func:`_theta_window`), base a multiple of d, so column k
-    of the fold holds the n = k (mod d) with no rotation.  ``order`` k gives
-    the weighted k-th derivative d^k/dz^k theta_m, whose terms carry a factor
-    (-2icn)^k; an int array of z's shape gives each point its own order, and
-    each row equals, bit for bit, its row from a call at that order alone.
+    of the fold holds the n = k (mod d) with no rotation.  ``order`` k, one
+    integer of at least 0 for all points, gives the weighted k-th derivative
+    d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
 
     The points go through in blocks whose placed fold array holds at most
     _BLOCK_TERMS values, each block writing its rows of the output, so the
@@ -356,11 +351,7 @@ def weighted_thetas(z, params: SystemParams, order=0) -> np.ndarray:
     """
     d = params.d
     z = _finite(z, "z")
-    order = _integers(order, "order", 0)
-    if isinstance(order, np.ndarray):
-        if order.shape != z.shape:
-            raise ValueError(f"order must be a non-negative int or an array of them of z's shape {z.shape}")
-        order = order.reshape(-1)
+    order = _integer(order, "order", 0)
     # a point's placed fold: its live window, which ends before d + width, in whole periods of d
     length = -(-(_window_width(params) + d - 1) // d) * d
     out = np.empty(z.shape + (d,), dtype=complex)

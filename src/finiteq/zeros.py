@@ -331,8 +331,8 @@ def _merge(points, diam: float, p: SystemParams, mults=None):
     pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
     with none, the points come back reduced into the cell at once.  Groups
     take one Python step per pair; exact repeats need no wrap, and groups
-    of them alone no mean.  Pairs are rare at the default diameters: 1e-8
-    in find_zeros, 1e-10 for the labels of classify_completeness and
+    of them alone no mean.  Pairs are rare at the two diameters: 1e-8 in
+    find_zeros, 1e-10 for the labels of classify_completeness and
     reconstruct_from_zeros.
     """
     z = np.asarray(points, dtype=complex).ravel()
@@ -357,7 +357,7 @@ def _merge(points, diam: float, p: SystemParams, mults=None):
     return _into_cell(z[keep], p), w[keep]
 
 
-def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> ZeroSet:
+def find_zeros(state: AnalyticState) -> ZeroSet:
     """Locate all d zeros inside the half-open fundamental cell.
 
     With w = exp(-2icz), c = sqrt(pi/2d)/lam, the cell maps one to one onto
@@ -369,23 +369,22 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     matrix.  Each band keeps the roots between two cut heights, set
     in the widest gap between roots near its edges; the bottom and top cuts
     lie one period apart, so a zero on a cell edge is counted once.  Roots
-    closer than `cluster_diam` form one zero at their mean, with their summed
-    multiplicity.  Positions are reduced into the canonical half-open cell by
-    lattice translation and sorted by (Im, Re).
+    closer than _CLUSTER_DIAM = 1e-8 form one zero at their mean, with their
+    summed multiplicity.  Positions are reduced into the canonical half-open
+    cell by lattice translation and sorted by (Im, Re).
 
     The result is certified: RuntimeError is raised when the multiplicities do
     not sum to d or the zero sum misses the lattice rule by more than LATTICE_TOL = 1e-6.
+    The zero vector, whose f vanishes everywhere, raises ValueError.
 
     A state whose exact representation has a multiple zero acquires, through
     float rounding of its amplitudes, a cluster of simple zeros separated by
-    about sqrt(machine eps); the default `cluster_diam` resolves such a
-    cluster into its simple members, while a larger value reports it as one
-    multiple zero.  ValueError unless 0 < cluster_diam < half the shorter
-    side of the cell, beyond which the nearest translate of a root is not unique.
+    about sqrt(machine eps), which _CLUSTER_DIAM resolves into its simple members.
     """
     p = state.params
     d, width, height = p.d, p.cell_width, p.cell_height
-    _positive(cluster_diam, "cluster_diam", 0.5 * min(width, height))
+    if not state.state.components.any():
+        raise ValueError("the zero vector has no zero set: its f vanishes everywhere")
     # at this count the scaled terms of every band span the same range,
     # about e^-67, whatever lam is
     n_bands = math.ceil(math.sqrt(d) / (2 * p.lam))
@@ -402,7 +401,7 @@ def find_zeros(state: AnalyticState, cluster_diam: float = _CLUSTER_DIAM) -> Zer
     roots = np.concatenate([z[(z.imag >= lo) & (z.imag < hi)]
                             for z, lo, hi in zip(bands, cuts[:-1], cuts[1:])])
 
-    positions, mults = _merge(roots, cluster_diam, p)
+    positions, mults = _merge(roots, _CLUSTER_DIAM, p)
 
     # quantize sort keys so zeros sharing a row/column order stably
     quantum = 1e-8 * max(width, height)
@@ -457,7 +456,7 @@ def _labels(points) -> np.ndarray:
     return pts
 
 
-def _unit_rows(z, params: SystemParams, order=0) -> np.ndarray:
+def _unit_rows(z, params: SystemParams, order: int = 0) -> np.ndarray:
     """weighted_thetas(z, params, order), each row scaled to unit norm: the matrix of the label-set path."""
     rows = weighted_thetas(z, params, order)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -509,8 +508,7 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
 # reconstruction of a state from its zeros
 
 
-def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
-                           multiplicities=None, residual_tol: float = LATTICE_TOL) -> FiniteState:
+def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplicities=None) -> FiniteState:
     """Rebuild the state whose representation vanishes at the given zeros.
 
     Accepts a ZeroSet, or an array of finite positions plus `params` (and
@@ -520,15 +518,14 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     classify_completeness); other input raises ValueError, as do `params` or
     `multiplicities` given with a ZeroSet that they disagree with.  The
     multiplicity-weighted sum must satisfy the lattice constraint to within
-    `residual_tol` (default LATTICE_TOL = 1e-6, finite and positive),
-    otherwise no state exists and a ValueError is raised.
+    LATTICE_TOL = 1e-6, otherwise no state exists and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal
     to the coherent state at conj(z_j).  A zero of multiplicity m gives the
-    rows of derivative orders 0 .. m-1, all from one weighted_thetas call
-    with one order per row.  By the completeness theorem, d rows of zeros
-    obeying the lattice constraint have rank d - 1, and the
+    rows of derivative orders 0 .. m-1, one weighted_thetas call per order
+    k over the zeros of multiplicity above k.  By the completeness theorem,
+    d rows of zeros obeying the lattice constraint have rank d - 1, and the
     amplitudes are their null vector: the last right singular vector of the
     row-normalised matrix.  Its error is about eps / gap, where gap is the
     second-smallest singular value over the largest.  When gap is at most
@@ -536,7 +533,6 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     state in double precision and RuntimeError is raised.  The result is
     normalized; the global phase is not fixed by the zeros.
     """
-    _positive(residual_tol, "residual_tol")
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
             raise ValueError(f"params {params} disagree with those of the zero set, {zeros.params}")
@@ -556,17 +552,17 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None,
     if multiplicities.sum() != d:
         raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
     residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)
-    if residual > residual_tol:
+    if residual > LATTICE_TOL:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
-            f"(residual {residual:.3e} > {residual_tol:.1e})"
+            f"(residual {residual:.3e} > {LATTICE_TOL:.1e})"
         )
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
     # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
-    order, at = np.nonzero(mults > np.arange(mults.max())[:, None])
-    _, sv, vh = np.linalg.svd(_unit_rows(positions[at], params, order))
+    rows = np.concatenate([_unit_rows(positions[mults > k], params, k) for k in range(mults.max())])
+    _, sv, vh = np.linalg.svd(rows)
     if sv[-2] <= d * _EPS * sv[0]:
         raise RuntimeError(
             "the zeros do not fix one state in double precision: second-smallest "

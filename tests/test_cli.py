@@ -98,6 +98,17 @@ def test_svg_structure_vacuum_d4(tmp_path):
     assert len(root.findall(f"{ns}polygon")) == 0
 
 
+def test_svg_overlay_must_share_the_cell(tmp_path, capsys):
+    # a d = 9, lambda = 2 overlay was drawn in the frame of the d = 4 cell
+    primary, overlay, svg = tmp_path / "c4.json", tmp_path / "c9.json", tmp_path / "two.svg"
+    assert main(["state", "coherent", "--d", "4", "--A", "0", "--out", str(primary)]) == 0
+    assert main(["state", "coherent", "--d", "9", "--lambda", "2", "--A", "1+1i", "--out", str(overlay)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--state", str(primary), "--overlay", str(overlay), "--svg", str(svg)]) == 1
+    assert "input error: overlay must share the cell of the primary set" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_svg_overlay_markers(tmp_path):
     s1 = tmp_path / "vac.json"
     s2 = tmp_path / "disp.json"
@@ -241,7 +252,7 @@ _UNREAD_FLAGS = [
     ("state", "--cell-a", "0.5"), ("state", "--cell-b", "0.5"), ("state", "--tol", "1e-3"),
     ("state", "--seed", "3"),
     ("zeros", "--d", "4"), ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
-    ("reconstruct", "--d", "4"), ("reconstruct", "--seed", "3"),
+    ("reconstruct", "--d", "4"), ("reconstruct", "--seed", "3"), ("reconstruct", "--tol", "1e-3"),
     ("overlap", "--cell-a", "0.5"), ("overlap", "--cell-b", "0.5"), ("overlap", "--tol", "1e-3"),
     ("overlap", "--seed", "3"),
     ("verify", "--lambda", "2.5"), ("verify", "--cell-a", "1.3"), ("verify", "--cell-b", "-0.7"),
@@ -330,6 +341,26 @@ def test_state_record_reads_d_by_the_integer_rule(tmp_path, capsys):
     bad.write_text(json.dumps(dict(record, d=2.9)))
     assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+def test_state_record_reads_lambda_as_a_positive_number(tmp_path, capsys):
+    # float() took the string "2.5", and 0 or -1 passed the loader to fail later in SystemParams
+    record = {"d": 2, "components": [[1.0, 0.0], [0.0, 1.0]]}
+    for lam in ("2.5", 0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^malformed state record: lambda must be finite and positive"):
+            state_from_dict(dict(record, **{"lambda": lam}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(record, **{"lambda": "2.5"})))
+    assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
+    assert "input error: malformed state record: lambda must be" in capsys.readouterr().err
+
+
+def test_zeros_of_the_zero_vector_is_an_input_error(tmp_path, capsys):
+    # the loader keeps the components as given, and find_zeros reported "computation failed: found 0 zeros"
+    state = tmp_path / "zero.json"
+    state.write_text(json.dumps({"d": 4, "lambda": 1.0, "components": [[0.0, 0.0]] * 4}))
+    assert main(["zeros", "--state", str(state), "--out", str(tmp_path / "z.csv")]) == 1
+    assert "input error: the zero vector has no zero set" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -429,16 +460,6 @@ def test_reconstruct_rejects_bad_zeros(tmp_path, capsys):
     zcsv.write_text("re,im,multiplicity\n0.5,0.5,1\n1.0,1.0,1\n2.0,2.0,1\n3.0,3.0,1\n")
     assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(tmp_path / "r.json")]) == 1
     assert "no such state exists" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_reconstruct_rejects_bad_tolerance(tol, tmp_path, capsys):
-    # an off-rule set (residual about 1.9): nan and inf took any zero sum and wrote a "state"
-    zcsv = tmp_path / "z.csv"
-    zcsv.write_text("re,im,multiplicity\n0.5,0.5,1\n1.0,1.0,1\n2.0,2.0,1\n")
-    assert main(["reconstruct", "--zeros", str(zcsv), "--tol", tol, "--out", str(tmp_path / "r.json")]) == 1
-    assert "input error: residual_tol must be finite and positive" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
 
 
 def test_reconstruct_rejects_non_finite_zeros(tmp_path, capsys):

@@ -97,8 +97,6 @@ ENTRIES = {
     "reconstruct_from_zeros points": ("points", lambda x: reconstruct_from_zeros(_with(x, 3), P3)),
     "reconstruct_from_zeros multiplicities": ("multiplicities",
                                               lambda x: reconstruct_from_zeros(ZEROS, P3, [x, 1, 1])),
-    "reconstruct_from_zeros residual_tol": ("residual_tol",
-                                            lambda x: reconstruct_from_zeros(ZEROS, P3, residual_tol=x)),
     "inverse_zak": ("tol", lambda x: inverse_zak(sector_family(GaussianCoherent(0.3), P3), 0, 0, tol=x)),
     "weyl_function": ("operator", lambda x: weyl_function(_with(x))),
     "is_unitary": ("operator", lambda x: is_unitary(_with(x))),
@@ -167,18 +165,16 @@ INTEGER_ENTRIES = {
     "weighted_thetas": ("order", lambda x: weighted_thetas(0.5, P3, x)),
     "reconstruct_from_zeros": ("multiplicities", lambda x: reconstruct_from_zeros(ZEROS, P3, [x, 1, 1])),
 }
-# the rows whose argument may hold many integers, one per exponent, label, point or position
-ARRAY_ENTRIES = {"half_power k", "zak_sums", "weighted_thetas", "reconstruct_from_zeros"}
+# the rows whose argument may hold many integers, one per exponent, label or position
+ARRAY_ENTRIES = {"half_power k", "zak_sums", "reconstruct_from_zeros"}
 
 # (argument named in the message, call with the value x, which must lie in (0, inf) or (0, 1))
 POSITIVE_ENTRIES = {
     "is_unitary": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
     "inverse_zak": ("tol", lambda x: inverse_zak(FAMILY, 0, 0, tol=x)),
     "scalar_product": ("tol", lambda x: scalar_product(STATE, STATE, tol=x)),
-    "reconstruct_from_zeros": ("residual_tol", lambda x: reconstruct_from_zeros(ZEROS, P3, residual_tol=x)),
     "SystemParams": ("scale lam", lambda x: SystemParams(3, x)),
     "winding_number": ("spacing", lambda x: winding_number(np.exp, 0, 1 + 1j, spacing=x)),
-    "find_zeros": ("cluster_diam", lambda x: find_zeros(STATE, cluster_diam=x)),
 }
 
 
@@ -229,20 +225,10 @@ def test_a_list_is_not_one_integer(entry):
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1"], ids=str)
 @pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRIES))
 def test_non_positive_tolerances_are_value_errors(entry, bad):
-    # residual_tol <= 0 blamed the zeros ("no such state exists"), inverse_zak reported a coarse grid,
-    # spacing = 0 divided by zero,
-    # cluster_diam = inf merged all d zeros into one, and a string raised TypeError
+    # inverse_zak reported a coarse grid, spacing = 0 divided by zero, and a string raised TypeError
     name, call = POSITIVE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(bad)
-
-
-def test_cluster_diam_lies_below_half_the_shorter_side():
-    # past that the nearest lattice translate of two roots is not unique; at d = 4, cluster_diam = 5.0
-    # gave a certified zero of multiplicity 4 whose rebuild had fidelity 0.936 to the state
-    half = 0.5 * min(P3.cell_width, P3.cell_height)
-    with pytest.raises(ValueError, match="^cluster_diam must be positive and below"):
-        find_zeros(STATE, cluster_diam=half)
 
 
 @pytest.mark.parametrize("bad", [1.0, np.ones(3), np.ones((2, 3)), np.zeros((0, 0))], ids=str)

@@ -480,25 +480,28 @@ def test_gram_rank_of_an_off_rule_set_at_d48():
     assert (res.verdict, res.gram_rank) == ("complete", 48)
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1000])
+@pytest.mark.parametrize("d", [3, 8, 16, 64])
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
-def test_per_point_orders_equal_scalar_orders(d, lam):
-    # one call with an order per point, as the rebuild takes the rows of its
-    # multiple zeros, gives each row bit for bit as a call at that order
-    # alone; at d = 1000 the 60 points straddle the blocks of the kernel
+@pytest.mark.parametrize("mult", [2, 3])
+def test_rebuild_stacks_the_unit_rows_order_by_order(d, lam, mult):
+    # the rows of order 0 of all zeros, then of order 1 of the multiple one, ..., normalised row by row:
+    # the rebuild is the conjugated last right singular vector of that matrix, bit for bit
+    # the zeros of a random state with the first and its nearest neighbours put at their mean, which keeps the sum
     params = SystemParams(d, lam)
-    rng = np.random.default_rng([67, d, int(10 * lam)])
-    z = params.cell_width * rng.uniform(size=(2, 30)) + 1j * params.cell_height * rng.uniform(size=(2, 30))
-    order = rng.integers(0, 5, size=z.shape)
-    rows = weighted_thetas(z, params, order)
-    assert rows.shape == z.shape + (d,)
-    for k in range(5):
-        assert rows[order == k].tobytes() == weighted_thetas(z[order == k], params, k).tobytes()
+    z = find_zeros(AnalyticState(random_state(np.random.default_rng([67, d, int(10 * lam)]), d), params)).positions
+    near = np.argsort(np.abs(z - z[0]))[:mult]
+    pts = np.append(np.delete(z, near), z[near].mean())
+    mults = np.append(np.ones(d - mult, dtype=int), mult)
+    rows = [weighted_thetas(pts[mults > k], params, k) for k in range(mult)]
+    unit = np.concatenate([r / np.linalg.norm(r, axis=1, keepdims=True) for r in rows])
+    expected = FiniteState(np.conj(np.linalg.svd(unit)[2][-1]))
+    assert reconstruct_from_zeros(pts, params, mults).components.tobytes() == expected.components.tobytes()
 
 
-@pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1])])
+@pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1]), [0, 1], np.array([0, 1])])
 def test_weighted_thetas_rejects_bad_orders(order):
-    with pytest.raises(ValueError, match="order must be"):
+    # one order for all points: a list or an array of valid orders is refused too
+    with pytest.raises(ValueError, match="^order must be an integer of at least 0"):
         weighted_thetas(np.array([0.3 + 0.2j, 1.1 + 0.4j]), SystemParams(5), order)
 
 
@@ -691,13 +694,6 @@ def test_double_zero_roundtrip():
     if np.max(fine.multiplicities) == 1:
         assert near[0] < 1e-6 and near[1] < 1e-6  # split pair hugging the target
 
-    coarse = find_zeros(s, cluster_diam=2e-3)
-    assert coarse.total == 4
-    assert np.max(coarse.multiplicities) == 2
-    i = int(np.argmax(coarse.multiplicities))
-    assert abs(coarse.positions[i] - z_double) < 2e-3
-    assert coarse.residual < 4e-3
-
 
 def test_zero_orthogonality_link():
     # f(z0) = 0 exactly when the coherent state with the conjugate label is
@@ -781,6 +777,13 @@ def test_find_zeros_momentum_state_row(d, m):
     assert zs.total == d
     assert zs.residual <= 1e-9
     assert np.ptp(zs.positions.imag) <= 1e-9 * params.cell_height
+
+
+def test_find_zeros_refuses_the_zero_vector():
+    # its f vanishes everywhere: no band had roots, and RuntimeError said "found 0 zeros in the cell"
+    state = AnalyticState(FiniteState(np.zeros(4), normalize=False), SystemParams(4))
+    with pytest.raises(ValueError, match="^the zero vector has no zero set"):
+        find_zeros(state)
 
 
 def test_find_zeros_certificate_raises(monkeypatch):
