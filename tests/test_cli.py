@@ -98,11 +98,13 @@ def test_svg_structure_vacuum_d4(tmp_path):
     assert len(root.findall(f"{ns}polygon")) == 0
 
 
-def test_svg_overlay_must_share_the_cell(tmp_path, capsys):
-    # a d = 9, lambda = 2 overlay was drawn in the frame of the d = 4 cell
-    primary, overlay, svg = tmp_path / "c4.json", tmp_path / "c9.json", tmp_path / "two.svg"
+@pytest.mark.parametrize("d, lam", [("9", "2"), ("4", "2"), ("9", "1")])
+def test_svg_overlay_must_share_the_cell(d, lam, tmp_path, capsys):
+    # a d = 9, lambda = 2 overlay was drawn in the frame of the d = 4, lambda = 1 cell;
+    # a cell that differs in lambda alone, or in d alone, is refused as well
+    primary, overlay, svg = tmp_path / "c4.json", tmp_path / "other.json", tmp_path / "two.svg"
     assert main(["state", "coherent", "--d", "4", "--A", "0", "--out", str(primary)]) == 0
-    assert main(["state", "coherent", "--d", "9", "--lambda", "2", "--A", "1+1i", "--out", str(overlay)]) == 0
+    assert main(["state", "coherent", "--d", d, "--lambda", lam, "--A", "1+1i", "--out", str(overlay)]) == 0
     capsys.readouterr()
     assert main(["plot", "--state", str(primary), "--overlay", str(overlay), "--svg", str(svg)]) == 1
     assert "input error: overlay must share the cell of the primary set" in capsys.readouterr().err
@@ -343,14 +345,14 @@ def test_state_record_reads_d_by_the_integer_rule(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_state_record_reads_lambda_as_a_positive_number(tmp_path, capsys):
+@pytest.mark.parametrize("lam", ["2.5", 0, -1.0, float("nan")], ids=repr)
+def test_state_record_reads_lambda_as_a_positive_number(lam, tmp_path, capsys):
     # float() took the string "2.5", and 0 or -1 passed the loader to fail later in SystemParams
-    record = {"d": 2, "components": [[1.0, 0.0], [0.0, 1.0]]}
-    for lam in ("2.5", 0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="^malformed state record: lambda must be finite and positive"):
-            state_from_dict(dict(record, **{"lambda": lam}))
+    record = {"d": 2, "lambda": lam, "components": [[1.0, 0.0], [0.0, 1.0]]}
+    with pytest.raises(ValueError, match="^malformed state record: lambda must be finite and positive"):
+        state_from_dict(record)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(record, **{"lambda": "2.5"})))
+    bad.write_text(json.dumps(record))
     assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
     assert "input error: malformed state record: lambda must be" in capsys.readouterr().err
 

@@ -591,6 +591,20 @@ def test_reconstruct_rejects_constraint_violation():
         reconstruct_from_zeros(np.array(zeros), params)
 
 
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_reconstruct_refuses_at_the_lattice_tolerance(d):
+    # the rebuild has one fixed tolerance, LATTICE_TOL = 1e-6, the one find_zeros certifies against:
+    # a zero moved by half of it still gives the state, one moved by twice of it gives none
+    params = SystemParams(d)
+    state = random_state(np.random.default_rng([71, d]), d)
+    zeros = find_zeros(AnalyticState(state, params)).positions
+    near = zeros + np.eye(1, d)[0] * 0.5 * zeros_module.LATTICE_TOL
+    assert abs(np.vdot(reconstruct_from_zeros(near, params).components, state.components)) > 1 - 1e-9
+    far = zeros + np.eye(1, d)[0] * 2 * zeros_module.LATTICE_TOL
+    with pytest.raises(ValueError, match=r"^no such state exists: .* > 1\.0e-06\)$"):
+        reconstruct_from_zeros(far, params)
+
+
 def test_reconstruct_rejects_wrong_count():
     params = SystemParams(4)
     with pytest.raises(ValueError, match="multiplicities"):
@@ -779,9 +793,10 @@ def test_find_zeros_momentum_state_row(d, m):
     assert np.ptp(zs.positions.imag) <= 1e-9 * params.cell_height
 
 
-def test_find_zeros_refuses_the_zero_vector():
+@pytest.mark.parametrize("d", [1, 4, 64])
+def test_find_zeros_refuses_the_zero_vector(d):
     # its f vanishes everywhere: no band had roots, and RuntimeError said "found 0 zeros in the cell"
-    state = AnalyticState(FiniteState(np.zeros(4), normalize=False), SystemParams(4))
+    state = AnalyticState(FiniteState(np.zeros(d), normalize=False), SystemParams(d))
     with pytest.raises(ValueError, match="^the zero vector has no zero set"):
         find_zeros(state)
 
