@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,18 @@ _TAIL_TOL = 1e-15
 _STOP_RUN = 3
 
 
+class _Window(NamedTuple):
+    """c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi), the live terms
+    per height ceil(2 K) + 2, their offsets j = 0 .. width - 1 (read-only) and -pi / (d lam^2)."""
+
+    c: float
+    kappa: float
+    K: float
+    width: int
+    j: np.ndarray
+    scale: float
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Dimension d, squeezing scale lam, and the cell anchor (a, b).
@@ -84,6 +97,20 @@ class SystemParams:
     @property
     def cell_height(self) -> float:
         return math.sqrt(2.0 * math.pi * self.d) / self.lam
+
+    @functools.cached_property
+    def _window(self) -> _Window:
+        """The constants of the theta window at span 0 (:func:`_theta_window`), worked out at first use.
+
+        Every call of the f kernel and of the label-set rows reads them, so they are kept
+        on the params, which are frozen, rather than taken again per call.
+        """
+        c = math.sqrt(np.pi / (2 * self.d)) / self.lam
+        K = math.sqrt(_THETA_CUT * self.d * self.lam**2 / np.pi)
+        width = math.ceil(2 * K) + 2
+        j = np.arange(width)
+        j.flags.writeable = False  # shared by every window of these params
+        return _Window(c, c * self.d * self.lam**2 / np.pi, K, width, j, -np.pi / (self.d * self.lam**2))
 
 
 @dataclass(frozen=True)
@@ -236,9 +263,7 @@ _BLOCK_TERMS = 2**14
 
 def _theta_scales(params: SystemParams):
     """(c, kappa, K): c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi)."""
-    d, lam = params.d, params.lam
-    c = math.sqrt(np.pi / (2 * d)) / lam
-    return c, c * d * lam**2 / np.pi, math.sqrt(_THETA_CUT * d * lam**2 / np.pi)
+    return params._window[:3]
 
 
 def _theta_window(params: SystemParams, y, span: float = 0.0):
@@ -255,17 +280,18 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     height y, one real exponential per term.  Past kappa |y| = 2^53 doubles
     no longer hold consecutive n, and ValueError is raised.
     """
-    _, kappa, K = _theta_scales(params)
+    window = params._window
+    kappa = window.kappa
     ky = kappa * np.asarray(y, dtype=float)[..., None]
-    reach = K + kappa * span
+    reach = window.K + kappa * span
     top = np.abs(ky).max(initial=0.0) + reach
     if not top < 2.0**53:
         raise ValueError(f"height {top / kappa:g} is too far out to resolve the terms of the theta series")
     start = np.floor(ky - reach)
-    j = np.arange(_window_width(params, span))
+    j = np.arange(_window_width(params, span)) if span else window.j
     exponent = (start - ky) + j  # n - kappa y, squared and scaled in place
     exponent *= exponent
-    exponent *= -np.pi / (params.d * params.lam**2)
+    exponent *= window.scale
     start = start.astype(np.int64)
     offset = start % params.d
     return offset + j, start - offset, np.exp(exponent, out=exponent)
@@ -273,12 +299,12 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
 
 def _window_width(params: SystemParams, span: float = 0.0) -> int:
     """The number of live terms per height of :func:`_theta_window`, ceil(2 K + 2 kappa span) + 2."""
-    _, kappa, K = _theta_scales(params)
-    return math.ceil(2 * (K + kappa * span)) + 2
+    window = params._window
+    return math.ceil(2 * (window.K + window.kappa * span)) + 2 if span else window.width
 
 
 def _live_terms(z, params: SystemParams, order: int):
-    """(index, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
+    """(index, base, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
 
     ``order`` is one int for all points; order 0 takes no factor.  The
     phases e^{-2icnx} of a point are the powers e^{-2ic n0 x} (e^{-2icx})^j
@@ -288,9 +314,9 @@ def _live_terms(z, params: SystemParams, order: int):
     Gaussian weights come from the window as they are, one real exponential
     per term: split into a per-point ratio times a fixed
     e^{-pi j^2 / (d lam^2)}, their factors overflow before they cancel when
-    d lam^2 is small.
+    d lam^2 is small.  n = base + index, as in :func:`_theta_window`.
     """
-    c = _theta_scales(params)[0]
+    c = params._window.c
     index, base, weight = _theta_window(params, z.imag)
     phase = -2j * c * z.real[..., None]
     terms = np.empty(index.shape, dtype=complex)
@@ -300,7 +326,7 @@ def _live_terms(z, params: SystemParams, order: int):
     terms *= weight
     if order:
         terms *= _derivative_factor(c, base + index, order)
-    return index, terms
+    return index, base, terms
 
 
 def _derivative_factor(c: float, n: np.ndarray, order: int) -> np.ndarray:
@@ -320,7 +346,32 @@ def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int
     step = max(1, _BLOCK_TERMS // per_point)
     for lo in range(0, flat.size, step):
         block = slice(lo, lo + step)
-        yield block, *_live_terms(flat[block], params, order)
+        index, _, terms = _live_terms(flat[block], params, order)
+        yield block, index, terms
+
+
+def _fold_length(params: SystemParams) -> int:
+    """The length of a point's placed fold: its live window, which ends before d + width, in whole periods of d."""
+    d = params.d
+    return -(-(params._window.width + d - 1) // d) * d
+
+
+def _fold(index: np.ndarray, terms: np.ndarray, params: SystemParams) -> np.ndarray:
+    """F, the live terms of each point (rows of :func:`_live_terms`) summed by n mod d: weighted_thetas = d ifft(F).
+
+    Each point's terms are placed by their index n - base, base a multiple of d, so column k
+    of the fold holds the n = k (mod d) with no rotation.  The placed array is taken for at most
+    _BLOCK_TERMS values at a time, so beyond its output the fold holds no more than one block.
+    """
+    d, length = params.d, _fold_length(params)
+    out = np.empty((len(index), d), dtype=complex)
+    step = max(1, _BLOCK_TERMS // length)
+    for lo in range(0, len(index), step):
+        block = slice(lo, lo + step)
+        placed = np.zeros((len(index[block]), length), dtype=complex)
+        placed.ravel()[index[block] + np.arange(placed.size, step=length)[:, None]] = terms[block]
+        placed.reshape(len(placed), -1, d).sum(axis=-2, out=out[block])
+    return out
 
 
 def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
@@ -332,35 +383,33 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
 
     a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
     overflows at any d.  The n within K of kappa y (beyond it the weight is
-    below exp(-_THETA_CUT)) are folded by n mod d, and one inverse FFT gives
-    the d values on the last axis.  Each point's terms are placed by their
-    index n - base (:func:`_theta_window`), base a multiple of d, so column k
-    of the fold holds the n = k (mod d) with no rotation.  ``order`` k, one
-    integer of at least 0 for all points, gives the weighted k-th derivative
-    d^k/dz^k theta_m, whose terms carry a factor (-2icn)^k.
+    below exp(-_THETA_CUT)) are folded by n mod d into F (:func:`_fold`), and
+    one inverse FFT gives the d values on the last axis: the rows are
+    d ifft(F) = F W with W_km = e^{2 pi i k m / d}, and W / sqrt(d) is unitary.
+    So a row's norm is sqrt(d) times its fold's, the unit-normalised rows are
+    the unit-normalised folds times W / sqrt(d), and a matrix of them has the
+    singular values of the folds and right singular vectors W^H / sqrt(d)
+    times theirs.  The label-set path of the zeros module works on the folds
+    for that reason and takes no inverse FFT.  ``order`` k, one integer of at
+    least 0 for all points, gives the weighted k-th derivative d^k/dz^k theta_m,
+    whose terms carry a factor (-2icn)^k.
 
     The points go through in blocks whose placed fold array holds at most
     _BLOCK_TERMS values, each block writing its rows of the output, so the
     memory beyond the output does not grow with the number of points; see
     :func:`_spectral_sum` for how the block size was chosen.
 
-    This is for callers that need all d values at a point: the rows of
-    the reconstruction from zeros, the coherent amplitudes and the operator
-    kernels.  A contraction sum_m a_m theta_m(z), such as f itself, is
+    This is for callers that need all d values at a point: the coherent
+    amplitudes and the operator kernels.  A contraction sum_m a_m theta_m(z), such as f itself, is
     summed directly from the spectrum of a by :func:`_spectral_sum`.
     """
     d = params.d
     z = _finite(z, "z")
     order = _integer(order, "order", 0)
-    # a point's placed fold: its live window, which ends before d + width, in whole periods of d
-    length = -(-(_window_width(params) + d - 1) // d) * d
     out = np.empty(z.shape + (d,), dtype=complex)
     rows_out = out.reshape(-1, d)
-    for block, index, terms in _live_blocks(z, params, order, length):
-        placed = np.zeros((len(index), length), dtype=complex)
-        placed.ravel()[index + np.arange(placed.size, step=length)[:, None]] = terms
-        folded = placed.reshape(len(index), -1, d).sum(axis=-2)
-        np.multiply(d, np.fft.ifft(folded, axis=-1), out=rows_out[block])
+    for block, index, terms in _live_blocks(z, params, order, _fold_length(params)):
+        np.multiply(d, np.fft.ifft(_fold(index, terms, params), axis=-1), out=rows_out[block])
     return out
 
 

@@ -16,6 +16,11 @@ sets of coherent-state labels and gates the reconstruction of a state from
 its zeros.  The reconstruction rests on orthogonality: f(z_j) = 0 says the
 state is orthogonal to the coherent state at conj(z_j), and d zeros obeying
 the sum constraint leave exactly one direction free, which is the state.
+Both uses of label sets, the Gram rank and the reconstruction, take their rows
+as the folds F of the theta series by n mod d, before the inverse DFT that
+gives the theta values d ifft(F): that DFT is sqrt(d) times a unitary matrix,
+so the row-normalised folds have the singular values of the row-normalised
+values, and their null vector maps to the state by one length-d FFT.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .hilbert import FiniteState
 from .theta import _finite, _integers, _positive
-from .zak import _THETA_CUT, SystemParams, _theta_scales, _theta_window, weighted_thetas
+from .zak import _THETA_CUT, SystemParams, _derivative_factor, _fold, _live_terms, _theta_scales, _theta_window
 from .analytic import AnalyticState
 
 __all__ = [
@@ -456,10 +461,26 @@ def _labels(points) -> np.ndarray:
     return pts
 
 
-def _unit_rows(z, params: SystemParams, order: int = 0) -> np.ndarray:
-    """weighted_thetas(z, params, order), each row scaled to unit norm: the matrix of the label-set path."""
-    rows = weighted_thetas(z, params, order)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+def _unit_rows(z, params: SystemParams, mults=None) -> np.ndarray:
+    """The folds F of weighted_thetas = d ifft(F) at z, each row scaled to unit norm: the matrix of the label-set path.
+
+    With ``mults``, point k has the rows of orders 0 .. mults[k] - 1, stacked order by
+    order: those of order 0 of all points, then of order 1 of the points of multiplicity
+    above 1, and so on.  All orders come from the one window pass of order 0, its terms
+    times (-2icn)^k, which is what :func:`finiteq.zak._live_terms` of order k computes.
+    The folds have the singular values of the rows, and their right singular vectors
+    map to those of the rows by one FFT (see :func:`finiteq.zak.weighted_thetas`).
+    """
+    index, base, terms = _live_terms(z, params, 0)
+    rows = [_fold(index, terms, params)]
+    for k in range(1, 1 if mults is None else mults.max()):
+        higher = mults > k
+        factor = _derivative_factor(_theta_scales(params)[0], base[higher] + index[higher], k)
+        rows.append(_fold(index[higher], terms[higher] * factor, params))
+    rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    del index, base, terms  # the live terms go before the norms' row-sized temporary comes
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
 
 
 def coherent_gram_rank(points, params: SystemParams) -> int:
@@ -470,6 +491,9 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     count toward the rank.  The rows are the weighted thetas at the labels:
     a coherent state is one of them times a prefactor, whose modulus the row
     normalisation removes and whose phase leaves the singular values unchanged.
+    The singular values are read from the folded rows (:func:`_unit_rows`):
+    the unit weighted thetas are the unit folds times a unitary matrix, the
+    DFT over sqrt(d), which leaves the singular values as they are.
     ValueError is raised when there is no label or one is not finite.
     """
     sv = np.linalg.svd(_unit_rows(_labels(points), params), compute_uv=False)
@@ -523,13 +547,17 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal
     to the coherent state at conj(z_j).  A zero of multiplicity m gives the
-    rows of derivative orders 0 .. m-1, one weighted_thetas call per order
-    k over the zeros of multiplicity above k.  By the completeness theorem,
-    d rows of zeros obeying the lattice constraint have rank d - 1, and the
-    amplitudes are their null vector: the last right singular vector of the
-    row-normalised matrix.  Its error is about eps / gap, where gap is the
-    second-smallest singular value over the largest.  When gap is at most
-    d eps (the rank rule of numpy's matrix_rank) the zeros do not fix one
+    rows of derivative orders 0 .. m-1, all from one window pass over the
+    zeros (:func:`_unit_rows`).  By the completeness theorem, d rows of zeros
+    obeying the lattice constraint have rank d - 1, and the amplitudes are
+    their null vector.  The rows are taken folded, F with weighted_thetas =
+    d ifft(F) = F W, W_km = e^{2 pi i k m / d}: F W a = 0 exactly when F y = 0
+    for y = W a, and W / sqrt(d) is unitary, so the row-normalised F has the
+    singular values of the row-normalised thetas and its null vector y gives
+    the amplitudes a = W^H y / d, one FFT of y.  y is the last right singular
+    vector of the row-normalised F.  Its error is about eps / gap, where gap
+    is the second-smallest singular value over the largest.  When gap is at
+    most d eps (the rank rule of numpy's matrix_rank) the zeros do not fix one
     state in double precision and RuntimeError is raised.  The result is
     normalized; the global phase is not fixed by the zeros.
     """
@@ -560,12 +588,10 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
-    # the rows of order k of the positions of multiplicity above k, for k = 0 .. max - 1 in turn
-    rows = np.concatenate([_unit_rows(positions[mults > k], params, k) for k in range(mults.max())])
-    _, sv, vh = np.linalg.svd(rows)
+    _, sv, vh = np.linalg.svd(_unit_rows(positions, params, mults))
     if sv[-2] <= d * _EPS * sv[0]:
         raise RuntimeError(
             "the zeros do not fix one state in double precision: second-smallest "
             f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps"
         )
-    return FiniteState(np.conj(vh[-1]), normalize=True)
+    return FiniteState(np.fft.fft(np.conj(vh[-1])), normalize=True)

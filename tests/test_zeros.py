@@ -480,22 +480,68 @@ def test_gram_rank_of_an_off_rule_set_at_d48():
     assert (res.verdict, res.gram_rank) == ("complete", 48)
 
 
+def merged_zeros(d, lam, mult):
+    """(params, points, mults): the zeros of a random state, the first and its mult - 1 nearest neighbours
+    put at their mean with multiplicity mult, which keeps the sum."""
+    params = SystemParams(d, lam)
+    z = find_zeros(AnalyticState(random_state(np.random.default_rng([67, d, int(10 * lam)]), d), params)).positions
+    near = np.argsort(np.abs(z - z[0]))[:mult]
+    return params, np.append(np.delete(z, near), z[near].mean()), np.append(np.ones(d - mult, dtype=int), mult)
+
+
+def unit_rows(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def order_folds(points, params, order):
+    """The folds of _live_terms of one order at the points: the rows of that order, one pass each."""
+    index, _, terms = zak._live_terms(points, params, order)
+    return zak._fold(index, terms, params)
+
+
 @pytest.mark.parametrize("d", [3, 8, 16, 64])
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("mult", [2, 3])
 def test_rebuild_stacks_the_unit_rows_order_by_order(d, lam, mult):
-    # the rows of order 0 of all zeros, then of order 1 of the multiple one, ..., normalised row by row:
-    # the rebuild is the conjugated last right singular vector of that matrix, bit for bit
-    # the zeros of a random state with the first and its nearest neighbours put at their mean, which keeps the sum
-    params = SystemParams(d, lam)
-    z = find_zeros(AnalyticState(random_state(np.random.default_rng([67, d, int(10 * lam)]), d), params)).positions
-    near = np.argsort(np.abs(z - z[0]))[:mult]
-    pts = np.append(np.delete(z, near), z[near].mean())
-    mults = np.append(np.ones(d - mult, dtype=int), mult)
-    rows = [weighted_thetas(pts[mults > k], params, k) for k in range(mult)]
-    unit = np.concatenate([r / np.linalg.norm(r, axis=1, keepdims=True) for r in rows])
-    expected = FiniteState(np.conj(np.linalg.svd(unit)[2][-1]))
+    # the folded rows (weighted_thetas = d ifft of them) of order 0 of all zeros, then of order 1 of the
+    # multiple one, ..., normalised row by row: the rebuild is the FFT of the conjugated last right singular
+    # vector of that matrix, bit for bit
+    params, pts, mults = merged_zeros(d, lam, mult)
+    unit = np.concatenate([unit_rows(order_folds(pts[mults > k], params, k)) for k in range(mult)])
+    expected = FiniteState(np.fft.fft(np.conj(np.linalg.svd(unit)[2][-1])))
     assert reconstruct_from_zeros(pts, params, mults).components.tobytes() == expected.components.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 8, 64, 256])
+@pytest.mark.parametrize("lam", [0.3, 2.5])
+@pytest.mark.parametrize("mult", [2, 3])
+def test_rows_of_every_order_come_from_one_window_pass(d, lam, mult):
+    # the rows of order k >= 1 are the order-0 terms times (-2icn)^k: byte for byte those of a pass of
+    # order k over the points of multiplicity above k, so taking them from one pass moves no row
+    params, pts, mults = merged_zeros(d, lam, mult)
+    rows = zeros_module._unit_rows(pts, params, mults)
+    start = 0
+    for k in range(mult):
+        expected = unit_rows(order_folds(pts[mults > k], params, k))
+        assert rows[start:start + len(expected)].tobytes() == expected.tobytes()
+        start += len(expected)
+    assert start == len(rows) == d
+
+
+@pytest.mark.parametrize("d", [3, 8, 16, 64, 256])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_folded_rows_keep_the_singular_values_and_the_state(d, lam, mult):
+    # weighted_thetas = d ifft(F) is F times sqrt(d) times a unitary matrix, so the unit folds have the
+    # singular values of the unit thetas, and the FFT of their null vector is the thetas' null vector:
+    # the folded path against the construction from weighted_thetas rows that it replaced
+    params, pts, mults = merged_zeros(d, lam, mult)
+    thetas = np.concatenate([unit_rows(weighted_thetas(pts[mults > k], params, k)) for k in range(mult)])
+    sv_thetas = np.linalg.svd(thetas, compute_uv=False)
+    sv_folds = np.linalg.svd(zeros_module._unit_rows(pts, params, mults), compute_uv=False)
+    assert np.all(np.abs(sv_folds - sv_thetas) <= 1e-13 * sv_thetas[0])
+    old = FiniteState(np.conj(np.linalg.svd(thetas)[2][-1]))
+    assert 1.0 - abs(np.vdot(old.components, reconstruct_from_zeros(pts, params, mults).components)) <= 1e-14
 
 
 @pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1]), [0, 1], np.array([0, 1])])
