@@ -112,6 +112,13 @@ class SystemParams:
         j.flags.writeable = False  # shared by every window of these params
         return _Window(c, c * self.d * self.lam**2 / np.pi, K, width, j, -np.pi / (self.d * self.lam**2))
 
+    @functools.cached_property
+    def _border(self) -> np.ndarray:
+        """The rebuild's unit border exp(2 pi i phi k^2) / sqrt(d), phi the golden ratio (read-only)."""
+        b = np.exp(2j * np.pi * ((0.5 + 0.5 * math.sqrt(5.0)) * np.arange(self.d) ** 2 % 1.0)) / math.sqrt(self.d)
+        b.flags.writeable = False
+        return b
+
 
 @dataclass(frozen=True)
 class ZakSector:

@@ -20,7 +20,7 @@ Both uses of label sets, the Gram rank and the reconstruction, take their rows
 as the folds F of the theta series by n mod d, before the inverse DFT that
 gives the theta values d ifft(F): that DFT is sqrt(d) times a unitary matrix,
 so the row-normalised folds have the singular values of the row-normalised
-values, and their null vector maps to the state by one length-d FFT.
+values; their null vector, from one bordered solve, gives the state by one FFT.
 """
 
 from __future__ import annotations
@@ -335,16 +335,21 @@ def _merge(points, diam: float, p: SystemParams, mults=None):
     Cost: a sort of the n points and one pass over their gaps find the
     pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
     with none, the points come back reduced into the cell at once.  Groups
-    take one Python step per pair; exact repeats need no wrap, and groups
-    of them alone no mean.  Pairs are rare at the two diameters: 1e-8 in
-    find_zeros, 1e-10 for the labels of classify_completeness and
-    reconstruct_from_zeros.
+    take one Python step per pair, unless all are exact repeats: then each
+    point joins the earliest of its equals at once.  Pairs are rare at the
+    two diameters: 1e-8 in find_zeros, 1e-10 for the labels of
+    classify_completeness and reconstruct_from_zeros.
     """
     z = np.asarray(points, dtype=complex).ravel()
     w = np.ones(z.size, dtype=np.intp) if mults is None else np.array(mults, dtype=np.intp).ravel()
     i, j, offset = _close_pairs(z, diam, p)
     if not i.size:
         return _into_cell(z, p), w
+    if not offset.any():  # exact repeats alone: each joins the earliest of its equals, with no mean to take
+        root = np.arange(z.size)
+        np.minimum.at(root, j, i)
+        keep = root == np.arange(z.size)
+        return _into_cell(z[keep], p), np.bincount(root, w, z.size).astype(np.intp)[keep]
     # by later point, its earlier neighbours nearest first: the first that is an anchor wins
     by = np.lexsort((i, np.abs(offset), j))
     joined = {}
@@ -433,7 +438,9 @@ def sum_constraint_fit(total: complex, params: SystemParams):
     from the origin fit as well as those of the cell at the origin.
     """
     d, lam = params.d, params.lam
-    total = complex(_finite(total, "total"))
+    total = complex(total)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise ValueError(f"total must be finite, got {total}")
     base = math.sqrt(np.pi / 2) * d**1.5 * complex(lam, 1.0 / lam)
     lattice = math.sqrt(2 * np.pi * d)
     rem = total - base
@@ -496,7 +503,11 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     DFT over sqrt(d), which leaves the singular values as they are.
     ValueError is raised when there is no label or one is not finite.
     """
-    sv = np.linalg.svd(_unit_rows(_labels(points), params), compute_uv=False)
+    return _gram_rank(_labels(points), params)
+
+
+def _gram_rank(z: np.ndarray, params: SystemParams) -> int:  # coherent_gram_rank of labels checked by _labels
+    sv = np.linalg.svd(_unit_rows(z, params), compute_uv=False)
     return int((sv > _RANK_TOL * sv[0]).sum())
 
 
@@ -513,8 +524,8 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     there is no label or one is not finite.
     """
     pts = _labels(points)
-    x, y = pts.real - params.a, pts.imag - params.b
-    reduced = bool(((x < 0) | (x >= params.cell_width) | (y < 0) | (y >= params.cell_height)).any())
+    reduced = bool(pts.real.min() < params.a or pts.imag.min() < params.b  # x - a rounds monotonically in x
+                   or pts.real.max() - params.a >= params.cell_width or pts.imag.max() - params.b >= params.cell_height)
     count, d = pts.size, params.d
     if count != d:
         verdict = "overcomplete-at-least-complete" if count > d else "undercomplete"
@@ -524,7 +535,7 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
     if cross_validate:
-        rank = coherent_gram_rank(positions, params)  # a label of multiplicity m is m equal rows, which add no rank
+        rank = _gram_rank(positions, params)  # a label of multiplicity m is m equal rows, which add no rank
     return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
 
 
@@ -554,12 +565,14 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     d ifft(F) = F W, W_km = e^{2 pi i k m / d}: F W a = 0 exactly when F y = 0
     for y = W a, and W / sqrt(d) is unitary, so the row-normalised F has the
     singular values of the row-normalised thetas and its null vector y gives
-    the amplitudes a = W^H y / d, one FFT of y.  y is the last right singular
-    vector of the row-normalised F.  Its error is about eps / gap, where gap
-    is the second-smallest singular value over the largest.  When gap is at
-    most d eps (the rank rule of numpy's matrix_rank) the zeros do not fix one
-    state in double precision and RuntimeError is raised.  The result is
-    normalized; the global phase is not fixed by the zeros.
+    the amplitudes a = W^H y / d, one FFT of y.  y is one solve, with no
+    singular vectors: for the unit border b of SystemParams._border, [[F, b],
+    [b^H, 0]] [y; mu] = e_d gives F y = 0 unless b is orthogonal to the null
+    vector of F^H.  The singular values are still read, since y is off by about
+    eps / gap, gap the second-smallest over the largest: at most d eps (numpy's
+    matrix_rank rule) the zeros do not fix one state in double precision and
+    RuntimeError is raised, as for a failed solve.  The result is normalized;
+    the global phase is not fixed by the zeros.
     """
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
@@ -588,10 +601,15 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
     positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
-    _, sv, vh = np.linalg.svd(_unit_rows(positions, params, mults))
-    if sv[-2] <= d * _EPS * sv[0]:
-        raise RuntimeError(
-            "the zeros do not fix one state in double precision: second-smallest "
-            f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps"
-        )
-    return FiniteState(np.fft.fft(np.conj(vh[-1])), normalize=True)
+    bordered = np.zeros((d + 1, d + 1), dtype=complex)
+    rows = bordered[:d, :d] = _unit_rows(positions, params, mults)
+    bordered[:d, d], bordered[d, :d] = params._border, params._border.conj()
+    try:  # a LinAlgError is a ValueError, which the CLI would report as bad input
+        sv = np.linalg.svd(rows, compute_uv=False)
+        if sv[-2] <= d * _EPS * sv[0]:
+            raise RuntimeError("the zeros do not fix one state in double precision: second-smallest "
+                               f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps")
+        y = np.linalg.solve(bordered, np.eye(1, d + 1, d)[0])[:d]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
+    return FiniteState(np.fft.fft(y))

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
+from finiteq.cli import main
+from finiteq.serialization import save_zeros_csv
 from finiteq import analytic, verify, zak
 from finiteq.zak import weighted_thetas
 from finiteq import (
@@ -45,6 +47,16 @@ def position_zero_lattice(m, params):
         im = (2 * ell + 1) * np.sqrt(np.pi / (2 * d)) / lam
         out.append(complex(params.a + (re - params.a) % width, params.b + (im - params.b) % height))
     return sorted(out, key=lambda z: (z.imag, z.real))
+
+
+def coherent_zero_set(label, params):
+    """Closed-form zeros of the coherent state with the given label at even d, reduced into the cell: d/2 on
+    one row and d/2 on one column."""
+    d, lam = params.d, params.lam
+    odd = 2 * np.arange(d // 2) + 1
+    row = -label + odd * np.sqrt(2 * np.pi / d) * lam + 1j * np.sqrt(np.pi * d / 2) / lam
+    column = label + np.sqrt(np.pi * d / 2) * lam + 1j * odd * np.sqrt(2 * np.pi / d) / lam
+    return zeros_module._into_cell(np.concatenate((row, column)), params)
 
 
 def match_sets(found, expected, tol):
@@ -327,12 +339,69 @@ def label_sets(draw):
     return np.array(points)[order], diam, params, np.array(mults)
 
 
+def repeat_set(kind):
+    """(points, diam, params, mults): scattered labels whose only pairs within diam are exact repeats, and for
+    "repeat and pair" also one pair within diam, which the merge must average."""
+    params = SystemParams(7, 1.0, -3.7, 12.1)
+    t = (np.arange(7) + 0.5) / 7
+    points = params.a + t * params.cell_width + 1j * (params.b + t[::-1] ** 2 * params.cell_height)
+    mults = np.ones(points.size, dtype=int)
+    if kind == "pair":
+        points = np.insert(points, 5, points[2])
+    elif kind == "triple":
+        points = np.concatenate((points, points[[4, 4]]))
+    elif kind == "two pairs":
+        points = np.concatenate((points[:3], points[[5]], points[3:], points[[0]]))
+    elif kind == "weighted":  # a triple and a pair of weights 2 and 3
+        points = np.concatenate((points, points[[1, 1, 6]]))
+        mults = np.array([3, 2, 1, 1, 2, 1, 3, 2, 3, 2])
+    elif kind == "repeat and pair":
+        points = np.concatenate((points, points[[3]], points[[6]] + 4e-11 * np.exp(0.4j)))
+    return points, 1e-10, params, mults if kind == "weighted" else None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(label_sets())
+@example(repeat_set("pair"))
+@example(repeat_set("triple"))
+@example(repeat_set("two pairs"))
+@example(repeat_set("weighted"))
+@example(repeat_set("repeat and pair"))
 def test_merge_matches_loop(case):
+    # exact repeats alone skip the anchor loop; a pair within diam beside them takes it
     points, diam, params, mults = case
     assert_merges_like_loop(points, diam, params)
-    assert_merges_like_loop(points, diam, params, mults)
+    if mults is not None:
+        assert_merges_like_loop(points, diam, params, mults)
+
+
+def first_at_or_above(origin, offset):
+    """The least double x with x - origin >= offset in floating point: where the rule x - origin < offset turns."""
+    x = origin + offset
+    while x - origin >= offset:
+        x = np.nextafter(x, -np.inf)
+    while x - origin < offset:
+        x = np.nextafter(x, np.inf)
+    return x
+
+
+@pytest.mark.parametrize("where", ["a", "a + W", "just below a + W", "b + H", "below b", "periods away"])
+def test_classify_reduces_by_the_rule_of_each_label(where):
+    # the extremes of the labels decide whether one of them lies outside [a, a + W) x [b, b + H), as the
+    # rule applied label by label does, also at the doubles where that rule turns
+    params = SystemParams(3, 1.3, -3.7, 12.1)
+    a, b, width, height = params.a, params.b, params.cell_width, params.cell_height
+    far_edge = first_at_or_above(a, width)
+    label = {"a": complex(first_at_or_above(a, 0.0), b + 1), "a + W": complex(far_edge, b + 1),
+             "just below a + W": complex(np.nextafter(far_edge, -np.inf), b + 1),
+             "b + H": complex(a + 1, first_at_or_above(b, height)),
+             "below b": complex(a + 1, np.nextafter(first_at_or_above(b, 0.0), -np.inf)),
+             "periods away": complex(a + 2.5 * width, b - 3.5 * height)}[where]
+    labels = np.array([complex(a + 0.3 * width, b + 0.4 * height), label, complex(a + 0.6 * width, b + 0.2 * height)])
+    x, y = labels.real - a, labels.imag - b
+    elementwise = bool(((x < 0) | (x >= width) | (y < 0) | (y >= height)).any())
+    assert classify_completeness(labels, params).reduced is elementwise
+    assert elementwise is (where not in ("a", "just below a + W"))
 
 
 def close_pairs_all(z, diam, params):
@@ -504,11 +573,13 @@ def order_folds(points, params, order):
 @pytest.mark.parametrize("mult", [2, 3])
 def test_rebuild_stacks_the_unit_rows_order_by_order(d, lam, mult):
     # the folded rows (weighted_thetas = d ifft of them) of order 0 of all zeros, then of order 1 of the
-    # multiple one, ..., normalised row by row: the rebuild is the FFT of the conjugated last right singular
-    # vector of that matrix, bit for bit
+    # multiple one, ..., normalised row by row: the rebuild is the FFT of the null vector y of that matrix F
+    # from the bordered system [[F, b], [b^H, 0]] [y; mu] = e_d, bit for bit
     params, pts, mults = merged_zeros(d, lam, mult)
     unit = np.concatenate([unit_rows(order_folds(pts[mults > k], params, k)) for k in range(mult)])
-    expected = FiniteState(np.fft.fft(np.conj(np.linalg.svd(unit)[2][-1])))
+    border = params._border
+    bordered = np.block([[unit, border[:, None]], [border.conj()[None, :], np.zeros((1, 1))]])
+    expected = FiniteState(np.fft.fft(np.linalg.solve(bordered, np.eye(1, d + 1, d)[0])[:d]))
     assert reconstruct_from_zeros(pts, params, mults).components.tobytes() == expected.components.tobytes()
 
 
@@ -542,6 +613,78 @@ def test_folded_rows_keep_the_singular_values_and_the_state(d, lam, mult):
     assert np.all(np.abs(sv_folds - sv_thetas) <= 1e-13 * sv_thetas[0])
     old = FiniteState(np.conj(np.linalg.svd(thetas)[2][-1]))
     assert 1.0 - abs(np.vdot(old.components, reconstruct_from_zeros(pts, params, mults).components)) <= 1e-14
+
+
+def svd_rebuild(positions, params, mults):
+    """The state from the last right singular vector of the rebuild's unit folded rows: the independent reference
+    for its bordered solve."""
+    positions, mults = zeros_module._merge(positions, zeros_module._MERGE_DIAM, params, mults)
+    return FiniteState(np.fft.fft(np.conj(np.linalg.svd(zeros_module._unit_rows(positions, params, mults))[2][-1])))
+
+
+def rebuild_sweep():
+    """(family, case, state, positions, mults, params): number states at d = 3..48, N = 0..5 from the zeros that
+    find_zeros certifies, random states from theirs, and position and coherent states from their exact zero sets."""
+    for d in range(3, 49):
+        params = SystemParams(d)
+        for n in range(6):
+            try:
+                state = number_state(n, params)
+                zs = find_zeros(AnalyticState(state, params))
+            except (ValueError, RuntimeError):  # a vanishing Hermite projection, or an uncertified zero set
+                continue
+            yield "number", (d, n), state, zs.positions, zs.multiplicities, params
+    for d in (2, 8, 16, 64, 256):
+        for lam in (0.3, 1.0, 2.5):
+            params = SystemParams(d, lam)
+            state = random_state(np.random.default_rng([d, int(10 * lam)]), d)
+            zs = find_zeros(AnalyticState(state, params))
+            yield "random", (d, lam), state, zs.positions, zs.multiplicities, params
+    for d in range(4, 49, 2):
+        for lam in (0.7, 1.0):
+            params = SystemParams(d, lam)
+            ones = np.ones(d, dtype=int)
+            yield "position", (d, lam), position_state(2, d), np.array(position_zero_lattice(2, params)), ones, params
+            yield ("coherent", (d, lam), coherent_state_closed(1.3 + 0.7j, params),
+                   coherent_zero_set(1.3 + 0.7j, params), ones, params)
+
+
+def test_bordered_solve_is_as_accurate_as_the_svd():
+    # the null vector from one solve of [[F, b], [b^H, 0]] against that of the SVD of F, on the same rows: random
+    # states rebuild to 1e-12, a case the SVD rebuilds to 1e-12 stays within 1e-10, and no family's worst loss
+    # grows more than threefold (losses at the rounding level, below eps, count as eps)
+    worst = {}
+    for family, case, state, positions, mults, params in rebuild_sweep():
+        try:
+            rebuilt = reconstruct_from_zeros(positions, params, mults)
+        except RuntimeError:  # the gap rule, which the SVD path shares
+            continue
+        loss = 1 - abs(np.vdot(rebuilt.components, state.components))
+        reference = 1 - abs(np.vdot(svd_rebuild(positions, params, mults).components, state.components))
+        assert family != "random" or loss <= 1e-12, (family, case, loss)
+        assert reference > 1e-12 or loss <= 1e-10, (family, case, loss, reference)
+        new, old = worst.get(family, (0.0, 0.0))
+        worst[family] = max(new, loss), max(old, reference)
+    assert set(worst) == {"number", "random", "position", "coherent"}
+    for family, (new, old) in worst.items():
+        assert new <= 3 * max(old, zeros_module._EPS), (family, new, old)
+
+
+def test_a_failed_solve_is_a_computation_failure(monkeypatch, tmp_path, capsys):
+    # numpy's LinAlgError is a ValueError, which the CLI reports as an input error
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    params = SystemParams(4)
+    zs = find_zeros(AnalyticState(random_state(np.random.default_rng(73), 4), params))
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match="^the zeros' rows gave no null vector: Singular matrix$"):
+        reconstruct_from_zeros(zs)
+    zcsv = tmp_path / "z.csv"
+    save_zeros_csv(zcsv, zs)
+    assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(tmp_path / "r.json")]) == 1
+    assert "computation failed: the zeros' rows gave no null vector" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1]), [0, 1], np.array([0, 1])])
