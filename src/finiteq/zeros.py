@@ -20,7 +20,10 @@ Both uses of label sets, the Gram rank and the reconstruction, take their rows
 as the folds F of the theta series by n mod d, before the inverse DFT that
 gives the theta values d ifft(F): that DFT is sqrt(d) times a unitary matrix,
 so the row-normalised folds have the singular values of the row-normalised
-values; their null vector, from one bordered solve, gives the state by one FFT.
+values; their null vector, column d of the inverse of B = [[F, b], [b^H, 0]],
+gives the state by one FFT.  As sigma_{d-1}(F) >= 1/||B^-1||_F and sigma_1(F) <=
+sqrt(d), 16 d**1.5 eps ||B^-1||_F < 1 proves the d eps gap rule without its SVD,
+16 times over, which covers the rounding of the inverse and of the SVD.
 """
 
 from __future__ import annotations
@@ -565,14 +568,18 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     d ifft(F) = F W, W_km = e^{2 pi i k m / d}: F W a = 0 exactly when F y = 0
     for y = W a, and W / sqrt(d) is unitary, so the row-normalised F has the
     singular values of the row-normalised thetas and its null vector y gives
-    the amplitudes a = W^H y / d, one FFT of y.  y is one solve, with no
-    singular vectors: for the unit border b of SystemParams._border, [[F, b],
-    [b^H, 0]] [y; mu] = e_d gives F y = 0 unless b is orthogonal to the null
-    vector of F^H.  The singular values are still read, since y is off by about
-    eps / gap, gap the second-smallest over the largest: at most d eps (numpy's
-    matrix_rank rule) the zeros do not fix one state in double precision and
-    RuntimeError is raised, as for a failed solve.  The result is normalized;
-    the global phase is not fixed by the zeros.
+    the amplitudes a = W^H y / d, one FFT of y.  For the unit border b of
+    SystemParams._border, B = [[F, b], [b^H, 0]] and B [y; mu] = e_d give F y = 0
+    unless b is orthogonal to the null vector of F^H: y is column d of B^-1.  y
+    is off by about eps / gap, gap = sigma_{d-1} / sigma_1 of F: at most d eps
+    (numpy's matrix_rank rule) the zeros do not fix one state in double
+    precision and RuntimeError is raised, as for a failed inverse.  The rule's
+    SVD runs only where B^-1 fails or cannot prove it: a unit x in the span of
+    F's last two right singular vectors with b^H x = 0 has ||B [x; 0]|| = ||F x|| <=
+    sigma_{d-1}, so sigma_{d-1} >= 1 / ||B^-1||_F, and sigma_1 <= ||F||_F =
+    sqrt(d); 16 d**1.5 eps ||B^-1||_F < 1 leaves a factor 16 for the rounding of
+    the inverse (cond(B) eps <= 1 / (16 d)) and of the singular values.  The
+    result is normalized; the global phase is not fixed by the zeros.
     """
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
@@ -605,11 +612,19 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     rows = bordered[:d, :d] = _unit_rows(positions, params, mults)
     bordered[:d, d], bordered[d, :d] = params._border, params._border.conj()
     try:  # a LinAlgError is a ValueError, which the CLI would report as bad input
-        sv = np.linalg.svd(rows, compute_uv=False)
-        if sv[-2] <= d * _EPS * sv[0]:
-            raise RuntimeError("the zeros do not fix one state in double precision: second-smallest "
-                               f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps")
-        y = np.linalg.solve(bordered, np.eye(1, d + 1, d)[0])[:d]
+        inverse = np.linalg.inv(bordered)
     except np.linalg.LinAlgError as exc:
+        _gap_rule(rows)
         raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
-    return FiniteState(np.fft.fft(y))
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows, or NaN, fails the bound
+        if not 16 * d**1.5 * _EPS * np.linalg.norm(inverse) < 1:
+            _gap_rule(rows)
+    return FiniteState(np.fft.fft(inverse[:d, d]))
+
+
+def _gap_rule(rows: np.ndarray) -> None:
+    """Refuse unit rows whose second-smallest singular value is at most d eps of the largest (matrix_rank's rule)."""
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if sv[-2] <= len(rows) * _EPS * sv[0]:
+        raise RuntimeError("the zeros do not fix one state in double precision: second-smallest "
+                           f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps")

@@ -1,5 +1,6 @@
 """Winding counts, zero location, the sum rule, completeness, reconstruction."""
 
+import functools
 import time
 
 import numpy as np
@@ -622,9 +623,15 @@ def svd_rebuild(positions, params, mults):
     return FiniteState(np.fft.fft(np.conj(np.linalg.svd(zeros_module._unit_rows(positions, params, mults))[2][-1])))
 
 
+@functools.cache
 def rebuild_sweep():
     """(family, case, state, positions, mults, params): number states at d = 3..48, N = 0..5 from the zeros that
-    find_zeros certifies, random states from theirs, and position and coherent states from their exact zero sets."""
+    find_zeros certifies, random states from theirs, and position and coherent states from their exact zero sets.
+    Built once, as a tuple: three tests read it."""
+    return tuple(_rebuild_cases())
+
+
+def _rebuild_cases():
     for d in range(3, 49):
         params = SystemParams(d)
         for n in range(6):
@@ -670,6 +677,118 @@ def test_bordered_solve_is_as_accurate_as_the_svd():
         assert new <= 3 * max(old, zeros_module._EPS), (family, new, old)
 
 
+def bordered_rows(positions, params, mults):
+    """The rebuild's unit folded rows F of the merged zeros, and F bordered by b: [[F, b], [b^H, 0]]."""
+    positions, mults = zeros_module._merge(positions, zeros_module._MERGE_DIAM, params, mults)
+    rows = zeros_module._unit_rows(positions, params, mults)
+    border = params._border
+    return rows, np.block([[rows, border[:, None]], [border.conj()[None, :], np.zeros((1, 1))]])
+
+
+def gap_rule_then_solve(positions, params, mults):
+    """The rebuild by the gap rule on the singular values of its unit folded rows, then one solve of the bordered
+    rows against e_d: the reference for the bound on the inverse that lets the rebuild skip the rule."""
+    d = params.d
+    rows, bordered = bordered_rows(positions, params, mults)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if sv[-2] <= d * zeros_module._EPS * sv[0]:
+        raise RuntimeError("the zeros do not fix one state in double precision: second-smallest "
+                           f"singular value {sv[-2] / sv[0]:.1e} of the largest, at most d eps")
+    try:
+        y = np.linalg.solve(bordered, np.eye(1, d + 1, d)[0])[:d]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
+    return FiniteState(np.fft.fft(y))
+
+
+def rebuild_outcome(rebuild, positions, params, mults):
+    """The rebuilt components, or the type and message of the RuntimeError raised instead."""
+    try:
+        return rebuild(positions, params, mults).components
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, expected, case):
+    """The same RuntimeError, or the same components: bit for bit up to d = 64, and above it within the solves'
+    rounding, 8 cond(B) eps, since a threaded BLAS splits the work of a solve against e_d and of one against the
+    identity, the inverse, differently (bit for bit with one thread)."""
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got == expected, (case[1], got, expected)
+        return
+    assert not isinstance(got, tuple), (case[1], got)
+    if expected.size <= 64:
+        assert got.tobytes() == expected.tobytes(), case[1]
+    else:
+        cond = np.linalg.cond(bordered_rows(*case)[1])
+        assert np.abs(got - expected).max() <= 8 * cond * zeros_module._EPS, (case[1], cond)
+
+
+def planted_label_set(d, lam, seed):
+    """d - 1 labels drawn uniformly in the cell, and the last one closing the lattice rule at M = N = 0, reduced into
+    the cell."""
+    params = SystemParams(d, lam)
+    rng = np.random.default_rng([seed, d, int(10 * lam)])
+    labels = (params.a + params.cell_width * rng.uniform(size=d - 1)
+              + 1j * (params.b + params.cell_height * rng.uniform(size=d - 1)))
+    last = np.sqrt(np.pi / 2) * d**1.5 * complex(lam, 1 / lam) - labels.sum()
+    return params, np.append(labels, zeros_module._into_cell(np.array([last]), params))
+
+
+def test_the_bound_keeps_every_outcome_of_the_gap_rule(monkeypatch):
+    # the rebuild skips the gap rule's SVD where the norm of the bordered rows' inverse proves that the rule accepts:
+    # on both sides of the refusal boundary, its outcome is the rule's and then the solve's, and the sweep and the
+    # planted sets take all three paths: accepted by the bound, accepted by the rule, refused
+    cases = [(positions, params, mults) for _, _, _, positions, mults, params in rebuild_sweep()]
+    for d in (64, 256, 512):
+        for lam in (0.3, 1.0):
+            for seed in range(3):
+                params, labels = planted_label_set(d, lam, seed)
+                cases.append((labels, params, np.ones(d, dtype=int)))
+    svd, calls = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    paths = set()
+    for case in cases:
+        expected = rebuild_outcome(gap_rule_then_solve, *case)
+        calls.clear()
+        got = rebuild_outcome(reconstruct_from_zeros, *case)
+        assert_same_outcome(got, expected, case)
+        paths.add("refused" if isinstance(got, tuple) else "rule" if calls else "bound")
+    assert paths == {"bound", "rule", "refused"}
+
+
+def test_a_set_the_bound_accepts_takes_no_svd(monkeypatch):
+    cases = [(positions, params, mults) for family, (d, _), _, positions, mults, params in rebuild_sweep()
+             if family == "random" and d in (8, 64, 256)]
+    expected = [gap_rule_then_solve(*case).components for case in cases]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rebuild took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for case, components in zip(cases, expected):
+        assert_same_outcome(reconstruct_from_zeros(*case).components, components, case)
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_a_bound_that_cannot_decide_hands_over_without_a_warning(monkeypatch, d):
+    # RuntimeWarnings fail the suite: the inverse of nearly singular rows, and one scaled so far that the squares
+    # of its entries overflow, leave the decision to the gap rule, which refuses these position-state lattices
+    params = SystemParams(d)
+    lattice = np.array(position_zero_lattice(2, params))
+    with pytest.raises(RuntimeError, match="do not fix one state"):
+        reconstruct_from_zeros(lattice, params)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda matrix: inv(matrix) * 1e150)
+    with pytest.raises(RuntimeError, match="do not fix one state"):
+        reconstruct_from_zeros(lattice, params)
+
+
 def test_a_failed_solve_is_a_computation_failure(monkeypatch, tmp_path, capsys):
     # numpy's LinAlgError is a ValueError, which the CLI reports as an input error
     def singular(*args):
@@ -677,7 +796,7 @@ def test_a_failed_solve_is_a_computation_failure(monkeypatch, tmp_path, capsys):
 
     params = SystemParams(4)
     zs = find_zeros(AnalyticState(random_state(np.random.default_rng(73), 4), params))
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(RuntimeError, match="^the zeros' rows gave no null vector: Singular matrix$"):
         reconstruct_from_zeros(zs)
     zcsv = tmp_path / "z.csv"
@@ -685,6 +804,10 @@ def test_a_failed_solve_is_a_computation_failure(monkeypatch, tmp_path, capsys):
     assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(tmp_path / "r.json")]) == 1
     assert "computation failed: the zeros' rows gave no null vector" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+    # a set that the gap rule refuses keeps its refusal when the inverse fails: the rule runs first
+    params = SystemParams(64)
+    with pytest.raises(RuntimeError, match="do not fix one state"):
+        reconstruct_from_zeros(np.array(position_zero_lattice(2, params)), params)
 
 
 @pytest.mark.parametrize("order", [-1, 1.5, [0, 1, 2], [[0, 1]], np.array([0, -1]), [0, 1], np.array([0, 1])])
