@@ -48,12 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FiniteState, displaced_state, operator_from_weyl, position_state
-from .theta import _finite, _integer, _lift, _log_theta3, _positive, _square
+from .theta import _finite, _integer, _lift, _log_theta3, _square
 from .zak import (
     SystemParams,
     _log_gram,
     _spectral_sum,
-    _theta_scales,
     _theta_window,
     coherent_normalization,
     coherent_state_closed,
@@ -159,8 +158,11 @@ def coherent_form(label, params: SystemParams, z):
 # cell quadrature
 
 
-def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, label: str,
-                    floor: float = 1.0):
+_QUAD_TOL = 1e-6  # the agreement that the cell quadratures ask of their two trapezoid levels
+_QUAD_M = math.sqrt(2.0 * math.log(100.0 / _QUAD_TOL) / math.pi)  # the m of the coarse level of _cell_trapezoid
+
+
+def _cell_trapezoid(params: SystemParams, integral, pref: float, label: str, floor: float = 1.0):
     """pref * Int_S d2z integrand(z), by the periodic trapezoid rule on the cell.
 
     The integrands of the three cell quadratures are periodic in x and in y
@@ -168,28 +170,26 @@ def _cell_trapezoid(params: SystemParams, integral, pref: float, tol: float, lab
     Gaussian weight), so equispaced nodes converge geometrically: with
     n_x = m lam sqrt(d) and n_y = m sqrt(d) / lam nodes per axis the error
     falls like exp(-pi m^2 / 2).  The coarse level takes
-    m = sqrt(2 ln(100 / tol) / pi), whose error sits near tol / 100; the
+    m = sqrt(2 ln(100 / _QUAD_TOL) / pi), whose error sits near 1e-8; the
     fine level doubles both axes, so the coarse nodes are every other fine
-    node.  The fine sum is returned when the two agree within tol, absolute
+    node.  The fine sum is returned when the two agree within 1e-6, absolute
     for values up to `floor` and relative above, where the integrand carries
     the exp(Im(z)^2 / 2) growth of f.
 
     ``integral(x, y)``, called once on the fine nodes, returns the sums of the
     integrand over the grid x[None, :] + 1j y[:, None] and over x[::2], y[::2].
     """
-    _positive(tol, "tol", 1.0)
-    m = math.sqrt(2.0 * math.log(100.0 / tol) / math.pi)
-    nx = math.ceil(m * params.lam * math.sqrt(params.d))
-    ny = math.ceil(m * math.sqrt(params.d) / params.lam)
+    nx = math.ceil(_QUAD_M * params.lam * math.sqrt(params.d))
+    ny = math.ceil(_QUAD_M * math.sqrt(params.d) / params.lam)
     x = params.a + params.cell_width * np.arange(2 * nx) / (2 * nx)
     y = params.b + params.cell_height * np.arange(2 * ny) / (2 * ny)
     weight = pref * params.cell_width * params.cell_height / (nx * ny)
     fine, coarse = integral(x, y)
     fine, coarse = fine * (weight / 4), coarse * weight
-    if np.max(np.abs(fine - coarse)) <= tol * max(floor, np.max(np.abs(fine))):
+    if np.max(np.abs(fine - coarse)) <= _QUAD_TOL * max(floor, np.max(np.abs(fine))):
         return fine
     raise RuntimeError(
-        f"{label}: quadrature did not converge to {tol}: the trapezoid sums on {nx} x {ny} "
+        f"{label}: quadrature did not converge to {_QUAD_TOL}: the trapezoid sums on {nx} x {ny} "
         f"and {2 * nx} x {2 * ny} nodes differ by {np.max(np.abs(fine - coarse)):.2e}"
     )
 
@@ -209,7 +209,7 @@ def _pair_sums(params: SystemParams, spectra, x, y):
     nx, half = x.size, x.size // 2
     index, _, weights = _theta_window(params, y)
     width = index.shape[1]
-    phase = np.exp(-2j * _theta_scales(params)[0] * x[0] * np.arange(width))
+    phase = np.exp(-2j * params._window.c * x[0] * np.arange(width))
     folds = np.zeros((2, y.size, -(-width // nx) * nx), dtype=complex)
     folds[0, :, :width] = weights * phase * np.take(spectra[0], index, mode="wrap")
     folds[1, :, :width] = weights * phase.conj() * np.take(spectra[1], -index, mode="wrap")
@@ -218,7 +218,7 @@ def _pair_sums(params: SystemParams, spectra, x, y):
     return np.pi ** -0.5 * nx * np.sum(f_hat * g_hat), np.pi ** -0.5 * half * np.sum(f_half * g_half)
 
 
-def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> complex:
+def scalar_product(f: AnalyticState, g: AnalyticState) -> complex:
     """Bilinear pairing sum_m f_m g_m evaluated as a cell integral.
 
     (2 pi)**-1/2 d**-3/2 lam**-1 Int_S d2z e^{-Im(z)^2} f(z) g(z*).  The
@@ -228,7 +228,7 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
     the change of e^{-Im(z)^2}.  The periodic trapezoid rule on
     n_x = m lam sqrt(d) by n_y = m sqrt(d) / lam nodes then has error
     exp(-pi m^2 / 2), checked against the same rule on every other node
-    (see ``_cell_trapezoid``); tol in (0, 1) sizes the grid.  The node sums
+    to 1e-6 (see ``_cell_trapezoid``), else RuntimeError.  The node sums
     come from the spectra of f and g, in closed form over x (``_pair_sums``).
     """
     if f.params != g.params:
@@ -236,7 +236,7 @@ def scalar_product(f: AnalyticState, g: AnalyticState, tol: float = 1e-6) -> com
     p = f.params
     pref = (2 * np.pi) ** -0.5 * p.d ** -1.5 / p.lam
     spectra = (f._spectrum, g._spectrum)
-    return complex(_cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, tol, "scalar_product"))
+    return complex(_cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, "scalar_product"))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def kernel_eval(kernel: OperatorKernel, z, zeta_star):
                  "kernel_eval", z, f"d = {p.d}")
 
 
-def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6) -> complex:
+def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z) -> complex:
     """(Omega f)(z) = (2 pi d)**-1/2 lam**-1 Int_S d2zeta e^{-Im(zeta)^2} K(z, zeta*) f(zeta).
 
     The Gaussian weight matches the scalar-product weight, which is what makes
@@ -284,7 +284,7 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     split between the weighted theta(zeta*) and f(zeta), which are O(1).  As
     a function of zeta the integrand is doubly periodic on the cell, like
     that of :func:`scalar_product`, and the same periodic trapezoid rule with
-    error exp(-pi m^2 / 2) evaluates it; tol in (0, 1) sizes the grid.  The
+    error exp(-pi m^2 / 2), checked to 1e-6, evaluates it.  The
     weighted kernel K(z, zeta*), with the row r = weighted_thetas(z) Omega at z, is
     pi**-1/4 d**-1 times the weighted series of the spectrum d ifft(r) at zeta*,
     so the node sums are those of :func:`scalar_product` (``_pair_sums``).
@@ -299,7 +299,7 @@ def kernel_apply(kernel: OperatorKernel, f: AnalyticState, z, tol: float = 1e-6)
     pref = (2 * np.pi * p.d) ** -0.5 / p.lam
     spectra = (f._spectrum, np.pi ** -0.25 * np.fft.ifft(weighted_thetas(z, p) @ kernel.matrix))
     # the absolute floor 1 on (Omega f)(z) is exp(-Im(z)^2 / 2) on the sums
-    weighted = _cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, tol, "kernel_apply",
+    weighted = _cell_trapezoid(p, lambda x, y: _pair_sums(p, spectra, x, y), pref, "kernel_apply",
                                math.exp(-0.5 * z.imag**2))
     return _lift(0.5 * z.imag**2, weighted, "kernel_apply", z, f"d = {p.d}")
 
@@ -344,7 +344,7 @@ def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
         pairs, at = gauss[:, lo:hi] * gauss[:, lo - lag:hi - lag], index[:, lo - lag:hi - lag] % d
         folds[:, i] = np.bincount(at.ravel(), pairs.ravel(), d), np.bincount(at[::2].ravel(), pairs[::2].ravel(), d)
     counts = np.array([[nx], [half]])  # the abscissae of the two levels
-    chi = counts * (lags % counts == 0) * np.exp(-2j * _theta_scales(params)[0] * x[0] * lags)
+    chi = counts * (lags % counts == 0) * np.exp(-2j * params._window.c * x[0] * lags)
     phases = chi[:, None, :] * np.exp(2j * np.pi / d * (np.outer(np.arange(d), lags) % d))  # [level, m, l]
     h = np.pi ** -0.5 / (d * params.lam**2) * np.fft.fft(folds)  # times |p|^2
     table = phases @ np.concatenate([h, h], axis=-1)  # [level, m, k] for k in [0, 2d)
@@ -352,17 +352,16 @@ def _coherent_gram(params: SystemParams, x, y) -> np.ndarray:
     return table.reshape(2, -1)[:, d:].reshape(2, d, 2 * d - 1)[:, :, :d]
 
 
-def coherent_identity_matrix(params: SystemParams, tol: float = 1e-6) -> np.ndarray:
+def coherent_identity_matrix(params: SystemParams) -> np.ndarray:
     """lam (2 pi d)**-1/2 Int_S N(A) |A>><<A| d2A, as a d x d matrix.
 
     Converges to the identity.  The normalization factor cancels against the
     projector so the integrand is the outer product of the unnormalized
     theta-form amplitudes, which is doubly periodic in A on the cell like
     the scalar-product integrand; it is evaluated with the same periodic
-    trapezoid rule, error exp(-pi m^2 / 2), and tol in (0, 1) sizes the grid.
+    trapezoid rule, error exp(-pi m^2 / 2), checked to 1e-6.
     The node sums come from the row sums of the swapped series on a few
     lags, summed over x in closed form (``_coherent_gram``).
     """
     pref = params.lam * (2 * np.pi * params.d) ** -0.5
-    return _cell_trapezoid(params, lambda x, y: _coherent_gram(params, x, y), pref, tol,
-                           "coherent_identity_matrix")
+    return _cell_trapezoid(params, lambda x, y: _coherent_gram(params, x, y), pref, "coherent_identity_matrix")

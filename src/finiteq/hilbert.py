@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .theta import _finite, _integer, _integers, _positive, _square
+from .theta import _finite, _integer, _integers, _square
 
 __all__ = [
     "FiniteState",
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-12
+_UNITARY_TOL = 1e-10  # the entrywise distance of op op^dagger from the identity that is_unitary allows
 
 
 class FiniteState:
@@ -206,8 +207,7 @@ def operator_from_weyl(table: np.ndarray) -> np.ndarray:
     return op
 
 
-def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether op op^dagger is within tol of the identity entrywise; op finite and square, tol finite and positive."""
-    _positive(tol, "tol")
+def is_unitary(op: np.ndarray) -> bool:
+    """Whether op op^dagger is within _UNITARY_TOL = 1e-10 of the identity entrywise; op finite and square."""
     op = _square(op, "operator")
-    return bool(np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= tol)
+    return bool(np.max(np.abs(op @ op.conj().T - np.eye(len(op)))) <= _UNITARY_TOL)

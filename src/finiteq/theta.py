@@ -116,12 +116,11 @@ def _integers(values, what: str, low=None):
     return ints.astype(int) if ints.dtype.kind == "f" else ints
 
 
-def _positive(value, what: str, high=math.inf) -> float:
-    """value as a float in (0, high), the rule for tolerances and lengths; otherwise ValueError names `what`."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < high:
+def _positive(value, what: str) -> float:
+    """value as a finite positive float, the rule for scales and lengths; otherwise ValueError names `what`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < math.inf:
         return float(value)
-    bound = "finite and positive" if high == math.inf else f"positive and below {high:.6g}"
-    raise ValueError(f"{what} must be {bound}, got {value}")
+    raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 def _lift(s, v, what: str, at, context: str, name: str = "z"):

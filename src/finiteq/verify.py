@@ -175,7 +175,7 @@ def _suite_analytic(d, rng):
         return np.sum(s._weighted(x[None, :] + 1j * y[:, None]) * g._weighted(x[None, :] - 1j * y[:, None]))
 
     trapezoid = analytic._cell_trapezoid(params, lambda x, y: (node_sums(x, y), node_sums(x[::2], y[::2])),
-                                         (2 * np.pi) ** -0.5 * d ** -1.5, 1e-6, "node sums")
+                                         (2 * np.pi) ** -0.5 * d ** -1.5, "node sums")
     out.append(_result("cell quadrature equals its node sums", abs(analytic.scalar_product(s, g) - trapezoid), 1e-13))
     out.append(_result("coherent states resolve the identity",
                        float(np.max(np.abs(analytic.coherent_identity_matrix(params) - np.eye(d)))), 1e-10))
@@ -188,6 +188,10 @@ def _suite_zeros(d, rng):
     s = analytic.AnalyticState(_random_state(rng, d), params)
     zs = zeros.find_zeros(s)
     out.append(CheckResult("zero count equals d", zs.total == d, f"found {zs.total}, expected {d}"))
+    # the argument principle on the whole cell, independent of the roots that find_zeros returns
+    corner = complex(params.a, params.b)
+    counted = zeros.count_zeros(s, corner, corner + complex(params.cell_width, params.cell_height))
+    out.append(CheckResult("zero count over the cell equals d", counted == d, f"counted {counted}, expected {d}"))
     out.append(_result("zero-sum lattice residual", zs.residual, 1e-6))
     rec = zeros.reconstruct_from_zeros(zs)
     out.append(_result("reconstruction fidelity", 1.0 - rec.fidelity(s.state), 1e-10))

@@ -268,11 +268,6 @@ _THETA_CUT = 41.0
 _BLOCK_TERMS = 2**14
 
 
-def _theta_scales(params: SystemParams):
-    """(c, kappa, K): c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi)."""
-    return params._window[:3]
-
-
 def _theta_window(params: SystemParams, y, span: float = 0.0):
     """The live terms of the swapped theta series at heights y - span .. y + span.
 
@@ -295,19 +290,13 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     if not top < 2.0**53:
         raise ValueError(f"height {top / kappa:g} is too far out to resolve the terms of the theta series")
     start = np.floor(ky - reach)
-    j = np.arange(_window_width(params, span)) if span else window.j
+    j = np.arange(math.ceil(2 * reach) + 2) if span else window.j
     exponent = (start - ky) + j  # n - kappa y, squared and scaled in place
     exponent *= exponent
     exponent *= window.scale
     start = start.astype(np.int64)
     offset = start % params.d
     return offset + j, start - offset, np.exp(exponent, out=exponent)
-
-
-def _window_width(params: SystemParams, span: float = 0.0) -> int:
-    """The number of live terms per height of :func:`_theta_window`, ceil(2 K + 2 kappa span) + 2."""
-    window = params._window
-    return math.ceil(2 * (window.K + window.kappa * span)) + 2 if span else window.width
 
 
 def _live_terms(z, params: SystemParams, order: int):
@@ -447,7 +436,7 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
         return _spectral_grid(x, y, params, spectrum, order, y_fastest).reshape(z.shape)
     out = np.empty(z.shape, dtype=complex)
     flat_out = out.reshape(-1)
-    for block, index, terms in _live_blocks(z, params, order, _window_width(params)):
+    for block, index, terms in _live_blocks(z, params, order, params._window.width):
         flat_out[block] = np.einsum("...j,...j->...", terms, np.take(spectrum, index, mode="wrap"))
     return out
 
@@ -482,7 +471,7 @@ def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int 
     column factors as powers of exp(-2icx); the node phases, rounded as
     there, multiply the product in place.
     """
-    c = _theta_scales(params)[0]
+    c = params._window.c
     x = np.asarray(x, dtype=float)
     index, base, weight = _theta_window(params, y)
     rows = weight * np.take(spectrum, index, mode="wrap")
@@ -613,6 +602,8 @@ def coherent_from_number(label, params: SystemParams, n_max: int) -> FiniteState
 # ---------------------------------------------------------------------------
 # sector families and inversion of the transform
 
+_INVERSE_TOL = 1e-6  # the largest gap between inverse_zak's trapezoid sums on the grid and on its even points
+
 
 class SectorFamily:
     """States of one wavefunction over the sigma1 grid k / N, k = 0 .. N - 1 (N even), at fixed sigma2.
@@ -662,7 +653,7 @@ def sector_family(psi, params: SystemParams, sigma2: float = 0.0, n_sigma1: int 
     return SectorFamily(params, grid, sigma2, t)
 
 
-def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> complex:
+def inverse_zak(family: SectorFamily, m: int, w: int) -> complex:
     """Recover psi at x = sqrt(2 pi / d) lam (m + sigma2 + d w) from a family.
 
     Integrates N(sigma1)^(1/2) psi_m(sigma1) e^{2 pi i sigma1 w} over one
@@ -670,16 +661,14 @@ def inverse_zak(family: SectorFamily, m: int, w: int, tol: float = 1e-6) -> comp
     Component m is component m mod d times e^{2 pi i sigma1 q}, q = m // d;
     on the grid k / N the rule is an inverse DFT, read at row (q + w) mod N
     of the family's table.  The error estimate compares against the
-    half-resolution grid; a value above `tol` raises (grid too coarse).
-    ValueError unless tol is finite and positive.
+    half-resolution grid; a value above _INVERSE_TOL = 1e-6 raises (grid too coarse).
     """
-    _positive(tol, "tol")
     q, r = divmod(_integer(m, "label m"), family.params.d)
     row, (full, coarse) = q + _integer(w, "winding w"), family._trapezoid_tables
     full, coarse = complex(full[row % len(full), r]), complex(coarse[row % len(coarse), r])
-    if abs(full - coarse) > tol:
+    if abs(full - coarse) > _INVERSE_TOL:
         raise RuntimeError(
-            f"sigma1 grid too coarse: quadrature error estimate {abs(full - coarse):.2e} > {tol}"
+            f"sigma1 grid too coarse: quadrature error estimate {abs(full - coarse):.2e} > {_INVERSE_TOL}"
         )
     return full
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .hilbert import FiniteState
 from .theta import _finite, _integers, _positive
-from .zak import _THETA_CUT, SystemParams, _derivative_factor, _fold, _live_terms, _theta_scales, _theta_window
+from .zak import _THETA_CUT, SystemParams, _derivative_factor, _fold, _live_terms, _theta_window
 from .analytic import AnalyticState
 
 __all__ = [
@@ -172,7 +172,11 @@ def winding_number(f, lower_left: complex, upper_right: complex, spacing: float 
 
 
 def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex) -> int:
-    """Number of zeros (with multiplicity) inside a rectangle, via the winding; errors of f are raised."""
+    """Number of zeros (with multiplicity) inside a rectangle, via the winding of exp(-Im(z)^2 / 2) f(z).
+
+    The positive weight keeps the phase of f, and the weighted f stays finite at every d, where f
+    overflows near the top of the cell from d of about 226.  A contour through a zero is shifted.
+    """
     p = state.params
     spacing = min(p.cell_width, p.cell_height) / (6.0 * p.d)
     ll, ur = complex(lower_left), complex(upper_right)
@@ -180,7 +184,7 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
     rng = np.random.default_rng(_RNG_SEED)
     for attempt in range(_JITTER_ATTEMPTS):
         try:
-            return winding_number(state, ll, ur, spacing=spacing)
+            return winding_number(state._weighted, ll, ur, spacing=spacing)
         except _BoundaryZero:
             shift = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * _JITTER_FRAC * size
             ll = complex(lower_left) + shift
@@ -207,7 +211,7 @@ def _band_terms(state: AnalyticState, y0: np.ndarray, y1: np.ndarray) -> list:
     so that nothing overflows at any d: f(z) = exp(ym^2/2) sum_k a_k (w exp(-2 c ym))^k.
     """
     p = state.params
-    c = _theta_scales(p)[0]
+    c = p._window.c
     index, base, weight = _theta_window(p, 0.5 * (y0 + y1), 0.5 * np.max(y1 - y0))
     G = state._spectrum
     G = np.where(np.abs(G) <= p.d * _EPS * np.max(np.abs(G)), 0.0, G)
@@ -404,7 +408,7 @@ def find_zeros(state: AnalyticState) -> ZeroSet:
     margin = 0.02 * height
     edges = p.b + height * np.arange(n_bands + 1) / n_bands
     lows, highs = edges[:-1] - margin, edges[1:] + margin
-    c = _theta_scales(p)[0]
+    c = p._window.c
     bands = [_band_roots(a, c, lo, hi) for (_, a), lo, hi in zip(_band_terms(state, lows, highs), lows, highs)]
     ys = [z.imag for z in bands]
     cuts = [_cut(np.concatenate((ys[0], ys[-1] - height)), p.b - margin, p.b + margin)]
@@ -485,7 +489,7 @@ def _unit_rows(z, params: SystemParams, mults=None) -> np.ndarray:
     rows = [_fold(index, terms, params)]
     for k in range(1, 1 if mults is None else mults.max()):
         higher = mults > k
-        factor = _derivative_factor(_theta_scales(params)[0], base[higher] + index[higher], k)
+        factor = _derivative_factor(params._window.c, base[higher] + index[higher], k)
         rows.append(_fold(index[higher], terms[higher] * factor, params))
     rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
     del index, base, terms  # the live terms go before the norms' row-sized temporary comes

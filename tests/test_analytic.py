@@ -449,13 +449,13 @@ def test_quadrature_factored_sums_match_pointwise_sums():
         return lambda x, y: (node_sum(x, y), node_sum(x[::2], y[::2]))
 
     pref = params.lam * (2 * np.pi * 5) ** -0.5
-    pointwise = analytic._cell_trapezoid(params, both_levels(amplitude_sum), pref, 1e-6, "identity")
+    pointwise = analytic._cell_trapezoid(params, both_levels(amplitude_sum), pref, "identity")
     assert np.max(np.abs(coherent_identity_matrix(params) - pointwise)) <= 1e-14
 
     pref = (2 * np.pi) ** -0.5 * 5 ** -1.5 / params.lam
     pointwise = analytic._cell_trapezoid(
         params, both_levels(lambda x, y: np.sum(f._weighted(nodes(x, y)) * g._weighted(np.conj(nodes(x, y))))),
-        pref, 1e-6, "scalar")
+        pref, "scalar")
     assert abs(scalar_product(f, g) - pointwise) <= 1e-14
 
     def kernel_sum(x, y):
@@ -464,7 +464,7 @@ def test_quadrature_factored_sums_match_pointwise_sums():
                       * np.exp(-0.5 * zeta.imag**2))
 
     pref = (2 * np.pi * 5) ** -0.5 / params.lam
-    pointwise = analytic._cell_trapezoid(params, both_levels(kernel_sum), pref, 1e-6, "kernel")
+    pointwise = analytic._cell_trapezoid(params, both_levels(kernel_sum), pref, "kernel")
     got = kernel_apply(OperatorKernel(op, params), f, z)
     assert abs(got - pointwise) <= 1e-14 * max(1.0, abs(pointwise))
 
@@ -505,7 +505,7 @@ def test_blocks_match_pointwise_evaluation(d, lam):
     params = SystemParams(d, lam)
     rng = np.random.default_rng([37, d])
     spectrum = d * np.fft.ifft(rng.normal(size=d) + 1j * rng.normal(size=d))
-    width = zak._window_width(params)
+    width = params._window.width
     kernels = [(lambda z, k: zak._spectral_sum(z, params, spectrum, k), width),
                (lambda z, k: zak.weighted_thetas(z, params, k), -(-(width + d - 1) // d) * d)]
     for kernel, per_point in kernels:
@@ -557,36 +557,19 @@ def test_weighted_thetas_memory_is_its_output_plus_blocks():
     assert peak < rows.nbytes + 16e6
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan"), float("inf")])
-def test_quadrature_tol_outside_unit_interval_raises(tol):
+def test_quadratures_raise_where_their_levels_disagree(monkeypatch):
+    # node sums whose two levels differ by 1 in 10^3 (the fine level sums four times the nodes): each
+    # public quadrature raises by the fixed 1e-6 rule
     params = SystemParams(3)
     f = AnalyticState(position_state(0, 3), params)
-    with pytest.raises(ValueError, match="tol"):
-        scalar_product(f, f, tol)
-    with pytest.raises(ValueError, match="tol"):
-        coherent_identity_matrix(params, tol)
-    with pytest.raises(ValueError, match="tol"):
-        kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5j, tol)
-
-
-def test_quadrature_unreachable_tol_raises():
-    # both trapezoid levels are exact to rounding, so they agree to 1e-300
-    # only where their sums round to the same doubles (about one pair in
-    # three at d = 3); then the value returned is exact, otherwise it raises
-    params = SystemParams(3)
-    rng = np.random.default_rng(3)
-    raised = 0
-    for _ in range(10):
-        f = AnalyticState(random_state(rng, 3), params)
-        g = AnalyticState(random_state(rng, 3), params)
-        try:
-            got = scalar_product(f, g, 1e-300)
-        except RuntimeError as err:
-            assert str(err).startswith("scalar_product: quadrature did not converge to 1e-300")
-            raised += 1
-        else:
-            assert abs(got - np.sum(f.state.components * g.state.components)) <= 1e-14
-    assert raised > 0
+    monkeypatch.setattr(analytic, "_pair_sums", lambda *args: (4.0, 1.001))
+    monkeypatch.setattr(analytic, "_coherent_gram", lambda *args: (4 * np.eye(3), 1.001 * np.eye(3)))
+    for name, call in (("scalar_product", lambda: scalar_product(f, f)),
+                       ("kernel_apply", lambda: kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5j)),
+                       ("coherent_identity_matrix", lambda: coherent_identity_matrix(params))):
+        with pytest.raises(RuntimeError, match=rf"^{name}: quadrature did not converge to 1e-06: "
+                                               r"the trapezoid sums on \d+ x \d+ and \d+ x \d+ nodes differ by "):
+            call()
 
 
 def test_analytic_state_dimension_mismatch():
@@ -805,7 +788,7 @@ def test_heights_beyond_consecutive_doubles_raise():
     # past kappa |y| = 2^53 doubles no longer hold consecutive n
     params = SystemParams(8)
     s = AnalyticState(random_state(np.random.default_rng(57), 8), params)
-    limit = 2.0**53 / zak._theta_scales(params)[1]
+    limit = 2.0**53 / params._window.kappa
     with pytest.raises(RuntimeError, match="exceeds the double range"):
         s(complex(0.3, 0.99 * limit))
     x = 0.3 + 0.7 * np.arange(3)
@@ -930,7 +913,7 @@ def weighted_term_scale(s, heights, order):
     The sum of the moduli of the weighted terms of f (order 0) or f' (order 1).
     """
     d, lam = s.params.d, s.params.lam
-    c, kappa, _ = zak._theta_scales(s.params)
+    c, kappa = s.params._window.c, s.params._window.kappa
     y = np.ravel(heights)
     n = np.arange(np.floor(kappa * y.min()) - 400, np.ceil(kappa * y.max()) + 401)
     terms = np.exp(-np.pi * (n - kappa * y[:, None]) ** 2 / (d * lam**2)) * (2 * c * np.abs(n)) ** order
@@ -1040,9 +1023,9 @@ def test_f_on_any_grid_equals_pointwise_f(d, lam, xs, ys, layout, seed):
 
 
 def quadrature_grid(params):
-    """The fine nodes (x, y) that _cell_trapezoid hands its integrand at tol 1e-6."""
+    """The fine nodes (x, y) that _cell_trapezoid hands its integrand."""
     grid = []
-    analytic._cell_trapezoid(params, lambda x, y: grid.append((x, y)) or (0.0, 0.0), 1.0, 1e-6, "grid")
+    analytic._cell_trapezoid(params, lambda x, y: grid.append((x, y)) or (0.0, 0.0), 1.0, "grid")
     return grid[0]
 
 
@@ -1106,7 +1089,7 @@ def test_quadrature_sums_match_node_sums(d, monkeypatch):
             return np.tensordot(t, t.conj(), axes=([0, 1], [0, 1]))
 
         # |t_m| <= |p| sum_n g_n(y), |p|^2 = pi**-1/2 / (d lam^2): see analytic._coherent_gram
-        _, kappa, _ = zak._theta_scales(params)
+        kappa = params._window.kappa
         n = np.arange(np.floor(kappa * y.min()) - 400, np.ceil(kappa * y.max()) + 401)
         gauss = np.exp(-np.pi * (n - kappa * y[:, None]) ** 2 / (d * lam**2)).sum(axis=1)
         scale = np.pi**-0.5 / (d * lam**2) * np.array([x.size * gauss @ gauss, x.size // 2 * gauss[::2] @ gauss[::2]])
@@ -1130,11 +1113,11 @@ def test_cell_trapezoid_evaluates_once_and_keeps_its_tolerance_rule():
         close = 1e-6 * max(1.0, value) * (0.5 if converges else 2.0)
         grids.clear()
         if converges:
-            got = analytic._cell_trapezoid(params, levels(value, value + close), 1.0, 1e-6, "label")
+            got = analytic._cell_trapezoid(params, levels(value, value + close), 1.0, "label")
             assert got == pytest.approx(value)
         else:
             with pytest.raises(RuntimeError) as err:
-                analytic._cell_trapezoid(params, levels(value, value + close), 1.0, 1e-6, "label")
+                analytic._cell_trapezoid(params, levels(value, value + close), 1.0, "label")
             nx, ny = grids[0][0].size // 2, grids[0][1].size // 2
             assert str(err.value) == (f"label: quadrature did not converge to 1e-06: the trapezoid sums on "
                                       f"{nx} x {ny} and {2 * nx} x {2 * ny} nodes differ by {close:.2e}")

@@ -1,10 +1,12 @@
-"""Non-finite and non-integer inputs and tolerances: every public entry raises ValueError naming the argument."""
+"""Non-finite, non-integer and non-positive inputs: every public entry raises ValueError naming the argument."""
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import finiteq
 from finiteq import (
     AnalyticState,
     FiniteState,
@@ -41,7 +43,6 @@ from finiteq import (
     position_operator,
     position_state,
     reconstruct_from_zeros,
-    scalar_product,
     sector_family,
     shift_matrix,
     sum_constraint_fit,
@@ -97,10 +98,8 @@ ENTRIES = {
     "reconstruct_from_zeros points": ("points", lambda x: reconstruct_from_zeros(_with(x, 3), P3)),
     "reconstruct_from_zeros multiplicities": ("multiplicities",
                                               lambda x: reconstruct_from_zeros(ZEROS, P3, [x, 1, 1])),
-    "inverse_zak": ("tol", lambda x: inverse_zak(sector_family(GaussianCoherent(0.3), P3), 0, 0, tol=x)),
     "weyl_function": ("operator", lambda x: weyl_function(_with(x))),
     "is_unitary": ("operator", lambda x: is_unitary(_with(x))),
-    "is_unitary tol": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
     "operator_from_weyl": ("Weyl table", lambda x: operator_from_weyl(_with(x))),
     "OperatorKernel": ("operator matrix", lambda x: OperatorKernel(_with(x), P3)),
     "apply_weyl_expansion": ("Weyl table", lambda x: apply_weyl_expansion(_with(x), STATE, 0.5)),
@@ -168,11 +167,8 @@ INTEGER_ENTRIES = {
 # the rows whose argument may hold many integers, one per exponent, label or position
 ARRAY_ENTRIES = {"half_power k", "zak_sums", "reconstruct_from_zeros"}
 
-# (argument named in the message, call with the value x, which must lie in (0, inf) or (0, 1))
+# (argument named in the message, call with the value x, which must lie in (0, inf))
 POSITIVE_ENTRIES = {
-    "is_unitary": ("tol", lambda x: is_unitary(np.eye(3), tol=x)),
-    "inverse_zak": ("tol", lambda x: inverse_zak(FAMILY, 0, 0, tol=x)),
-    "scalar_product": ("tol", lambda x: scalar_product(STATE, STATE, tol=x)),
     "SystemParams": ("scale lam", lambda x: SystemParams(3, x)),
     "winding_number": ("spacing", lambda x: winding_number(np.exp, 0, 1 + 1j, spacing=x)),
 }
@@ -225,7 +221,7 @@ def test_a_list_is_not_one_integer(entry):
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1"], ids=str)
 @pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRIES))
 def test_non_positive_tolerances_are_value_errors(entry, bad):
-    # inverse_zak reported a coarse grid, spacing = 0 divided by zero, and a string raised TypeError
+    # spacing = 0 divided by zero, and a string raised TypeError
     name, call = POSITIVE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(bad)
@@ -239,3 +235,26 @@ def test_a_matrix_of_the_wrong_shape_is_a_value_error_naming_the_argument(entry,
     name, call = SQUARE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(bad)
+
+
+# every optional parameter of the public callables of finiteq, as name.parameter
+OPTIONAL_PARAMETERS = [
+    "CompletenessResult.gram_rank", "FiniteState.normalize", "SystemParams.lam", "SystemParams.a", "SystemParams.b",
+    "ZakSector.sigma1", "ZakSector.sigma2", "classify_completeness.cross_validate", "clock_matrix.alpha",
+    "momentum_zak_sums.m", "reconstruct_from_zeros.params", "reconstruct_from_zeros.multiplicities",
+    "sector_family.sigma2", "sector_family.n_sigma1", "shift_matrix.beta", "winding_number.spacing",
+    "zak_map.sector", "zak_normalization.sector", "zak_sums.sector", "zak_sums.m",
+]
+
+
+def test_the_public_optional_parameters_are_the_pinned_list():
+    # the quadratures', inverse_zak's and is_unitary's tol had one value in use and are constants now;
+    # a new knob shows up as an edit to this list
+    found = []
+    for name in sorted(dir(finiteq)):
+        obj = getattr(finiteq, name)
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        found += [f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
+                  if p.default is not inspect.Parameter.empty]
+    assert found == OPTIONAL_PARAMETERS

@@ -429,8 +429,8 @@ def test_inverse_rejects_coarse_grid():
     params = SystemParams(2, 0.18)
     psi = GaussianCoherent(0.0)
     family = sector_family(psi, params, n_sigma1=4)
-    with pytest.raises(RuntimeError):
-        inverse_zak(family, 0, 1, tol=1e-10)
+    with pytest.raises(RuntimeError, match=r"^sigma1 grid too coarse: quadrature error estimate .* > 1e-06$"):
+        inverse_zak(family, 0, 1)
 
 
 @pytest.mark.parametrize("psi", [HermiteNumber(3), GaussianCoherent(0.4 - 0.3j)], ids=repr)
@@ -481,12 +481,12 @@ def test_sector_family_checks_its_table():
             SectorFamily(params, sigma1, 0.0, np.ones(shape))
 
 
-def _direct_inverse_zak(family, m, w, tol):
+def _direct_inverse_zak(family, m, w):
     """inverse_zak as the direct periodic trapezoid sum over the family's grid and its even points."""
     q, r = divmod(int(m), family.params.d)
     vals = family.amplitudes[:, r] * np.exp(2j * np.pi * (q + w) * family.sigma1)
     full, coarse = complex(vals.sum()) / vals.size, complex(vals[::2].sum()) / vals[::2].size
-    if abs(full - coarse) > tol:
+    if abs(full - coarse) > 1e-6:
         raise RuntimeError("sigma1 grid too coarse")
     return full
 
@@ -502,22 +502,21 @@ def test_inverse_zak_matches_direct_trapezoid_sum(psi, params):
         rebuilt = SectorFamily(params, family.sigma1, family.sigma2,
                                np.sqrt(family.norms)[:, None] * np.array([s.components for s in family.states]))
         scale = np.max(np.abs(family.amplitudes))
-        for tol in (1e-6, 1e-10):
-            for m in range(-2 * d, 3 * d):
-                for w in range(-70, 71):  # windings past n_sigma1 / 2 wrap around the table
-                    try:
-                        ref = _direct_inverse_zak(family, m, w, tol)
-                    except RuntimeError:
-                        for fam in (family, rebuilt):
-                            with pytest.raises(RuntimeError, match="sigma1 grid too coarse"):
-                                inverse_zak(fam, m, w, tol)
-                        outcomes.add("raised")
-                        continue
-                    # the direct sum rounds its phase angles, 2 pi (q + w) sigma1, to eps of their size
-                    bound = 1e-15 * scale * (1 + abs(m // d + w))
-                    assert abs(inverse_zak(family, m, w, tol) - ref) <= bound
-                    assert abs(inverse_zak(rebuilt, m, w, tol) - ref) <= bound
-                    outcomes.add("value")
+        for m in range(-2 * d, 3 * d):
+            for w in range(-70, 71):  # windings past n_sigma1 / 2 wrap around the table
+                try:
+                    ref = _direct_inverse_zak(family, m, w)
+                except RuntimeError:
+                    for fam in (family, rebuilt):
+                        with pytest.raises(RuntimeError, match="sigma1 grid too coarse"):
+                            inverse_zak(fam, m, w)
+                    outcomes.add("raised")
+                    continue
+                # the direct sum rounds its phase angles, 2 pi (q + w) sigma1, to eps of their size
+                bound = 1e-15 * scale * (1 + abs(m // d + w))
+                assert abs(inverse_zak(family, m, w) - ref) <= bound
+                assert abs(inverse_zak(rebuilt, m, w) - ref) <= bound
+                outcomes.add("value")
     assert outcomes == {"raised", "value"}
 
 

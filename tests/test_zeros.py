@@ -105,18 +105,47 @@ def count_contours(monkeypatch):
     return corners
 
 
-def test_count_zeros_raises_the_overflow_of_f_at_once(monkeypatch):
-    # the top of the rectangle, 42.4 of the cell height 43.4 at d = 300, lies
-    # where |f| exceeds the double range: f's own error, which no shifted
-    # contour can cure, so it is raised from the first contour
+def zeros_inside(positions, params, lower_left, upper_right):
+    """How many of the cell's zeros, or of their translates by one cell width or height, lie in the rectangle."""
+    shifts = (np.arange(-1, 2)[:, None] * params.cell_width + 1j * np.arange(-1, 2) * params.cell_height).ravel()
+    z = (np.asarray(positions)[:, None] + shifts).ravel()
+    return int(np.count_nonzero((z.real > lower_left.real) & (z.real < upper_right.real)
+                                & (z.imag > lower_left.imag) & (z.imag < upper_right.imag)))
+
+
+def test_count_zeros_counts_where_f_overflows(monkeypatch):
+    # the top of the rectangle, 42.4 of the cell height 43.4 at d = 300, lies where |f| exceeds the
+    # double range; the count winds the weighted f, which has the phase of f and stays finite, so its
+    # first contour counts the find_zeros zeros inside (before, it raised f's overflow)
     d = 300
     s = AnalyticState(random_state(np.random.default_rng(300), d), SystemParams(d))
-    corners, evaluate, calls = count_contours(monkeypatch), AnalyticState.__call__, []
-    monkeypatch.setattr(AnalyticState, "__call__", lambda self, z: calls.append(z) or evaluate(self, z))
-    with pytest.raises(RuntimeError, match=r"^f is not finite at z = .* for d = 300: "
-                                           r"its value exceeds the double range there$"):
-        count_zeros(s, 1 + 40.4j, 3 + 42.4j)
-    assert corners == [1 + 40.4j] and len(calls) == 1
+    ll, ur = 1 + 40.4j, 3 + 42.4j
+    with pytest.raises(RuntimeError, match="exceeds the double range"):
+        s(ur)
+    expected = zeros_inside(find_zeros(s).positions, s.params, ll, ur)
+    corners = count_contours(monkeypatch)
+    assert count_zeros(s, ll, ur) == expected > 0
+    assert corners == [ll]
+
+
+def assert_cell_counts(s, positions, monkeypatch):
+    """count_zeros counts d over the whole cell and the `positions` inside its lower half, each from its first
+    contour, so the rectangles are the ones counted against.  f overflows near the top of the cell from d of
+    about 226, where the whole-cell count raised."""
+    p = s.params
+    ll = complex(p.a, p.b)
+    lower = ll + complex(p.cell_width, 0.5 * p.cell_height)
+    corners = count_contours(monkeypatch)
+    assert count_zeros(s, ll, ll + complex(p.cell_width, p.cell_height)) == p.d
+    assert count_zeros(s, ll, lower) == zeros_inside(positions, p, ll, lower)
+    assert corners == [ll, ll]
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.5])
+def test_count_zeros_over_the_cell_at_large_d(lam, monkeypatch):
+    # lam = 1 is counted in test_find_zeros_large_d
+    s = AnalyticState(random_state(np.random.default_rng([256, 19]), 256), SystemParams(256, lam))
+    assert_cell_counts(s, find_zeros(s).positions, monkeypatch)
 
 
 def test_count_zeros_shifts_a_contour_through_a_zero(monkeypatch):
@@ -540,7 +569,7 @@ def test_gram_rank_of_a_repeated_label(d):
 
 
 @pytest.mark.xfail(strict=True, reason="the 1e-8 rank rule of coherent_gram_rank reads this complete "
-                                       "set as rank d - 1; one row builder and rank rule is ROADMAP item 7")
+                                       "set as rank d - 1; one row builder and rank rule is ROADMAP item 15")
 def test_gram_rank_of_an_off_rule_set_at_d48():
     params = SystemParams(48)
     rng = np.random.default_rng([61, 48])
@@ -1085,13 +1114,15 @@ def test_find_zeros_property(d, seed):
 
 
 @pytest.mark.parametrize("d", [256, 1000])
-def test_find_zeros_large_d(d):
+def test_find_zeros_large_d(d, monkeypatch):
     params = SystemParams(d)
     v = random_state(np.random.default_rng(d), d)
-    zs = find_zeros(AnalyticState(v, params))
+    s = AnalyticState(v, params)
+    zs = find_zeros(s)
     assert zs.total == d
     assert zs.residual <= 1e-6
     assert 1.0 - reconstruct_from_zeros(zs).fidelity(v) <= 1e-10
+    assert_cell_counts(s, zs.positions, monkeypatch)
 
 
 @pytest.mark.parametrize("d,m", [(16, 3), (48, 0), (64, 3)])
