@@ -557,16 +557,28 @@ def test_weighted_thetas_memory_is_its_output_plus_blocks():
     assert peak < rows.nbytes + 16e6
 
 
-def test_quadratures_raise_where_their_levels_disagree(monkeypatch):
-    # node sums whose two levels differ by 1 in 10^3 (the fine level sums four times the nodes): each
-    # public quadrature raises by the fixed 1e-6 rule
+@pytest.mark.parametrize("spread", [0.5e-6, 2e-6, 1e-3], ids=str)
+@pytest.mark.parametrize("name", ["scalar_product", "kernel_apply", "coherent_identity_matrix"])
+def test_quadratures_keep_the_fixed_1e6_rule(name, spread, monkeypatch):
+    # node sums of size 1e12 whose coarse level is off by `spread` relative to the fine one (which sums
+    # four times the nodes): below 1e-6 each public quadrature returns what agreeing levels give, the
+    # fine level, and above it raises
     params = SystemParams(3)
     f = AnalyticState(position_state(0, 3), params)
-    monkeypatch.setattr(analytic, "_pair_sums", lambda *args: (4.0, 1.001))
-    monkeypatch.setattr(analytic, "_coherent_gram", lambda *args: (4 * np.eye(3), 1.001 * np.eye(3)))
-    for name, call in (("scalar_product", lambda: scalar_product(f, f)),
-                       ("kernel_apply", lambda: kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5j)),
-                       ("coherent_identity_matrix", lambda: coherent_identity_matrix(params))):
+    call = {"scalar_product": lambda: scalar_product(f, f),
+            "kernel_apply": lambda: kernel_apply(OperatorKernel(np.eye(3), params), f, 0.5j),
+            "coherent_identity_matrix": lambda: coherent_identity_matrix(params)}[name]
+
+    def levels(coarse):
+        monkeypatch.setattr(analytic, "_pair_sums", lambda *args: (4e12, 1e12 * coarse))
+        monkeypatch.setattr(analytic, "_coherent_gram", lambda *args: (4e12 * np.eye(3), 1e12 * coarse * np.eye(3)))
+
+    levels(1.0)
+    exact = call()
+    levels(1.0 + spread)
+    if spread < 1e-6:
+        assert np.array_equal(call(), exact)
+    else:
         with pytest.raises(RuntimeError, match=rf"^{name}: quadrature did not converge to 1e-06: "
                                                r"the trapezoid sums on \d+ x \d+ and \d+ x \d+ nodes differ by "):
             call()

@@ -226,6 +226,27 @@ def test_verify_zak_draws_an_n_that_has_a_number_state(d):
     assert len(drawn) > 1
 
 
+def _cell_count_check(d, seed):
+    from finiteq import verify
+
+    return next(r for r in verify.run_suite("zeros", d, seed) if r.name == "zero count over the cell equals d")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 64])
+def test_verify_counts_d_zeros_over_the_cell(d, seed):
+    check = _cell_count_check(d, seed)
+    assert check.passed and check.detail == f"counted {d}, expected {d}"
+
+
+def test_verify_cell_count_fails_on_a_wrong_count(monkeypatch):
+    from finiteq import zeros
+
+    monkeypatch.setattr(zeros, "count_zeros", lambda s, lower_left, upper_right: s.params.d - 1)
+    check = _cell_count_check(4, 0)
+    assert not check.passed and check.detail == "counted 3, expected 4"
+
+
 def test_verify_deterministic(capsys):
     main(["verify", "--d", "3", "--seed", "11", "--suite", "zak"])
     first = capsys.readouterr().out

@@ -40,6 +40,13 @@ def test_fourier_unitary_and_fourth_power():
         assert np.max(np.abs(np.linalg.matrix_power(F, 4) - np.eye(d))) < 1e-12
 
 
+@pytest.mark.parametrize("excess, unitary", [(0.5e-10, True), (0.9e-10, True), (1.1e-10, False), (2e-10, False)])
+def test_is_unitary_reads_a_fixed_1e10(excess, unitary):
+    # op op^dagger = diag(1 + excess, 1, 1) up to rounding, so op passes exactly when excess <= 1e-10
+    op = np.diag([np.sqrt(1 + excess), 1.0, 1.0]) @ fourier_matrix(3)
+    assert is_unitary(op) is unitary
+
+
 def test_fourier_maps_position_to_momentum():
     d, m = 5, 3
     out = fourier_matrix(d) @ position_state(m, d).components

@@ -22,6 +22,7 @@ from finiteq import (
     coherent_form,
     coherent_from_number,
     coherent_gram_rank,
+    coherent_identity_matrix,
     coherent_normalization_closed,
     coherent_state_closed,
     coherent_unnormalized,
@@ -34,6 +35,7 @@ from finiteq import (
     hermite_function,
     inverse_zak,
     is_unitary,
+    kernel_apply,
     kernel_eval,
     momentum_form,
     momentum_state,
@@ -43,6 +45,7 @@ from finiteq import (
     position_operator,
     position_state,
     reconstruct_from_zeros,
+    scalar_product,
     sector_family,
     shift_matrix,
     sum_constraint_fit,
@@ -258,3 +261,20 @@ def test_the_public_optional_parameters_are_the_pinned_list():
         found += [f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
                   if p.default is not inspect.Parameter.empty]
     assert found == OPTIONAL_PARAMETERS
+
+
+# the calls that took a tol before it became a module constant, each passing the old default
+REMOVED_TOL = {
+    "scalar_product": lambda: scalar_product(STATE, STATE, tol=1e-6),
+    "kernel_apply": lambda: kernel_apply(KERNEL, STATE, 0.5j, tol=1e-6),
+    "coherent_identity_matrix": lambda: coherent_identity_matrix(P3, tol=1e-6),
+    "inverse_zak": lambda: inverse_zak(FAMILY, 0, 0, tol=1e-6),
+    "is_unitary": lambda: is_unitary(np.eye(3), tol=1e-10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REMOVED_TOL))
+def test_a_removed_tol_is_a_type_error(entry):
+    # no caller but the tests set these; a tol= that was silently ignored would read as honoured
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        REMOVED_TOL[entry]()

@@ -433,6 +433,21 @@ def test_inverse_rejects_coarse_grid():
         inverse_zak(family, 0, 1)
 
 
+@pytest.mark.parametrize("spread, raises", [(0.5e-6, False), (0.9e-6, False), (1.1e-6, True), (2e-6, True)])
+def test_inverse_zak_reads_a_fixed_1e6(spread, raises):
+    # component 0 alternates 1 + spread, 1 - spread over the sigma1 grid: the full trapezoid sum
+    # is 1 and that on the even points 1 + spread, so the error estimate is spread
+    n = 8
+    amplitudes = np.ones((n, 2), dtype=complex)
+    amplitudes[:, 0] += spread * (-1.0) ** np.arange(n)
+    family = SectorFamily(SystemParams(2), np.arange(n) / n, 0.0, amplitudes)
+    if raises:
+        with pytest.raises(RuntimeError, match=r"^sigma1 grid too coarse: quadrature error estimate \S+ > 1e-06$"):
+            inverse_zak(family, 0, 0)
+    else:
+        assert abs(inverse_zak(family, 0, 0) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("psi", [HermiteNumber(3), GaussianCoherent(0.4 - 0.3j)], ids=repr)
 @pytest.mark.parametrize("sigma2", [0.0, 0.3])
 @pytest.mark.parametrize("n_sigma1", [4, 64])
