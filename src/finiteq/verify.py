@@ -198,21 +198,33 @@ def _suite_zeros(d, rng):
     verdict = zeros.classify_completeness(zs.positions, params).verdict
     out.append(CheckResult("own zeros classified undercomplete", verdict == "undercomplete", verdict))
     out.append(_result("displacement translates zeros", _displaced_zeros_error(s, zs), 1e-12))
+    out.append(_result("Fourier rotates zeros by +i", _fourier_zeros_error(s, zs), 1e-12))
     return out
 
 
+def _set_distance(a, b, p) -> float:
+    """Largest distance, over the cell height, from a point of either set to the nearest translate of the other."""
+    dist = np.abs(zeros._wrap(a[:, None] - b, p.cell_width, p.cell_height))
+    return float(max(dist.min(axis=0).max(), dist.min(axis=1).max()) / p.cell_height)
+
+
 def _displaced_zeros_error(s, zs) -> float:
-    """Largest distance, over the cell height, between the zeros of D(1, 0) s and D(0, 1) s and those of s
-    moved by beta lam sqrt(2 pi/d) - i alpha sqrt(2 pi/d) / lam, nearest lattice translates, both ways."""
+    """Largest :func:`_set_distance` between the zeros of D(1, 0) s and D(0, 1) s and those of s moved by
+    beta lam sqrt(2 pi/d) - i alpha sqrt(2 pi/d) / lam."""
     p = s.params
     step = np.sqrt(2 * np.pi / p.d)
     errs = []
     for alpha, beta in ((1, 0), (0, 1)):
         moved = zs.positions + beta * p.lam * step - 1j * alpha * step / p.lam
         found = zeros.find_zeros(analytic.AnalyticState(hilbert.displaced_state(s.state, (alpha, beta)), p))
-        dist = np.abs(zeros._wrap(moved[:, None] - found.positions, p.cell_width, p.cell_height))
-        errs += [dist.min(axis=0).max(), dist.min(axis=1).max()]
-    return float(max(errs) / p.cell_height)
+        errs.append(_set_distance(moved, found.positions, p))
+    return max(errs)
+
+
+def _fourier_zeros_error(s, zs) -> float:
+    """:func:`_set_distance` between the zeros of s and +i times those of F s at scale 1/lam, F = finite_fourier."""
+    partner = analytic.AnalyticState(zak.finite_fourier(s.state), zak.SystemParams(s.params.d, 1 / s.params.lam))
+    return _set_distance(zs.positions, 1j * zeros.find_zeros(partner).positions, s.params)
 
 
 SUITES = {

@@ -59,13 +59,15 @@ _STOP_RUN = 3
 
 
 class _Window(NamedTuple):
-    """c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi), the live terms
-    per height ceil(2 K) + 2, their offsets j = 0 .. width - 1 (read-only) and -pi / (d lam^2)."""
+    """c = sqrt(pi/2d)/lam, kappa = c d lam^2/pi, K = sqrt(_THETA_CUT d lam^2/pi), the live terms per height
+    ceil(2 K) + 2, the length of a placed fold (:func:`_fold`), which holds a window ending before d + width in
+    whole periods of d, the offsets j = 0 .. width - 1 (read-only) and -pi / (d lam^2)."""
 
     c: float
     kappa: float
     K: float
     width: int
+    fold_length: int
     j: np.ndarray
     scale: float
 
@@ -110,7 +112,8 @@ class SystemParams:
         width = math.ceil(2 * K) + 2
         j = np.arange(width)
         j.flags.writeable = False  # shared by every window of these params
-        return _Window(c, c * self.d * self.lam**2 / np.pi, K, width, j, -np.pi / (self.d * self.lam**2))
+        fold_length = -(-(width + self.d - 1) // self.d) * self.d
+        return _Window(c, c * self.d * self.lam**2 / np.pi, K, width, fold_length, j, -np.pi / (self.d * self.lam**2))
 
     @functools.cached_property
     def _border(self) -> np.ndarray:
@@ -299,26 +302,35 @@ def _theta_window(params: SystemParams, y, span: float = 0.0):
     return offset + j, start - offset, np.exp(exponent, out=exponent)
 
 
+def _phases(s, n0, width: int) -> np.ndarray:
+    """exp(n0 s) exp(s)^j, j = 0 .. width - 1 on a new last axis, the integers n0 broadcast against s.
+
+    With s = fl(-2icx) these are the phases e^{-2icnx} of n = n0 + j, from two complex exponentials and one
+    running product per row; each power carries the rounding of about j products, far below the tolerance at
+    the widths of the window.  Both f kernels take every phase here, so they round alike.
+    """
+    out = np.empty(np.broadcast(n0, s).shape + (width,), dtype=complex)
+    first = out[..., 0]
+    np.exp(np.multiply(n0, s, out=first), out=first)
+    if width > 1:
+        out[..., 1:] = np.exp(s)[..., None]
+        np.cumprod(out, axis=-1, out=out)
+    return out
+
+
 def _live_terms(z, params: SystemParams, order: int):
     """(index, base, terms): the terms exp(-pi (n - kappa y)^2 / (d lam^2) - 2icnx) (-2icn)^order at each z.
 
     ``order`` is one int for all points; order 0 takes no factor.  The
-    phases e^{-2icnx} of a point are the powers e^{-2ic n0 x} (e^{-2icx})^j
-    of its first live n0 = n - j, so a point takes two complex exponentials
-    and one running product; each power carries the rounding of about j
-    products, far below the tolerance at the widths of the window.  The
-    Gaussian weights come from the window as they are, one real exponential
-    per term: split into a per-point ratio times a fixed
-    e^{-pi j^2 / (d lam^2)}, their factors overflow before they cancel when
-    d lam^2 is small.  n = base + index, as in :func:`_theta_window`.
+    phases are :func:`_phases` of the point's first live n.  The Gaussian
+    weights come from the window as they are, one real exponential per term:
+    split into a per-point ratio times a fixed e^{-pi j^2 / (d lam^2)}, their
+    factors overflow before they cancel when d lam^2 is small.
+    n = base + index, as in :func:`_theta_window`.
     """
     c = params._window.c
     index, base, weight = _theta_window(params, z.imag)
-    phase = -2j * c * z.real[..., None]
-    terms = np.empty(index.shape, dtype=complex)
-    terms[..., :1] = np.exp(phase * (base + index[..., :1]))
-    terms[..., 1:] = np.exp(phase)
-    terms.cumprod(axis=-1, out=terms)
+    terms = _phases(-2j * c * z.real, base[..., 0] + index[..., 0], index.shape[-1])
     terms *= weight
     if order:
         terms *= _derivative_factor(c, base + index, order)
@@ -346,12 +358,6 @@ def _live_blocks(z: np.ndarray, params: SystemParams, order: int, per_point: int
         yield block, index, terms
 
 
-def _fold_length(params: SystemParams) -> int:
-    """The length of a point's placed fold: its live window, which ends before d + width, in whole periods of d."""
-    d = params.d
-    return -(-(params._window.width + d - 1) // d) * d
-
-
 def _fold(index: np.ndarray, terms: np.ndarray, params: SystemParams) -> np.ndarray:
     """F, the live terms of each point (rows of :func:`_live_terms`) summed by n mod d: weighted_thetas = d ifft(F).
 
@@ -359,7 +365,7 @@ def _fold(index: np.ndarray, terms: np.ndarray, params: SystemParams) -> np.ndar
     of the fold holds the n = k (mod d) with no rotation.  The placed array is taken for at most
     _BLOCK_TERMS values at a time, so beyond its output the fold holds no more than one block.
     """
-    d, length = params.d, _fold_length(params)
+    d, length = params.d, params._window.fold_length
     out = np.empty((len(index), d), dtype=complex)
     step = max(1, _BLOCK_TERMS // length)
     for lo in range(0, len(index), step):
@@ -380,15 +386,9 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     a Gaussian in n of modulus at most 1 centred on kappa y, so nothing
     overflows at any d.  The n within K of kappa y (beyond it the weight is
     below exp(-_THETA_CUT)) are folded by n mod d into F (:func:`_fold`), and
-    one inverse FFT gives the d values on the last axis: the rows are
-    d ifft(F) = F W with W_km = e^{2 pi i k m / d}, and W / sqrt(d) is unitary.
-    So a row's norm is sqrt(d) times its fold's, the unit-normalised rows are
-    the unit-normalised folds times W / sqrt(d), and a matrix of them has the
-    singular values of the folds and right singular vectors W^H / sqrt(d)
-    times theirs.  The label-set path of the zeros module works on the folds
-    for that reason and takes no inverse FFT.  ``order`` k, one integer of at
-    least 0 for all points, gives the weighted k-th derivative d^k/dz^k theta_m,
-    whose terms carry a factor (-2icn)^k.
+    one inverse FFT gives the d values on the last axis; the label-set path of
+    :mod:`finiteq.zeros` works on the folds (its docstring says why).  ``order``
+    k, an int of at least 0 for all points, gives the weighted d^k/dz^k theta_m.
 
     The points go through in blocks whose placed fold array holds at most
     _BLOCK_TERMS values, each block writing its rows of the output, so the
@@ -404,7 +404,7 @@ def weighted_thetas(z, params: SystemParams, order: int = 0) -> np.ndarray:
     order = _integer(order, "order", 0)
     out = np.empty(z.shape + (d,), dtype=complex)
     rows_out = out.reshape(-1, d)
-    for block, index, terms in _live_blocks(z, params, order, _fold_length(params)):
+    for block, index, terms in _live_blocks(z, params, order, params._window.fold_length):
         np.multiply(d, np.fft.ifft(_fold(index, terms, params), axis=-1), out=rows_out[block])
     return out
 
@@ -417,7 +417,8 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     so a point costs its live terms and no fold or FFT.
 
     A tensor grid z (:func:`_tensor_grid`), such as the grid of a plot of f,
-    is one matrix product of factors (:func:`_spectral_grid`).  Other points go
+    is one matrix product of factors (:func:`_spectral_grid`), rows by columns,
+    transposed for a grid whose y varies fastest.  Other points go
     through in blocks of at most _BLOCK_TERMS live terms, each block writing
     its slice of the output.  All points at once would build several
     (points x live terms) temporaries, about 9 KB per point at
@@ -433,7 +434,8 @@ def _spectral_sum(z, params: SystemParams, spectrum: np.ndarray, order: int = 0)
     grid = _tensor_grid(z)
     if grid is not None:
         x, y, y_fastest = grid
-        return _spectral_grid(x, y, params, spectrum, order, y_fastest).reshape(z.shape)
+        out = _spectral_grid(x, y, params, spectrum, order)
+        return (out.T if y_fastest else out).reshape(z.shape)
     out = np.empty(z.shape, dtype=complex)
     flat_out = out.reshape(-1)
     for block, index, terms in _live_blocks(z, params, order, params._window.width):
@@ -459,33 +461,23 @@ def _tensor_grid(z: np.ndarray):
     return (slow[:, 0], fast[0], True) if y_fastest else (fast[0], slow[:, 0], False)
 
 
-def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int = 0,
-                   y_fastest: bool = False) -> np.ndarray:
-    """_spectral_sum on the tensor grid x[None, :] + 1j y[:, None] (its transpose if y_fastest), in factors.
+def _spectral_grid(x, y, params: SystemParams, spectrum: np.ndarray, order: int = 0) -> np.ndarray:
+    """_spectral_sum on the tensor grid x[None, :] + 1j y[:, None], rows by columns, in factors.
 
-    The term n = start_r + j of row r (height y_r) factors into the row
-    factor exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d} (-2icn)^order,
-    the column factor exp(-2icjx) and the node phase exp(-2ic start_r x), so
-    the grid takes one (rows x width) (width x columns) matrix product,
-    rows x width real exponentials and, as in :func:`_live_terms`, the
-    column factors as powers of exp(-2icx); the node phases, rounded as
-    there, multiply the product in place.
+    The term n = start_r + j of row r (height y_r) factors into the row factor
+    exp(-pi (n - kappa y_r)^2 / (d lam^2)) G_{n mod d} (-2icn)^order, the column factor exp(-2icjx) and the
+    node phase exp(-2ic start_r x): one (rows x width) (width x columns) matrix product, rows x width real
+    exponentials, and the :func:`_phases` of the columns from n0 = 0 and of the nodes from n0 = start_r.
     """
     c = params._window.c
-    x = np.asarray(x, dtype=float)
     index, base, weight = _theta_window(params, y)
     rows = weight * np.take(spectrum, index, mode="wrap")
     if order:
         rows *= _derivative_factor(c, base + index, order)
-    start, step = base[:, 0] + index[:, 0], -2j * c * x  # node phase arguments start * step
-    cols = np.empty((index.shape[-1], x.size), dtype=complex)
-    cols[0] = 1.0
-    cols[1:] = np.exp(step)
-    np.cumprod(cols, axis=0, out=cols)
-    out = cols.T @ rows.T if y_fastest else rows @ cols
-    del index, base, weight, rows, cols  # the factors go before the output-sized node phases come
-    phase = np.multiply.outer(step, start) if y_fastest else np.multiply.outer(start, step)
-    out *= np.exp(phase, out=phase)
+    start, step = base[:, :1] + index[:, :1], -2j * c * np.asarray(x, dtype=float)
+    out = rows @ _phases(step, 0, index.shape[-1]).T
+    del index, base, weight, rows  # the factors go before the output-sized node phases come
+    out *= _phases(step, start, 1)[..., 0]
     return out
 
 

@@ -17,13 +17,12 @@ its zeros.  The reconstruction rests on orthogonality: f(z_j) = 0 says the
 state is orthogonal to the coherent state at conj(z_j), and d zeros obeying
 the sum constraint leave exactly one direction free, which is the state.
 Both uses of label sets, the Gram rank and the reconstruction, take their rows
-as the folds F of the theta series by n mod d, before the inverse DFT that
-gives the theta values d ifft(F): that DFT is sqrt(d) times a unitary matrix,
-so the row-normalised folds have the singular values of the row-normalised
-values; their null vector, column d of the inverse of B = [[F, b], [b^H, 0]],
-gives the state by one FFT.  As sigma_{d-1}(F) >= 1/||B^-1||_F and sigma_1(F) <=
-sqrt(d), 16 d**1.5 eps ||B^-1||_F < 1 proves the d eps gap rule without its SVD,
-16 times over, which covers the rounding of the inverse and of the SVD.
+as the folds F of the theta series by n mod d, before the inverse DFT: the
+theta values are d ifft(F) = F W, W_km = e^{2 pi i k m / d}, and W / sqrt(d) is
+unitary.  So the row-normalised values are the row-normalised folds times
+W / sqrt(d), with the singular values of the folds, and F W a = 0 exactly when
+F y = 0 for y = W a, where a = W^H y / d is one FFT of y.  The reconstruction
+takes y, and the proof of its gap rule, from one bordered inverse.
 """
 
 from __future__ import annotations
@@ -482,8 +481,7 @@ def _unit_rows(z, params: SystemParams, mults=None) -> np.ndarray:
     order: those of order 0 of all points, then of order 1 of the points of multiplicity
     above 1, and so on.  All orders come from the one window pass of order 0, its terms
     times (-2icn)^k, which is what :func:`finiteq.zak._live_terms` of order k computes.
-    The folds have the singular values of the rows, and their right singular vectors
-    map to those of the rows by one FFT (see :func:`finiteq.zak.weighted_thetas`).
+    The module docstring says why the folds stand for the rows.
     """
     index, base, terms = _live_terms(z, params, 0)
     rows = [_fold(index, terms, params)]
@@ -505,9 +503,8 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     count toward the rank.  The rows are the weighted thetas at the labels:
     a coherent state is one of them times a prefactor, whose modulus the row
     normalisation removes and whose phase leaves the singular values unchanged.
-    The singular values are read from the folded rows (:func:`_unit_rows`):
-    the unit weighted thetas are the unit folds times a unitary matrix, the
-    DFT over sqrt(d), which leaves the singular values as they are.
+    The singular values are read from the folded rows (:func:`_unit_rows`),
+    which have those of the unit weighted thetas (module docstring).
     ValueError is raised when there is no label or one is not finite.
     """
     return _gram_rank(_labels(points), params)
@@ -569,10 +566,8 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     zeros (:func:`_unit_rows`).  By the completeness theorem, d rows of zeros
     obeying the lattice constraint have rank d - 1, and the amplitudes are
     their null vector.  The rows are taken folded, F with weighted_thetas =
-    d ifft(F) = F W, W_km = e^{2 pi i k m / d}: F W a = 0 exactly when F y = 0
-    for y = W a, and W / sqrt(d) is unitary, so the row-normalised F has the
-    singular values of the row-normalised thetas and its null vector y gives
-    the amplitudes a = W^H y / d, one FFT of y.  For the unit border b of
+    F W, and F's null vector y gives the amplitudes a = W^H y / d, one FFT
+    of y (module docstring).  For the unit border b of
     SystemParams._border, B = [[F, b], [b^H, 0]] and B [y; mu] = e_d give F y = 0
     unless b is orthogonal to the null vector of F^H: y is column d of B^-1.  y
     is off by about eps / gap, gap = sigma_{d-1} / sigma_1 of F: at most d eps

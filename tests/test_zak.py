@@ -1,6 +1,7 @@
 """Line-to-cycle transform, number and coherent states, sectors and inversion."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -612,6 +613,26 @@ def test_sampled_from_csv_names_a_malformed_row(tmp_path):
             sampled_from_csv(path)
     path.write_text("\n".join(lines[1:]) + "\n")  # no header
     assert sampled_from_csv(path).x.size == 201
+
+
+def test_sampled_from_csv_refuses_a_file_without_data_rows(tmp_path):
+    path = tmp_path / "wave.csv"
+    for text in ("", "x,re,im\n", "x,re,im\n\n,\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^no data rows found in {re.escape(str(path))}$"):
+            sampled_from_csv(path)
+
+
+@pytest.mark.parametrize("x,values,message", [
+    (np.arange(5.0), np.ones(4), "grid and values must have the same length"),
+    (np.arange(3.0), np.ones(3), "need at least 4 grid points"),
+    (np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4), "grid must be strictly increasing"),
+    (np.array([0.0, 2.0, 1.0, 3.0]), np.ones(4), "grid must be strictly increasing"),
+    (np.arange(4.0), np.zeros(4), "sampled wavefunction is identically zero"),
+])
+def test_sampled_grid_refuses_bad_tables(x, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SampledGrid(x, values)
 
 
 # --- the lattice sums against the shell-by-shell loop ---------------------------

@@ -148,6 +148,14 @@ def test_count_zeros_over_the_cell_at_large_d(lam, monkeypatch):
     assert_cell_counts(s, find_zeros(s).positions, monkeypatch)
 
 
+def test_count_zeros_over_the_cell_at_d1000():
+    # lam = 2.5 is left out: there the count samples the long edges at the spacing of the short ones and took 0.79 s
+    p = SystemParams(1000, 0.3)
+    s = AnalyticState(random_state(np.random.default_rng([1000, 19]), 1000), p)
+    ll = complex(p.a, p.b)
+    assert count_zeros(s, ll, ll + complex(p.cell_width, p.cell_height)) == 1000
+
+
 def test_count_zeros_shifts_a_contour_through_a_zero(monkeypatch):
     # a corner exactly on a zero of the position state: the first contour
     # meets the zero, and a shifted one counts it in or out
@@ -162,6 +170,42 @@ def test_count_zeros_shifts_a_contour_through_a_zero(monkeypatch):
 def test_winding_rejects_degenerate_rectangle():
     with pytest.raises(ValueError):
         winding_number(lambda z: z, 1 + 1j, 1 + 2j)
+
+
+def test_winding_raises_on_an_exact_zero_sample():
+    # the lower-left corner is a sample, and f = z vanishes there; the bare raise carries no message
+    with pytest.raises(zeros_module._BoundaryZero) as exc:
+        winding_number(lambda z: z, 0, 1 + 1j)
+    assert exc.value.args == ()
+
+
+def test_winding_raises_on_a_loop_that_does_not_close():
+    # values whose phase turns by pi over the closed contour, in steps far below pi/2: they cannot come from a
+    # function of z, and the guard refuses the half turn
+    with pytest.raises(zeros_module._BoundaryZero, match=r"^winding number not integral: 0\.5"):
+        winding_number(lambda z: np.exp(1j * np.pi * np.linspace(0, 1, z.size)), 0, 1 + 1j)
+
+
+def test_winding_raises_at_the_refinement_cap():
+    # sqrt(z - c) jumps by a phase of pi across its branch cut on the negative real axis from c, which meets the
+    # left edge: bisection never brings that step below pi/2
+    with pytest.raises(zeros_module._BoundaryZero, match="^argument jump above pi/2 persisted after maximum "
+                                                         "boundary refinement; a zero may lie on or"):
+        winding_number(lambda z: np.sqrt(z - (0.5 + 0.5j)), 0, 1 + 1j)
+
+
+def test_count_zeros_raises_when_every_contour_meets_a_zero(monkeypatch):
+    calls = []
+
+    def always_on_a_zero(f, lower_left, upper_right, **kwargs):
+        calls.append(lower_left)
+        raise zeros_module._BoundaryZero
+
+    monkeypatch.setattr(zeros_module, "winding_number", always_on_a_zero)
+    s = AnalyticState(random_state(np.random.default_rng(4), 4), SystemParams(4))
+    with pytest.raises(RuntimeError, match="^zeros persist on the rectangle boundary after jitter attempts$"):
+        count_zeros(s, 0, 1 + 1j)
+    assert len(calls) == zeros_module._JITTER_ATTEMPTS
 
 
 def test_find_zeros_position_state_lattice():
@@ -1022,6 +1066,32 @@ def test_displacement_translates_zeros(d, lam):
     params = SystemParams(d, lam)
     s = AnalyticState(random_state(np.random.default_rng([d, 25]), d), params)
     assert verify._displaced_zeros_error(s, find_zeros(s)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.0])
+@pytest.mark.parametrize("d", [2, 3, 8, 64, 256])
+def test_fourier_rotates_zeros(d, lam):
+    # the zeros of s are +i times those of F s at 1/lam, up to lattice translates
+    s = AnalyticState(random_state(np.random.default_rng([d, 40]), d), SystemParams(d, lam))
+    assert verify._fourier_zeros_error(s, find_zeros(s)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 64])
+def test_fourier_rotation_by_minus_i_fails(d):
+    # -i in place of +i misses by a sizeable part of the cell height (0.21 and 0.098 here); at d = 1 and 2
+    # the zero sets are symmetric under z -> -z, so -i passes there as well
+    s = AnalyticState(random_state(np.random.default_rng([d, 40]), d), SystemParams(d))
+    partner = find_zeros(AnalyticState(zak.finite_fourier(s.state), s.params)).positions  # lam = 1 = 1/lam
+    assert verify._set_distance(find_zeros(s).positions, -1j * partner, s.params) > 0.05
+
+
+def test_verify_checks_the_fourier_rotation(monkeypatch):
+    # with F^-1 = F^3 in place of F the check compares the zeros of s with -i times those of F s, and fails
+    check = [r for r in verify.run_suite("zeros", 4, 0) if r.name == "Fourier rotates zeros by +i"]
+    assert len(check) == 1 and check[0].passed
+    monkeypatch.setattr(zak, "finite_fourier", lambda state: FiniteState(np.fft.fft(state.components) / 2))
+    check = [r for r in verify.run_suite("zeros", 4, 0) if r.name == "Fourier rotates zeros by +i"]
+    assert not check[0].passed
 
 
 def test_double_zero_roundtrip():
