@@ -95,8 +95,9 @@ def _square(values, what: str, d=None) -> np.ndarray:
 
 def _integer(value, what: str, low=None) -> int:
     """value as a Python int, exact at any size, from an int, numpy int or integral float: the integer rule beside
-    :func:`_finite`.  Anything else, a list included, or a value below `low` raises ValueError naming `what`."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer():
+    :func:`_finite`.  Anything else, bools and lists too, or a value below `low` raises ValueError naming `what`."""
+    if not isinstance(value, bool) and (isinstance(value, (int, np.integer))
+                                        or isinstance(value, (float, np.floating)) and value.is_integer()):
         if low is None or value >= low:
             return int(value)
     raise ValueError(f"{what} must be an integer{'' if low is None else f' of at least {low}'}, got {value}")
@@ -107,8 +108,8 @@ def _integers(values, what: str, low=None):
     if not isinstance(values, (list, tuple, np.ndarray)):
         return _integer(values, what, low)
     ints = np.asarray(values)
-    bad = np.zeros(ints.shape, dtype=bool) if low is None else ints < low
-    if ints.dtype.kind not in "iu":
+    bad = (ints.dtype == bool) | (np.zeros(ints.shape, dtype=bool) if low is None else ints < low)  # any bool fails
+    if ints.dtype.kind not in "iub":
         ints = np.asarray(values, dtype=float)
         bad |= ~np.isfinite(ints) | (ints != np.trunc(ints))
     if bad.any():
@@ -118,7 +119,8 @@ def _integers(values, what: str, low=None):
 
 def _positive(value, what: str) -> float:
     """value as a finite positive float, the rule for scales and lengths; otherwise ValueError names `what`."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < math.inf:
+    if (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+            and 0.0 < value < math.inf):
         return float(value)
     raise ValueError(f"{what} must be finite and positive, got {value}")
 

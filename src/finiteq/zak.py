@@ -88,9 +88,9 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer(self.d, "dimension", 1))
-        _positive(self.lam, "scale lam")
-        for name, value in (("a", self.a), ("b", self.b)):
-            _finite(value, f"cell anchor {name}", float)
+        object.__setattr__(self, "lam", _positive(self.lam, "scale lam"))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, float(_finite(getattr(self, name), f"cell anchor {name}", float)))
 
     @property
     def cell_width(self) -> float:
@@ -364,6 +364,7 @@ def _fold(index: np.ndarray, terms: np.ndarray, params: SystemParams) -> np.ndar
     Each point's terms are placed by their index n - base, base a multiple of d, so column k
     of the fold holds the n = k (mod d) with no rotation.  The placed array is taken for at most
     _BLOCK_TERMS values at a time, so beyond its output the fold holds no more than one block.
+    The loop is for :func:`finiteq.zeros._unit_rows`, which folds all its labels in one call.
     """
     d, length = params.d, params._window.fold_length
     out = np.empty((len(index), d), dtype=complex)

@@ -54,7 +54,6 @@ _MAX_PASSES = 48
 _MAX_BOUNDARY_POINTS = 400_000
 _JITTER_ATTEMPTS = 24
 _JITTER_FRAC = 1e-3
-_CLUSTER_DIAM = 1e-8
 # largest lattice residual of a zero sum in find_zeros, classify_completeness and reconstruct_from_zeros
 LATTICE_TOL = 1e-6
 _MERGE_DIAM = 1e-10  # labels closer than this are one label in classify_completeness and reconstruct_from_zeros
@@ -270,24 +269,23 @@ def _into_cell(z, p: SystemParams) -> np.ndarray:
     return out
 
 
-def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
-    """Pairs i < j of points whose nearest lattice translates lie within `diam`, some maybe twice.
+def _close_pairs(z: np.ndarray, p: SystemParams):
+    """Pairs i < j of points whose nearest lattice translates lie within _MERGE_DIAM, some maybe twice.
 
     Returns (i, j, offset), offset = _wrap(z[j] - z[i]).  Candidates come from
     the real parts reduced mod the cell width and sorted, followed by a copy
     one width up, so that pairs across that edge are adjacent too.  A pair
-    within `diam` has its real parts within reach of each other, so the
+    within the diameter has its real parts within reach of each other, so the
     points m = 1, 2, ... places apart are visited only while some of them are
     still within reach, and only those pairs get the full distance (none if
     all are exact repeats, at offset 0).  When no two neighbours are within
-    reach, which is the case for simple label sets and for the roots of
-    find_zeros, that is one pass over the n gaps.  When three points in a row
-    are each within reach of the next, the imaginary parts mod the cell
-    height are swept too and the axis with fewer neighbours within reach is
-    walked: a column is as fast as a row, and only points crowding both axes,
-    such as an L, stay quadratic.
+    reach, as for simple label sets, that is one pass over the n gaps.  When
+    three points in a row are each within reach of the next, the imaginary
+    parts mod the cell height are swept too and the axis with fewer
+    neighbours within reach is walked: a column is as fast as a row, and
+    only points crowding both axes, such as an L, stay quadratic.
     """
-    n, sweeps = z.size, []
+    n, diam, sweeps = z.size, _MERGE_DIAM, []
     for part, origin, period in ((np.real, p.a, p.cell_width), (np.imag, p.b, p.cell_height)):
         u = part(z) - origin
         x = u % period
@@ -316,22 +314,22 @@ def _close_pairs(z: np.ndarray, diam: float, p: SystemParams):
     # a reach beyond half the period can list a pair twice; in _merge the repeat changes nothing
     i, j = np.minimum(a, b), np.maximum(a, b)
     offset = z[j] - z[i]
-    if diam > 0 and not offset.any():
+    if not offset.any():
         return i, j, offset
     offset = _wrap(offset, p.cell_width, p.cell_height)
     keep = np.abs(offset) < diam
     return i[keep], j[keep], offset[keep]
 
 
-def _merge(points, diam: float, p: SystemParams, mults=None):
-    """Points closer than `diam` across the cell's periods, merged into one each.
+def _merge(points, p: SystemParams, mults=None):
+    """Points closer than _MERGE_DIAM across the cell's periods, merged into one each.
 
     Point k stands for mults[k] equal points (one without `mults`): the
     result is that of the rule below on np.repeat(points, mults).  Points
     are taken in input order.  A point joins the nearest earlier anchor (the
-    earliest of equally near ones) when that anchor lies within `diam` of
-    one of its lattice translates, and otherwise becomes an anchor itself;
-    so of a chain a-b-c with a, c farther apart than `diam`, b joins a and c
+    earliest of equally near ones) when that anchor lies within the diameter
+    of one of its lattice translates, and otherwise becomes an anchor itself;
+    so of a chain a-b-c with a, c farther apart than that, b joins a and c
     anchors its own group.  A group's multiplicity is the sum of its
     members' weights, and it sits at its anchor plus their weighted mean
     offset to the anchor's nearest translates, reduced into the cell.
@@ -339,16 +337,14 @@ def _merge(points, diam: float, p: SystemParams, mults=None):
     (positions, multiplicities).
 
     Cost: a sort of the n points and one pass over their gaps find the
-    pairs within `diam` (:func:`_close_pairs`), with no n x n distances;
-    with none, the points come back reduced into the cell at once.  Groups
-    take one Python step per pair, unless all are exact repeats: then each
-    point joins the earliest of its equals at once.  Pairs are rare at the
-    two diameters: 1e-8 in find_zeros, 1e-10 for the labels of
-    classify_completeness and reconstruct_from_zeros.
+    close pairs (:func:`_close_pairs`), with no n x n distances; with
+    none, the points come back reduced into the cell at once.  Groups take
+    one Python step per pair, unless all are exact repeats: then each point
+    joins the earliest of its equals at once.
     """
     z = np.asarray(points, dtype=complex).ravel()
     w = np.ones(z.size, dtype=np.intp) if mults is None else np.array(mults, dtype=np.intp).ravel()
-    i, j, offset = _close_pairs(z, diam, p)
+    i, j, offset = _close_pairs(z, p)
     if not i.size:
         return _into_cell(z, p), w
     if not offset.any():  # exact repeats alone: each joins the earliest of its equals, with no mean to take
@@ -384,18 +380,18 @@ def find_zeros(state: AnalyticState) -> ZeroSet:
     O(lam sqrt(d)), and its roots are the eigenvalues of the companion
     matrix.  Each band keeps the roots between two cut heights, set
     in the widest gap between roots near its edges; the bottom and top cuts
-    lie one period apart, so a zero on a cell edge is counted once.  Roots
-    closer than _CLUSTER_DIAM = 1e-8 form one zero at their mean, with their
-    summed multiplicity.  Positions are reduced into the canonical half-open
-    cell by lattice translation and sorted by (Im, Re).
+    lie one period apart, so a zero on a cell edge is counted once.  Each
+    kept root is one simple zero.  Positions are reduced into the canonical
+    half-open cell by lattice translation and sorted by (Im, Re).
 
-    The result is certified: RuntimeError is raised when the multiplicities do
-    not sum to d or the zero sum misses the lattice rule by more than LATTICE_TOL = 1e-6.
+    The result is certified: RuntimeError is raised when the roots are not d
+    or their sum misses the lattice rule by more than LATTICE_TOL = 1e-6.
     The zero vector, whose f vanishes everywhere, raises ValueError.
 
-    A state whose exact representation has a multiple zero acquires, through
-    float rounding of its amplitudes, a cluster of simple zeros separated by
-    about sqrt(machine eps), which _CLUSTER_DIAM resolves into its simple members.
+    A state whose exact representation has a zero of multiplicity m acquires,
+    through float rounding of its amplitudes, a cluster of m simple zeros
+    about eps^(1/m) apart, and they come back as m simple zeros: no fixed
+    diameter tells such a cluster from m close simple zeros.
     """
     p = state.params
     d, width, height = p.d, p.cell_width, p.cell_height
@@ -417,7 +413,7 @@ def find_zeros(state: AnalyticState) -> ZeroSet:
     roots = np.concatenate([z[(z.imag >= lo) & (z.imag < hi)]
                             for z, lo, hi in zip(bands, cuts[:-1], cuts[1:])])
 
-    positions, mults = _merge(roots, _CLUSTER_DIAM, p)
+    positions = _into_cell(roots, p)
 
     # quantize sort keys so zeros sharing a row/column order stably
     quantum = 1e-8 * max(width, height)
@@ -425,15 +421,14 @@ def find_zeros(state: AnalyticState) -> ZeroSet:
     key_im = np.round(np.imag(positions) / quantum)
     order = np.lexsort((key_re, key_im))
     positions = positions[order]
-    mults = mults[order]
-    if int(np.sum(mults)) != d:
-        raise RuntimeError(f"found {int(np.sum(mults))} zeros in the cell, expected {d}")
-    residual, M, N = sum_constraint_fit(complex(np.sum(positions * mults)), p)
+    if positions.size != d:
+        raise RuntimeError(f"found {positions.size} zeros in the cell, expected {d}")
+    residual, M, N = sum_constraint_fit(complex(np.sum(positions)), p)
     if residual > LATTICE_TOL:
         raise RuntimeError(
             f"zero sum misses the lattice rule by {residual:.3e} > {LATTICE_TOL:.0e}"
         )
-    return ZeroSet(positions, mults, p, M, N, residual)
+    return ZeroSet(positions, np.ones(d, dtype=np.intp), p, M, N, residual)
 
 
 def sum_constraint_fit(total: complex, params: SystemParams):
@@ -534,7 +529,7 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     if count != d:
         verdict = "overcomplete-at-least-complete" if count > d else "undercomplete"
         return CompletenessResult(verdict, count, None, None, None, reduced)
-    positions, mults = _merge(pts, _MERGE_DIAM, params)
+    positions, mults = _merge(pts, params)
     residual, M, N = sum_constraint_fit(complex((positions * mults).sum()), params)
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
     rank = None
@@ -606,7 +601,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
         )
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-    positions, mults = _merge(positions, _MERGE_DIAM, params, multiplicities)
+    positions, mults = _merge(positions, params, multiplicities)
     bordered = np.zeros((d + 1, d + 1), dtype=complex)
     rows = bordered[:d, :d] = _unit_rows(positions, params, mults)
     bordered[:d, d], bordered[d, :d] = params._border, params._border.conj()

@@ -1,13 +1,17 @@
 """Command-line frontend: file formats, exit codes, end-to-end roundtrips."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import finiteq
 from finiteq import FiniteState, SystemParams, number_state, position_state
 from finiteq.cli import build_parser, main, parse_complex
 from finiteq.serialization import (
@@ -198,6 +202,32 @@ def test_verify_analytic_rejects_wrong_quadrature_prefactor(monkeypatch):
     assert not results["coherent states resolve the identity"]
 
 
+@pytest.mark.parametrize("m", [0, 3, 417])
+def test_verify_momentum_form_error_reads_0_where_f_leaves_the_double_range(m):
+    # at d = 1000, from 0.85 of the cell height, |f| of a momentum state exceeds the double range, momentum_form
+    # raises, and the check takes the weighted f's log as the witness
+    from finiteq import analytic, verify
+
+    params = SystemParams(1000)
+    points = 0.3 * params.cell_width + 1j * np.linspace(0.85, 0.9, 3) * params.cell_height
+    for z in points:
+        with pytest.raises(RuntimeError, match="exceeds the double range"):
+            analytic.momentum_form(m, params, z)
+    assert verify._momentum_form_error(params, points, m) == 0.0
+
+
+def test_verify_momentum_form_error_is_infinite_where_momentum_form_raises_in_range(monkeypatch):
+    from finiteq import analytic, verify
+
+    def broken(m, params, z):
+        raise RuntimeError("momentum_form is not finite")
+
+    monkeypatch.setattr(analytic, "momentum_form", broken)
+    assert verify._momentum_form_error(SystemParams(4), np.array([1.0 + 1.0j]), 2) == np.inf
+    check = next(r for r in verify.run_suite("zak", 4, 7) if r.name == "momentum_form vs f of the momentum state")
+    assert not check.passed and check.detail.startswith("error inf")
+
+
 def _projection_vanishes(n, d):
     """Hermite projections that cancel identically: the d-point Fourier matrix
     lacks the eigenvalue i**n (d = 1 carries {1}, d = 2 {1, -1}, d = 3 and 4 miss -i)."""
@@ -306,6 +336,47 @@ def test_unread_flags_are_usage_errors(command, flag, value, tmp_path, capsys, m
     assert main(valid) == 0  # the same call without the flag runs
 
 
+# run in a fresh interpreter, where only what this imports and calls is loaded
+IMPORT_WEIGHT_CHECK = """
+import sys, finiteq, finiteq.cli
+heavy = [name for name in ('scipy', 'mpmath', 'finiteq.verify') if name in sys.modules]
+if heavy:
+    sys.exit(f'importing finiteq loads {heavy}')
+import numpy as np
+from finiteq import AnalyticState, FiniteState, SystemParams
+from finiteq import classify_completeness, find_zeros, reconstruct_from_zeros
+params = SystemParams(4)
+z = find_zeros(AnalyticState(FiniteState(np.array([1, 2j, -0.5, 0.3 + 1j])), params)).positions
+# the second and third zeros put at their mean, which keeps the sum, as one double label
+for labels, mults in ((z, [1, 1, 1, 1]), (np.array([z[0], z[1:3].mean(), z[3]]), [1, 2, 1])):
+    classify_completeness(np.repeat(labels, mults), params, cross_validate=True)
+    reconstruct_from_zeros(labels, params, mults)
+# the zeros of the second position state at d = 64, which the gap rule refuses: the path where the SVD decides
+params = SystemParams(64)
+lattice = np.sqrt(2 * np.pi / 64) * 2 + np.sqrt(32 * np.pi) + 1j * (2 * np.arange(64) + 1) * np.sqrt(np.pi / 128)
+try:
+    reconstruct_from_zeros(lattice, params)
+    sys.exit('the d = 64 position-state lattice was not refused')
+except RuntimeError:
+    pass
+heavy = [name for name in ('numpy.ma', 'scipy', 'mpmath') if name in sys.modules]
+sys.exit(f'the zeros layer loads {heavy}' if heavy else 0)
+"""
+
+
+def test_importing_finiteq_loads_neither_scipy_nor_mpmath():
+    # scipy is imported where it is used: a module-level scipy import raised the benchmark's setup_s from 0.33 to
+    # 0.60 s; finiteq.verify is imported by the verify subcommand alone, which saves the other subcommands its
+    # compile time.  The zero finder, the completeness check and the rebuild, on simple labels and on a double
+    # label, must not load them either, nor numpy.ma (which np.unique imports): an import there is paid by the
+    # first call of a process
+    src = str(pathlib.Path(finiteq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", IMPORT_WEIGHT_CHECK], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
 def test_readme_commands_parse():
     # every finiteq line of the README's command-line block is a valid call
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -354,9 +425,9 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 
 
 def test_state_record_reads_d_by_the_integer_rule(tmp_path, capsys):
-    # d = 2.9 with two components loaded as a d = 2 state; a string or a list is refused as well
+    # d = 2.9 with two components loaded as a d = 2 state; a string, a list or JSON true is refused as well
     record = {"lambda": 1.0, "components": [[1.0, 0.0], [0.0, 1.0]]}
-    for d in (2.9, "2", [2], 0, None):
+    for d in (2.9, "2", [2], 0, None, True):
         with pytest.raises(ValueError, match="^malformed state record: d must be"):
             state_from_dict(dict(record, d=d))
     assert state_from_dict(dict(record, d=2.0))[0].d == 2
@@ -366,9 +437,9 @@ def test_state_record_reads_d_by_the_integer_rule(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lam", ["2.5", 0, -1.0, float("nan")], ids=repr)
+@pytest.mark.parametrize("lam", ["2.5", 0, -1.0, float("nan"), True], ids=repr)
 def test_state_record_reads_lambda_as_a_positive_number(lam, tmp_path, capsys):
-    # float() took the string "2.5", and 0 or -1 passed the loader to fail later in SystemParams
+    # float() took the string "2.5", 0 or -1 passed the loader to fail later in SystemParams, and JSON true read as 1
     record = {"d": 2, "lambda": lam, "components": [[1.0, 0.0], [0.0, 1.0]]}
     with pytest.raises(ValueError, match="^malformed state record: lambda must be finite and positive"):
         state_from_dict(record)

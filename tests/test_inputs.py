@@ -187,11 +187,22 @@ def test_non_finite_input_is_a_value_error_naming_the_argument(entry, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf], ids=str)
-@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+# a bool is an int to Python, but no integer argument; a list such as [0, True] reaches numpy as an int array, so
+# the bools go to the rows that take one integer
+NON_INTEGERS = [(entry, bad) for entry in sorted(INTEGER_ENTRIES)
+                for bad in [2.5, np.nan, np.inf] + ([] if entry in ARRAY_ENTRIES else [True, np.True_])]
+
+
+def bad_id(value):
+    """str(value), but np.True_ as its repr, apart from True."""
+    return repr(value) if isinstance(value, np.bool_) else str(value)
+
+
+@pytest.mark.parametrize("entry, bad", NON_INTEGERS, ids=bad_id)
 def test_non_integer_input_is_a_value_error_naming_the_argument(entry, bad):
     # before, most of these truncated: fourier_matrix(2.5) was 2 x 2, HermiteNumber(2.5).n was 2,
-    # displacement(3, 0.5, 0) the identity, and NaN raised "cannot convert float NaN to integer"
+    # displacement(3, 0.5, 0) the identity, and NaN raised "cannot convert float NaN to integer";
+    # SystemParams(True) had d = 1
     name, call = INTEGER_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(bad)
@@ -212,6 +223,29 @@ def test_integral_values_of_any_type_are_accepted():
                           reconstruct_from_zeros(zeros, P3, np.ones(3, dtype=np.int32)).components)
 
 
+def test_a_bool_array_is_not_multiplicities():
+    # np.array([True, True, True]) read as multiplicities 1
+    zeros = find_zeros(STATE).positions
+    with pytest.raises(ValueError, match="^multiplicities must be integers of at least 1, got True"):
+        reconstruct_from_zeros(zeros, P3, np.array([True, True, True]))
+
+
+@pytest.mark.parametrize("lam", [np.float32(0.7), 2], ids=repr)
+def test_system_params_keep_python_floats(lam):
+    # a float32 lam made the cell width, the window's c and kappa float32: f was off by up to 7e-7 relative and
+    # find_zeros raised "zero sum misses the lattice rule by 2.385e-06"; an int lam gives the float's outputs
+    rng = np.random.default_rng(8)
+    a, b = np.float32(-1.3), np.float32(0.45)
+    given, plain = SystemParams(8, lam, a, b), SystemParams(8, float(lam), float(a), float(b))
+    assert all(type(value) is float for value in (given.lam, given.a, given.b))
+    state = FiniteState(rng.normal(size=8) + 1j * rng.normal(size=8))
+    z = given.a + rng.uniform(size=5) * given.cell_width + 1j * (given.b + rng.uniform(size=5) * given.cell_height)
+    assert AnalyticState(state, given)(z).tobytes() == AnalyticState(state, plain)(z).tobytes()
+    found, expected = find_zeros(AnalyticState(state, given)), find_zeros(AnalyticState(state, plain))
+    assert found.positions.tobytes() == expected.positions.tobytes()
+    assert (found.M, found.N, found.residual) == (expected.M, expected.N, expected.residual)
+
+
 @pytest.mark.parametrize("entry", sorted(set(INTEGER_ENTRIES) - ARRAY_ENTRIES))
 def test_a_list_is_not_one_integer(entry):
     # before, a list passed the integer rule as an int array: SystemParams([3]) had d = [3], and
@@ -221,10 +255,10 @@ def test_a_list_is_not_one_integer(entry):
         call([3])
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1"], ids=str)
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, "1", True, np.True_], ids=bad_id)
 @pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRIES))
 def test_non_positive_tolerances_are_value_errors(entry, bad):
-    # spacing = 0 divided by zero, and a string raised TypeError
+    # spacing = 0 divided by zero, a string raised TypeError, and SystemParams(3, True) had lam = 1
     name, call = POSITIVE_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(bad)

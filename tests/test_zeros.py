@@ -186,12 +186,24 @@ def test_winding_raises_on_a_loop_that_does_not_close():
         winding_number(lambda z: np.exp(1j * np.pi * np.linspace(0, 1, z.size)), 0, 1 + 1j)
 
 
-def test_winding_raises_at_the_refinement_cap():
+@pytest.mark.parametrize("cap", ["passes", "points"])
+def test_winding_raises_at_the_refinement_cap(cap, monkeypatch):
     # sqrt(z - c) jumps by a phase of pi across its branch cut on the negative real axis from c, which meets the
-    # left edge: bisection never brings that step below pi/2
+    # left edge: bisection never brings that step below pi/2.  It adds one point a pass to the 65 of the first
+    # contour, so it stops after _MAX_PASSES passes, or, with _MAX_BOUNDARY_POINTS lowered to 80, before a pass
+    # would take the 81st point
+    if cap == "points":
+        monkeypatch.setattr(zeros_module, "_MAX_BOUNDARY_POINTS", 80)
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sqrt(z - (0.5 + 0.5j))
+
     with pytest.raises(zeros_module._BoundaryZero, match="^argument jump above pi/2 persisted after maximum "
                                                          "boundary refinement; a zero may lie on or"):
-        winding_number(lambda z: np.sqrt(z - (0.5 + 0.5j)), 0, 1 + 1j)
+        winding_number(f, 0, 1 + 1j)
+    assert len(sizes) == zeros_module._MAX_PASSES + 1 if cap == "passes" else sum(sizes) == 80
 
 
 def test_count_zeros_raises_when_every_contour_meets_a_zero(monkeypatch):
@@ -366,7 +378,9 @@ def merge_loop(points, diam, params):
 
 def assert_merges_like_loop(points, diam, params, mults=None):
     # a point of weight m is m equal points in a row
-    positions, merged = zeros_module._merge(points, diam, params, mults)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "_MERGE_DIAM", diam)
+        positions, merged = zeros_module._merge(points, params, mults)
     ref_positions, ref_mults = merge_loop(points if mults is None else np.repeat(points, mults), diam, params)
     assert merged.tolist() == ref_mults.tolist()
     # positions are compared in units of the cell's extent from the origin
@@ -511,7 +525,9 @@ def test_close_pairs_match_all_pairs(case):
     # the column is walked along the imaginary parts, the row along the real parts; the L crowds both axes,
     # so it stays quadratic on either
     points, diam, params, _ = case
-    i, j, offset = zeros_module._close_pairs(points, diam, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "_MERGE_DIAM", diam)
+        i, j, offset = zeros_module._close_pairs(points, params)
     found = {}
     for a, b, o in zip(i.tolist(), j.tolist(), offset.tolist()):
         assert found.setdefault((a, b), o) == o  # a pair listed twice has one offset
@@ -531,7 +547,7 @@ def test_merge_of_a_column_is_not_quadratic():
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            zeros_module._merge(points, 1e-10, params)
+            zeros_module._merge(points, params)
             times.append(time.perf_counter() - start)
         return min(times)
 
@@ -547,7 +563,7 @@ def test_merge_matches_loop_on_1000_labels():
     planted = rng.choice(1000, size=142, replace=False)
     pts[planted[:71]] = pts[planted[71:]] + 3e-11 * np.exp(2j * np.pi * rng.uniform(size=71))
     assert_merges_like_loop(pts, 1e-10, params)
-    assert zeros_module._merge(pts, 1e-10, params)[1].tolist().count(2) == 71
+    assert zeros_module._merge(pts, params)[1].tolist().count(2) == 71
 
 
 def test_gram_rank_full_for_generic_points():
@@ -692,7 +708,7 @@ def test_folded_rows_keep_the_singular_values_and_the_state(d, lam, mult):
 def svd_rebuild(positions, params, mults):
     """The state from the last right singular vector of the rebuild's unit folded rows: the independent reference
     for its bordered solve."""
-    positions, mults = zeros_module._merge(positions, zeros_module._MERGE_DIAM, params, mults)
+    positions, mults = zeros_module._merge(positions, params, mults)
     return FiniteState(np.fft.fft(np.conj(np.linalg.svd(zeros_module._unit_rows(positions, params, mults))[2][-1])))
 
 
@@ -752,7 +768,7 @@ def test_bordered_solve_is_as_accurate_as_the_svd():
 
 def bordered_rows(positions, params, mults):
     """The rebuild's unit folded rows F of the merged zeros, and F bordered by b: [[F, b], [b^H, 0]]."""
-    positions, mults = zeros_module._merge(positions, zeros_module._MERGE_DIAM, params, mults)
+    positions, mults = zeros_module._merge(positions, params, mults)
     rows = zeros_module._unit_rows(positions, params, mults)
     border = params._border
     return rows, np.block([[rows, border[:, None]], [border.conj()[None, :], np.zeros((1, 1))]])
@@ -1097,8 +1113,8 @@ def test_verify_checks_the_fourier_rotation(monkeypatch):
 def test_double_zero_roundtrip():
     # fuse two zeros of a genuine set into one double zero, rebuild, and look
     # at how find_zeros reports it.  Float rounding of the rebuilt amplitudes
-    # splits the exact double zero into a pair ~sqrt(eps) apart: the default
-    # cluster diameter resolves the pair, a looser one reports multiplicity 2.
+    # splits the exact double zero into a pair ~sqrt(eps) apart, which comes
+    # back as two simple zeros.
     params = SystemParams(4)
     width, height = params.cell_width, params.cell_height
     # generic (non-dyadic) double-zero location, last zero solved from the sum rule
@@ -1116,8 +1132,7 @@ def test_double_zero_roundtrip():
     fine = find_zeros(s)
     assert fine.total == 4
     near = sorted(abs(z - z_double) for z in fine.positions)
-    if np.max(fine.multiplicities) == 1:
-        assert near[0] < 1e-6 and near[1] < 1e-6  # split pair hugging the target
+    assert near[0] < 1e-6 and near[1] < 1e-6  # split pair hugging the target
 
 
 def test_zero_orthogonality_link():
