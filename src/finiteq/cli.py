@@ -87,17 +87,11 @@ def build_parser() -> _Parser:
         "--out": dict(help="output path"),
     }
     for p, flags in ((p_state, "--d --lambda --out"), (p_zeros, "--out --cell-a --cell-b"),
-                     (p_rec, "--out --lambda --cell-a --cell-b"), (p_ov, "--d --lambda --out"),
-                     (p_plot, "--cell-a --cell-b")):
+                     (p_rec, "--out --lambda"), (p_ov, "--d --lambda --out"), (p_plot, "--cell-a --cell-b")):
         for flag in flags.split():
             p.add_argument(flag, **shared[flag])
+    p_ov.set_defaults(lam=None)  # so that file mode can refuse a given --lambda; label mode reads None as 1
     return parser
-
-
-def _params(args) -> SystemParams:
-    if args.d is None:
-        raise _UsageError("--d is required for this command")
-    return SystemParams(args.d, args.lam)
 
 
 def _need(flag, value):
@@ -124,7 +118,7 @@ def _load_analytic(path, args) -> AnalyticState:
 
 
 def _cmd_state(args) -> int:
-    params = _params(args)
+    params = SystemParams(_need("--d", args.d), args.lam)
     if args.kind == "number":
         st = number_state(_need("--N", args.N), params)
     elif args.kind == "coherent":
@@ -143,11 +137,10 @@ def _cmd_state(args) -> int:
 
 def _cmd_zeros(args) -> int:
     out = _need("--out", args.out)
-    _refuse_overwrite(args.state, out, ser.sidecar_path(out), args.svg)
+    _refuse_overwrite(args.state, out, args.svg)
     zs = find_zeros(_load_analytic(args.state, args))
     ser.save_zeros_csv(out, zs)
-    print(f"wrote {out} and {ser.sidecar_path(out)} "
-          f"({zs.total} zeros, M={zs.M}, N={zs.N}, residual={zs.residual:.2e})")
+    print(f"wrote {out} ({zs.total} zeros, M={zs.M}, N={zs.N}, residual={zs.residual:.2e})")
     if args.svg:
         ser.save_svg(args.svg, zs)
         print(f"wrote {args.svg}")
@@ -158,7 +151,7 @@ def _cmd_reconstruct(args) -> int:
     out = _need("--out", args.out)
     _refuse_overwrite(args.zeros, out)
     positions, mults = ser.load_zeros_csv(args.zeros)
-    params = SystemParams(int(mults.sum()), args.lam, args.cell_a, args.cell_b)
+    params = SystemParams(int(mults.sum()), args.lam)
     st = reconstruct_from_zeros(positions, params, mults)
     ser.save_state(out, st, params)
     print(f"wrote {out}")
@@ -166,8 +159,15 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    if args.A1 is not None or args.A2 is not None:
-        params = _params(args)
+    labels = args.A1 is not None or args.A2 is not None
+    if not labels and not (args.in1 and args.in2):
+        raise _UsageError("overlap needs either --A1/--A2 or --in1/--in2")
+    other = {"--in1": args.in1, "--in2": args.in2} if labels else {"--d": args.d, "--lambda": args.lam}
+    unread = [flag for flag, value in other.items() if value is not None]
+    if unread:
+        raise _UsageError(f"overlap with {'--A1/--A2' if labels else '--in1/--in2'} does not read {unread[0]}")
+    if labels:
+        params = SystemParams(_need("--d", args.d), 1.0 if args.lam is None else args.lam)
         a1 = parse_complex(_need("--A1", args.A1))
         a2 = parse_complex(_need("--A2", args.A2))
         closed = coherent_overlap(a1, a2, params)
@@ -177,15 +177,13 @@ def _cmd_overlap(args) -> int:
             "direct_re": direct.real, "direct_im": direct.imag,
             "closed_vs_direct": abs(closed - direct),
         }
-    elif args.in1 and args.in2:
+    else:
         s1, _ = ser.load_state(args.in1)
         s2, _ = ser.load_state(args.in2)
         if s1.d != s2.d:
             raise ValueError(f"dimension mismatch: {s1.d} vs {s2.d}")
         val = s1.inner(s2)
         payload = {"re": val.real, "im": val.imag, "abs": abs(val)}
-    else:
-        raise _UsageError("overlap needs either --A1/--A2 or --in1/--in2")
     text = json.dumps(payload, indent=1)
     if args.out:
         ser.write_atomic(args.out, text + "\n")

@@ -1,8 +1,7 @@
 """File formats shared by the library and the command line.
 
 * state JSON:  {"d": int, "lambda": float, "components": [[re, im], ...]}
-* zeros CSV:   header ``re,im,multiplicity``, one row per zero, with a JSON
-  sidecar {"M": int, "N": int, "residual": float} for the lattice fit
+* zeros CSV:   header ``re,im,multiplicity``, one row per zero
 * zeros SVG:   self-contained scatter of the cell rectangle and zero markers
   (circles; an optional overlay set uses triangles)
 
@@ -34,9 +33,6 @@ __all__ = [
     "load_state",
     "save_zeros_csv",
     "load_zeros_csv",
-    "sidecar_path",
-    "save_zeros_sidecar",
-    "load_zeros_sidecar",
     "zeros_svg",
     "save_svg",
 ]
@@ -72,6 +68,8 @@ def state_from_dict(data: dict) -> tuple[FiniteState, float]:
         d = _integer(data["d"], "d", 1)
         lam = _positive(data["lambda"], "lambda")
         comps = [complex(re, im) for re, im in data["components"]]
+        if any(isinstance(x, bool) for pair in data["components"] for x in pair):
+            raise ValueError("components must be numbers, not booleans")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
     if len(comps) != d:
@@ -93,7 +91,7 @@ def load_state(path) -> tuple[FiniteState, float]:
 
 
 def save_zeros_csv(path, zs: ZeroSet):
-    """Write the zeros CSV at `path` and its sidecar at :func:`sidecar_path`."""
+    """Write the zeros CSV at `path`."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re", "im", "multiplicity"])
@@ -101,7 +99,6 @@ def save_zeros_csv(path, zs: ZeroSet):
         # 17 significant digits read back as the same double, bit for bit
         writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}", int(m)])
     write_atomic(path, buf.getvalue())
-    save_zeros_sidecar(sidecar_path(path), zs)
 
 
 def load_zeros_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -120,21 +117,6 @@ def load_zeros_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not positions:
         raise ValueError(f"no zeros found in {path}")
     return np.asarray(positions, dtype=complex), np.asarray(mults, dtype=int)
-
-
-def sidecar_path(csv_path) -> Path:
-    p = Path(csv_path)
-    return p.with_suffix(".json") if p.suffix else p.with_name(p.name + ".json")
-
-
-def save_zeros_sidecar(path, zs: ZeroSet):
-    payload = {"M": int(zs.M), "N": int(zs.N), "residual": float(zs.residual)}
-    write_atomic(path, json.dumps(payload) + "\n")
-
-
-def load_zeros_sidecar(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def zeros_svg(zs: ZeroSet, overlay: ZeroSet | None = None) -> str:

@@ -17,10 +17,8 @@ from finiteq.cli import build_parser, main, parse_complex
 from finiteq.serialization import (
     load_state,
     load_zeros_csv,
-    load_zeros_sidecar,
     save_state,
     save_zeros_csv,
-    sidecar_path,
     state_from_dict,
     zeros_svg,
 )
@@ -58,21 +56,22 @@ def test_state_number_matches_table(tmp_path, capsys):
     assert np.max(np.abs(comps.real - TABLE_D6_N0)) < 2e-5
 
 
-def test_zeros_csv_and_sidecar(tmp_path):
+def test_zeros_csv_and_printed_fit(tmp_path, capsys):
     state = tmp_path / "n0.json"
     zcsv = tmp_path / "zeros.csv"
     svg = tmp_path / "cell.svg"
     assert main(["state", "number", "--d", "6", "--N", "0", "--out", str(state)]) == 0
+    capsys.readouterr()
     assert main(["zeros", "--state", str(state), "--out", str(zcsv), "--svg", str(svg)]) == 0
     positions, mults = load_zeros_csv(zcsv)
-    # one row per zero; this state carries a genuine double zero at the cell
-    # center, so six zeros counted with multiplicity occupy five or six rows
-    assert int(np.sum(mults)) == 6
-    assert positions.size in (5, 6)
-    side = load_zeros_sidecar(sidecar_path(zcsv))
-    assert set(side) == {"M", "N", "residual"}
-    assert side["residual"] <= 1e-6
-    assert svg.exists()
+    # one row per zero: find_zeros returns simple zeros, so the double zero at the cell center takes two rows
+    assert mults.tolist() == [1] * 6
+    assert positions.size == 6
+    # the lattice fit is printed, and the CSV and the SVG are all that is written
+    fit = capsys.readouterr().out.splitlines()[0]
+    assert fit.startswith(f"wrote {zcsv} (6 zeros, M=")
+    assert float(fit.rsplit("residual=", 1)[1].rstrip(")")) <= 1e-6
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.svg", "n0.json", "zeros.csv"]
 
 
 def test_full_file_roundtrip(tmp_path):
@@ -306,8 +305,12 @@ _UNREAD_FLAGS = [
     ("state", "--seed", "3"),
     ("zeros", "--d", "4"), ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
     ("reconstruct", "--d", "4"), ("reconstruct", "--seed", "3"), ("reconstruct", "--tol", "1e-3"),
+    ("reconstruct", "--cell-a", "1.3"), ("reconstruct", "--cell-b", "-0.7"),
     ("overlap", "--cell-a", "0.5"), ("overlap", "--cell-b", "0.5"), ("overlap", "--tol", "1e-3"),
     ("overlap", "--seed", "3"),
+    # overlap reads one mode: the files of file mode in label mode, and d and lambda in file mode, are unread
+    ("overlap", "--in1", "nothere.json"), ("overlap", "--in2", "nothere2.json"),
+    ("overlap files", "--d", "7"), ("overlap files", "--lambda", "2.5"), ("overlap files", "--lambda", "1"),
     ("verify", "--lambda", "2.5"), ("verify", "--cell-a", "1.3"), ("verify", "--cell-b", "-0.7"),
     ("verify", "--tol", "1e-3"), ("verify", "--out", "verify.txt"),
     ("plot", "--d", "4"), ("plot", "--lambda", "2.5"), ("plot", "--tol", "1e-3"), ("plot", "--seed", "3"),
@@ -325,6 +328,7 @@ def test_unread_flags_are_usage_errors(command, flag, value, tmp_path, capsys, m
         "zeros": ["zeros", "--state", "s.json", "--out", "z2.csv"],
         "reconstruct": ["reconstruct", "--zeros", "z.csv", "--out", "r.json"],
         "overlap": ["overlap", "--d", "3", "--A1", "0.3", "--A2", "0.1+0.2i", "--out", "ov.json"],
+        "overlap files": ["overlap", "--in1", "s.json", "--in2", "s.json", "--out", "ov.json"],
         "verify": ["verify", "--suite", "theta", "--d", "3"],
         "plot": ["plot", "--state", "s.json", "--svg", "p.svg"],
     }[command]
@@ -449,6 +453,18 @@ def test_state_record_reads_lambda_as_a_positive_number(lam, tmp_path, capsys):
     assert "input error: malformed state record: lambda must be" in capsys.readouterr().err
 
 
+def test_state_record_refuses_boolean_components(tmp_path, capsys):
+    # complex(True, False) read as 1+0j, while d and lambda refuse JSON true
+    record = {"d": 2, "lambda": 1.0, "components": [[True, False], [0.5, 0.25]]}
+    with pytest.raises(ValueError, match="^malformed state record: components must be numbers, not booleans"):
+        state_from_dict(record)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    assert main(["zeros", "--state", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
+    assert "input error: malformed state record: components must be" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 def test_zeros_of_the_zero_vector_is_an_input_error(tmp_path, capsys):
     # the loader keeps the components as given, and find_zeros reported "computation failed: found 0 zeros"
     state = tmp_path / "zero.json"
@@ -464,15 +480,12 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_outputs_onto_the_input_are_refused(tmp_path, capsys):
-    # the sidecar of s.csv is s.json: written, it would replace the state
-    # read from s.json, and the next run would fail on the zeros sidecar
     state = tmp_path / "s.json"
     assert main(["state", "number", "--d", "4", "--N", "0", "--out", str(state)]) == 0
     before = state.read_bytes()
     (tmp_path / "sub").mkdir()
     capsys.readouterr()
-    for outputs in (["--out", str(tmp_path / "s.csv")],
-                    ["--out", str(state)],
+    for outputs in (["--out", str(state)],
                     ["--out", str(tmp_path / "z.csv"), "--svg", str(tmp_path / "sub" / ".." / "s.json")]):
         assert main(["zeros", "--state", str(state)] + outputs) == 1
         assert "input error" in capsys.readouterr().err
@@ -485,6 +498,9 @@ def test_outputs_onto_the_input_are_refused(tmp_path, capsys):
     assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(zcsv)]) == 1
     assert "input error" in capsys.readouterr().err
     assert zcsv.read_text() == "re,im,multiplicity\n1.0,1.0,4\n"
+    # the zeros command writes no file beside its CSV, so s.csv beside the input s.json is no overwrite
+    assert main(["zeros", "--state", str(state), "--out", str(tmp_path / "s.csv")]) == 0
+    assert state.read_bytes() == before
 
 
 def test_load_zeros_csv_skips_blank_rows_and_rejects_bad_ones(tmp_path):
@@ -613,6 +629,22 @@ def test_non_finite_cell_anchor_is_an_input_error(flag, value, tmp_path, capsys)
     assert main(["zeros", "--state", str(state), flag, value, "--out", str(tmp_path / "z.csv")]) == 1
     assert f"input error: cell anchor {flag[-1]} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "z.csv").exists()
+
+
+def test_reconstruct_reads_lambda(tmp_path, capsys):
+    # the zeros of a lambda = 0.7 state rebuild it at --lambda 0.7; at the default lambda 1 they miss the lattice rule
+    state, zcsv, rebuilt = tmp_path / "c.json", tmp_path / "z.csv", tmp_path / "r.json"
+    assert main(["state", "coherent", "--d", "5", "--lambda", "0.7", "--A", "0.8-0.3i", "--out", str(state)]) == 0
+    assert main(["zeros", "--state", str(state), "--out", str(zcsv)]) == 0
+    assert main(["reconstruct", "--zeros", str(zcsv), "--lambda", "0.7", "--out", str(rebuilt)]) == 0
+    got, lam = load_state(rebuilt)
+    assert lam == 0.7
+    assert abs(abs(got.inner(load_state(state)[0])) - 1) <= 1e-10
+    capsys.readouterr()
+    other = tmp_path / "r1.json"
+    assert main(["reconstruct", "--zeros", str(zcsv), "--out", str(other)]) == 1
+    assert "input error: no such state exists: the zero sum violates the lattice" in capsys.readouterr().err
+    assert not other.exists()
 
 
 def test_lambda_flag_roundtrip(tmp_path):
