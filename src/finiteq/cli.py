@@ -117,18 +117,22 @@ def _load_analytic(path, args) -> AnalyticState:
     return AnalyticState(state, SystemParams(state.d, lam, args.cell_a, args.cell_b))
 
 
+_STATE_KINDS = {  # kind: the one kind flag it reads, and its state from that flag's value and the params
+    "number": ("N", number_state),
+    "coherent": ("A", lambda a, params: coherent_state_closed(parse_complex(a), params)),
+    "position": ("m", lambda m, params: position_state(m, params.d)),
+    "momentum": ("m", lambda m, params: momentum_state(m, params.d)),
+    "sampled": ("csv", lambda path, params: zak_map(sampled_from_csv(path), params)),
+}
+
+
 def _cmd_state(args) -> int:
+    flag, make = _STATE_KINDS[args.kind]
+    unread = [other for other in ("N", "A", "m", "csv") if other != flag and getattr(args, other) is not None]
+    if unread:
+        raise _UsageError(f"state {args.kind} does not read --{unread[0]}")
     params = SystemParams(_need("--d", args.d), args.lam)
-    if args.kind == "number":
-        st = number_state(_need("--N", args.N), params)
-    elif args.kind == "coherent":
-        st = coherent_state_closed(parse_complex(_need("--A", args.A)), params)
-    elif args.kind == "position":
-        st = position_state(_need("--m", args.m), params.d)
-    elif args.kind == "momentum":
-        st = momentum_state(_need("--m", args.m), params.d)
-    else:  # sampled
-        st = zak_map(sampled_from_csv(_need("--csv", args.csv)), params)
+    st = make(_need(f"--{flag}", getattr(args, flag)), params)
     out = _need("--out", args.out)
     ser.save_state(out, st, params)
     print(f"wrote {out}")

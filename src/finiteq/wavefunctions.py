@@ -154,17 +154,19 @@ class SampledGrid:
 
 
 def sampled_from_csv(path) -> SampledGrid:
-    """Load a SampledGrid from CSV rows ``x,re,im``; the first row may be a header."""
+    """Load a SampledGrid from CSV rows ``x,re,im``; the first row is a header when its first cell is not a number."""
     xs, vals = [], []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row or not row[0].strip():
                 continue
+            header = i == 0  # until its first cell parses as a number
             try:
-                x, value = float(row[0]), complex(float(row[1]), float(row[2]))
+                x, header = float(row[0]), False
+                value = complex(float(row[1]), float(row[2]))
             except (ValueError, IndexError) as exc:
-                if i == 0:
-                    continue  # header
+                if header:
+                    continue
                 raise ValueError(f"malformed CSV row {i + 1} {row!r}: needs numbers x,re,im") from exc
             xs.append(x)
             vals.append(value)

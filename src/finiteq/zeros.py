@@ -172,21 +172,22 @@ def winding_number(f, lower_left: complex, upper_right: complex, spacing: float 
 def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex) -> int:
     """Number of zeros (with multiplicity) inside a rectangle, via the winding of exp(-Im(z)^2 / 2) f(z).
 
-    The positive weight keeps the phase of f, and the weighted f stays finite at every d, where f
-    overflows near the top of the cell from d of about 226.  A contour through a zero is shifted.
+    The positive weight keeps the phase of f, and the weighted f stays finite at every d, where f overflows near
+    the top of the cell from d of about 226.  It winds in cell units, z = W Re u + i H Im u, at spacing 1/(6d):
+    each side of the cell gets 6d samples at any lam.  A contour through a zero is shifted.
     """
     p = state.params
-    spacing = min(p.cell_width, p.cell_height) / (6.0 * p.d)
-    ll, ur = complex(lower_left), complex(upper_right)
-    size = max(ur.real - ll.real, ur.imag - ll.imag)
+    width, height = p.cell_width, p.cell_height
+    lower, upper = (complex(z.real / width, z.imag / height) for z in map(complex, (lower_left, upper_right)))
+    ll, ur, size = lower, upper, max(upper.real - lower.real, upper.imag - lower.imag)
     rng = np.random.default_rng(_RNG_SEED)
     for attempt in range(_JITTER_ATTEMPTS):
         try:
-            return winding_number(state._weighted, ll, ur, spacing=spacing)
+            return winding_number(lambda u: state._weighted(width * u.real + 1j * height * u.imag), ll, ur,
+                                  spacing=1 / (6 * p.d))
         except _BoundaryZero:
             shift = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * _JITTER_FRAC * size
-            ll = complex(lower_left) + shift
-            ur = complex(upper_right) + shift
+            ll, ur = lower + shift, upper + shift
     raise RuntimeError("zeros persist on the rectangle boundary after jitter attempts")
 
 
@@ -322,51 +323,43 @@ def _close_pairs(z: np.ndarray, p: SystemParams):
 
 
 def _merge(points, p: SystemParams, mults=None):
-    """Points closer than _MERGE_DIAM across the cell's periods, merged into one each.
+    """Labels linked by steps shorter than 1e-10 (_MERGE_DIAM), across the cell's periods, are one label.
 
-    Point k stands for mults[k] equal points (one without `mults`): the
-    result is that of the rule below on np.repeat(points, mults).  Points
-    are taken in input order.  A point joins the nearest earlier anchor (the
-    earliest of equally near ones) when that anchor lies within the diameter
-    of one of its lattice translates, and otherwise becomes an anchor itself;
-    so of a chain a-b-c with a, c farther apart than that, b joins a and c
-    anchors its own group.  A group's multiplicity is the sum of its
-    members' weights, and it sits at its anchor plus their weighted mean
-    offset to the anchor's nearest translates, reduced into the cell.
-    Groups come out in the order their anchors were made.  Returns
-    (positions, multiplicities).
+    A group is a connected component of the close pairs (:func:`_close_pairs`),
+    so it does not depend on the order of the points, and a chain a-b-c is one
+    group even when a and c are farther apart than the diameter.  Point k
+    stands for mults[k] equal points (one without `mults`).  A group's
+    multiplicity is the sum of its members' weights, and it sits at its
+    least-index member plus their weighted mean offset to that member's
+    nearest translates, reduced into the cell.  Groups come out in the order
+    of their least indices.  Returns (positions, multiplicities).
 
-    Cost: a sort of the n points and one pass over their gaps find the
-    close pairs (:func:`_close_pairs`), with no n x n distances; with
-    none, the points come back reduced into the cell at once.  Groups take
-    one Python step per pair, unless all are exact repeats: then each point
-    joins the earliest of its equals at once.
+    Cost: a sort of the n points and one pass over their gaps find the close
+    pairs, with no n x n distances; with none, the points come back reduced
+    into the cell at once.  One np.minimum.at sends each point to its least
+    close neighbour, which is the group's least index when each group is a
+    clique, as exact repeats are.  Otherwise least indices spread both ways
+    along the pairs, with one pointer jump, until no pair straddles two groups.
     """
     z = np.asarray(points, dtype=complex).ravel()
     w = np.ones(z.size, dtype=np.intp) if mults is None else np.array(mults, dtype=np.intp).ravel()
     i, j, offset = _close_pairs(z, p)
     if not i.size:
         return _into_cell(z, p), w
-    if not offset.any():  # exact repeats alone: each joins the earliest of its equals, with no mean to take
-        root = np.arange(z.size)
-        np.minimum.at(root, j, i)
-        keep = root == np.arange(z.size)
-        return _into_cell(z[keep], p), np.bincount(root, w, z.size).astype(np.intp)[keep]
-    # by later point, its earlier neighbours nearest first: the first that is an anchor wins
-    by = np.lexsort((i, np.abs(offset), j))
-    joined = {}
-    for b, a, off in zip(j[by].tolist(), i[by].tolist(), offset[by].tolist()):
-        if b not in joined and a not in joined:
-            joined[b] = a, off
-    members = np.array(list(joined))  # by increasing index, so each group's sums run in input order
-    anchor, moved = (np.array(v) for v in zip(*joined.values()))
-    moved *= w[members]
-    np.add.at(w, anchor, w[members])
-    keep = np.ones(z.size, dtype=bool)
-    keep[members] = False
-    if moved.any():  # exact repeats have no offset to add
-        z = z + (np.bincount(anchor, moved.real, z.size) + 1j * np.bincount(anchor, moved.imag, z.size)) / w
-    return _into_cell(z[keep], p), w[keep]
+    root = np.arange(z.size)
+    np.minimum.at(root, j, i)
+    moved = offset.any()  # exact repeats have no mean offset to take, and one pass groups them
+    while moved and (straddle := root[i] != root[j]).any():
+        a, b = i[straddle], j[straddle]
+        np.minimum.at(root, a, root[b])
+        np.minimum.at(root, b, root[a])
+        root = root[root]
+    keep = root == np.arange(z.size)
+    total, positions = np.bincount(root, w, z.size)[keep], z[keep]
+    if moved:  # offsets to the least member's nearest translates, summed by increasing index
+        off = _wrap(z - z[root], p.cell_width, p.cell_height) * w
+        positions += (np.bincount(root, off.real, z.size) + 1j * np.bincount(root, off.imag, z.size))[keep] / total
+    return _into_cell(positions, p), total.astype(np.intp)
 
 
 def find_zeros(state: AnalyticState) -> ZeroSet:
@@ -502,12 +495,15 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     which have those of the unit weighted thetas (module docstring).
     ValueError is raised when there is no label or one is not finite.
     """
-    return _gram_rank(_labels(points), params)
-
-
-def _gram_rank(z: np.ndarray, params: SystemParams) -> int:  # coherent_gram_rank of labels checked by _labels
-    sv = np.linalg.svd(_unit_rows(z, params), compute_uv=False)
+    sv = np.linalg.svd(_unit_rows(_labels(points), params), compute_uv=False)
     return int((sv > _RANK_TOL * sv[0]).sum())
+
+
+def _merged_fit(points, params: SystemParams, mults=None):
+    """(positions, mults, residual, M, N): the labels merged by :func:`_merge` and the lattice fit of their
+    weighted sum.  The one front end of classify_completeness and reconstruct_from_zeros."""
+    positions, mults = _merge(points, params, mults)
+    return (positions, mults) + sum_constraint_fit(complex((positions * mults).sum()), params)
 
 
 def classify_completeness(points, params: SystemParams, cross_validate: bool = False) -> CompletenessResult:
@@ -515,9 +511,9 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
 
     More than d labels are at least complete; fewer are undercomplete;
     exactly d labels are undercomplete precisely when their sum satisfies
-    the lattice constraint to within LATTICE_TOL = 1e-6.  Labels closer than
-    _MERGE_DIAM = 1e-10, also across the cell's edges, are one label of
-    higher multiplicity, which leaves the count as it is.
+    the lattice constraint to within LATTICE_TOL = 1e-6.  Labels linked by
+    steps shorter than 1e-10, also across the cell's edges, are one label of
+    higher multiplicity (:func:`_merge`), which leaves the count as it is.
     Labels outside the cell are translated back in (the physical ray is
     unchanged by quasi-periodicity) and flagged.  ValueError is raised when
     there is no label or one is not finite.
@@ -529,12 +525,9 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     if count != d:
         verdict = "overcomplete-at-least-complete" if count > d else "undercomplete"
         return CompletenessResult(verdict, count, None, None, None, reduced)
-    positions, mults = _merge(pts, params)
-    residual, M, N = sum_constraint_fit(complex((positions * mults).sum()), params)
+    positions, _, residual, M, N = _merged_fit(pts, params)
     verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
-    rank = None
-    if cross_validate:
-        rank = _gram_rank(positions, params)  # a label of multiplicity m is m equal rows, which add no rank
+    rank = coherent_gram_rank(positions, params) if cross_validate else None  # m equal rows add no rank
     return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
 
 
@@ -546,13 +539,12 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     """Rebuild the state whose representation vanishes at the given zeros.
 
     Accepts a ZeroSet, or an array of finite positions plus `params` (and
-    optional multiplicities, one integer of at least 1 per position;
-    positions within _MERGE_DIAM = 1e-10 of each other, also across the
-    cell's edges, are one zero with the summed multiplicity, by the rule of
-    classify_completeness); other input raises ValueError, as do `params` or
-    `multiplicities` given with a ZeroSet that they disagree with.  The
-    multiplicity-weighted sum must satisfy the lattice constraint to within
-    LATTICE_TOL = 1e-6, otherwise no state exists and a ValueError is raised.
+    optional multiplicities, one integer of at least 1 per position);
+    other input raises ValueError, as do `params` or `multiplicities` given
+    with a ZeroSet that they disagree with.  Zeros are merged as labels are in
+    classify_completeness, and the multiplicity-weighted sum of the merged
+    zeros must satisfy the lattice constraint to within LATTICE_TOL = 1e-6,
+    otherwise no state exists and a ValueError is raised.
 
     Since exp(-y^2/2) f(z) = pi**-1/4 sum_m weighted_thetas(z)_m f_m, a zero
     z_j is one linear condition on the amplitudes: the state is orthogonal
@@ -593,7 +585,7 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     d = params.d
     if multiplicities.sum() != d:
         raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
-    residual, _, _ = sum_constraint_fit(complex((positions * multiplicities).sum()), params)
+    positions, mults, residual, _, _ = _merged_fit(positions, params, multiplicities)
     if residual > LATTICE_TOL:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
@@ -601,7 +593,6 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
         )
     if d == 1:
         return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-    positions, mults = _merge(positions, params, multiplicities)
     bordered = np.zeros((d + 1, d + 1), dtype=complex)
     rows = bordered[:d, :d] = _unit_rows(positions, params, mults)
     bordered[:d, d], bordered[d, :d] = params._border, params._border.conj()

@@ -303,6 +303,10 @@ def test_main_calls_share_no_values(tmp_path, capsys):
 _UNREAD_FLAGS = [
     ("state", "--cell-a", "0.5"), ("state", "--cell-b", "0.5"), ("state", "--tol", "1e-3"),
     ("state", "--seed", "3"),
+    # state reads only its kind's flag
+    ("state", "--A", "1+1i"), ("state", "--m", "2"), ("state", "--csv", "nothere.csv"),
+    ("state coherent", "--N", "3"), ("state coherent", "--m", "2"), ("state coherent", "--csv", "nothere.csv"),
+    ("state position", "--N", "0"), ("state position", "--A", "1+1i"),
     ("zeros", "--d", "4"), ("zeros", "--lambda", "2.5"), ("zeros", "--tol", "1e-3"), ("zeros", "--seed", "3"),
     ("reconstruct", "--d", "4"), ("reconstruct", "--seed", "3"), ("reconstruct", "--tol", "1e-3"),
     ("reconstruct", "--cell-a", "1.3"), ("reconstruct", "--cell-b", "-0.7"),
@@ -325,6 +329,8 @@ def test_unread_flags_are_usage_errors(command, flag, value, tmp_path, capsys, m
     assert main(["zeros", "--state", "s.json", "--out", "z.csv"]) == 0
     valid = {
         "state": ["state", "number", "--d", "4", "--N", "0", "--out", "n.json"],
+        "state coherent": ["state", "coherent", "--d", "4", "--A", "1+1i", "--out", "c.json"],
+        "state position": ["state", "position", "--d", "4", "--m", "1", "--out", "x.json"],
         "zeros": ["zeros", "--state", "s.json", "--out", "z2.csv"],
         "reconstruct": ["reconstruct", "--zeros", "z.csv", "--out", "r.json"],
         "overlap": ["overlap", "--d", "3", "--A1", "0.3", "--A2", "0.1+0.2i", "--out", "ov.json"],

@@ -603,11 +603,13 @@ def test_sampled_from_csv_roundtrip(tmp_path):
 
 def test_sampled_from_csv_names_a_malformed_row(tmp_path):
     # only the first row may be a header: a bad row further down was skipped,
-    # so "1.0e,0.5,0" among 201 data rows loaded 200 rows and no error
+    # so "1.0e,0.5,0" among 201 data rows loaded 200 rows and no error.  And
+    # only a first row whose first cell is not a number: "1.0,abc,0" above
+    # the rows loaded as a grid without it
     x = np.linspace(-10, 10, 201)
     lines = ["x,re,im"] + [f"{xi},{v.real},{v.imag}" for xi, v in zip(x, GaussianCoherent(0.3)(x))]
     path = tmp_path / "wave.csv"
-    for row, bad in ((100, "1.0e,0.5,0"), (7, "x,re,im"), (201, "3.0,0.5")):
+    for row, bad in ((100, "1.0e,0.5,0"), (7, "x,re,im"), (201, "3.0,0.5"), (0, "1.0,abc,0"), (0, "1.0,0.5")):
         path.write_text("\n".join(lines[:row] + [bad] + lines[row:]) + "\n")
         with pytest.raises(ValueError, match=f"^malformed CSV row {row + 1} "):
             sampled_from_csv(path)

@@ -94,7 +94,7 @@ def test_count_subrectangle_single_zero():
 
 
 def count_contours(monkeypatch):
-    """The lower-left corners of the contours count_zeros tracks from now on."""
+    """The lower-left corners of the contours count_zeros tracks from now on, in cell units (see in_cell_units)."""
     corners, winding = [], zeros_module.winding_number
 
     def counted(f, lower_left, upper_right, **kwargs):
@@ -103,6 +103,11 @@ def count_contours(monkeypatch):
 
     monkeypatch.setattr(zeros_module, "winding_number", counted)
     return corners
+
+
+def in_cell_units(z, params):
+    """z with its real part in cell widths and its imaginary part in cell heights: where count_zeros winds."""
+    return complex(z.real / params.cell_width, z.imag / params.cell_height)
 
 
 def zeros_inside(positions, params, lower_left, upper_right):
@@ -125,7 +130,7 @@ def test_count_zeros_counts_where_f_overflows(monkeypatch):
     expected = zeros_inside(find_zeros(s).positions, s.params, ll, ur)
     corners = count_contours(monkeypatch)
     assert count_zeros(s, ll, ur) == expected > 0
-    assert corners == [ll]
+    assert corners == [in_cell_units(ll, s.params)]
 
 
 def assert_cell_counts(s, positions, monkeypatch):
@@ -138,7 +143,7 @@ def assert_cell_counts(s, positions, monkeypatch):
     corners = count_contours(monkeypatch)
     assert count_zeros(s, ll, ll + complex(p.cell_width, p.cell_height)) == p.d
     assert count_zeros(s, ll, lower) == zeros_inside(positions, p, ll, lower)
-    assert corners == [ll, ll]
+    assert corners == [in_cell_units(ll, p)] * 2
 
 
 @pytest.mark.parametrize("lam", [0.3, 2.5])
@@ -148,9 +153,11 @@ def test_count_zeros_over_the_cell_at_large_d(lam, monkeypatch):
     assert_cell_counts(s, find_zeros(s).positions, monkeypatch)
 
 
-def test_count_zeros_over_the_cell_at_d1000():
-    # lam = 2.5 is left out: there the count samples the long edges at the spacing of the short ones and took 0.79 s
-    p = SystemParams(1000, 0.3)
+@pytest.mark.parametrize("lam", [0.3, 2.5])
+def test_count_zeros_over_the_cell_at_d1000(lam):
+    # the count winds in cell units, so each side of the cell takes 6d samples at any lam: at lam = 2.5 the long
+    # edges sampled at the spacing of the short ones took four times the points
+    p = SystemParams(1000, lam)
     s = AnalyticState(random_state(np.random.default_rng([1000, 19]), 1000), p)
     ll = complex(p.a, p.b)
     assert count_zeros(s, ll, ll + complex(p.cell_width, p.cell_height)) == 1000
@@ -164,7 +171,7 @@ def test_count_zeros_shifts_a_contour_through_a_zero(monkeypatch):
     z0 = position_zero_lattice(1, params)[1]
     corners = count_contours(monkeypatch)
     assert count_zeros(s, z0, z0 + 0.8 + 0.8j) in (0, 1)
-    assert len(corners) == 2 and corners[0] == z0
+    assert len(corners) == 2 and corners[0] == in_cell_units(z0, params)
 
 
 def test_winding_rejects_degenerate_rectangle():
@@ -361,19 +368,27 @@ def test_classify_merges_across_cell_edges():
 
 
 def merge_loop(points, diam, params):
-    """The merge rule with one Python iteration per point: the reference for zeros._merge."""
-    anchors, offsets = [], []
-    for z in points:
-        if anchors:
-            off = zeros_module._wrap(z - np.asarray(anchors), params.cell_width, params.cell_height)
-            i = int(np.argmin(np.abs(off)))
-            if abs(off[i]) < diam:
-                offsets[i].append(complex(off[i]))
-                continue
-        anchors.append(complex(z))
-        offsets.append([0j])
-    positions = np.array([z0 + np.mean(off) for z0, off in zip(anchors, offsets)], dtype=complex)
-    return zeros_module._into_cell(positions, params), np.array([len(off) for off in offsets])
+    """The merge rule from all n^2 distances: the reference for zeros._merge.  Groups are the connected components
+    of the pairs within diam (close_pairs_all), joined by union-find, each at its least index plus the mean offset
+    of its members to that point's nearest translates."""
+    points = np.asarray(points, dtype=complex)
+    parent = list(range(points.size))
+
+    def root(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for a, b in close_pairs_all(points, diam, params):
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)  # so that a group's root is its least index
+    groups = {}
+    for k in range(points.size):
+        groups.setdefault(root(k), []).append(k)
+    positions = np.array([points[r] + np.mean(zeros_module._wrap(points[members] - points[r], params.cell_width,
+                                                                 params.cell_height))
+                          for r, members in sorted(groups.items())], dtype=complex)
+    return zeros_module._into_cell(positions, params), np.array([len(m) for _, m in sorted(groups.items())])
 
 
 def assert_merges_like_loop(points, diam, params, mults=None):
@@ -413,7 +428,7 @@ def label_sets(draw):
             "repeat": [z, z],
             "pair": [z, z + step],
             "triple": [z, z + step, z - step],
-            # a and b, b and c within diam, a and c not
+            # a and b, b and c within diam, a and c not: one group
             "chain": [z, z + 1.6 * step, z + 3.2 * step],
             "left": [complex(a + edge, y), complex(a - edge, y) + step / 4],
             "right": [complex(a + width - edge, y), complex(a + width + edge, y) + step / 4],
@@ -456,7 +471,7 @@ def repeat_set(kind):
 @example(repeat_set("weighted"))
 @example(repeat_set("repeat and pair"))
 def test_merge_matches_loop(case):
-    # exact repeats alone skip the anchor loop; a pair within diam beside them takes it
+    # exact repeats alone take one pass; a pair within diam beside them spreads the least indices
     points, diam, params, mults = case
     assert_merges_like_loop(points, diam, params)
     if mults is not None:
@@ -564,6 +579,48 @@ def test_merge_matches_loop_on_1000_labels():
     pts[planted[:71]] = pts[planted[71:]] + 3e-11 * np.exp(2j * np.pi * rng.uniform(size=71))
     assert_merges_like_loop(pts, 1e-10, params)
     assert zeros_module._merge(pts, params)[1].tolist().count(2) == 71
+
+
+@st.composite
+def permuted_label_sets(draw):
+    """(points, diam, params, mults, order): a set of label_sets and a permutation of its labels."""
+    points, diam, params, mults = draw(label_sets())
+    return points, diam, params, mults, np.array(draw(st.permutations(range(points.size))))
+
+
+def chain_set(order):
+    """(points, diam, params, None, order): a, a + 0.8e-10, a + 1.6e-10 at d = 3, a chain whose ends are 1.6e-10
+    apart, and an order of it."""
+    a = 0.5 + 0.5j
+    return np.array([a, a + 0.8e-10, a + 1.6e-10]), 1e-10, SystemParams(3), None, np.array(order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(permuted_label_sets())
+@example(chain_set([1, 0, 2]))
+@example(chain_set([2, 1, 0]))
+@example(repeat_set("repeat and pair") + (np.arange(9)[::-1],))
+@example(repeat_set("weighted") + (np.arange(10)[::-1],))
+def test_merge_does_not_depend_on_label_order(case):
+    # the same labels in another order merge into the same groups: the same multiplicities, each group at the
+    # same position modulo the lattice.  Joining the nearest earlier anchor merged the chain to [2, 1] in the
+    # orders a, b, c and c, b, a but to [3] in the order b, a, c.  Positions are compared at the diameters of
+    # label_sets below 1e-6: at 0.3 of the cell a chain can reach half a period, where the nearest translate of a
+    # member, and so the mean offset, depends on which member is the least
+    points, diam, params, mults, order = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "_MERGE_DIAM", diam)
+        positions, merged = zeros_module._merge(points, params, mults)
+        permuted, permuted_mults = zeros_module._merge(points[order], params, None if mults is None else mults[order])
+    assert sorted(merged.tolist()) == sorted(permuted_mults.tolist())
+    if diam > 1e-6:
+        return
+    gap = np.abs(zeros_module._wrap(positions[:, None] - permuted[None, :], params.cell_width, params.cell_height))
+    match = gap.argmin(axis=1)  # each group's nearest group of the permuted labels
+    assert sorted(match.tolist()) == list(range(permuted.size))
+    assert merged.tolist() == permuted_mults[match].tolist()
+    scale = max(abs(params.a) + params.cell_width, abs(params.b) + params.cell_height)
+    assert gap[np.arange(match.size), match].max() <= 1e-15 * scale
 
 
 def test_gram_rank_full_for_generic_points():
@@ -1053,6 +1110,48 @@ def test_reconstruct_merges_labels_as_classify_does(copies):
     assert (result.verdict, result.count) == ("undercomplete", 5)
     once = reconstruct_from_zeros(np.array([z0, z1, z2]), params, [3, 1, 1])
     assert 1 - reconstruct_from_zeros(labels, params).fidelity(once) <= 1e-12
+
+
+@st.composite
+def rule_label_sets(draw):
+    """(labels, params): d labels with exact repeats, pairs and chains within 1e-10, on the lattice rule or, moved
+    by 5% of the cell height, off it."""
+    params = SystemParams(draw(st.integers(1, 12)), draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          draw(st.sampled_from([0.0, -3.7])), draw(st.sampled_from([0.0, 12.1])))
+    d, lam, width, height = params.d, params.lam, params.cell_width, params.cell_height
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    labels = []
+    while len(labels) < d - 1:
+        z = complex(params.a + draw(unit) * width, params.b + draw(unit) * height)
+        step = 0.45e-10 * np.exp(2j * np.pi * draw(unit))
+        labels += {"single": [z], "repeat": [z, z], "pair": [z, z + step], "chain": [z, z + 1.6 * step, z + 3.2 * step]
+                   }[draw(st.sampled_from(["single", "repeat", "pair", "chain"]))]
+    labels = labels[:d - 1]
+    M, N = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    target = np.sqrt(np.pi / 2) * d**1.5 * (lam + 1j / lam) + np.sqrt(2 * np.pi * d) * (M * lam + 1j * N / lam)
+    last = target - sum(labels)
+    if draw(st.booleans()):
+        last += 0.05 * height * np.exp(2j * np.pi * draw(unit))
+    labels = np.array(labels + [complex(zeros_module._into_cell(last, params))])
+    return labels[np.array(draw(st.permutations(range(d))))], params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rule_label_sets())
+def test_rebuild_refuses_exactly_the_sets_classify_reads_complete(case):
+    # both read the labels through one merge and one lattice fit: no state has these zeros exactly when the labels
+    # are complete
+    labels, params = case
+    verdict = classify_completeness(labels, params).verdict
+    try:
+        reconstruct_from_zeros(labels, params)
+        refused = False
+    except ValueError as exc:
+        assert str(exc).startswith("no such state exists"), exc
+        refused = True
+    except RuntimeError:  # the gap rule: the zeros exist but fix no one state in double precision
+        refused = False
+    assert refused is (verdict == "complete")
 
 
 def test_one_merge_decides_which_labels_are_one_zero(monkeypatch):
