@@ -128,7 +128,7 @@ _STATE_KINDS = {  # kind: the one kind flag it reads, and its state from that fl
 
 def _cmd_state(args) -> int:
     flag, make = _STATE_KINDS[args.kind]
-    unread = [other for other in ("N", "A", "m", "csv") if other != flag and getattr(args, other) is not None]
+    unread = [other for other, _ in _STATE_KINDS.values() if other != flag and getattr(args, other) is not None]
     if unread:
         raise _UsageError(f"state {args.kind} does not read --{unread[0]}")
     params = SystemParams(_need("--d", args.d), args.lam)

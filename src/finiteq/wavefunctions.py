@@ -160,13 +160,14 @@ def sampled_from_csv(path) -> SampledGrid:
         for i, row in enumerate(csv.reader(fh)):
             if not row or not row[0].strip():
                 continue
-            header = i == 0  # until its first cell parses as a number
+            if i == 0:
+                try:
+                    float(row[0])
+                except ValueError:
+                    continue  # a header: its first cell is not a number
             try:
-                x, header = float(row[0]), False
-                value = complex(float(row[1]), float(row[2]))
+                x, value = float(row[0]), complex(float(row[1]), float(row[2]))
             except (ValueError, IndexError) as exc:
-                if header:
-                    continue
                 raise ValueError(f"malformed CSV row {i + 1} {row!r}: needs numbers x,re,im") from exc
             xs.append(x)
             vals.append(value)

@@ -173,21 +173,23 @@ def count_zeros(state: AnalyticState, lower_left: complex, upper_right: complex)
     """Number of zeros (with multiplicity) inside a rectangle, via the winding of exp(-Im(z)^2 / 2) f(z).
 
     The positive weight keeps the phase of f, and the weighted f stays finite at every d, where f overflows near
-    the top of the cell from d of about 226.  It winds in cell units, z = W Re u + i H Im u, at spacing 1/(6d):
-    each side of the cell gets 6d samples at any lam.  A contour through a zero is shifted.
+    the top of the cell from d of about 226.  It winds in cell units, z = W Re u + i H Im u, where its phase turns
+    about |Im u| W H per unit of Re u and |Re u| W H per unit of Im u: at spacing 1/(6d r), r the largest |Re u| or
+    |Im u| of the corners and at least 1, a step turns at most W H / (6d) = pi/3, and each side of the cell
+    anchored at 0 gets 6d samples at any lam.  A contour through a zero is shifted.
     """
     p = state.params
     width, height = p.cell_width, p.cell_height
     lower, upper = (complex(z.real / width, z.imag / height) for z in map(complex, (lower_left, upper_right)))
-    ll, ur, size = lower, upper, max(upper.real - lower.real, upper.imag - lower.imag)
+    size, shift = max(upper.real - lower.real, upper.imag - lower.imag), 0
+    reach = max(1.0, abs(lower.real), abs(lower.imag), abs(upper.real), abs(upper.imag))
     rng = np.random.default_rng(_RNG_SEED)
     for attempt in range(_JITTER_ATTEMPTS):
         try:
-            return winding_number(lambda u: state._weighted(width * u.real + 1j * height * u.imag), ll, ur,
-                                  spacing=1 / (6 * p.d))
+            return winding_number(lambda u: state._weighted(width * u.real + 1j * height * u.imag),
+                                  lower + shift, upper + shift, spacing=1 / (6 * p.d * reach))
         except _BoundaryZero:
             shift = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * _JITTER_FRAC * size
-            ll, ur = lower + shift, upper + shift
     raise RuntimeError("zeros persist on the rectangle boundary after jitter attempts")
 
 
@@ -334,12 +336,10 @@ def _merge(points, p: SystemParams, mults=None):
     nearest translates, reduced into the cell.  Groups come out in the order
     of their least indices.  Returns (positions, multiplicities).
 
-    Cost: a sort of the n points and one pass over their gaps find the close
-    pairs, with no n x n distances; with none, the points come back reduced
-    into the cell at once.  One np.minimum.at sends each point to its least
-    close neighbour, which is the group's least index when each group is a
-    clique, as exact repeats are.  Otherwise least indices spread both ways
-    along the pairs, with one pointer jump, until no pair straddles two groups.
+    Cost: a sort and one pass over the gaps find the close pairs, with no
+    n x n distances.  One np.minimum.at groups exact repeats, which are cliques;
+    otherwise least indices spread both ways along the pairs, with one
+    pointer jump, until no pair straddles two groups.
     """
     z = np.asarray(points, dtype=complex).ravel()
     w = np.ones(z.size, dtype=np.intp) if mults is None else np.array(mults, dtype=np.intp).ravel()
@@ -348,17 +348,19 @@ def _merge(points, p: SystemParams, mults=None):
         return _into_cell(z, p), w
     root = np.arange(z.size)
     np.minimum.at(root, j, i)
-    moved = offset.any()  # exact repeats have no mean offset to take, and one pass groups them
-    while moved and (straddle := root[i] != root[j]).any():
+    keep = root == np.arange(z.size)
+    if not offset.any():  # exact repeats: cliques, which that one pass groups, with no offsets to average
+        return _into_cell(z[keep], p), np.bincount(root, w, z.size)[keep].astype(np.intp)
+    while (straddle := root[i] != root[j]).any():
         a, b = i[straddle], j[straddle]
         np.minimum.at(root, a, root[b])
         np.minimum.at(root, b, root[a])
         root = root[root]
     keep = root == np.arange(z.size)
-    total, positions = np.bincount(root, w, z.size)[keep], z[keep]
-    if moved:  # offsets to the least member's nearest translates, summed by increasing index
-        off = _wrap(z - z[root], p.cell_width, p.cell_height) * w
-        positions += (np.bincount(root, off.real, z.size) + 1j * np.bincount(root, off.imag, z.size))[keep] / total
+    total = np.bincount(root, w, z.size)[keep]
+    # offsets to the least member's nearest translates, summed by increasing index
+    off = _wrap(z - z[root], p.cell_width, p.cell_height) * w
+    positions = z[keep] + (np.bincount(root, off.real, z.size) + 1j * np.bincount(root, off.imag, z.size))[keep] / total
     return _into_cell(positions, p), total.astype(np.intp)
 
 
@@ -500,8 +502,7 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
 
 
 def _merged_fit(points, params: SystemParams, mults=None):
-    """(positions, mults, residual, M, N): the labels merged by :func:`_merge` and the lattice fit of their
-    weighted sum.  The one front end of classify_completeness and reconstruct_from_zeros."""
+    """The labels merged by :func:`_merge` and the lattice fit of their sum: (positions, mults, residual, M, N)."""
     positions, mults = _merge(points, params, mults)
     return (positions, mults) + sum_constraint_fit(complex((positions * mults).sum()), params)
 

@@ -1360,9 +1360,13 @@ def test_find_zeros_scaled_and_anchored_cells(lam, anchor):
     for d in (1, 3, 10):
         params = SystemParams(d, lam, *anchor)
         v = random_state(np.random.default_rng([d, 11]), d)
-        zs = find_zeros(AnalyticState(v, params))
+        s = AnalyticState(v, params)
+        zs = find_zeros(s)
         assert zs.total == d
         assert zs.residual <= 1e-8
+        # far from the origin the weighted f turns faster along each side, and the winding's spacing must follow
+        ll = complex(params.a, params.b)
+        assert count_zeros(s, ll, ll + complex(params.cell_width, params.cell_height)) == d
         assert np.all((zs.positions.real >= params.a) & (zs.positions.real < params.a + params.cell_width))
         assert np.all((zs.positions.imag >= params.b) & (zs.positions.imag < params.b + params.cell_height))
         assert 1.0 - reconstruct_from_zeros(zs).fidelity(v) <= 1e-10
