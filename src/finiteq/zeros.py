@@ -22,7 +22,9 @@ theta values are d ifft(F) = F W, W_km = e^{2 pi i k m / d}, and W / sqrt(d) is
 unitary.  So the row-normalised values are the row-normalised folds times
 W / sqrt(d), with the singular values of the folds, and F W a = 0 exactly when
 F y = 0 for y = W a, where a = W^H y / d is one FFT of y.  The reconstruction
-takes y, and the proof of its gap rule, from one bordered inverse.
+takes y, and the proof of its gap rule, from one bordered inverse, which also
+proves the classifier's Gram rank of the same labels; one record of the last
+label set holds the merged labels, F and that inverse for both (_LabelSet).
 """
 
 from __future__ import annotations
@@ -496,15 +498,114 @@ def coherent_gram_rank(points, params: SystemParams) -> int:
     The singular values are read from the folded rows (:func:`_unit_rows`),
     which have those of the unit weighted thetas (module docstring).
     ValueError is raised when there is no label or one is not finite.
+    The cross-check of classify_completeness returns this rank of its merged
+    labels, proved from an inverse where it can be and taken from the
+    singular values, as here, elsewhere (:meth:`_LabelSet.gram_rank`).
     """
-    sv = np.linalg.svd(_unit_rows(_labels(points), params), compute_uv=False)
+    return _rank(_unit_rows(_labels(points), params))
+
+
+def _rank(rows: np.ndarray) -> int:
+    """The number of singular values of the rows above _RANK_TOL of the largest."""
+    sv = np.linalg.svd(rows, compute_uv=False)
     return int((sv > _RANK_TOL * sv[0]).sum())
 
 
-def _merged_fit(points, params: SystemParams, mults=None):
-    """The labels merged by :func:`_merge` and the lattice fit of their sum: (positions, mults, residual, M, N)."""
-    positions, mults = _merge(points, params, mults)
-    return (positions, mults) + sum_constraint_fit(complex((positions * mults).sum()), params)
+def _proves(inverse: np.ndarray, d: int, tol: float) -> bool:
+    """16 tol sqrt(d) ||inverse||_F < 1: the singular value of d unit rows that 1 / ||inverse||_F bounds from below
+    is then above 16 tol sqrt(d), which is at least 16 tol times their largest.  A norm that overflows, or NaN,
+    fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(16 * tol * math.sqrt(d) * np.linalg.norm(inverse) < 1)
+
+
+class _LabelSet:
+    """One set of labels or zeros as classify_completeness and reconstruct_from_zeros read it.
+
+    It holds the labels merged by :func:`_merge` and the lattice fit of their
+    weighted sum, and computes on first use the unit rows F of the merged labels
+    (:func:`_unit_rows`, d of them when the multiplicities sum to d) and the
+    inverse of the rebuild's bordered matrix B = [[F, b], [b^H, 0]], b the unit
+    border of SystemParams._border.  The record of the last set given is kept
+    (:func:`_label_set`), keyed by the exact bytes of the labels and of the
+    multiplicities and by the params, so a classification followed by the
+    rebuild of the same labels merges, fits, folds and inverts once.
+    """
+
+    def __init__(self, key, params: SystemParams, points, mults):
+        self.key, self.params = key, params
+        self.positions, self.mults = _merge(points, params, mults)
+        self.residual, self.M, self.N = sum_constraint_fit(complex((self.positions * self.mults).sum()), params)
+        self._rows = self._inverse = None
+
+    # rows() and inverse() return what they read or computed, never the slot read again, which another
+    # thread's release() may have emptied meanwhile
+    def rows(self) -> np.ndarray:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _unit_rows(self.positions, self.params, self.mults)
+        return rows
+
+    def inverse(self) -> np.ndarray:
+        """B^-1; a failed inverse raises numpy's LinAlgError each time it is asked for."""
+        inverse = self._inverse
+        if inverse is None:
+            d, border = self.params.d, self.params._border
+            bordered = np.zeros((d + 1, d + 1), dtype=complex)
+            bordered[:d, :d] = self.rows()
+            bordered[:d, d], bordered[d, :d] = border, border.conj()
+            inverse = self._inverse = np.linalg.inv(bordered)
+        return inverse
+
+    def release(self) -> None:
+        """Drop the d x d arrays, keeping the merged labels and their fit."""
+        self._rows = self._inverse = None
+
+    def gram_rank(self, undercomplete: bool) -> int:
+        """coherent_gram_rank of the merged labels, proved from an inverse where one settles it.
+
+        The k merged labels have the first k unit rows F, so 1 <= sigma_1(F) <= sqrt(d).
+        For k = d labels on the lattice rule the rank is d - 1 when B^-1 gives
+        16e-8 sqrt(d) ||B^-1||_F < 1, since sigma_{d-1} >= 1 / ||B^-1||_F (the rebuild's
+        bound), and its column y = B^-1[:d, d] has ||F y|| <= 1e-8 ||y|| / 2, since
+        sigma_d <= ||F y|| / ||y||.  For k = d labels off the rule, or k = d - 1 (one
+        double label), the rank is k when 16e-8 sqrt(d) ||A^-1||_F < 1 for A = F, or F
+        with the row b^H below it: sigma_k(F) >= sigma_d(A) by interlacing.  The factors
+        16 and 2 leave room for the rounding of the inverse and of the singular values.
+        Any other k, a failed inverse or a bound that fails takes the singular values, as
+        coherent_gram_rank does.
+        """
+        d, k = self.params.d, self.positions.size
+        # the rows of order 0; a set off the rule is never rebuilt, so it takes no rows of higher order
+        rows = self.rows()[:k] if undercomplete else _unit_rows(self.positions, self.params)
+        try:
+            if k == d and undercomplete:
+                inverse = self.inverse()
+                y = inverse[:d, d]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    null = np.linalg.norm(rows @ y) <= 0.5 * _RANK_TOL * np.linalg.norm(y)
+                if null and _proves(inverse, d, _RANK_TOL):
+                    return d - 1
+            elif k >= d - 1:
+                square = rows if k == d else np.vstack((rows, self.params._border.conj()))
+                if _proves(np.linalg.inv(square), d, _RANK_TOL):
+                    return k
+        except np.linalg.LinAlgError:
+            pass
+        return _rank(rows)
+
+
+_last = None  # the _LabelSet of the last labels given to classify_completeness or reconstruct_from_zeros
+
+
+def _label_set(points, params: SystemParams, mults) -> _LabelSet:
+    """The record of these labels, params and multiplicities: the last one when it matches, else a new one."""
+    global _last
+    key = (params, np.asarray(points, dtype=complex).tobytes(), np.asarray(mults, dtype=np.intp).tobytes())
+    record = _last
+    if record is None or record.key != key:
+        record = _last = _LabelSet(key, params, points, mults)
+    return record
 
 
 def classify_completeness(points, params: SystemParams, cross_validate: bool = False) -> CompletenessResult:
@@ -518,6 +619,18 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     Labels outside the cell are translated back in (the physical ray is
     unchanged by quasi-periodicity) and flagged.  ValueError is raised when
     there is no label or one is not finite.
+
+    With `cross_validate`, gram_rank is coherent_gram_rank of the merged
+    labels (m equal rows add no rank).  It is proved from one inverse where
+    that settles it (:meth:`_LabelSet.gram_rank`): for d labels on the lattice
+    rule, the rebuild's bordered inverse, for d labels off it or d - 1 after
+    the merge, the inverse of their unit rows; the singular values are taken
+    only where the proof fails.  The merged labels, their rows and the
+    bordered inverse are kept for a reconstruct_from_zeros of the same labels,
+    params and multiplicities (one each, which a call with no multiplicities
+    means) that follows, which then reads them instead of computing them again
+    (:class:`_LabelSet`); a set off the rule keeps no rows, since its rebuild
+    is refused.
     """
     pts = _labels(points)
     reduced = bool(pts.real.min() < params.a or pts.imag.min() < params.b  # x - a rounds monotonically in x
@@ -526,10 +639,11 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     if count != d:
         verdict = "overcomplete-at-least-complete" if count > d else "undercomplete"
         return CompletenessResult(verdict, count, None, None, None, reduced)
-    positions, _, residual, M, N = _merged_fit(pts, params)
-    verdict = "undercomplete" if residual <= LATTICE_TOL else "complete"
-    rank = coherent_gram_rank(positions, params) if cross_validate else None  # m equal rows add no rank
-    return CompletenessResult(verdict, count, residual, M, N, reduced, rank)
+    record = _label_set(pts, params, np.ones(d, dtype=np.intp))
+    undercomplete = record.residual <= LATTICE_TOL
+    rank = record.gram_rank(undercomplete) if cross_validate else None
+    return CompletenessResult("undercomplete" if undercomplete else "complete", count, record.residual,
+                              record.M, record.N, reduced, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +681,13 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     sqrt(d); 16 d**1.5 eps ||B^-1||_F < 1 leaves a factor 16 for the rounding of
     the inverse (cond(B) eps <= 1 / (16 d)) and of the singular values.  The
     result is normalized; the global phase is not fixed by the zeros.
+
+    The merged zeros, F and B^-1 come from the record of the last label set
+    (:class:`_LabelSet`): after classify_completeness of the same labels and
+    params (and multiplicities of one each), the rebuild merges, folds and
+    inverts nothing again, and the state is the same bit for bit.  When the
+    rebuild returns or raises, the record keeps the merged zeros for a repeat
+    but no d x d array.
     """
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
@@ -586,26 +707,25 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     d = params.d
     if multiplicities.sum() != d:
         raise ValueError(f"multiplicities sum to {multiplicities.sum()}, expected d = {d}")
-    positions, mults, residual, _, _ = _merged_fit(positions, params, multiplicities)
-    if residual > LATTICE_TOL:
+    record = _label_set(positions, params, multiplicities)
+    if record.residual > LATTICE_TOL:
         raise ValueError(
             "no such state exists: the zero sum violates the lattice constraint "
-            f"(residual {residual:.3e} > {LATTICE_TOL:.1e})"
+            f"(residual {record.residual:.3e} > {LATTICE_TOL:.1e})"
         )
-    if d == 1:
-        return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-    bordered = np.zeros((d + 1, d + 1), dtype=complex)
-    rows = bordered[:d, :d] = _unit_rows(positions, params, mults)
-    bordered[:d, d], bordered[d, :d] = params._border, params._border.conj()
-    try:  # a LinAlgError is a ValueError, which the CLI would report as bad input
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError as exc:
-        _gap_rule(rows)
-        raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows, or NaN, fails the bound
-        if not 16 * d**1.5 * _EPS * np.linalg.norm(inverse) < 1:
-            _gap_rule(rows)
-    return FiniteState(np.fft.fft(inverse[:d, d]))
+    try:
+        if d == 1:
+            return FiniteState(np.ones(1))  # one ray, and its single row vanishes
+        try:  # a LinAlgError is a ValueError, which the CLI would report as bad input
+            inverse = record.inverse()
+        except np.linalg.LinAlgError as exc:
+            _gap_rule(record.rows())
+            raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
+        if not _proves(inverse, d, d * _EPS):
+            _gap_rule(record.rows())
+        return FiniteState(np.fft.fft(inverse[:d, d]))
+    finally:
+        record.release()  # the merged zeros stay for a repeat, their d x d arrays do not
 
 
 def _gap_rule(rows: np.ndarray) -> None:

@@ -1,11 +1,14 @@
 """Winding counts, zero location, the sum rule, completeness, reconstruction."""
 
 import functools
+import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import finiteq.zeros as zeros_module
@@ -1154,24 +1157,231 @@ def test_rebuild_refuses_exactly_the_sets_classify_reads_complete(case):
     assert refused is (verdict == "complete")
 
 
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the list that grows by one per call."""
+    original, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
 def test_one_merge_decides_which_labels_are_one_zero(monkeypatch):
-    # the rebuild merges once whatever its input, and classify only a set of exactly d labels
+    # the rebuild merges each new label set once whatever its input, a repeat of the last set not at all (the same
+    # positions and multiplicities, as a ZeroSet or as arrays), and classify only a set of exactly d labels
     params = SystemParams(5)
     width, height = params.cell_width, params.cell_height
     z0, z1 = complex(0.317 * width, 0.473 * height), complex(0.812 * width, 0.131 * height)
     z2 = np.sqrt(np.pi / 2) * 5**1.5 * (1 + 1j) - 3 * z0 - z1
     zs = find_zeros(AnalyticState(random_state(np.random.default_rng(26), 5), params))
-    merge, calls = zeros_module._merge, []
-    monkeypatch.setattr(zeros_module, "_merge", lambda *a: calls.append(1) or merge(*a))
-    for args in ((zs.positions, params), (zs,), (np.array([z0, z0, z0, z1, z2]), params),
-                 (np.array([z0, z1, z2]), params, [3, 1, 1])):
+    calls = counted(monkeypatch, zeros_module, "_merge")
+    for args, merges in (((zs.positions, params), 1), ((zs,), 0), ((np.array([z0, z0, z0, z1, z2]), params), 1),
+                         ((np.array([z0, z1, z2]), params, [3, 1, 1]), 1),
+                         ((np.array([z0, z1, z2]), params, np.array([3, 1, 1], dtype=np.int8)), 0)):
         calls.clear()
         reconstruct_from_zeros(*args)
-        assert len(calls) == 1
-    for count, merges in ((4, 0), (5, 1), (6, 0)):
+        assert len(calls) == merges
+    for count, merges in ((4, 0), (5, 1), (6, 0), (5, 0)):
         calls.clear()
         classify_completeness(np.resize(zs.positions, count), params, cross_validate=True)
         assert len(calls) == merges
+
+
+def test_classify_then_rebuild_does_the_label_work_once(monkeypatch):
+    # a cross-validated classification of a well-conditioned simple set proves its Gram rank from the bordered
+    # inverse that the rebuild of the same labels then reads: one merge, one set of rows, one inverse, no SVD
+    params, labels = planted_label_set(16, 1.0, 3)
+    alone = reconstruct_from_zeros(labels, params).components
+    reconstruct_from_zeros(labels[::-1].copy(), params)  # another set, so that the record misses
+    counts = {name: counted(monkeypatch, zeros_module, name) for name in ("_merge", "_unit_rows")}
+    counts["inv"] = counted(monkeypatch, np.linalg, "inv")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the label work took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    result = classify_completeness(labels, params, cross_validate=True)
+    state = reconstruct_from_zeros(labels, params)
+    assert (result.verdict, result.gram_rank) == ("undercomplete", 15)
+    assert {name: len(calls) for name, calls in counts.items()} == {"_merge": 1, "_unit_rows": 1, "inv": 1}
+    assert state.components.tobytes() == alone.tobytes()
+
+
+@functools.cache
+def number_zeros(d, n):
+    """The zeros that find_zeros certifies for the number state n at d, or None where it raises."""
+    params = SystemParams(d)
+    try:
+        return find_zeros(AnalyticState(number_state(n, params), params)).positions
+    except (ValueError, RuntimeError):  # a vanishing Hermite projection, or an uncertified zero set
+        return None
+
+
+def lattice_rule_point(params):
+    """The zero sum sqrt(pi/2) d**1.5 (lam + i/lam) of the lattice rule at M = N = 0."""
+    return np.sqrt(np.pi / 2) * params.d**1.5 * complex(params.lam, 1 / params.lam)
+
+
+@st.composite
+def gram_label_sets(draw):
+    """(labels, params): d labels, d in {1, 2, 3, 8, 16, 64}, on the lattice rule or with one label moved 5% of the
+    cell height off it.  Either random labels, none, one or two of them given twice or three times, closed by one label
+    on the rule (at d = 1 the exact zero), at lam in {0.3, 1, 2.5}, or the zeros of a number state (lam = 1)."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        params = SystemParams(d)
+        labels = number_zeros(d, draw(st.integers(0, 5)))
+        assume(labels is not None)
+        labels = labels.copy()
+    else:
+        params = SystemParams(d, draw(st.sampled_from([0.3, 1.0, 2.5])))
+        labels = list(params.a + rng.uniform(size=d) * params.cell_width
+                      + 1j * (params.b + rng.uniform(size=d) * params.cell_height))
+        for i, mult in enumerate(draw(st.sampled_from([(), (2,), (3,), (2, 2), (2, 3)]))):
+            labels[i + 1:i + 1] = [labels[i]] * (mult - 1)
+        labels = labels[:d - 1]
+        M, N = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        last = lattice_rule_point(params) + np.sqrt(2 * np.pi * d) * complex(M * params.lam, N / params.lam)
+        labels = np.array(labels + [complex(zeros_module._into_cell(last - sum(labels), params))])
+    if draw(st.booleans()):
+        step = 0.05 * params.cell_height * np.exp(2j * np.pi * rng.uniform())
+        labels[-1] = zeros_module._into_cell(labels[-1] + step, params)
+    return labels[rng.permutation(d)], params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gram_label_sets())
+@example((np.array([zeros_module._into_cell(lattice_rule_point(SystemParams(1)), SystemParams(1))]), SystemParams(1)))
+@example((np.array([zeros_module._into_cell(lattice_rule_point(SystemParams(1, 2.5)), SystemParams(1, 2.5))]),
+          SystemParams(1, 2.5)))
+def test_the_proved_gram_rank_is_the_rank_of_the_singular_values(case):
+    # the cross-check proves its rank from an inverse where that settles it, and takes the singular values
+    # elsewhere: either way it is coherent_gram_rank of the merged labels (at d = 1 the exact zero has rank 1)
+    labels, params = case
+    positions, _ = zeros_module._merge(labels, params)
+    assert classify_completeness(labels, params, cross_validate=True).gram_rank == coherent_gram_rank(positions, params)
+
+
+def outcome(*args):
+    """The rebuilt components' bytes, or the type and message of the ValueError or RuntimeError raised instead."""
+    try:
+        return reconstruct_from_zeros(*args).components.tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_a_label_array_changed_in_place_is_a_new_label_set():
+    params, old = planted_label_set(16, 1.0, 4)
+    _, new = planted_label_set(16, 1.0, 5)
+    expected = outcome(new.copy(), params)
+    labels = old.copy()
+    assert classify_completeness(labels, params, cross_validate=True).gram_rank == 15
+    labels[:] = new
+    assert outcome(labels, params) == expected
+    # and moved off the lattice rule after a classification on it
+    labels[:] = old
+    assert classify_completeness(labels, params, cross_validate=True).verdict == "undercomplete"
+    labels[-1] += 0.05 * params.cell_height
+    assert outcome(labels, params)[0] is ValueError
+
+
+@pytest.mark.parametrize("change", ["lam", "anchor", "multiplicities"])
+def test_another_lam_anchor_or_multiplicities_misses_the_record(monkeypatch, change):
+    # the same label bytes under other params or multiplicities are another label set: merged anew, with the
+    # outcome of a call that follows no other
+    params, labels = planted_label_set(8, 1.0, 6)
+    doubled = labels[1:].copy()  # labels[1] given twice, and the last label closing the rule again
+    doubled[-1] = zeros_module._into_cell(lattice_rule_point(params) - 2 * doubled[0] - doubled[1:-1].sum(), params)
+    first = {"lam": lambda: classify_completeness(labels, params, cross_validate=True),
+             "anchor": lambda: classify_completeness(labels, params, cross_validate=True),
+             "multiplicities": lambda: reconstruct_from_zeros(doubled, params, [2, 1, 1, 1, 1, 1, 1])}[change]
+    second = {"lam": (labels, SystemParams(8, 0.7)),
+              "anchor": (labels, SystemParams(8, 1.0, 0.5 * params.cell_width, -0.25 * params.cell_height)),
+              "multiplicities": (doubled, params, [1, 2, 1, 1, 1, 1, 1])}[change]
+    monkeypatch.setattr(zeros_module, "_last", None)
+    expected = outcome(*second)
+    first()
+    calls = counted(monkeypatch, zeros_module, "_merge")
+    assert outcome(*second) == expected
+    assert len(calls) == 1
+
+
+def test_a_rebuilt_state_shares_no_memory_with_the_record():
+    params, labels = planted_label_set(8, 1.0, 7)
+    classify_completeness(labels, params, cross_validate=True)
+    record = zeros_module._last
+    kept = [record._rows, record._inverse, record.positions, record.mults]
+    assert kept[0] is not None and kept[1] is not None  # what the rebuild reads
+    state = reconstruct_from_zeros(labels, params)
+    assert not any(np.shares_memory(state.components, array) for array in kept)
+    expected = state.components.tobytes()
+    state.components[:] = 0
+    assert reconstruct_from_zeros(labels, params).components.tobytes() == expected
+
+
+def test_a_rebuild_after_classify_is_the_rebuild_alone(monkeypatch):
+    # bit for bit, and every refusal with its message: the lattice rule's ValueError for sets off the rule, the gap
+    # rule's RuntimeError for the position-state zeros from d = 48
+    cases = [(positions, params) for _, _, _, positions, _, params in rebuild_sweep() if params.d <= 64]
+    for d in (8, 64):
+        for seed in range(3):
+            params, labels = planted_label_set(d, 1.0, seed)
+            cases += [(labels, params), (off_rule_copy(np.random.default_rng(seed), params, labels), params)]
+    kinds = set()
+    for positions, params in cases:
+        monkeypatch.setattr(zeros_module, "_last", None)
+        alone = outcome(positions, params)
+        monkeypatch.setattr(zeros_module, "_last", None)
+        classify_completeness(positions, params, cross_validate=True)
+        assert outcome(positions, params) == alone, (params, alone)
+        kinds.add(alone[0].__name__ if isinstance(alone, tuple) else "state")
+    assert kinds == {"state", "ValueError", "RuntimeError"}
+
+
+def test_threads_sharing_the_record_get_the_results_of_one_thread():
+    # the record of the last label set is shared by every caller in the process: threads that classify and rebuild
+    # two label sets in turn, so that each replaces and empties the other's record, get what one thread gets
+    sets = [planted_label_set(16, 1.0, seed) for seed in (8, 9)]
+    expected = [(classify_completeness(labels, params, cross_validate=True).gram_rank, outcome(labels, params))
+                for params, labels in sets]
+    failures = []
+
+    def work(offset):
+        for i in range(40):
+            params, labels = sets[(i + offset) % 2]
+            got = (classify_completeness(labels, params, cross_validate=True).gram_rank, outcome(labels, params))
+            if got != expected[(i + offset) % 2]:
+                failures.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+
+
+def test_a_rebuild_keeps_no_d_by_d_array():
+    # the record keeps the merged zeros for a repeat, but none of its d x d arrays once a rebuild returns: at
+    # d = 256 one of them is 1 MiB
+    params = SystemParams(256)
+    warm, labels = (find_zeros(AnalyticState(random_state(np.random.default_rng([79, seed]), 256), params)).positions
+                    for seed in range(2))
+    classify_completeness(warm, params, cross_validate=True)  # the params' caches and numpy's first calls
+    reconstruct_from_zeros(warm, params)
+    tracemalloc.start()
+    try:
+        classify_completeness(labels, params, cross_validate=True)
+        state = reconstruct_from_zeros(labels, params)
+        held = tracemalloc.get_traced_memory()[0] - state.components.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
