@@ -24,7 +24,8 @@ W / sqrt(d), with the singular values of the folds, and F W a = 0 exactly when
 F y = 0 for y = W a, where a = W^H y / d is one FFT of y.  The reconstruction
 takes y, and the proof of its gap rule, from one bordered inverse, which also
 proves the classifier's Gram rank of the same labels; one record of the last
-label set holds the merged labels, F and that inverse for both (_LabelSet).
+label set holds the merged labels, y and the norm of that inverse for both, and
+no d x d array (_LabelSet).
 """
 
 from __future__ import annotations
@@ -511,55 +512,53 @@ def _rank(rows: np.ndarray) -> int:
     return int((sv > _RANK_TOL * sv[0]).sum())
 
 
-def _proves(inverse: np.ndarray, d: int, tol: float) -> bool:
-    """16 tol sqrt(d) ||inverse||_F < 1: the singular value of d unit rows that 1 / ||inverse||_F bounds from below
-    is then above 16 tol sqrt(d), which is at least 16 tol times their largest.  A norm that overflows, or NaN,
-    fails."""
+def _norm(a: np.ndarray) -> float:
+    """||a||_F, without a warning: inf where it overflows, NaN where a holds NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(16 * tol * math.sqrt(d) * np.linalg.norm(inverse) < 1)
+        return float(np.linalg.norm(a))
+
+
+def _proves(norm: float, d: int, tol: float) -> bool:
+    """16 tol sqrt(d) norm < 1 for norm = ||inverse||_F: the singular value of d unit rows that 1 / ||inverse||_F
+    bounds from below is then above 16 tol sqrt(d), which is at least 16 tol times their largest.  An inf or NaN
+    norm fails."""
+    return 16 * tol * math.sqrt(d) * norm < 1
 
 
 class _LabelSet:
     """One set of labels or zeros as classify_completeness and reconstruct_from_zeros read it.
 
-    It holds the labels merged by :func:`_merge` and the lattice fit of their
-    weighted sum, and computes on first use the unit rows F of the merged labels
-    (:func:`_unit_rows`, d of them when the multiplicities sum to d) and the
-    inverse of the rebuild's bordered matrix B = [[F, b], [b^H, 0]], b the unit
-    border of SystemParams._border.  The record of the last set given is kept
-    (:func:`_label_set`), keyed by the exact bytes of the labels and of the
-    multiplicities and by the params, so a classification followed by the
-    rebuild of the same labels merges, fits, folds and inverts once.
+    It holds the labels merged by :func:`_merge`, their multiplicities, the lattice
+    fit of their weighted sum, and one slot that :meth:`null` writes once: y and
+    ||B^-1||_F for the rebuild's bordered matrix B = [[F, b], [b^H, 0]], F the unit
+    rows of the merged labels (:func:`_unit_rows`) and b the unit border of
+    SystemParams._border.  So it holds O(d) numbers, and no d x d array.  The record
+    of the last set given is kept (:func:`_label_set`), keyed by the exact bytes of the
+    labels and of the multiplicities and by the params, so a classification followed by
+    the rebuild of the same labels merges, fits, folds and inverts once.
     """
 
     def __init__(self, key, params: SystemParams, points, mults):
         self.key, self.params = key, params
         self.positions, self.mults = _merge(points, params, mults)
         self.residual, self.M, self.N = sum_constraint_fit(complex((self.positions * self.mults).sum()), params)
-        self._rows = self._inverse = None
+        self._null = None
 
-    # rows() and inverse() return what they read or computed, never the slot read again, which another
-    # thread's release() may have emptied meanwhile
-    def rows(self) -> np.ndarray:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = _unit_rows(self.positions, self.params, self.mults)
-        return rows
-
-    def inverse(self) -> np.ndarray:
-        """B^-1; a failed inverse raises numpy's LinAlgError each time it is asked for."""
-        inverse = self._inverse
-        if inverse is None:
+    def null(self, rows: np.ndarray | None = None):
+        """(y, ||B^-1||_F), y = B^-1[:d, d], or B's LinAlgError without the traceback whose frames would hold B:
+        computed by the first call, from `rows` (F) when given, and returned by every call.  Threads that race
+        to the first call write equal values."""
+        if self._null is None:
             d, border = self.params.d, self.params._border
             bordered = np.zeros((d + 1, d + 1), dtype=complex)
-            bordered[:d, :d] = self.rows()
+            bordered[:d, :d] = _unit_rows(self.positions, self.params, self.mults) if rows is None else rows
             bordered[:d, d], bordered[d, :d] = border, border.conj()
-            inverse = self._inverse = np.linalg.inv(bordered)
-        return inverse
-
-    def release(self) -> None:
-        """Drop the d x d arrays, keeping the merged labels and their fit."""
-        self._rows = self._inverse = None
+            try:
+                inverse = np.linalg.inv(bordered)
+                self._null = inverse[:d, d].copy(), _norm(inverse)
+            except np.linalg.LinAlgError as exc:
+                self._null = exc.with_traceback(None)
+        return self._null
 
     def gram_rank(self, undercomplete: bool) -> int:
         """coherent_gram_rank of the merged labels, proved from an inverse where one settles it.
@@ -576,22 +575,21 @@ class _LabelSet:
         coherent_gram_rank does.
         """
         d, k = self.params.d, self.positions.size
-        # the rows of order 0; a set off the rule is never rebuilt, so it takes no rows of higher order
-        rows = self.rows()[:k] if undercomplete else _unit_rows(self.positions, self.params)
-        try:
-            if k == d and undercomplete:
-                inverse = self.inverse()
-                y = inverse[:d, d]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    null = np.linalg.norm(rows @ y) <= 0.5 * _RANK_TOL * np.linalg.norm(y)
-                if null and _proves(inverse, d, _RANK_TOL):
+        # a set on the rule fills the slot its rebuild reads; one off it is never rebuilt and needs only order 0
+        rows = _unit_rows(self.positions, self.params, self.mults if undercomplete else None)
+        null = self.null(rows) if undercomplete else None
+        rows = rows[:k]  # the rows of order 0
+        if k == d and undercomplete:
+            if isinstance(null, tuple) and _proves(null[1], d, _RANK_TOL):
+                if _norm(rows @ null[0]) <= 0.5 * _RANK_TOL * _norm(null[0]):
                     return d - 1
-            elif k >= d - 1:
-                square = rows if k == d else np.vstack((rows, self.params._border.conj()))
-                if _proves(np.linalg.inv(square), d, _RANK_TOL):
+        elif k >= d - 1:
+            square = rows if k == d else np.vstack((rows, self.params._border.conj()))
+            try:
+                if _proves(_norm(np.linalg.inv(square)), d, _RANK_TOL):
                     return k
-        except np.linalg.LinAlgError:
-            pass
+            except np.linalg.LinAlgError:
+                pass
         return _rank(rows)
 
 
@@ -625,12 +623,12 @@ def classify_completeness(points, params: SystemParams, cross_validate: bool = F
     that settles it (:meth:`_LabelSet.gram_rank`): for d labels on the lattice
     rule, the rebuild's bordered inverse, for d labels off it or d - 1 after
     the merge, the inverse of their unit rows; the singular values are taken
-    only where the proof fails.  The merged labels, their rows and the
-    bordered inverse are kept for a reconstruct_from_zeros of the same labels,
-    params and multiplicities (one each, which a call with no multiplicities
-    means) that follows, which then reads them instead of computing them again
-    (:class:`_LabelSet`); a set off the rule keeps no rows, since its rebuild
-    is refused.
+    only where the proof fails.  The merged labels and, for a set on the rule,
+    the column y of the bordered inverse and the inverse's norm are kept for a
+    reconstruct_from_zeros of the same labels, params and multiplicities (one
+    each, which a call with no multiplicities means) that follows, which then
+    reads them instead of computing them again (:class:`_LabelSet`); the rows
+    and the inverse go when the call returns.
     """
     pts = _labels(points)
     reduced = bool(pts.real.min() < params.a or pts.imag.min() < params.b  # x - a rounds monotonically in x
@@ -682,12 +680,12 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
     the inverse (cond(B) eps <= 1 / (16 d)) and of the singular values.  The
     result is normalized; the global phase is not fixed by the zeros.
 
-    The merged zeros, F and B^-1 come from the record of the last label set
-    (:class:`_LabelSet`): after classify_completeness of the same labels and
-    params (and multiplicities of one each), the rebuild merges, folds and
-    inverts nothing again, and the state is the same bit for bit.  When the
-    rebuild returns or raises, the record keeps the merged zeros for a repeat
-    but no d x d array.
+    The merged zeros, y and ||B^-1||_F come from the record of the last label
+    set (:class:`_LabelSet`), which computes them once: after
+    classify_completeness of the same labels and params (and multiplicities of
+    one each), or for a repeat, the rebuild merges, folds and inverts nothing
+    again, and the state is the same bit for bit.  F is built anew only for the
+    gap rule's SVD.  The record holds no d x d array.
     """
     if isinstance(zeros, ZeroSet):
         if params is not None and params != zeros.params:
@@ -713,23 +711,21 @@ def reconstruct_from_zeros(zeros, params: SystemParams | None = None, multiplici
             "no such state exists: the zero sum violates the lattice constraint "
             f"(residual {record.residual:.3e} > {LATTICE_TOL:.1e})"
         )
-    try:
-        if d == 1:
-            return FiniteState(np.ones(1))  # one ray, and its single row vanishes
-        try:  # a LinAlgError is a ValueError, which the CLI would report as bad input
-            inverse = record.inverse()
-        except np.linalg.LinAlgError as exc:
-            _gap_rule(record.rows())
-            raise RuntimeError(f"the zeros' rows gave no null vector: {exc}") from exc
-        if not _proves(inverse, d, d * _EPS):
-            _gap_rule(record.rows())
-        return FiniteState(np.fft.fft(inverse[:d, d]))
-    finally:
-        record.release()  # the merged zeros stay for a repeat, their d x d arrays do not
+    if d == 1:
+        return FiniteState(np.ones(1))  # one ray, and its single row vanishes
+    null = record.null()
+    if isinstance(null, np.linalg.LinAlgError):  # a ValueError, which the CLI would report as bad input
+        _gap_rule(record)
+        raise RuntimeError(f"the zeros' rows gave no null vector: {null}") from null
+    y, norm = null
+    if not _proves(norm, d, d * _EPS):
+        _gap_rule(record)
+    return FiniteState(np.fft.fft(y))
 
 
-def _gap_rule(rows: np.ndarray) -> None:
-    """Refuse unit rows whose second-smallest singular value is at most d eps of the largest (matrix_rank's rule)."""
+def _gap_rule(record: _LabelSet) -> None:
+    """Refuse zeros whose unit rows' second-smallest singular value is at most d eps of the largest (matrix_rank's)."""
+    rows = _unit_rows(record.positions, record.params, record.mults)
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv[-2] <= len(rows) * _EPS * sv[0]:
         raise RuntimeError("the zeros do not fix one state in double precision: second-smallest "

@@ -63,6 +63,25 @@ def coherent_zero_set(label, params):
     return zeros_module._into_cell(np.concatenate((row, column)), params)
 
 
+def exact_zero_set(family, params):
+    """(state, zeros): a state of the paper and its d zeros in closed form, reduced into the cell.
+
+    The position state m = 2 has them on the column x = pi (m/d - 1/2) / c at heights (l + 1/2) H / d, the momentum
+    state m = 3 on the row y = H (1/2 - m/d) at x = -(l + 1/2) W / d, with c = sqrt(pi/2d)/lam, W and H the cell's
+    width and height and l = 0 .. d-1; the coherent state of label 1.3 + 0.7i, at even d, on the row and column of
+    :func:`coherent_zero_set`.
+    """
+    d, width, height = params.d, params.cell_width, params.cell_height
+    steps = np.arange(d) + 0.5
+    if family == "position":
+        zeros = np.pi * (2 / d - 0.5) / params._window.c + 1j * steps * height / d
+        return position_state(2, d), zeros_module._into_cell(zeros, params)
+    if family == "momentum":
+        zeros = -steps * width / d + 1j * height * (0.5 - 3 / d)
+        return momentum_state(3, d), zeros_module._into_cell(zeros, params)
+    return coherent_state_closed(1.3 + 0.7j, params), coherent_zero_set(1.3 + 0.7j, params)
+
+
 def match_sets(found, expected, tol):
     """Greedy nearest-point matching; returns the largest pair distance."""
     found = list(found)
@@ -826,6 +845,32 @@ def test_bordered_solve_is_as_accurate_as_the_svd():
         assert new <= 3 * max(old, zeros_module._EPS), (family, new, old)
 
 
+def exact_zero_cases(refusals):
+    """(family, d, lam) over d in {4, 8, 16, 32, 48, 64, 256}: the three families at lam 1, and the coherent state at
+    lam 0.7 too.  With `refusals`, the cases whose exact zeros the rebuild refuses today are strict xfails."""
+    item_8 = pytest.mark.xfail(raises=RuntimeError, strict=True,
+                               reason="the gap rule refuses these exact zeros (ROADMAP item 8)")
+    return [pytest.param(family, d, lam, marks=item_8 if refusals and d >= first_refused else ())
+            for family, lam, first_refused in (("position", 1.0, 48), ("momentum", 1.0, 48), ("coherent", 1.0, 64),
+                                               ("coherent", 0.7, 48))
+            for d in (4, 8, 16, 32, 48, 64, 256)]
+
+
+@pytest.mark.parametrize("family, d, lam", exact_zero_cases(False))
+def test_the_exact_zero_sets_are_zeros_of_their_states(family, d, lam):
+    params = SystemParams(d, lam)
+    state, zeros = exact_zero_set(family, params)
+    assert np.abs(AnalyticState(state, params)._weighted(zeros)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("family, d, lam", exact_zero_cases(True))
+def test_the_rebuild_from_exact_zero_sets(family, d, lam):
+    # the rebuild's input is the zeros, and these are exact: its loss is that of the rebuild alone
+    params = SystemParams(d, lam)
+    state, zeros = exact_zero_set(family, params)
+    assert 1 - abs(np.vdot(reconstruct_from_zeros(zeros, params).components, state.components)) <= 1e-10
+
+
 def bordered_rows(positions, params, mults):
     """The rebuild's unit folded rows F of the merged zeros, and F bordered by b: [[F, b], [b^H, 0]]."""
     positions, mults = zeros_module._merge(positions, params, mults)
@@ -934,6 +979,7 @@ def test_a_bound_that_cannot_decide_hands_over_without_a_warning(monkeypatch, d)
         reconstruct_from_zeros(lattice, params)
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda matrix: inv(matrix) * 1e150)
+    monkeypatch.setattr(zeros_module, "_last", None)  # the record keeps the first inverse's y and norm
     with pytest.raises(RuntimeError, match="do not fix one state"):
         reconstruct_from_zeros(lattice, params)
 
@@ -1185,10 +1231,15 @@ def test_one_merge_decides_which_labels_are_one_zero(monkeypatch):
         assert len(calls) == merges
 
 
-def test_classify_then_rebuild_does_the_label_work_once(monkeypatch):
-    # a cross-validated classification of a well-conditioned simple set proves its Gram rank from the bordered
-    # inverse that the rebuild of the same labels then reads: one merge, one set of rows, one inverse, no SVD
+@pytest.mark.parametrize("double", [False, True])
+def test_classify_then_rebuild_does_the_label_work_once(monkeypatch, double):
+    # a cross-validated classification of a well-conditioned set on the rule proves its Gram rank with the bordered
+    # inverse whose y and norm the rebuild of the same labels then reads: one merge, one set of rows, no SVD, and one
+    # inverse, or two with one double label (the bordered one, and that of the d - 1 rows bordered by b^H)
     params, labels = planted_label_set(16, 1.0, 3)
+    if double:
+        labels[1] = labels[0]
+        labels[-1] = zeros_module._into_cell(lattice_rule_point(params) - labels[:-1].sum(), params)
     alone = reconstruct_from_zeros(labels, params).components
     reconstruct_from_zeros(labels[::-1].copy(), params)  # another set, so that the record misses
     counts = {name: counted(monkeypatch, zeros_module, name) for name in ("_merge", "_unit_rows")}
@@ -1201,7 +1252,7 @@ def test_classify_then_rebuild_does_the_label_work_once(monkeypatch):
     result = classify_completeness(labels, params, cross_validate=True)
     state = reconstruct_from_zeros(labels, params)
     assert (result.verdict, result.gram_rank) == ("undercomplete", 15)
-    assert {name: len(calls) for name, calls in counts.items()} == {"_merge": 1, "_unit_rows": 1, "inv": 1}
+    assert {name: len(calls) for name, calls in counts.items()} == {"_merge": 1, "_unit_rows": 1, "inv": 1 + double}
     assert state.components.tobytes() == alone.tobytes()
 
 
@@ -1309,10 +1360,10 @@ def test_a_rebuilt_state_shares_no_memory_with_the_record():
     params, labels = planted_label_set(8, 1.0, 7)
     classify_completeness(labels, params, cross_validate=True)
     record = zeros_module._last
-    kept = [record._rows, record._inverse, record.positions, record.mults]
-    assert kept[0] is not None and kept[1] is not None  # what the rebuild reads
+    y, _ = record._null  # what the rebuild reads, written by the classification
     state = reconstruct_from_zeros(labels, params)
-    assert not any(np.shares_memory(state.components, array) for array in kept)
+    assert zeros_module._last is record
+    assert not any(np.shares_memory(state.components, array) for array in (y, record.positions, record.mults))
     expected = state.components.tobytes()
     state.components[:] = 0
     assert reconstruct_from_zeros(labels, params).components.tobytes() == expected
@@ -1339,7 +1390,8 @@ def test_a_rebuild_after_classify_is_the_rebuild_alone(monkeypatch):
 
 def test_threads_sharing_the_record_get_the_results_of_one_thread():
     # the record of the last label set is shared by every caller in the process: threads that classify and rebuild
-    # two label sets in turn, so that each replaces and empties the other's record, get what one thread gets
+    # two label sets in turn, so that each replaces the other's record, possibly while one writes its slot, get what
+    # one thread gets
     sets = [planted_label_set(16, 1.0, seed) for seed in (8, 9)]
     expected = [(classify_completeness(labels, params, cross_validate=True).gram_rank, outcome(labels, params))
                 for params, labels in sets]
@@ -1382,6 +1434,51 @@ def test_a_rebuild_keeps_no_d_by_d_array():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000
+
+
+@pytest.mark.parametrize("d", [256, 1000])
+def test_a_classification_keeps_no_d_by_d_array(d):
+    # a cross-validated classification that no rebuild follows leaves the record its merged labels, y and a norm:
+    # O(d) numbers, where its rows and bordered inverse are 2 x 16 d^2 bytes (2.1 MB at d = 256, 32 MB at 1000)
+    params = SystemParams(d)
+    _, warm = planted_label_set(d, 1.0, 0)
+    if d == 256:
+        labels = find_zeros(AnalyticState(random_state(np.random.default_rng(80), d), params)).positions
+    else:  # a set on the rule is the zeros of a state, which find_zeros would take 1.5 s to find
+        _, labels = planted_label_set(d, 1.0, 1)
+    classify_completeness(warm, params, cross_validate=True)  # the params' caches and numpy's first calls
+    tracemalloc.start()
+    try:
+        verdict = classify_completeness(labels, params, cross_validate=True).verdict
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert verdict == "undercomplete"
+    assert isinstance(zeros_module._last._null, tuple)  # the slot the rebuild would read
+    assert held < 100_000
+
+
+def test_a_singular_bordered_matrix_leaves_its_error_without_the_frames(monkeypatch):
+    # the record keeps B's LinAlgError for the rebuild, but not its traceback, whose frames hold B (1 MB at d = 256)
+    params = SystemParams(256)
+    _, warm = planted_label_set(256, 1.0, 0)
+    labels = find_zeros(AnalyticState(random_state(np.random.default_rng(81), 256), params)).positions
+    classify_completeness(warm, params, cross_validate=True)  # the params' caches and numpy's first calls
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    tracemalloc.start()
+    try:
+        classify_completeness(labels, params, cross_validate=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(zeros_module._last._null, np.linalg.LinAlgError)
+    assert held < 100_000
+    with pytest.raises(RuntimeError, match="^the zeros' rows gave no null vector: Singular matrix$"):
+        reconstruct_from_zeros(labels, params)
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
@@ -1543,7 +1640,13 @@ def test_find_zeros_certificate_raises(monkeypatch):
     params = SystemParams(6)
     s = AnalyticState(random_state(np.random.default_rng(9), 6), params)
     band_roots = zeros_module._band_roots
-    monkeypatch.setattr(zeros_module, "_band_roots", lambda a, c, y0, y1: band_roots(a, c, y0, y1)[1:])
+
+    def lose_the_middle_root(a, c, y0, y1):
+        # the root nearest the band's mid height, which the band keeps whatever order the roots come in
+        z = band_roots(a, c, y0, y1)
+        return np.delete(z, np.argmin(np.abs(z.imag - 0.5 * (y0 + y1)))) if z.size else z
+
+    monkeypatch.setattr(zeros_module, "_band_roots", lose_the_middle_root)
     with pytest.raises(RuntimeError, match="expected 6"):
         find_zeros(s)
     monkeypatch.setattr(zeros_module, "_band_roots", lambda a, c, y0, y1: band_roots(a, c, y0, y1) + 1e-4)
